@@ -15,6 +15,7 @@ from .discrimination import (
     helstrom_binary,
     losscc_value_cq,
     min_error_discrimination,
+    min_error_discrimination_stack,
     p_bc_two_settings,
     p_cbc,
     p_postinfo,

@@ -4,14 +4,15 @@
 class SolverFailure(RuntimeError):
     """Iterative solver hit its cap without certifying optimality.
 
-    Carries the best primal/dual pair found so far.
+    Carries the best primal/dual pair found so far and the iterations run.
     """
 
-    def __init__(self, message, primal=None, gap=None, povm=None):
+    def __init__(self, message, primal=None, gap=None, povm=None, iterations=None):
         super().__init__(message)
         self.primal = primal
         self.gap = gap
         self.povm = povm
+        self.iterations = iterations
 
 
 class InternalInconsistency(RuntimeError):

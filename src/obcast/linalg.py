@@ -22,7 +22,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def ket(values, normalize: bool = False) -> np.ndarray:
     """Build a state vector from a sequence of amplitudes."""
     v = np.asarray(values, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v.view(float))):
+    if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite amplitudes")
     if normalize:
         n = np.linalg.norm(v)
@@ -48,7 +48,7 @@ def hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     residual = np.abs(a - dagger(a)).max()
     if residual > tol:

@@ -14,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from .discrimination import EffectTarget, SolverSettings, min_error_discrimination
+from .discrimination import EffectTarget, SolverSettings, min_error_discrimination_stack
+from .discrimination import min_error_discrimination  # noqa: F401  (bound here for perfbench's span tracer)
 from .ensembles import PostInfoEnsemble
 from .linalg import dyad
 
@@ -30,20 +31,15 @@ def enumerate_postinfo(ensemble: PostInfoEnsemble, outcome_count: int | None = N
     counts = ensemble.index_sets
     rows = list(itertools.product(*[range(c) for c in counts]))
     projectors = tuple(tuple(dyad(s) for s in group) for group in ensemble.states)
-    row_ops = {}
+    row_ops = []
     for row in rows:
         acc = np.zeros((d, d), dtype=complex)
         for t, i in enumerate(row):
             acc += ensemble.prior[t][i] * projectors[t][i]
-        row_ops[row] = acc
-    cache: dict[tuple, float] = {}
-    best = -np.inf
-    for assignment in itertools.product(rows, repeat=n_out):
-        key = tuple(sorted(assignment))
-        if key not in cache:
-            target = EffectTarget(operators=tuple(row_ops[r] for r in key), labels=key)
-            result = min_error_discrimination(target, _ORACLE_SETTINGS)
-            # certified window: the optimum lies within gap above the primal
-            cache[key] = result.value + result.certificate.gap
-        best = max(best, cache[key])
-    return float(best)
+        row_ops.append(acc)
+    row_target = EffectTarget(operators=tuple(row_ops), labels=tuple(rows))
+    # an assignment's value depends only on the multiset of rows it uses
+    keys = dict.fromkeys(tuple(sorted(a)) for a in itertools.product(range(len(rows)), repeat=n_out))
+    results = min_error_discrimination_stack([row_target.select(k) for k in keys], _ORACLE_SETTINGS)
+    # certified window: the optimum lies within gap above the primal
+    return float(max(r.value + r.certificate.gap for r in results))

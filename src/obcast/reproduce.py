@@ -20,6 +20,8 @@ from .discrimination import (
     SolverSettings,
     helstrom_binary,
     losscc_value_cq,
+    merged_row_targets,
+    min_error_discrimination_stack,
     p_postinfo,
 )
 from .ensembles import GopEnsemble, gallery, gen_bb84, induced_postinfo
@@ -436,20 +438,24 @@ def _prop_bruteforce(case, opts):
     from .sampling import random_orthonormal_pair
 
     rng = case_rng(opts.seed, case.id)
-    worst = 0.0
+    ensembles = []
     for _ in range(opts.n_trials(50)):
         pair0 = random_orthonormal_pair(rng, 2)
         pair1 = random_orthonormal_pair(rng, 2)
         weights = rng.dirichlet(np.ones(4))
-        ens = PostInfoEnsemble(
-            settings=("0", "1"),
-            states=(pair0, pair1),
-            prior=((float(weights[0]), float(weights[1])), (float(weights[2]), float(weights[3]))),
-            orthogonal=True,
+        ensembles.append(
+            PostInfoEnsemble(
+                settings=("0", "1"),
+                states=(pair0, pair1),
+                prior=((float(weights[0]), float(weights[1])), (float(weights[2]), float(weights[3]))),
+                orthogonal=True,
+            )
         )
-        merged = p_postinfo(ens, opts.settings).value
-        brute = enumerate_postinfo(ens)
-        worst = max(worst, abs(merged - brute))
+    targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
+    merged = min_error_discrimination_stack(targets, opts.settings)
+    worst = 0.0
+    for ens, res in zip(ensembles, merged):
+        worst = max(worst, abs(res.value - enumerate_postinfo(ens)))
     return _report(case, worst, None, 1e-6, "dual-certified", worst <= 1e-6)
 
 

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from obcast.discrimination import (
+    DEFAULT_SETTINGS,
     EffectTarget,
     SolverSettings,
     helstrom_binary,
     losscc_value_cq,
     merged_row_targets,
     min_error_discrimination,
+    min_error_discrimination_stack,
     p_bc_two_settings,
     p_cbc,
     p_postinfo,
 )
 from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gen_bb84, induced_postinfo
+from obcast.errors import SolverFailure
 from obcast.linalg import dyad, ket
+from obcast.oracles import _ORACLE_SETTINGS
 from obcast.qpv import cq_strategy_value
+from obcast.reproduce import run_reproduce
 from obcast.sampling import random_density, random_orthonormal_pair, rng_from
 
 SQ2 = math.sqrt(2)
@@ -231,3 +236,76 @@ def test_target_validation():
         EffectTarget(operators=(np.diag([1.0, -0.5]),))
     with pytest.raises(ValueError):
         EffectTarget(operators=(np.eye(2),), labels=(1, 2))
+
+
+def mixed_stack():
+    """Four-outcome qubit targets: oracle-style rows with duplicates, and random densities."""
+    rng = rng_from(5)
+    ens = PostInfoEnsemble(
+        settings=("0", "1"),
+        states=(random_orthonormal_pair(rng, 2), random_orthonormal_pair(rng, 2)),
+        prior=((0.1, 0.2), (0.3, 0.4)),
+        orthogonal=True,
+    )
+    rows = merged_row_targets(ens)
+    targets = [rows.select(k) for k in ((0, 1, 2, 3), (0, 0, 1, 3), (2, 2, 2, 2), (1, 1, 3, 3))]
+    for _ in range(4):
+        w = rng.dirichlet(np.ones(4))
+        targets.append(EffectTarget(operators=tuple(x * random_density(rng, 2) for x in w)))
+    return targets
+
+
+def test_stacked_members_match_their_lone_solves_bit_for_bit():
+    targets = mixed_stack()
+    for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS):
+        stacked = min_error_discrimination_stack(targets, st)
+        assert len({r.iterations for r in stacked}) > 1  # members leave at different checks
+        for target, mine in zip(targets, stacked):
+            alone = min_error_discrimination(target, st)
+            assert mine.value == alone.value
+            assert mine.certificate.gap == alone.certificate.gap
+            assert mine.certificate.matrix.tobytes() == alone.certificate.matrix.tobytes()
+            assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in alone.povm.effects]
+            assert mine.iterations == alone.iterations > 0
+            assert mine.labels == target.labels
+
+
+def test_stacked_certificates_validate_under_the_settings_in_force():
+    targets = mixed_stack()
+    for st in (DEFAULT_SETTINGS, TIGHT, _ORACLE_SETTINGS):
+        for target, result in zip(targets, min_error_discrimination_stack(targets, st)):
+            result.certificate.validate(target, gap_tol=st.gap_tol)
+    # a certificate earned under a looser tolerance fails the default one
+    loose = min_error_discrimination(targets[0], SolverSettings(gap_tol=1e-4))
+    assert 1e-7 < loose.certificate.gap <= 1e-4
+    loose.certificate.validate(targets[0], gap_tol=1e-4)
+    with pytest.raises(ValueError):
+        loose.certificate.validate(targets[0])
+
+
+def test_a_failing_member_raises_what_it_raises_alone():
+    targets = mixed_stack()
+    st = SolverSettings(max_iterations=3)
+    # the (2, 2, 2, 2) member certifies at the first check; the others cannot
+    with pytest.raises(SolverFailure) as alone:
+        min_error_discrimination(targets[1], st)
+    with pytest.raises(SolverFailure) as stacked:
+        min_error_discrimination_stack(targets[1:], st)
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.primal == alone.value.primal
+    assert stacked.value.gap == alone.value.gap
+    assert [e.tobytes() for e in stacked.value.povm] == [e.tobytes() for e in alone.value.povm]
+    assert stacked.value.iterations == alone.value.iterations == 3
+
+
+def test_stacked_targets_must_share_a_shape():
+    targets = mixed_stack()
+    with pytest.raises(ValueError):
+        min_error_discrimination_stack([targets[0], merged_row_targets(gallery("minimal-qutrit"))])
+    with pytest.raises(ValueError):
+        min_error_discrimination_stack([targets[0], targets[0].select((0, 1))])
+    assert min_error_discrimination_stack([]) == []
+
+
+def test_bruteforce_case_reports_the_reference_bits():
+    assert run_reproduce(seed=42, only="prop-postinfo-bruteforce")[0].computed == 8.822147157250271e-08

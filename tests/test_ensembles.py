@@ -184,3 +184,12 @@ def test_invariant_violations_rejected():
             b_states=(ket([1, 0]), ket([1, 1]) / SQ2),
             prior=(0.5, 0.5),
         )
+
+
+def test_povm_from_slices_of_a_transposed_layout_stack():
+    effects = np.array(gallery("prop1-povm").effects)
+    # same values, but each effect is a view whose last axis is not contiguous
+    stack = np.ascontiguousarray(effects.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert not stack[0].flags.c_contiguous
+    povm = Povm(effects=tuple(stack))
+    assert all(np.array_equal(a, b) for a, b in zip(povm.effects, gallery("prop1-povm").effects))

@@ -63,6 +63,22 @@ def test_eig_rejects_bad_input():
         hermitian(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
 
+def test_non_contiguous_inputs_are_accepted():
+    h = random_hermitian(rng_from(12), 3)
+    _, u = np.linalg.eigh(h)
+    column = u[:, 1]
+    assert not column.flags.c_contiguous
+    assert np.array_equal(ket(column), column)
+    assert np.array_equal(hermitian(h.T, tol=1e-12), hermitian(np.ascontiguousarray(h.T), tol=1e-12))
+    fortran = np.asfortranarray(h)
+    assert not fortran.flags.c_contiguous
+    assert np.array_equal(hermitian(fortran), hermitian(h))
+    with pytest.raises(ValueError):
+        ket(np.array([[1, np.nan], [0, 1]], dtype=complex)[:, 1])
+    with pytest.raises(ValueError):
+        hermitian(np.array([[1, 0], [np.inf, 1]], dtype=complex).T)
+
+
 def test_trace_distance_examples():
     assert trace_distance(dyad(K0), dyad(K1)) == pytest.approx(1.0)
     rho = random_density(rng_from(0), 3)
