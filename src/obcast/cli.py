@@ -36,8 +36,7 @@ from .ensembles import (
 from .errors import InternalInconsistency, SolverFailure
 from .reporting import reports_to_csv, reports_to_json
 from .reproduce import run_reproduce
-from .sampling import case_rng, random_ket
-from .uncertainty import SuperpositionSpec, ur_pair_bound
+from .uncertainty import SuperpositionSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,7 +51,7 @@ def _env_default(name: str, fallback, cast):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit(f"invalid OBCAST_{name}={raw!r}")
+        raise ValueError(f"invalid OBCAST_{name}={raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,12 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="certified duality-gap tolerance for discrimination solves",
         )
         p.add_argument(
-            "--tol-primal",
-            type=float,
-            default=_env_default("TOL_PRIMAL", 1e-6, float),
-            help="agreement tolerance when two routes are compared",
-        )
-        p.add_argument(
             "--tol-eig",
             type=float,
             default=_env_default("TOL_EIG", 1e-10, float),
@@ -86,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=("json", "csv"), default=_env_default("FORMAT", "json", str))
     rep.add_argument("--out", type=Path, default=_env_default("OUT", None, Path))
     rep.add_argument("--only", default=_env_default("ONLY", None, str), help="substring filter on case ids")
-    rep.add_argument("--jobs", type=int, default=_env_default("JOBS", 1, int))
+    rep.add_argument("--jobs", type=int, default=_env_default("JOBS", 1, int), help="accepted and ignored")
     rep.add_argument("--quiet", action="store_true")
 
     bnd = sub.add_parser("bound", help="compute one bound for a gallery entry or ensemble file")
@@ -137,7 +130,6 @@ def _print_record(record: dict) -> None:
 def _cmd_reproduce(args) -> int:
     reports = run_reproduce(
         seed=args.seed,
-        jobs=args.jobs,
         only=args.only,
         trials=args.trials,
         settings=_settings(args),
@@ -313,24 +305,11 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_ur_test(args) -> int:
-    rng = case_rng(args.seed, "cli-ur-test")
-    trials = args.trials or 1000
-    worst = -math.inf
-    for _ in range(trials):
-        da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        a0 = random_ket(rng, da * db)
-        a1 = random_ket(rng, da * db)
-        spec = SuperpositionSpec(
-            theta=float(rng.uniform(0, 2 * math.pi)),
-            phi=float(rng.uniform(0, 2 * math.pi)),
-            omega=float(rng.uniform(0, 2 * math.pi)),
-            phi_prime=float(rng.uniform(0, 2 * math.pi)),
-        )
-        lhs, rhs = ur_pair_bound(a0, a1, spec, (da, db))
-        worst = max(worst, lhs - rhs)
-    ok = worst <= 1e-9
-    print(f"pair relation: {trials} trials, max(lhs - rhs) = {worst:.3e} -> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_FAILED
+    (report,) = run_reproduce(seed=args.seed, only="prop-ur-pair-soundness", trials=args.trials)
+    trials = 1000 if args.trials is None else args.trials
+    verdict = "PASS" if report.passed else "FAIL"
+    print(f"pair relation: {trials} trials, max(lhs - rhs) = {report.computed:.3e} -> {verdict}")
+    return EXIT_OK if report.passed else EXIT_FAILED
 
 
 def _cmd_moe(args) -> int:
@@ -357,13 +336,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,6 +7,7 @@ their 1/sqrt(2) factors).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -197,26 +198,33 @@ def global_orthogonality_check(a_states, b_states) -> GlobalOrthogonalityReport:
     return GlobalOrthogonalityReport(worst <= ORTHOGONALITY_TOL, worst, pair)
 
 
-def classical_ray_labels(states, tol: float = ORTHOGONALITY_TOL) -> list[int] | None:
-    """Group states into rays of one orthonormal basis.
-
-    Returns per-state class labels when every pairwise overlap modulus is 0
-    or 1 within ``tol``; returns None otherwise.
-    """
+def _ray_classes(states, tol: float = ORTHOGONALITY_TOL) -> list[int]:
+    """Group states by parallelism (|overlap| > 1 - tol, up to phase)."""
     kets = [ket(s) for s in states]
     labels = [-1] * len(kets)
-    next_label = 0
+    nxt = 0
     for i, v in enumerate(kets):
         if labels[i] >= 0:
             continue
-        labels[i] = next_label
+        labels[i] = nxt
         for j in range(i + 1, len(kets)):
-            ov = abs(pure_state_overlap(v, kets[j]))
-            if ov > 1 - tol:
-                labels[j] = next_label
-            elif ov > tol:
-                return None
-        next_label += 1
+            if labels[j] < 0 and abs(pure_state_overlap(v, kets[j])) > 1 - tol:
+                labels[j] = nxt
+        nxt += 1
+    return labels
+
+
+def classical_ray_labels(states, tol: float = ORTHOGONALITY_TOL) -> list[int] | None:
+    """Group states into rays of one orthonormal basis.
+
+    Returns the ``_ray_classes`` labels when states in different classes are
+    orthogonal within ``tol``; returns None otherwise.
+    """
+    kets = [ket(s) for s in states]
+    labels = _ray_classes(kets, tol)
+    for i, j in itertools.combinations(range(len(kets)), 2):
+        if labels[i] != labels[j] and abs(pure_state_overlap(kets[i], kets[j])) > tol:
+            return None
     return labels
 
 
@@ -262,22 +270,6 @@ class FormDecomposition:
     reason: str
     induced: PostInfoEnsemble | None = None
     removable: tuple[int, ...] = ()
-
-
-def _ray_classes(states) -> list[int]:
-    """Group states by parallelism (|overlap| = 1 up to phase)."""
-    kets = [ket(s) for s in states]
-    labels = [-1] * len(kets)
-    nxt = 0
-    for i, v in enumerate(kets):
-        if labels[i] >= 0:
-            continue
-        labels[i] = nxt
-        for j in range(i + 1, len(kets)):
-            if labels[j] < 0 and abs(pure_state_overlap(v, kets[j])) > 1 - ORTHOGONALITY_TOL:
-                labels[j] = nxt
-        nxt += 1
-    return labels
 
 
 def qubit_qudit_form_check(gop: GopEnsemble) -> FormDecomposition:
@@ -383,10 +375,6 @@ def _plus(d, m, n, sign=1.0, phase=1.0) -> np.ndarray:
     v[m] = 1.0
     v[n] = sign * phase
     return v / _SQ2
-
-
-def _sup(d, i, j, sign) -> np.ndarray:
-    return _plus(d, i, j, sign)
 
 
 def _bb84() -> PostInfoEnsemble:
@@ -533,11 +521,11 @@ def _obb() -> GopEnsemble:
         [
             (a[0], a[1]),
             (a[0], a[2]),
-            (a[1], _sup(3, 1, 2, 1)),
-            (a[1], _sup(3, 1, 2, -1)),
+            (a[1], _plus(3, 1, 2, 1)),
+            (a[1], _plus(3, 1, 2, -1)),
             (a[0], a[0]),
-            (a[2], _sup(3, 0, 1, 1)),
-            (a[2], _sup(3, 0, 1, -1)),
+            (a[2], _plus(3, 0, 1, 1)),
+            (a[2], _plus(3, 0, 1, -1)),
         ]
     )
 
@@ -547,12 +535,12 @@ def _cq() -> GopEnsemble:
     return _weighted_seven(
         [
             (a[1], a[1]),
-            (a[1], _sup(3, 0, 2, 1)),
-            (a[1], _sup(3, 0, 2, -1)),
-            (a[0], _sup(3, 0, 1, 1)),
-            (a[0], _sup(3, 0, 1, -1)),
-            (a[2], _sup(3, 1, 2, 1)),
-            (a[2], _sup(3, 1, 2, -1)),
+            (a[1], _plus(3, 0, 2, 1)),
+            (a[1], _plus(3, 0, 2, -1)),
+            (a[0], _plus(3, 0, 1, 1)),
+            (a[0], _plus(3, 0, 1, -1)),
+            (a[2], _plus(3, 1, 2, 1)),
+            (a[2], _plus(3, 1, 2, -1)),
         ]
     )
 
@@ -564,11 +552,11 @@ def _qq() -> GopEnsemble:
         [
             (a[1], a[1]),
             (minus10, a[2]),
-            (a[0], _sup(3, 0, 1, 1)),
-            (a[0], _sup(3, 0, 1, -1)),
-            (a[2], _sup(3, 1, 2, 1)),
-            (a[2], _sup(3, 1, 2, -1)),
-            (_sup(3, 1, 2, 1), a[0]),
+            (a[0], _plus(3, 0, 1, 1)),
+            (a[0], _plus(3, 0, 1, -1)),
+            (a[2], _plus(3, 1, 2, 1)),
+            (a[2], _plus(3, 1, 2, -1)),
+            (_plus(3, 1, 2, 1), a[0]),
         ]
     )
 
@@ -578,12 +566,12 @@ def _qq_tilde() -> GopEnsemble:
     return _weighted_seven(
         [
             (a[1], a[1]),
-            (_sup(3, 1, 2, -1), a[2]),
-            (a[0], _sup(3, 1, 2, 1)),
-            (a[0], _sup(3, 1, 2, -1)),
-            (_sup(3, 0, 1, 1), a[0]),
-            (a[2], _sup(3, 0, 1, 1)),
-            (a[2], _sup(3, 0, 1, -1)),
+            (_plus(3, 1, 2, -1), a[2]),
+            (a[0], _plus(3, 1, 2, 1)),
+            (a[0], _plus(3, 1, 2, -1)),
+            (_plus(3, 0, 1, 1), a[0]),
+            (a[2], _plus(3, 0, 1, 1)),
+            (a[2], _plus(3, 0, 1, -1)),
         ]
     )
 

@@ -141,7 +141,3 @@ def partial_trace(m, dims, keep) -> np.ndarray:
 
 def pure_state_overlap(v: np.ndarray, w: np.ndarray) -> complex:
     return complex(np.vdot(np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)))
-
-
-def is_normalized(v: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return abs(np.linalg.norm(np.asarray(v)) - 1.0) <= tol

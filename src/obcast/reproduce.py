@@ -2,14 +2,14 @@
 
 Every case is a pure function of (seed, solver settings) returning one
 ``BoundReport``.  Randomized cases derive their generator from the seed and
-their own id, so reports are identical regardless of execution order or
-worker count.
+their own id, so reports are identical regardless of which cases run and
+in what order.  Cases run one after another: they are small numpy calls
+that hold the interpreter lock, so worker threads would only add overhead.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +53,10 @@ class ReproduceOptions:
     seed: int = 42
     trials: int | None = None
     settings: SolverSettings = field(default_factory=lambda: DEFAULT_SETTINGS)
+
+    def __post_init__(self):
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
     def n_trials(self, default: int) -> int:
         return self.trials if self.trials is not None else default
@@ -468,7 +472,6 @@ def case_ids() -> tuple[str, ...]:
 
 def run_reproduce(
     seed: int = 42,
-    jobs: int = 1,
     only: str | None = None,
     trials: int | None = None,
     settings: SolverSettings | None = None,
@@ -479,9 +482,4 @@ def run_reproduce(
         (c for c in _CASES if only is None or only in c.id),
         key=lambda c: c.id,
     )
-    if jobs <= 1:
-        reports = [c.run(c, opts) for c in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda c: c.run(c, opts), selected))
-    return sorted(reports, key=lambda r: r.id)
+    return [c.run(c, opts) for c in selected]

@@ -38,13 +38,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random operator with 0 <= W <= I (uniform eigenvalues, Haar eigenbasis)."""
-    u = random_unitary(rng, dim)
-    w = rng.uniform(0.0, 1.0, size=dim)
-    return (u * w) @ dagger(u)
-
-
 def random_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (g @ dagger(g)) / dim

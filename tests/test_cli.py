@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from obcast import broadcast, cli
 from obcast.cli import main
 from obcast.ensembles import dumps, gallery
+from obcast.errors import InternalInconsistency, SolverFailure
+from obcast.reproduce import run_reproduce
 
 
 def run(capsys, *argv):
@@ -136,9 +139,61 @@ def test_ur_test_subcommand(capsys):
     assert "PASS" in out
 
 
+def test_ur_test_prints_the_pair_soundness_case(capsys):
+    code, out, _ = run(capsys, "ur-test", "--seed", "42")
+    assert code == 0
+    (report,) = run_reproduce(seed=42, only="prop-ur-pair-soundness")
+    assert out.strip() == f"pair relation: 1000 trials, max(lhs - rhs) = {report.computed:.3e} -> PASS"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "--only", "prop-ur-pair", "--trials", "0", "--out", "report.json"),
+        ("reproduce", "--only", "prop-ur-pair", "--trials", "-5", "--out", "report.json"),
+        ("ur-test", "--trials", "0"),
+    ],
+)
+def test_nonpositive_trials_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "trials must be at least 1" in err
+    assert "pair relation" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "bound", "--gallery", "bb84")[0] == 1  # missing --method
     assert run(capsys, "bogus")[0] == 1
+
+
+def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("OBCAST_SEED", "abc")
+    code, _, err = run(capsys, "gallery")
+    assert code == 1
+    assert "error: invalid OBCAST_SEED='abc'" in err
+
+
+def test_solver_failure_is_an_internal_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverFailure("no certificate")
+
+    monkeypatch.setattr(cli, "p_postinfo", fail)
+    code, out, err = run(capsys, "bound", "--gallery", "bb84", "--method", "postinfo")
+    assert code == 2
+    assert out == ""
+    assert "internal error: no certificate" in err
+
+
+def test_internal_inconsistency_is_an_internal_error(monkeypatch, capsys):
+    def disagree(*args, **kwargs):
+        raise InternalInconsistency("routes disagree")
+
+    monkeypatch.setattr(broadcast, "perfect_classical_broadcast_decision", disagree)
+    code, _, err = run(capsys, "check", "--gallery", "minimal-qutrit")
+    assert code == 2
+    assert "internal error: routes disagree" in err
 
 
 def test_reproduce_subset_json_and_csv(tmp_path, capsys):

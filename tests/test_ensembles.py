@@ -8,6 +8,7 @@ from obcast.ensembles import (
     Isometry,
     PostInfoEnsemble,
     Povm,
+    classical_ray_labels,
     dumps,
     gallery,
     gallery_names,
@@ -155,6 +156,27 @@ def test_form_check_detects_removable_state():
     form = qubit_qudit_form_check(gop)
     assert form.fits and form.removable == (2,)
     assert form.induced.index_sets == (1, 1)
+
+
+# (a side, b side) of every product-set gallery entry; None means not one basis
+_RAY_LABELS = {
+    "thm2-eight": ([0, 0, 1, 1, 2, 2, 3, 3], None),
+    "cor4-six": ([0, 1, 2, 0, 1, 2], None),
+    "obb": ([0, 0, 1, 1, 0, 2, 2], None),
+    "cq": ([0, 0, 0, 1, 1, 2, 2], None),
+    "qq": (None, None),
+    "qq-tilde": (None, None),
+    "shifts": (None, None),
+    "gen-bb84(pi/2)": ([0, 0, 1, 1], None),
+    "gen-bb84(pi/3)": ([0, 0, 1, 1], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAY_LABELS))
+def test_classical_ray_labels_on_product_sets(name):
+    gop = gallery(name)
+    got = (classical_ray_labels(gop.a_states), classical_ray_labels(gop.b_states))
+    assert got == _RAY_LABELS[name]
 
 
 def test_form_check_rejects_qutrit_first_factor():
