@@ -3,8 +3,10 @@
 Subcommands: ``reproduce`` (full report of every tracked value), ``bound``
 (one computation), ``check`` (ensemble diagnostics), ``gallery`` (named
 objects), ``ur-test`` (randomized relation suites), ``moe`` (game bounds).
-Every flag can also be supplied through an ``OBCAST_``-prefixed environment
-variable, e.g. ``OBCAST_SEED=7``.
+Each subcommand takes only the flags it reads: ``--seed`` and ``--trials``
+for ``reproduce`` and ``ur-test``, ``--tol-gap`` and ``--tol-eig`` for
+``reproduce``, ``bound`` and ``check``.  Every flag can also be supplied
+through an ``OBCAST_``-prefixed environment variable, e.g. ``OBCAST_SEED=7``.
 
 Exit codes: 0 all checks pass, 1 usage or input error, 2 internal failure,
 3 a tracked check failed.
@@ -58,9 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="obcast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def sampling(p):
         p.add_argument("--seed", type=int, default=_env_default("SEED", 42, int))
         p.add_argument("--trials", type=int, default=_env_default("TRIALS", None, int))
+
+    def tolerances(p):
         p.add_argument(
             "--tol-gap",
             type=float,
@@ -75,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     rep = sub.add_parser("reproduce", help="recompute every tracked value and emit a report")
-    common(rep)
+    sampling(rep)
+    tolerances(rep)
     rep.add_argument("--format", choices=("json", "csv"), default=_env_default("FORMAT", "json", str))
     rep.add_argument("--out", type=Path, default=_env_default("OUT", None, Path))
     rep.add_argument("--only", default=_env_default("ONLY", None, str), help="substring filter on case ids")
@@ -83,14 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--quiet", action="store_true")
 
     bnd = sub.add_parser("bound", help="compute one bound for a gallery entry or ensemble file")
-    common(bnd)
+    tolerances(bnd)
     src = bnd.add_mutually_exclusive_group(required=True)
     src.add_argument("--gallery", dest="gallery_name")
     src.add_argument("--file", type=Path)
     bnd.add_argument("--method", choices=("postinfo", "thm4", "prop4", "disk", "moe"), required=True)
 
     chk = sub.add_parser("check", help="validate an ensemble and decide broadcast feasibility")
-    common(chk)
+    tolerances(chk)
     src = chk.add_mutually_exclusive_group(required=True)
     src.add_argument("--gallery", dest="gallery_name")
     src.add_argument("--file", type=Path)
@@ -99,10 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gal.add_argument("name", nargs="?")
 
     urt = sub.add_parser("ur-test", help="run the randomized uncertainty-relation suite")
-    common(urt)
+    sampling(urt)
 
     mg = sub.add_parser("moe", help="game-route bounds for a named game")
-    common(mg)
     mg.add_argument("--game", choices=("bb84", "obb"), required=True)
     return parser
 

@@ -168,6 +168,43 @@ def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moe", "--game", "obb", "--trials", "0", "--tol-gap", "5", "--seed", "-1"),
+        ("moe", "--game", "bb84", "--seed", "1"),
+        ("bound", "--gallery", "obb", "--method", "disk", "--trials", "-3"),
+        ("bound", "--gallery", "bb84", "--method", "postinfo", "--seed", "7"),
+        ("check", "--gallery", "minimal-qutrit", "--trials", "5"),
+        ("ur-test", "--tol-gap", "1e-5"),
+        ("ur-test", "--tol-eig", "1e-9"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("bound", "--gallery", "bb84", "--method", "postinfo", "--tol-gap", "0"), "gap_tol"),
+        (("bound", "--gallery", "bb84", "--method", "postinfo", "--tol-gap", "nan"), "gap_tol"),
+        (("check", "--gallery", "minimal-qutrit", "--tol-eig=-1e-10"), "psd_tol"),
+        (("reproduce", "--only", "bb84-postinfo", "--tol-gap", "-1", "--out", "report.json"), "gap_tol"),
+    ],
+)
+def test_invalid_tolerances_are_usage_errors(tmp_path, monkeypatch, capsys, argv, field):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: {field} must be" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("OBCAST_SEED", "abc")
     code, _, err = run(capsys, "gallery")

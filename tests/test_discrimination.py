@@ -1,12 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from obcast import discrimination
 from obcast.discrimination import (
     DEFAULT_SETTINGS,
+    WARMUP_ITERATIONS,
+    DualCertificate,
     EffectTarget,
     SolverSettings,
+    _working_set_solve,
     helstrom_binary,
     losscc_value_cq,
     merged_row_targets,
@@ -17,12 +22,12 @@ from obcast.discrimination import (
     p_postinfo,
 )
 from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gen_bb84, induced_postinfo
-from obcast.errors import SolverFailure
+from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.linalg import dyad, ket
 from obcast.oracles import _ORACLE_SETTINGS
 from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
-from obcast.sampling import random_density, random_orthonormal_pair, rng_from
+from obcast.sampling import random_density, random_orthonormal_pair, random_unitary, rng_from
 
 SQ2 = math.sqrt(2)
 BB84_VALUE = (2 + SQ2) / 4
@@ -309,3 +314,161 @@ def test_stacked_targets_must_share_a_shape():
 
 def test_bruteforce_case_reports_the_reference_bits():
     assert run_reproduce(seed=42, only="prop-postinfo-bruteforce")[0].computed == 8.822147157250271e-08
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gap_tol", 0.0),
+        ("gap_tol", -1e-7),
+        ("gap_tol", math.inf),
+        ("gap_tol", math.nan),
+        ("psd_tol", -1e-10),
+        ("psd_tol", math.nan),
+        ("rank_tol", -1.0),
+        ("rank_tol", math.inf),
+        ("max_iterations", 0),
+        ("check_interval", 0),
+        ("damping", 0.0),
+        ("damping", 1.5),
+        ("damping", math.nan),
+    ],
+)
+def test_solver_settings_reject_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverSettings(**{field: value})
+
+
+def test_solver_settings_in_use_are_valid():
+    for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS, TIGHT):
+        assert dataclasses.replace(st) == st
+    SolverSettings(psd_tol=0.0, rank_tol=0.0, max_iterations=1, check_interval=1, damping=1.0)
+
+
+def unchecked_povm(effects):
+    """A Povm without its own checks, to reach the ones in ``validate``."""
+    povm = object.__new__(discrimination.Povm)
+    object.__setattr__(povm, "effects", tuple(effects))
+    return povm
+
+
+def test_validate_checks_the_povm_against_every_row():
+    target = merged_row_targets(gallery("thm1-pairs"))
+    result = min_error_discrimination(target)
+    result.certificate.validate(target, result.povm)
+    effects = list(result.povm.effects)
+    with pytest.raises(ValueError, match="effects for"):
+        result.certificate.validate(target, unchecked_povm(effects[:-1]))
+    # move weight between two effects: the sum stays, one effect turns negative
+    shift = (np.linalg.eigvalsh(effects[0]).min() + 1e-6) * np.eye(target.dim)
+    bent = [effects[0] - shift, effects[1] + shift] + effects[2:]
+    with pytest.raises(ValueError, match="eigenvalue"):
+        result.certificate.validate(target, unchecked_povm(bent))
+    with pytest.raises(ValueError, match="identity"):
+        result.certificate.validate(target, unchecked_povm([0.999 * e for e in effects]))
+    low = DualCertificate(result.certificate.matrix - 1e-3 * np.eye(target.dim), result.value, 0.0)
+    with pytest.raises(ValueError, match="not feasible"):
+        low.validate(target)
+
+
+def test_postinfo_rejects_a_certificate_that_fails_validation(monkeypatch):
+    solve = discrimination.min_error_discrimination
+
+    def loose_dual(target, settings=None, **kwargs):
+        result = solve(target, settings, **kwargs)
+        bad = dataclasses.replace(result.certificate, matrix=result.certificate.matrix - 1e-3 * np.eye(target.dim))
+        return dataclasses.replace(result, certificate=bad)
+
+    monkeypatch.setattr(discrimination, "min_error_discrimination", loose_dual)
+    with pytest.raises(InternalInconsistency, match="not feasible"):
+        p_postinfo(gallery("bb84"))
+
+
+def random_postinfo(seed, dim, n_settings):
+    """Orthonormal bases from Haar-random unitaries, with a random prior."""
+    rng = rng_from(seed)
+    states = tuple(
+        tuple(np.ascontiguousarray(c) for c in random_unitary(rng, dim).T) for _ in range(n_settings)
+    )
+    w = rng.dirichlet(np.ones(dim * n_settings)).reshape(n_settings, dim)
+    return PostInfoEnsemble(
+        settings=tuple(str(t) for t in range(n_settings)),
+        states=states,
+        prior=tuple(tuple(float(x) for x in row) for row in w),
+        orthogonal=True,
+    )
+
+
+def full_solve(target):
+    """The solve that iterates on every row: a stack of one."""
+    return min_error_discrimination_stack([target])[0]
+
+
+def working_set_instances():
+    """Every gallery view with more than d^2 rows (12 against 9), and random ones."""
+    gallery_views = [induced_postinfo(gallery(name), classical_side="a") for name in ("obb", "cq")]
+    return gallery_views + [random_postinfo(seed, 3, 3) for seed in (0, 1, 3)] + [random_postinfo(4, 4, 3)]
+
+
+def test_working_set_value_lies_within_the_full_solve_gaps():
+    for ens in working_set_instances():
+        target = merged_row_targets(ens)
+        assert len(target.operators) > target.dim**2
+        full = full_solve(target)
+        mine = p_postinfo(ens)
+        assert mine.value <= full.value + full.certificate.gap + 1e-12
+        assert full.value <= mine.value + mine.certificate.gap + 1e-12
+        mine.certificate.validate(target, mine.povm)
+        assert len(mine.povm) == len(mine.assignment) == len(target.operators)
+        assert mine.assignment == target.labels
+        assert mine.iterations > 0
+
+
+def test_postinfo_at_most_d_squared_rows_is_the_full_solve_bit_for_bit():
+    instances = [gallery("bb84"), gallery("minimal-qutrit"), gallery("thm1-pairs"), random_postinfo(2, 3, 2)]
+    for ens in instances:
+        target = merged_row_targets(ens)
+        assert len(target.operators) <= target.dim**2
+        full = full_solve(target)
+        mine = p_postinfo(ens)
+        assert mine.value == full.value
+        assert mine.certificate.gap == full.certificate.gap
+        assert mine.certificate.matrix.tobytes() == full.certificate.matrix.tobytes()
+        assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in full.povm.effects]
+        assert mine.iterations == full.iterations
+
+
+def test_a_working_set_missing_an_optimal_row_grows_to_include_it():
+    ens = random_postinfo(3, 3, 3)
+    target = merged_row_targets(ens)
+    m = np.array(target.operators)
+    full = full_solve(target)
+    weight = np.array([np.trace(e).real for e in full.povm.effects])
+    left_out = int(np.argmax(weight))
+    rows = np.array([r for r in np.argsort(-weight, kind="stable") if r != left_out][: target.dim**2])
+    primal, y, p, gap, iterations = _working_set_solve(m, DEFAULT_SETTINGS, rows=rows)
+    assert np.trace(p[left_out]).real > 0.1
+    assert gap <= DEFAULT_SETTINGS.gap_tol
+    DualCertificate(y, primal, gap).validate(target, discrimination.Povm(effects=tuple(p)))
+    assert primal <= full.value + full.certificate.gap + 1e-12
+    assert full.value <= primal + gap + 1e-12
+    assert iterations > 0
+
+
+@pytest.mark.parametrize("cap", [WARMUP_ITERATIONS // 2, WARMUP_ITERATIONS + 30])
+def test_working_set_failure_reports_every_phase_and_every_row(cap):
+    ens = random_postinfo(2, 3, 3)  # needs thousands of iterations
+    target = merged_row_targets(ens)
+    m = np.array(target.operators)
+    with pytest.raises(SolverFailure) as failure:
+        p_postinfo(ens, SolverSettings(max_iterations=cap))
+    exc = failure.value
+    assert exc.iterations == cap
+    povm = np.array(exc.povm)
+    assert povm.shape == m.shape
+    assert exc.primal == pytest.approx(float(np.einsum("rij,rji->", povm, m).real), abs=1e-12)
+    y0 = np.einsum("rij,rjk->ik", m, povm)
+    y0 = (y0 + y0.conj().T) / 2
+    shift = max(-np.linalg.eigvalsh(y0[None] - m).min(), 0.0)
+    assert exc.gap == pytest.approx(np.trace(y0).real + target.dim * shift - exc.primal, abs=1e-12)
+    assert exc.gap > DEFAULT_SETTINGS.gap_tol
