@@ -17,7 +17,6 @@ import numpy as np
 from .ensembles import GopEnsemble, Povm, gallery, gen_bb84
 from .errors import InternalInconsistency
 from .linalg import pure_state_overlap
-from .reporting import BoundReport
 from .uncertainty import SuperpositionSpec
 
 DISK_FIXED_POINT = (2.0 + math.sqrt(2.0)) / 4.0
@@ -443,8 +442,8 @@ def cq_strategy_value() -> CqStrategyResult:
 
 @dataclass(frozen=True)
 class Thm6Separation:
-    upper: BoundReport
-    lower: BoundReport
+    upper: float
+    lower: float
     gap: float
     equivalence_deviation: float
 
@@ -462,30 +461,6 @@ def thm6_separation() -> Thm6Separation:
     deviation = local_unitary_equivalence_deviation(u, gallery("qq"), gallery("qq-tilde"), side="a")
     if deviation > 1e-12:
         raise InternalInconsistency(f"local-unitary equivalence fails by {deviation:.3e}")
-    upper_value = disk_program_solve(qq_tilde_disk_program()).bound
-    upper = BoundReport(
-        id="thm6-qq-upper",
-        paper_ref="thm6 via appendix seven-state program",
-        computed=upper_value,
-        expected=0.7805,
-        tolerance=2e-4,
-        certificate="analytic",
-        passed=upper_value <= 0.7805 + 1e-12 and abs(upper_value - 0.7805) <= 2e-4,
-    )
-    lower_value = cq_strategy_value().value
-    lower_expected = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
-    lower = BoundReport(
-        id="thm6-cq-lower",
-        paper_ref="thm6 explicit strategy table",
-        computed=lower_value,
-        expected=lower_expected,
-        tolerance=1e-12,
-        certificate="exact",
-        passed=abs(lower_value - lower_expected) <= 1e-12,
-    )
-    return Thm6Separation(
-        upper=upper,
-        lower=lower,
-        gap=lower_value - upper_value,
-        equivalence_deviation=deviation,
-    )
+    upper = disk_program_solve(qq_tilde_disk_program()).bound
+    lower = cq_strategy_value().value
+    return Thm6Separation(upper=upper, lower=lower, gap=lower - upper, equivalence_deviation=deviation)

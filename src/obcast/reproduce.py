@@ -1,6 +1,8 @@
 """Registry of reproducible bound computations and the runner behind ``reproduce``.
 
-Every case is a pure function of (seed, solver settings) returning one
+Every case declares its paper reference, expected value, tolerance and
+certificate kind, and computes its value as a pure function of (seed,
+solver settings); one pass rule in ``_case`` turns the two into a
 ``BoundReport``.  Randomized cases derive their generator from the seed and
 their own id, so reports are identical regardless of which cases run and
 in what order.  Cases run one after another: they are small numpy calls
@@ -25,6 +27,7 @@ from .discrimination import (
     p_postinfo,
 )
 from .ensembles import GopEnsemble, gallery, gen_bb84, induced_postinfo
+from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import PermutationFamily, lemma_a1_bound
 from .oracles import enumerate_postinfo
@@ -69,28 +72,38 @@ class CaseSpec:
     run: object  # (CaseSpec, ReproduceOptions) -> BoundReport
 
 
-def _report(case: CaseSpec, computed, expected, tolerance, certificate, passed) -> BoundReport:
-    return BoundReport(
-        id=case.id,
-        paper_ref=case.paper_ref,
-        computed=float(computed),
-        expected=None if expected is None else float(expected),
-        tolerance=float(tolerance),
-        certificate=certificate,
-        passed=bool(passed),
-    )
-
-
-def _two_sided(computed, expected, tol) -> bool:
-    return abs(computed - expected) <= tol
-
-
 _CASES: list[CaseSpec] = []
 
 
-def _case(case_id: str, paper_ref: str):
+def _case(case_id: str, paper_ref: str, expected: float | None, tolerance: float, certificate: str):
+    """Register ``fn(case, opts)``, which returns the computed value or ``(value, condition)``.
+
+    Every row is judged by one rule: the condition holds and the value lies
+    within the tolerance of ``expected`` (at most the tolerance when
+    ``expected`` is None).  A dual-certified value is only pinned to the gap
+    in force, so its window widens by the factor a looser ``gap_tol`` has
+    over the default.
+    """
+
     def wrap(fn):
-        _CASES.append(CaseSpec(id=case_id, paper_ref=paper_ref, run=fn))
+        def run(case: CaseSpec, opts: ReproduceOptions) -> BoundReport:
+            out = fn(case, opts)
+            value, condition = out if isinstance(out, tuple) else (out, True)
+            tol = tolerance
+            if certificate == "dual-certified":
+                tol *= max(1.0, opts.settings.gap_tol / DEFAULT_SETTINGS.gap_tol)
+            within = value <= tol if expected is None else abs(value - expected) <= tol
+            return BoundReport(
+                id=case.id,
+                paper_ref=case.paper_ref,
+                computed=float(value),
+                expected=None if expected is None else float(expected),
+                tolerance=float(tol),
+                certificate=certificate,
+                passed=bool(condition and within),
+            )
+
+        _CASES.append(CaseSpec(id=case_id, paper_ref=paper_ref, run=run))
         return fn
 
     return wrap
@@ -99,240 +112,208 @@ def _case(case_id: str, paper_ref: str):
 # --- four-state family chain --------------------------------------------------
 
 
-@_case("bb84-postinfo", "cor5 tight value via measure-first reduction")
+@_case("bb84-postinfo", "cor5 tight value via measure-first reduction", BB84_VALUE, 1e-6, "dual-certified")
 def _bb84_postinfo(case, opts):
     result = p_postinfo(gallery("bb84"), opts.settings)
-    ok = _two_sided(result.value, BB84_VALUE, 1e-6) and result.certificate.gap <= 1e-7
-    return _report(case, result.value, BB84_VALUE, 1e-6, "dual-certified", ok)
+    return result.value, result.certificate.gap <= opts.settings.gap_tol
 
 
-@_case("bb84-postinfo-gap", "duality gap of the measure-first solve")
+@_case("bb84-postinfo-gap", "duality gap of the measure-first solve", 0.0, 1e-7, "dual-certified")
 def _bb84_gap(case, opts):
-    result = p_postinfo(gallery("bb84"), opts.settings)
-    gap = result.certificate.gap
-    return _report(case, gap, 0.0, 1e-7, "dual-certified", gap <= 1e-7)
+    return p_postinfo(gallery("bb84"), opts.settings).certificate.gap
 
 
-@_case("bb84-prop4", "prop4 program at the symmetric parameters")
+@_case("bb84-prop4", "prop4 program at the symmetric parameters", BB84_VALUE, 1e-6, "heuristic")
 def _bb84_prop4(case, opts):
-    result = qpv.prop4_solve(0.5, 0.5, 0.5, SuperpositionSpec(math.pi / 2, 0.0, -math.pi / 2, 0.0))
-    return _report(case, result.bound, BB84_VALUE, 1e-6, "heuristic", _two_sided(result.bound, BB84_VALUE, 1e-6))
+    return qpv.prop4_solve(0.5, 0.5, 0.5, SuperpositionSpec(math.pi / 2, 0.0, -math.pi / 2, 0.0)).bound
 
 
-@_case("bb84-breidbart", "intermediate-basis attack at theta=pi/2")
+@_case("bb84-breidbart", "intermediate-basis attack at theta=pi/2", BB84_VALUE, 1e-9, "exact")
 def _bb84_breidbart(case, opts):
-    value = qpv.breidbart_lower(math.pi / 2)
-    return _report(case, value, BB84_VALUE, 1e-9, "exact", _two_sided(value, BB84_VALUE, 1e-9))
+    return qpv.breidbart_lower(math.pi / 2)
 
 
-@_case("bb84-min-epsilon", "cor5 threshold by bisection at theta=pi/2")
+@_case("bb84-min-epsilon", "cor5 threshold by bisection at theta=pi/2", (2.0 - SQ2) / 4.0, 1e-9, "analytic")
 def _bb84_min_epsilon(case, opts):
-    root = qpv.cor5_epsilon_star(math.pi / 2).bisection_root
-    expected = (2.0 - SQ2) / 4.0
-    return _report(case, root, expected, 1e-9, "analytic", _two_sided(root, expected, 1e-9))
+    return qpv.cor5_epsilon_star(math.pi / 2).bisection_root
 
 
-@_case("bb84-cor5-printed", "cor5 closed form as published (equals the success value, not the error; discrepancy logged, not asserted)")
+@_case("bb84-cor5-printed", "cor5 closed form as published (equals the success value, not the error; discrepancy logged, not asserted)", BB84_VALUE, 1e-12, "exact")
 def _bb84_cor5_printed(case, opts):
-    printed = qpv.cor5_epsilon_star(math.pi / 2).printed_formula
-    return _report(case, printed, BB84_VALUE, 1e-12, "exact", _two_sided(printed, BB84_VALUE, 1e-12))
+    return qpv.cor5_epsilon_star(math.pi / 2).printed_formula
 
 
-@_case("bb84-losscc", "classical-communication value with the classical side forwarded")
+@_case("bb84-losscc", "classical-communication value with the classical side forwarded", BB84_VALUE, 1e-6, "dual-certified")
 def _bb84_losscc(case, opts):
-    swapped = _swap_sides(gen_bb84(math.pi / 2))
-    value = losscc_value_cq(swapped, opts.settings).value
-    return _report(case, value, BB84_VALUE, 1e-6, "dual-certified", _two_sided(value, BB84_VALUE, 1e-6))
-
-
-def _swap_sides(g: GopEnsemble) -> GopEnsemble:
-    return GopEnsemble(a_states=g.b_states, b_states=g.a_states, prior=g.prior)
+    g = gen_bb84(math.pi / 2)
+    swapped = GopEnsemble(a_states=g.b_states, b_states=g.a_states, prior=g.prior)
+    return losscc_value_cq(swapped, opts.settings).value
 
 
 # --- explicit qutrit POVM ------------------------------------------------------
 
 
-@_case("prop1-povm-spectra", "each printed effect has spectrum {3/4, 0, 0}")
+@_case("prop1-povm-spectra", "each printed effect has spectrum {3/4, 0, 0}", 0.0, 1e-12, "exact")
 def _prop1_spectra(case, opts):
     povm = gallery("prop1-povm")
     worst = 0.0
     for effect in povm.effects:
         eigs = np.sort(np.linalg.eigvalsh(effect))
         worst = max(worst, float(np.abs(eigs - np.array([0.0, 0.0, 0.75])).max()))
-    return _report(case, worst, 0.0, 1e-12, "exact", worst <= 1e-12)
+    return worst
 
 
-@_case("prop1-povm-sum", "printed effects sum to the identity")
+@_case("prop1-povm-sum", "printed effects sum to the identity", 0.0, 1e-12, "exact")
 def _prop1_sum(case, opts):
     povm = gallery("prop1-povm")
-    dev = float(np.abs(sum(povm.effects) - np.eye(3)).max())
-    return _report(case, dev, 0.0, 1e-12, "exact", dev <= 1e-12)
+    return float(np.abs(sum(povm.effects) - np.eye(3)).max())
 
 
-@_case("prop1-outcome-table", "outcome partition of the minimal qutrit ensemble")
+@_case("prop1-outcome-table", "outcome partition of the minimal qutrit ensemble", 0.0, 1e-12, "exact")
 def _prop1_table(case, opts):
     report = broadcast.verify_classical_broadcast_povm(gallery("prop1-povm"), gallery("minimal-qutrit"))
     want = {(0, 0): (0, 1), (0, 1): (2, 3), (1, 0): (0, 2), (1, 1): (1, 3)}
-    ok = report.ok and report.outcome_table == want and report.max_violation <= 1e-12
-    return _report(case, report.max_violation, 0.0, 1e-12, "exact", ok)
+    return report.max_violation, report.ok and report.outcome_table == want
 
 
-@_case("minimal-qutrit-feasible", "perfect classical broadcastability of the minimal qutrit set")
+@_case("minimal-qutrit-feasible", "perfect classical broadcastability of the minimal qutrit set", 1.0, 1e-7, "dual-certified")
 def _minimal_feasible(case, opts):
     decision = broadcast.perfect_classical_broadcast_decision(gallery("minimal-qutrit"), opts.settings)
-    ok = decision.feasible and decision.witness_violation <= 1e-6
-    return _report(case, decision.value, 1.0, 1e-7, "dual-certified", ok and _two_sided(decision.value, 1.0, 1e-7))
+    return decision.value, decision.feasible and decision.witness_violation <= 1e-6
 
 
-@_case("minimal-qutrit-postinfo", "measure-first value of the minimal qutrit set")
+@_case("minimal-qutrit-postinfo", "measure-first value of the minimal qutrit set", 1.0, 1e-7, "dual-certified")
 def _minimal_postinfo(case, opts):
-    value = p_postinfo(gallery("minimal-qutrit"), opts.settings).value
-    return _report(case, value, 1.0, 1e-7, "dual-certified", _two_sided(value, 1.0, 1e-7))
+    return p_postinfo(gallery("minimal-qutrit"), opts.settings).value
 
 
 # --- three-setting qutrit separation -------------------------------------------
 
 
-@_case("thm1-quantum-broadcast", "entangling isometry preserves all three orthogonality pairs")
+@_case("thm1-quantum-broadcast", "entangling isometry preserves all three orthogonality pairs", 0.0, 1e-12, "exact")
 def _thm1_quantum(case, opts):
     report = broadcast.verify_orthogonality_broadcast(gallery("thm1-isometry"), gallery("thm1-pairs"))
-    return _report(case, report.max_overlap, 0.0, 1e-12, "exact", report.ok and report.max_overlap <= 1e-12)
+    return report.max_overlap, report.ok
 
 
-@_case("thm1-kill-certificate", "all eight survivor-pattern kernels are trivial")
+@_case("thm1-kill-certificate", "all eight survivor-pattern kernels are trivial", 0.0, 0.0, "exact")
 def _thm1_kill(case, opts):
     cert = broadcast.kill_pattern_certificate(gallery("thm1-pairs"))
-    worst = max(cert.kernel_dims.values())
-    ok = cert.certified_infeasible and len(cert.kernel_dims) == 8
-    return _report(case, worst, 0.0, 0.0, "exact", ok)
+    return max(cert.kernel_dims.values()), len(cert.kernel_dims) == 8
 
 
-@_case("thm1-postinfo", "measure-first value strictly below one for three settings")
+@_case("thm1-postinfo", "measure-first value strictly below one for three settings", math.cos(math.pi / 12) ** 2, 1e-8, "dual-certified")
 def _thm1_postinfo(case, opts):
     value = p_postinfo(gallery("thm1-pairs"), opts.settings).value
-    expected = math.cos(math.pi / 12) ** 2
-    ok = value < 1.0 - 1e-3 and _two_sided(value, expected, 1e-8)
-    return _report(case, value, expected, 1e-8, "dual-certified", ok)
+    return value, value < 1.0 - 1e-3
 
 
-@_case("thm2-protocol", "entangling protocol keeps all four pairs orthogonal on both sides")
+@_case("thm2-protocol", "entangling protocol keeps all four pairs orthogonal on both sides", 0.0, 1e-12, "exact")
 def _thm2_protocol(case, opts):
     induced = induced_postinfo(gallery("thm2-eight"), classical_side="a")
     report = broadcast.verify_orthogonality_broadcast(gallery("thm2-isometry"), induced)
-    return _report(case, report.max_overlap, 0.0, 1e-12, "exact", report.ok and report.max_overlap <= 1e-12)
+    return report.max_overlap, report.ok
 
 
-@_case("cor4-quantum-route", "six-state set is distinguishable with quantum communication")
+@_case("cor4-quantum-route", "six-state set is distinguishable with quantum communication", 0.0, 1e-12, "exact")
 def _cor4_quantum(case, opts):
     induced = induced_postinfo(gallery("cor4-six"), classical_side="a")
     report = broadcast.verify_orthogonality_broadcast(gallery("cor4-isometry"), induced)
-    return _report(case, report.max_overlap, 0.0, 1e-12, "exact", report.ok and report.max_overlap <= 1e-12)
+    return report.max_overlap, report.ok
 
 
-@_case("cor4-classical-infeasible", "six-state set admits no classical-communication protocol")
+@_case("cor4-classical-infeasible", "six-state set admits no classical-communication protocol", 0.0, 0.0, "exact")
 def _cor4_classical(case, opts):
     induced = induced_postinfo(gallery("cor4-six"), classical_side="a")
-    cert = broadcast.kill_pattern_certificate(induced)
-    worst = max(cert.kernel_dims.values())
-    return _report(case, worst, 0.0, 0.0, "exact", cert.certified_infeasible)
+    return max(broadcast.kill_pattern_certificate(induced).kernel_dims.values())
 
 
 # --- seven-state qutrit bounds --------------------------------------------------
 
 
-@_case("obb-disk-bound", "coupled-disk program for the overlapping-bases set (printed 0.603554)")
+@_case("obb-disk-bound", "coupled-disk program for the overlapping-bases set (printed 0.603554)", 0.603554, 1e-6, "analytic")
 def _obb_disk(case, opts):
-    solution = qpv.disk_program_solve(qpv.obb_disk_program())
-    ok = solution.bound <= 0.603554 + 1e-12 and _two_sided(solution.bound, 0.603554, 1e-6)
-    return _report(case, solution.bound, 0.603554, 1e-6, "analytic", ok)
+    bound = qpv.disk_program_solve(qpv.obb_disk_program()).bound
+    return bound, bound <= 0.603554 + 1e-12
 
 
-@_case("delta-bb84", "error per state of the four-state protocol (printed < 0.03662)")
+@_case("delta-bb84", "error per state of the four-state protocol (printed < 0.03662)", 0.03662, 1e-5, "analytic")
 def _delta_bb84(case, opts):
     delta = qpv.error_per_state(gen_bb84(math.pi / 2), 1.0, BB84_VALUE)
-    ok = delta < 0.03662 and _two_sided(delta, 0.03662, 1e-5)
-    return _report(case, delta, 0.03662, 1e-5, "analytic", ok)
+    return delta, delta < 0.03662
 
 
-@_case("delta-obb", "error per state of the seven-state protocol (printed > 0.05663)")
+@_case("delta-obb", "error per state of the seven-state protocol (printed > 0.05663)", 0.05663, 1e-5, "analytic")
 def _delta_obb(case, opts):
     delta = qpv.error_per_state(gallery("obb"), 1.0, 0.603554)
-    ok = delta > 0.05663 and _two_sided(delta, 0.05663, 1e-5)
-    return _report(case, delta, 0.05663, 1e-5, "analytic", ok)
+    return delta, delta > 0.05663
 
 
-@_case("qq-tilde-disk", "coupled-disk program for the primed fully quantum set")
+@_case("qq-tilde-disk", "coupled-disk program for the primed fully quantum set", 0.78033, 1e-6, "analytic")
 def _qq_tilde_disk(case, opts):
-    solution = qpv.disk_program_solve(qpv.qq_tilde_disk_program())
-    return _report(case, solution.bound, 0.78033, 1e-6, "analytic", _two_sided(solution.bound, 0.78033, 1e-6))
+    return qpv.disk_program_solve(qpv.qq_tilde_disk_program()).bound
 
 
-@_case("thm6-qq-upper", "upper bound on the fully quantum set via certified unitary equivalence")
+@_case("thm6-qq-upper", "upper bound on the fully quantum set via certified unitary equivalence", 0.7805, 2e-4, "analytic")
 def _thm6_upper(case, opts):
-    report = qpv.thm6_separation().upper
-    return _report(case, report.computed, report.expected, report.tolerance, report.certificate, report.passed)
+    upper = qpv.thm6_separation().upper
+    return upper, upper <= 0.7805 + 1e-12
 
 
-@_case("thm6-cq-lower", "explicit strategy value on the classical-quantum set")
+@_case("thm6-cq-lower", "explicit strategy value on the classical-quantum set", math.cos(math.pi / 8) ** 2, 1e-12, "exact")
 def _thm6_lower(case, opts):
-    report = qpv.thm6_separation().lower
-    return _report(case, report.computed, report.expected, report.tolerance, report.certificate, report.passed)
+    return qpv.thm6_separation().lower
 
 
-@_case("thm6-gap", "strict separation between the two seven-state sets")
+@_case("thm6-gap", "strict separation between the two seven-state sets", math.cos(math.pi / 8) ** 2 - (0.25 + 3.0 / (4.0 * SQ2)), 1e-9, "analytic")
 def _thm6_gap(case, opts):
-    sep = qpv.thm6_separation()
-    expected = math.cos(math.pi / 8) ** 2 - (0.25 + 3.0 / (4.0 * SQ2))
-    ok = sep.gap > 0.07 and _two_sided(sep.gap, expected, 1e-9)
-    return _report(case, sep.gap, expected, 1e-9, "analytic", ok)
+    gap = qpv.thm6_separation().gap
+    return gap, gap > 0.07
 
 
-@_case("shifts-min-epsilon", "two-qubit-vs-qubit set threshold (printed 5.52e-4; bisection gives the value below, discrepancy recorded, only positivity asserted)")
+def _shifts_threshold() -> float:
+    c = 1.0 - math.sqrt(3.0) / 2.0
+    return ((64.0 + 4.0 * c) - math.sqrt((64.0 + 4.0 * c) ** 2 - 4.0 * 68.0 * c * c)) / (2.0 * 68.0)
+
+
+@_case("shifts-min-epsilon", "two-qubit-vs-qubit set threshold (printed 5.52e-4; bisection gives the value below, discrepancy recorded, only positivity asserted)", _shifts_threshold(), 1e-9, "analytic")
 def _shifts_eps(case, opts):
     root = qpv.thm4_min_epsilon(qpv.shifts_instance())
-    c = 1.0 - math.sqrt(3.0) / 2.0
-    expected = ((64.0 + 4.0 * c) - math.sqrt((64.0 + 4.0 * c) ** 2 - 4.0 * 68.0 * c * c)) / (2.0 * 68.0)
-    ok = root > 1e-5 and _two_sided(root, expected, 1e-9)
-    return _report(case, root, expected, 1e-9, "analytic", ok)
+    return root, root > 1e-5
 
 
 # --- tripartite game route ------------------------------------------------------
 
 
-@_case("moe-go-overlap-constant", "shared rank-one effects force overlap constant one")
+@_case("moe-go-overlap-constant", "shared rank-one effects force overlap constant one", 1.0, 1e-12, "exact")
 def _moe_go_c(case, opts):
-    value = moe.overlap_constant(moe.game_obb())
-    return _report(case, value, 1.0, 1e-12, "exact", _two_sided(value, 1.0, 1e-12))
+    return moe.overlap_constant(moe.game_obb())
 
 
-@_case("moe-go-copy-bound", "permutation bound on the copying strategy stays trivial")
+@_case("moe-go-copy-bound", "permutation bound on the copying strategy stays trivial", 1.0, 1e-12, "exact")
 def _moe_go_copy(case, opts):
-    report = moe.example_go_trivial()
-    return _report(case, report.copy_strategy_bound, 1.0, 1e-12, "exact", _two_sided(report.copy_strategy_bound, 1.0, 1e-12))
+    return moe.example_go_trivial().copy_strategy_bound
 
 
-@_case("moe-go-contrast", "broadcast-side program certifies what the game route cannot")
+@_case("moe-go-contrast", "broadcast-side program certifies what the game route cannot", 0.603554, 1e-6, "analytic")
 def _moe_go_contrast(case, opts):
-    report = moe.example_go_trivial()
-    ok = report.contrast_bound < 1.0 and _two_sided(report.contrast_bound, 0.603554, 1e-6)
-    return _report(case, report.contrast_bound, 0.603554, 1e-6, "analytic", ok)
+    bound = moe.example_go_trivial().contrast_bound
+    return bound, bound < 1.0
 
 
-@_case("moe-bb84-lemma-bound", "two-basis game bound from the permutation splitting")
+@_case("moe-bb84-lemma-bound", "two-basis game bound from the permutation splitting", 0.5 * (1.0 + 1.0 / SQ2), 1e-9, "exact")
 def _moe_bb84(case, opts):
-    bound = moe.classical_copy_permutation_bound(moe.game_bb84())
-    expected = 0.5 * (1.0 + 1.0 / SQ2)
-    return _report(case, bound, expected, 1e-9, "exact", _two_sided(bound, expected, 1e-9))
+    return moe.classical_copy_permutation_bound(moe.game_bb84())
 
 
-@_case("moe-transpose-marginal", "steering identity on random unitaries")
+@_case("moe-transpose-marginal", "steering identity on random unitaries", None, 1e-12, "exact")
 def _moe_transpose(case, opts):
     rng = case_rng(opts.seed, case.id)
     worst = 0.0
     for k in range(opts.n_trials(100)):
         d = 2 + (k % 2)
         worst = max(worst, moe.steering_deviation(random_unitary(rng, d)))
-    return _report(case, worst, None, 1e-12, "exact", worst <= 1e-12)
+    return worst
 
 
 # --- randomized property suites --------------------------------------------------
@@ -347,7 +328,7 @@ def _random_spec(rng) -> SuperpositionSpec:
     )
 
 
-@_case("prop-ur-pair-soundness", "pair uncertainty relation on random bipartite vectors")
+@_case("prop-ur-pair-soundness", "pair uncertainty relation on random bipartite vectors", None, 1e-9, "exact")
 def _prop_ur_pair(case, opts):
     rng = case_rng(opts.seed, case.id)
     worst = -math.inf
@@ -356,10 +337,10 @@ def _prop_ur_pair(case, opts):
         a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
         lhs, rhs = ur_pair_bound(a0, a1, _random_spec(rng), (da, db))
         worst = max(worst, lhs - rhs)
-    return _report(case, worst, None, 1e-9, "exact", worst <= 1e-9)
+    return worst
 
 
-@_case("prop-ur-guess-soundness", "guessing form of the relation at exact optimal values")
+@_case("prop-ur-guess-soundness", "guessing form of the relation at exact optimal values", None, 1e-9, "exact")
 def _prop_ur_guess(case, opts):
     rng = case_rng(opts.seed, case.id)
     worst = -math.inf
@@ -375,10 +356,10 @@ def _prop_ur_guess(case, opts):
         pg_a = helstrom_binary(marg(a0, 0), marg(a1, 0))
         pg_b = helstrom_binary(marg(a0, 1), marg(a1, 1))
         worst = max(worst, lhs - ur_guess_bound(pg_a, pg_b, spec))
-    return _report(case, worst, None, 1e-9, "exact", worst <= 1e-9)
+    return worst
 
 
-@_case("prop-ur-general-soundness", "multi-vector relation on random three-vector instances")
+@_case("prop-ur-general-soundness", "multi-vector relation on random three-vector instances", None, 1e-9, "exact")
 def _prop_ur_general(case, opts):
     rng = case_rng(opts.seed, case.id)
     worst = -math.inf
@@ -389,10 +370,10 @@ def _prop_ur_general(case, opts):
         inst = GeneralURInstance(gammas=gammas, alphas=coeff(), betas=coeff(), dims=(da, db))
         bounds = ur_general(inst)
         worst = max(worst, bounds.lhs - bounds.rhs_tight, bounds.lhs - bounds.rhs_relaxed)
-    return _report(case, worst, None, 1e-9, "exact", worst <= 1e-9)
+    return worst
 
 
-@_case("prop-fuchs-van-de-graaf", "trace distance vs fidelity envelope on random density pairs")
+@_case("prop-fuchs-van-de-graaf", "trace distance vs fidelity envelope on random density pairs", None, 1e-9, "exact")
 def _prop_fvdg(case, opts):
     rng = case_rng(opts.seed, case.id)
     worst = -math.inf
@@ -402,10 +383,10 @@ def _prop_fvdg(case, opts):
         f = fidelity(rho, sigma)
         dist = trace_distance(rho, sigma)
         worst = max(worst, (1.0 - f) - dist, dist - math.sqrt(max(0.0, 1.0 - f * f)))
-    return _report(case, worst, None, 1e-9, "exact", worst <= 1e-9)
+    return worst
 
 
-@_case("prop-product-norm", "tensor-splitting of the trace norm on random state pairs")
+@_case("prop-product-norm", "tensor-splitting of the trace norm on random state pairs", None, 1e-9, "exact")
 def _prop_product_norm(case, opts):
     # Sampled over density operators (trace-one members of 0 <= W <= I): the
     # splitting needs trace-norm-one factors, and that is how it is applied.
@@ -419,10 +400,10 @@ def _prop_product_norm(case, opts):
         lhs = trace_norm(kron(w, x) - kron(y, z))
         rhs = trace_norm(w - y) + trace_norm(x - z)
         worst = max(worst, lhs - rhs)
-    return _report(case, worst, None, 1e-9, "exact", worst <= 1e-9)
+    return worst
 
 
-@_case("prop-lemma-a1", "permutation splitting of the operator norm on random PSD tuples")
+@_case("prop-lemma-a1", "permutation splitting of the operator norm on random PSD tuples", None, 1e-9, "exact")
 def _prop_lemma_a1(case, opts):
     rng = case_rng(opts.seed, case.id)
     worst = -math.inf
@@ -433,10 +414,10 @@ def _prop_lemma_a1(case, opts):
         bound = lemma_a1_bound(ops, PermutationFamily.cyclic(n))
         total = float(np.linalg.eigvalsh(sum(ops)).max())
         worst = max(worst, total - bound)
-    return _report(case, worst, None, 1e-9, "exact", worst <= 1e-9)
+    return worst
 
 
-@_case("prop-postinfo-bruteforce", "row-merged solve matches exhaustive assignment search")
+@_case("prop-postinfo-bruteforce", "row-merged solve matches exhaustive assignment search", None, 1e-6, "dual-certified")
 def _prop_bruteforce(case, opts):
     from .ensembles import PostInfoEnsemble
     from .sampling import random_orthonormal_pair
@@ -458,9 +439,13 @@ def _prop_bruteforce(case, opts):
     targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
     merged = min_error_discrimination_stack(targets, opts.settings)
     worst = 0.0
-    for ens, res in zip(ensembles, merged):
+    for ens, target, res in zip(ensembles, targets, merged):
+        try:
+            res.certificate.validate(target, res.povm, gap_tol=opts.settings.gap_tol)
+        except ValueError as exc:
+            raise InternalInconsistency(f"brute-force certificate rejected: {exc}") from None
         worst = max(worst, abs(res.value - enumerate_postinfo(ens)))
-    return _report(case, worst, None, 1e-6, "dual-certified", worst <= 1e-6)
+    return worst
 
 
 # --- runner ----------------------------------------------------------------------

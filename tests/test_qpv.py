@@ -225,11 +225,12 @@ def test_cq_strategy_is_prior_independent():
 def test_separation_assembly():
     sep = thm6_separation()
     assert sep.equivalence_deviation <= 1e-12
-    assert sep.upper.computed == pytest.approx(0.780330, abs=1e-6)
-    assert sep.upper.computed <= 0.7805
-    assert sep.lower.computed == pytest.approx(BB84_VALUE, abs=1e-12)
+    assert sep.upper == pytest.approx(0.780330, abs=1e-6)
+    assert sep.upper <= 0.7805
+    assert sep.lower == pytest.approx(BB84_VALUE, abs=1e-12)
     assert sep.gap > 0.07
-    assert sep.upper.passed and sep.lower.passed
+    assert abs(sep.upper - 0.7805) <= 2e-4 and sep.upper <= 0.7805 + 1e-12
+    assert abs(sep.lower - math.cos(math.pi / 8) ** 2) <= 1e-12
 
 
 def test_attack_bounds_dominate_their_strategies():
