@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import PostInfoResult, SolverSettings, p_postinfo
+from .discrimination import DEFAULT_SETTINGS, PostInfoResult, SolverSettings, p_postinfo
 from .ensembles import Isometry, PostInfoEnsemble, Povm
 from .errors import InternalInconsistency
 from .linalg import dyad, partial_trace
 
 BORN_ZERO_TOL = 1e-10
 RANK_TOL = 1e-10
-FEASIBLE_VALUE_TOL = 1e-7
-WITNESS_VIOLATION_TOL = 1e-6
 
 
 def output_marginals(iso: Isometry, state: np.ndarray, cut=(0,)) -> tuple[np.ndarray, np.ndarray]:
@@ -156,9 +154,13 @@ def perfect_classical_broadcast_decision(
     Feasibility is equivalent to unit post-information value under any
     full-support prior, so the decision runs one discrimination solve on a
     uniform reweighting and, when the value reaches one, extracts the optimal
-    POVM as an explicit witness.  The kill-pattern certificate provides an
-    independent exact cross-check on the infeasible side.
+    POVM as an explicit witness.  The value reaches one when its certified
+    window does, Tr Y >= 1 within rounding, and the witness may then confuse
+    two states with probability up to ten times the gap in force.  The
+    kill-pattern certificate provides an independent exact cross-check on the
+    infeasible side.
     """
+    st = settings or DEFAULT_SETTINGS
     counts = ensemble.index_sets
     total = sum(counts)
     uniform = PostInfoEnsemble(
@@ -167,9 +169,9 @@ def perfect_classical_broadcast_decision(
         prior=tuple(tuple(1.0 / total for _ in range(n)) for n in counts),
         orthogonal=ensemble.orthogonal,
     )
-    result: PostInfoResult = p_postinfo(uniform, settings)
+    result: PostInfoResult = p_postinfo(uniform, st)
     certificate = kill_pattern_certificate(ensemble)
-    feasible = result.value >= 1.0 - FEASIBLE_VALUE_TOL
+    feasible = result.value + result.certificate.gap >= 1.0 - 1e-12
     if feasible and certificate.certified_infeasible:
         raise InternalInconsistency(
             f"discrimination value {result.value!r} reaches one but the kill-pattern "
@@ -180,7 +182,7 @@ def perfect_classical_broadcast_decision(
     if feasible:
         witness = result.povm
         violation = verify_classical_broadcast_povm(witness, uniform).max_violation
-        if violation > WITNESS_VIOLATION_TOL:
+        if violation > 10 * st.gap_tol:
             raise InternalInconsistency(
                 f"feasible value {result.value!r} but witness POVM violates the "
                 f"classical-broadcast condition by {violation:.3e}"

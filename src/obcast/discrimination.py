@@ -7,8 +7,10 @@ step.  A dual certificate Y >= M_r is built from the iterate by an
 eigenvalue shift; the reported value is optimal within the certified gap,
 independently of how the iteration behaved.  Same-shape targets are solved
 as one stack; a single solve of at most d^2 operators is a stack of one.  A
-single target with more operators is solved on a working set of them (see
-``_working_set_solve``), and its final dual is still checked against all.
+single target with more operators, such as the answer rows of a
+post-information value, is solved by Newton's method on the dual log barrier
+(``_barrier_solve``) over the d^2 coordinates of Y in about a hundred steps;
+below its rounding floor, near 1e-10, the map finishes from its POVM.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import copy
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,16 +28,11 @@ from .errors import InternalInconsistency, SolverFailure
 from .linalg import dagger, dyad, hermitian
 
 MAX_ROW_TARGETS = 4096
-# Working-set solve: full-row iterations before the working set is chosen (ten
-# checks at the default interval), and the share of the pretty-good
-# measurement mixed in when rows are added, so the new rows start nonzero.
-WARMUP_ITERATIONS = 100
-PGM_MIX = 0.1
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and iteration controls for the discrimination solver."""
+    """Tolerances and iteration controls for the discrimination solver; a barrier Newton step is an iteration."""
 
     gap_tol: float = 1e-7
     psd_tol: float = 1e-10
@@ -196,17 +193,10 @@ def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
     return primal, y, max(gap, 0.0)
 
 
-def _failure(m: np.ndarray, p: np.ndarray, st: SolverSettings) -> SolverFailure:
-    """The error for one member (n, d, d) whose best iterate ``p`` never certified."""
-    primal, _, gap = _certify(m, p)
-    return SolverFailure(
-        f"no certificate below {st.gap_tol:.1e} within {st.max_iterations} iterations "
-        f"(best gap {gap:.3e})",
-        primal=primal,
-        gap=gap,
-        povm=tuple(p),
-        iterations=st.max_iterations,
-    )
+def _failure(st: SolverSettings, primal, y, gap, p, iterations) -> SolverFailure:
+    """The error for a solve whose best certified iterate ``p``, with dual ``y``, missed ``gap_tol``."""
+    message = f"no certificate below {st.gap_tol:.1e} within {iterations} iterations (best gap {gap:.3e})"
+    return SolverFailure(message, primal=primal, gap=gap, povm=tuple(p), dual=y, iterations=iterations)
 
 
 def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -222,38 +212,25 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.trace(y0, axis1=1, axis2=2).real + m.shape[-1] * np.maximum(-low, 0.0) - primal
 
 
-def _solve_stack(
-    m: np.ndarray,
-    st: SolverSettings,
-    p: np.ndarray | None = None,
-    first: int = 0,
-    stop: int | None = None,
-) -> list[tuple[float, np.ndarray, np.ndarray, float, int]]:
+def _solve_stack(m: np.ndarray, st: SolverSettings, p: np.ndarray | None = None) -> list[tuple[float, np.ndarray, np.ndarray, float, int]]:
     """Fixed-point iteration on a stack of same-shape targets ``m`` (B, n, d, d).
 
     Members iterate in lockstep from ``p`` (default: the pretty-good
     measurement), and each leaves at the first check where its own exact
     certificate meets ``gap_tol``.  Every stacked step computes each member
     exactly as it would be computed alone, so the results do not depend on
-    the stack.  Iterations are numbered from ``first``, so a solve resumed
-    from an earlier one checks and counts as if it had never stopped.
+    the stack.
     Returns (primal, dual, POVM, gap, iterations) per member, or raises
-    ``SolverFailure`` for the first member that never certifies.  When
-    ``stop`` ends the loop before ``st.max_iterations``, a member still
-    uncertified comes back with its last iterate, whose gap is above
-    ``gap_tol``.
+    ``SolverFailure`` for the first member that never certifies.
     """
-    if p is None:
-        # pretty-good-measurement start, completed to a POVM on the full space
-        p = _pretty_good(m, st.rank_tol)
-    stop = st.max_iterations if stop is None else min(stop, st.max_iterations)
+    p = _pretty_good(m, st.rank_tol) if p is None else p
     out: list = [None] * m.shape[0]
     live = np.arange(m.shape[0])
     best_gap = np.full(m.shape[0], np.inf)
     best_p = p.copy()
     # screened gaps are within rounding of the exact ones, far inside this window
     window = 2 * st.gap_tol + 1e-12
-    for it in range(first, stop):
+    for it in range(st.max_iterations):
         p = (1.0 - st.damping) * p + st.damping * _pretty_good(m @ p @ m, st.rank_tol)
         if it % st.check_interval == 0 or it == st.max_iterations - 1:
             gaps = _screened_gaps(m, p)
@@ -270,66 +247,88 @@ def _solve_stack(
                 m, p, live, best_gap, best_p = m[stay], p[stay], live[stay], best_gap[stay], best_p[stay]
                 if not live.size:
                     return out
-    if stop < st.max_iterations:
-        for k, member in enumerate(live):
-            primal, y, gap = _certify(m[k], p[k])
-            out[member] = (primal, y, p[k], gap, stop)
-        return out
-    raise _failure(m[0], best_p[0], st)
+    raise _failure(st, *_certify(m[0], best_p[0]), best_p[0], st.max_iterations)
 
 
-def _working_set_solve(
-    m: np.ndarray, st: SolverSettings, rows: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray, float, int]:
-    """Certified optimum of one target ``m`` (n, d, d) from iterations on a few of its rows.
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the d x d Hermitian matrices under Tr(A B), one flattened element per row."""
+    f = np.zeros((d * d, d, d), dtype=complex)
+    f[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    for k, (i, j) in enumerate(itertools.combinations(range(d), 2)):
+        f[d + 2 * k, i, j] = f[d + 2 * k, j, i] = 1 / math.sqrt(2)
+        f[d + 2 * k + 1, i, j], f[d + 2 * k + 1, j, i] = 1j / math.sqrt(2), -1j / math.sqrt(2)
+    return f.reshape(d * d, d * d)
 
-    An extremal optimal POVM has at most d^2 nonzero effects (Davies, IEEE
-    TIT 24, 596, 1978), so after a short full-row warm-up the iteration
-    continues on the d^2 rows with the largest effects, renormalised to sum
-    to the identity (or on ``rows``, from the pretty-good measurement).
-    Each time that working set certifies, the iterate, zero off the working
-    set, is certified against every row.  While that full gap exceeds
-    ``gap_tol``, up to d rows whose operators the working-set dual leaves
-    most uncovered (largest positive eigenvalue of M_r - Y) join the set, a
-    little of the pretty-good measurement on the grown set is mixed in, and
-    the iteration goes on.  These are the optimality conditions of Eldar,
-    Megretski and Verghese (IEEE TIT 49, 1007, 2003): the returned dual is
-    feasible for every row, so the certificate is as strong as a full
-    solve's.  Returns (primal, dual, POVM, gap, iterations) with one effect
-    per row; iterations count every phase.
+
+def _central_povm(s_inv: np.ndarray) -> np.ndarray:
+    """B^{-1/2} S_r^{-1} B^{-1/2} with B = sum_r S_r^{-1}: the central point S_r^{-1} / t, summing to I exactly."""
+    r = _psd_pinv_sqrt(s_inv.sum(axis=0)[None], 0.0)  # B is positive definite
+    return _herm_stack(r @ s_inv @ r)
+
+
+def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray, np.ndarray, float, int]:
+    """Certified optimum of one target ``m`` (n, d, d) by Newton's method on the dual log barrier.
+
+    Minimises t Tr Y - sum_r log det S_r, S_r = Y - M_r, over Y in an
+    orthonormal Hermitian basis F (Vandenberghe and Boyd, SIAM Rev. 38, 49,
+    1996), from Y = (max eigenvalue + 1) I and t = n d, by damped steps held
+    to 0.99 of the boundary of every S_r > 0.  When the squared Newton
+    decrement is below 2, the central POVM is certified against Y (Eldar,
+    Megretski and Verghese, IEEE TIT 49, 1007, 2003): the solve returns
+    (primal, dual, POVM, gap, iterations) if the gap meets ``gap_tol``, and
+    otherwise multiplies t by 100.  Once t outgrows the rounding of Y, the
+    fixed-point map on every row finishes from the best certified POVM with
+    the rest of ``st.max_iterations``; a failure reports the better certificate.
     """
-    d = m.shape[-1]
-    it = 0
-    if rows is None:
-        [(primal, y, p, gap, it)] = _solve_stack(m[None], st, stop=WARMUP_ITERATIONS)
-        if gap <= st.gap_tol:
-            return primal, y, p, gap, it
-        weight = np.trace(p, axis1=1, axis2=2).real
-        rows = np.sort(np.argsort(-weight, kind="stable")[: d * d])
-        start = _pretty_good(p[rows][None], st.rank_tol)
-    else:
-        rows = np.sort(np.asarray(rows))
-        start = _pretty_good(m[rows][None], st.rank_tol)
-    full = np.zeros_like(m)
-    while True:
+    n, d = m.shape[0], m.shape[-1]
+    f = _hermitian_basis(d)
+    trace_f = f[:, :: d + 1].real.sum(axis=1)
+    y, t = (np.linalg.eigvalsh(m).max() + 1.0) * np.eye(d), float(n * d)
+    best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
+    try:
+        for steps in range(1, st.max_iterations + 1):
+            l_inv = np.linalg.inv(np.linalg.cholesky(y - m))
+            s_inv = _dagger_stack(l_inv) @ l_inv
+            # Hessian sum_r Tr(S_r^-1 F_j S_r^-1 F_k) from one product of the flattened inverses
+            flat = s_inv.reshape(n, d * d)
+            outer = (flat.T @ flat).reshape(d, d, d, d).transpose(1, 2, 3, 0).reshape(d * d, d * d)
+            hess = (f @ outer @ f.T).real
+            pull = (f @ s_inv.sum(axis=0).conj().ravel()).real
+            # the gradient is t Tr F - pull, so the step is linear in t
+            u, v = np.linalg.solve(hess, np.stack([trace_f, pull], axis=1)).T
+            if float((pull - t * trace_f) @ (v - t * u)) < 2:
+                p = _central_povm(s_inv)
+                primal = float(np.einsum("rij,rji->", p, m).real)
+                gap = float(np.trace(y).real) - primal
+                if gap <= st.gap_tol:
+                    return primal, y, p, gap, steps
+                if gap < best[2]:
+                    best = (primal, y, gap, p)
+                if 100.0 * t * np.finfo(float).eps * np.trace(y).real > 1.0:
+                    raise np.linalg.LinAlgError(f"barrier parameter {100.0 * t:.1e} is beyond rounding")
+                t *= 100.0
+            dx = v - t * u
+            dec = float((pull - t * trace_f) @ dx)
+            if not math.isfinite(dec):
+                raise np.linalg.LinAlgError("Newton decrement is not finite")
+            dy = (dx @ f).reshape(d, d)
+            low = float(np.linalg.eigvalsh(l_inv @ dy @ _dagger_stack(l_inv)).min())
+            alpha = min(1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, 0.99 / -low if low < 0 else math.inf)
+            y, previous = y + alpha * (dy + dagger(dy)) / 2, y
+            if np.array_equal(y, previous):
+                raise np.linalg.LinAlgError("Newton step is below rounding")
+    except np.linalg.LinAlgError as exc:
+        stalled = exc
+    p = _central_povm(s_inv) if best[3] is None else best[3]
+    final = (*_certify(m, p), p)
+    if stalled is not None and steps < st.max_iterations:
+        # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
         try:
-            [(_, y, p_rows, _, it)] = _solve_stack(m[rows][None], st, p=start, first=it)
-        except SolverFailure as exc:
-            full[rows] = exc.povm
-            raise _failure(m, full, st) from None
-        full[rows] = p_rows
-        primal, y_all, gap = _certify(m, full)
-        if gap <= st.gap_tol:
-            return primal, y_all, full, gap, it
-        uncovered = np.linalg.eigvalsh(m - y).max(axis=1)
-        uncovered[rows] = 0.0
-        worst = np.argsort(-uncovered, kind="stable")[:d]
-        grow = worst[uncovered[worst] > 0]
-        if grow.size:
-            rows = np.sort(np.concatenate([rows, grow]))
-            start = (1.0 - PGM_MIX) * full[rows][None] + PGM_MIX * _pretty_good(m[rows][None], st.rank_tol)
-        else:
-            start = p_rows[None]
+            [(primal, y, p, gap, fixed)] = _solve_stack(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
+            return primal, y, p, gap, steps + fixed
+        except SolverFailure as polish:
+            final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
+    raise _failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
 
 
 def _result(target: EffectTarget, primal, y, p, gap, iterations) -> DiscriminationResult:
@@ -368,13 +367,12 @@ def min_error_discrimination(
 ) -> DiscriminationResult:
     """Certified optimum of max_POVM sum_r Tr[P_r M_r].
 
-    With at most d^2 targets this is a stack of one.  With more, the
-    iteration runs on a working set of them (``_working_set_solve``), and
-    the certificate still covers every target.
+    With at most d^2 targets this is a stack of one, and with more a barrier
+    solve (``_barrier_solve``); the certificate covers every target either way.
     """
     if len(target.operators) <= target.dim**2:
         return min_error_discrimination_stack([target], settings)[0]
-    return _result(target, *_working_set_solve(np.array(target.operators), settings or DEFAULT_SETTINGS))
+    return _result(target, *_barrier_solve(np.array(target.operators), settings or DEFAULT_SETTINGS))
 
 
 def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = 1e-10) -> EffectTarget:
@@ -416,9 +414,8 @@ class PostInfoResult:
 def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = None) -> PostInfoResult:
     """Optimal guessing probability when the setting arrives after measurement.
 
-    With more than d^2 answer rows the solve runs on a working set of rows
-    (see ``min_error_discrimination``).  Either way the certificate and the
-    POVM are checked against every row before the result is returned.
+    The certificate and the POVM of ``min_error_discrimination`` are checked
+    against every row before the result is returned.
     """
     st = settings or DEFAULT_SETTINGS
     target = merged_row_targets(ensemble, psd_tol=st.psd_tol)

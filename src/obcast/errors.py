@@ -7,11 +7,12 @@ class SolverFailure(RuntimeError):
     Carries the best primal/dual pair found so far and the iterations run.
     """
 
-    def __init__(self, message, primal=None, gap=None, povm=None, iterations=None):
+    def __init__(self, message, primal=None, gap=None, povm=None, iterations=None, dual=None):
         super().__init__(message)
         self.primal = primal
         self.gap = gap
         self.povm = povm
+        self.dual = dual
         self.iterations = iterations
 
 

@@ -287,3 +287,14 @@ def test_reproduce_seed_determinism_on_a_random_case(tmp_path, capsys):
         assert code == 0
         paths.append(out.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_feasibility_is_decided_at_the_gap_in_force(tmp_path, capsys):
+    out = tmp_path / "loose.json"
+    code, stdout, _ = run(
+        capsys, "reproduce", "--only", "minimal-qutrit-feasible", "--tol-gap", "1e-5", "--out", str(out)
+    )
+    assert code == 0
+    assert "PASS minimal-qutrit-feasible" in stdout
+    [record] = json.loads(out.read_text())
+    assert record["tolerance"] == pytest.approx(1e-5)

@@ -7,11 +7,10 @@ import pytest
 from obcast import discrimination, reproduce
 from obcast.discrimination import (
     DEFAULT_SETTINGS,
-    WARMUP_ITERATIONS,
     DualCertificate,
     EffectTarget,
     SolverSettings,
-    _working_set_solve,
+    _barrier_solve,
     helstrom_binary,
     losscc_value_cq,
     merged_row_targets,
@@ -428,14 +427,14 @@ def full_solve(target):
     return min_error_discrimination_stack([target])[0]
 
 
-def working_set_instances():
+def above_d_squared_instances():
     """Every gallery view with more than d^2 rows (12 against 9), and random ones."""
     gallery_views = [induced_postinfo(gallery(name), classical_side="a") for name in ("obb", "cq")]
     return gallery_views + [random_postinfo(seed, 3, 3) for seed in (0, 1, 3)] + [random_postinfo(4, 4, 3)]
 
 
-def test_working_set_value_lies_within_the_full_solve_gaps():
-    for ens in working_set_instances():
+def test_barrier_value_lies_within_the_full_solve_gaps():
+    for ens in above_d_squared_instances():
         target = merged_row_targets(ens)
         assert len(target.operators) > target.dim**2
         full = full_solve(target)
@@ -462,37 +461,70 @@ def test_postinfo_at_most_d_squared_rows_is_the_full_solve_bit_for_bit():
         assert mine.iterations == full.iterations
 
 
-def test_a_working_set_missing_an_optimal_row_grows_to_include_it():
-    ens = random_postinfo(3, 3, 3)
-    target = merged_row_targets(ens)
-    m = np.array(target.operators)
-    full = full_solve(target)
-    weight = np.array([np.trace(e).real for e in full.povm.effects])
-    left_out = int(np.argmax(weight))
-    rows = np.array([r for r in np.argsort(-weight, kind="stable") if r != left_out][: target.dim**2])
-    primal, y, p, gap, iterations = _working_set_solve(m, DEFAULT_SETTINGS, rows=rows)
-    assert np.trace(p[left_out]).real > 0.1
-    assert gap <= DEFAULT_SETTINGS.gap_tol
-    DualCertificate(y, primal, gap).validate(target, discrimination.Povm(effects=tuple(p)))
-    assert primal <= full.value + full.certificate.gap + 1e-12
-    assert full.value <= primal + gap + 1e-12
-    assert iterations > 0
+def test_barrier_and_fixed_point_agree_within_both_gaps_at_most_d_squared_rows():
+    # the two routes share no iteration, so each checks the other
+    instances = [gallery("bb84"), gallery("minimal-qutrit"), gallery("thm1-pairs")]
+    instances += [random_postinfo(10 + d, d, 2) for d in (2, 3, 4, 5)]
+    for ens in instances:
+        target = merged_row_targets(ens)
+        assert len(target.operators) <= target.dim**2
+        full = full_solve(target)
+        primal, y, p, gap, steps = _barrier_solve(np.array(target.operators), DEFAULT_SETTINGS)
+        assert primal <= full.value + full.certificate.gap + 1e-12
+        assert full.value <= primal + gap + 1e-12
+        DualCertificate(y, primal, gap).validate(target, discrimination.Povm(effects=tuple(p)))
+        full.certificate.validate(target, full.povm)
+        assert steps > 0
 
 
-@pytest.mark.parametrize("cap", [WARMUP_ITERATIONS // 2, WARMUP_ITERATIONS + 30])
-def test_working_set_failure_reports_every_phase_and_every_row(cap):
-    ens = random_postinfo(2, 3, 3)  # needs thousands of iterations
+def assert_reported_certificate(exc, m):
+    """The failure's POVM covers every row, and its dual is feasible with the reported gap."""
+    povm = np.array(exc.povm)
+    assert povm.shape == m.shape
+    assert exc.primal == pytest.approx(float(np.einsum("rij,rji->", povm, m).real), abs=1e-12)
+    assert np.linalg.eigvalsh(exc.dual[None] - m).min() >= -1e-12
+    assert exc.gap == pytest.approx(np.trace(exc.dual).real - exc.primal, abs=1e-12)
+
+
+@pytest.mark.parametrize("cap", [5, 40])
+def test_barrier_failure_reports_its_best_certificate_on_every_row(cap):
+    ens = random_postinfo(2, 3, 3)  # needs 56 Newton steps
     target = merged_row_targets(ens)
     m = np.array(target.operators)
     with pytest.raises(SolverFailure) as failure:
         p_postinfo(ens, SolverSettings(max_iterations=cap))
     exc = failure.value
     assert exc.iterations == cap
+    assert_reported_certificate(exc, m)
+    # no worse than the eigenvalue-shift certificate of the reported POVM
     povm = np.array(exc.povm)
-    assert povm.shape == m.shape
-    assert exc.primal == pytest.approx(float(np.einsum("rij,rji->", povm, m).real), abs=1e-12)
     y0 = np.einsum("rij,rjk->ik", m, povm)
     y0 = (y0 + y0.conj().T) / 2
     shift = max(-np.linalg.eigvalsh(y0[None] - m).min(), 0.0)
-    assert exc.gap == pytest.approx(np.trace(y0).real + target.dim * shift - exc.primal, abs=1e-12)
+    assert exc.gap <= np.trace(y0).real + target.dim * shift - exc.primal + 1e-12
     assert exc.gap > DEFAULT_SETTINGS.gap_tol
+
+
+@pytest.mark.parametrize("gap_tol", [1e-10, 1e-11])
+def test_barrier_certifies_gaps_below_its_rounding_floor(gap_tol):
+    # Y - M_r stops resolving 1/t once t passes about 1e12; the fixed-point map finishes from there
+    for ens in above_d_squared_instances():
+        target = merged_row_targets(ens)
+        full = full_solve(target)
+        mine = p_postinfo(ens, SolverSettings(gap_tol=gap_tol))
+        mine.certificate.validate(target, mine.povm, gap_tol=gap_tol)
+        assert mine.value <= full.value + full.certificate.gap + 1e-12
+        assert full.value <= mine.value + gap_tol + 1e-12
+
+
+def test_a_barrier_stalled_on_rounding_fails_with_its_best_certificate():
+    ens = induced_postinfo(gallery("obb"), classical_side="a")  # certifies 1e-13 in 196 iterations
+    m = np.array(merged_row_targets(ens).operators)
+    with pytest.raises(SolverFailure) as failure:
+        p_postinfo(ens, SolverSettings(gap_tol=1e-13, max_iterations=150))
+    exc = failure.value
+    assert isinstance(exc.__cause__, np.linalg.LinAlgError)
+    assert exc.iterations == 150
+    assert_reported_certificate(exc, m)
+    # the barrier's own certificate, far better than the unfinished fixed-point iterate's
+    assert 1e-13 < exc.gap < 1e-10
