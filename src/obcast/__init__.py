@@ -16,8 +16,6 @@ from .discrimination import (
     losscc_value_cq,
     min_error_discrimination,
     min_error_discrimination_stack,
-    p_bc_two_settings,
-    p_cbc,
     p_postinfo,
 )
 from .ensembles import (

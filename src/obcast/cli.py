@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tol-eig",
             type=float,
             default=_env_default("TOL_EIG", 1e-10, float),
-            help="PSD clamp / rank threshold for eigenvalue-based checks",
+            help="PSD and identity tolerance of target rows and measurements; 0 allows rounding only",
         )
 
     rep = sub.add_parser("reproduce", help="recompute every tracked value and emit a report")

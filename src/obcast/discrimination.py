@@ -28,6 +28,10 @@ from .errors import InternalInconsistency, SolverFailure
 from .linalg import dagger, dyad, hermitian
 
 MAX_ROW_TARGETS = 4096
+# eigenvalues below this fraction of the largest are outside the support in R^{-1/2}
+RANK_TOL = 1e-12
+# units of rounding, in eps times the operator's scale, that every psd_tol check allows
+ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -39,15 +43,12 @@ class SolverSettings:
     max_iterations: int = 100_000
     damping: float = 0.5
     check_interval: int = 10
-    rank_tol: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
             raise ValueError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
-        for name in ("psd_tol", "rank_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not (math.isfinite(self.psd_tol) and self.psd_tol >= 0):
+            raise ValueError(f"psd_tol must be finite and non-negative, got {self.psd_tol!r}")
         for name in ("max_iterations", "check_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -56,6 +57,11 @@ class SolverSettings:
 
 
 DEFAULT_SETTINGS = SolverSettings()
+
+
+def _rounding_floor(tol: float, scale: float) -> float:
+    """``tol``, raised to the rounding error of an operator whose entries reach ``scale``."""
+    return max(tol, ROUNDING_ULPS * np.finfo(float).eps * scale)
 
 
 @dataclass(frozen=True)
@@ -67,16 +73,18 @@ class EffectTarget:
     psd_tol: float = 1e-10
 
     def __post_init__(self):
-        ops = tuple(hermitian(m, tol=self.psd_tol) for m in self.operators)
+        scales = [np.abs(np.asarray(m, dtype=complex)).max(initial=0.0) for m in self.operators]
+        floors = [_rounding_floor(self.psd_tol, scale) for scale in scales]
+        ops = tuple(hermitian(m, tol=floor) for m, floor in zip(self.operators, floors))
         object.__setattr__(self, "operators", ops)
         if not ops:
             raise ValueError("need at least one target")
         d = ops[0].shape[0]
         if any(m.shape != (d, d) for m in ops):
             raise ValueError("targets must share a dimension")
-        for m in ops:
+        for m, floor in zip(ops, floors):
             low = np.linalg.eigvalsh(m).min()
-            if low < -self.psd_tol:
+            if low < -floor:
                 raise ValueError(f"target has negative eigenvalue {low:.3e}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(range(len(ops))))
@@ -115,7 +123,8 @@ class DualCertificate:
         """Raise ``ValueError`` unless Y >= M_r for every target and the gap is within ``gap_tol``.
 
         With ``povm``, also require one effect per target, each PSD, summing
-        to the identity, all within the target's ``psd_tol``.
+        to the identity, all within the target's ``psd_tol`` or rounding at
+        scale d, whichever is larger.
         """
         y = hermitian(self.matrix, tol=1e-9)
         low = np.linalg.eigvalsh(y[None] - np.array(target.operators)).min()
@@ -128,11 +137,12 @@ class DualCertificate:
         if len(povm) != len(target.operators):
             raise ValueError(f"{len(povm)} effects for {len(target.operators)} targets")
         effects = np.array(povm.effects)
+        floor = _rounding_floor(target.psd_tol, target.dim)
         low = np.linalg.eigvalsh(effects).min()
-        if low < -target.psd_tol:
+        if low < -floor:
             raise ValueError(f"POVM effect has eigenvalue {low:.3e}")
         residual = np.abs(effects.sum(axis=0) - np.eye(target.dim)).max()
-        if residual > target.psd_tol:
+        if residual > floor:
             raise ValueError(f"POVM sums to the identity only within {residual:.3e}")
 
 
@@ -173,10 +183,10 @@ def _herm_stack(a: np.ndarray) -> np.ndarray:
     return np.add(a, _dagger_stack(a), order="C") / 2
 
 
-def _pretty_good(a: np.ndarray, rank_tol: float) -> np.ndarray:
+def _pretty_good(a: np.ndarray) -> np.ndarray:
     """S^{-1/2} A_r S^{-1/2} with S = sum_r A_r, completed to a POVM, for each member of ``a`` (B, n, d, d)."""
     n, d = a.shape[1], a.shape[-1]
-    s = _psd_pinv_sqrt(a.sum(axis=1), rank_tol)
+    s = _psd_pinv_sqrt(a.sum(axis=1), RANK_TOL)
     p = _herm_stack(s[:, None] @ a @ s[:, None])
     p += ((np.eye(d) - p.sum(axis=1)) / n)[:, None]
     return p
@@ -223,7 +233,7 @@ def _solve_stack(m: np.ndarray, st: SolverSettings, p: np.ndarray | None = None)
     Returns (primal, dual, POVM, gap, iterations) per member, or raises
     ``SolverFailure`` for the first member that never certifies.
     """
-    p = _pretty_good(m, st.rank_tol) if p is None else p
+    p = _pretty_good(m) if p is None else p
     out: list = [None] * m.shape[0]
     live = np.arange(m.shape[0])
     best_gap = np.full(m.shape[0], np.inf)
@@ -231,7 +241,7 @@ def _solve_stack(m: np.ndarray, st: SolverSettings, p: np.ndarray | None = None)
     # screened gaps are within rounding of the exact ones, far inside this window
     window = 2 * st.gap_tol + 1e-12
     for it in range(st.max_iterations):
-        p = (1.0 - st.damping) * p + st.damping * _pretty_good(m @ p @ m, st.rank_tol)
+        p = (1.0 - st.damping) * p + st.damping * _pretty_good(m @ p @ m)
         if it % st.check_interval == 0 or it == st.max_iterations - 1:
             gaps = _screened_gaps(m, p)
             better = gaps < best_gap
@@ -431,22 +441,6 @@ def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = Non
         certificate=result.certificate,
         iterations=result.iterations,
     )
-
-
-def p_cbc(ensemble: PostInfoEnsemble, settings: SolverSettings | None = None) -> float:
-    """Classical-broadcast value; coincides with the post-information value."""
-    return p_postinfo(ensemble, settings).value
-
-
-def p_bc_two_settings(ensemble: PostInfoEnsemble, settings: SolverSettings | None = None) -> float:
-    """Exact broadcast value for at most two settings.
-
-    With more than two settings quantum communication can beat classical, so
-    the reduction used here is no longer exact and the call is rejected.
-    """
-    if len(ensemble.settings) > 2:
-        raise ValueError("exact broadcast value requires at most two settings")
-    return p_postinfo(ensemble, settings).value
 
 
 @dataclass(frozen=True)

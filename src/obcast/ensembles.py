@@ -112,9 +112,6 @@ class GopEnsemble:
     def __len__(self) -> int:
         return len(self.prior)
 
-    def joint_kets(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.kron(a, b) for a, b in zip(self.a_states, self.b_states))
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -377,6 +374,15 @@ def _plus(d, m, n, sign=1.0, phase=1.0) -> np.ndarray:
     return v / _SQ2
 
 
+def _gop(entries, prior) -> GopEnsemble:
+    """The product ensemble of (a, b) ``entries`` under ``prior``."""
+    return GopEnsemble(a_states=tuple(x for x, _ in entries), b_states=tuple(y for _, y in entries), prior=prior)
+
+
+# the seven-state sets weight their first state double
+_SEVEN = (0.25,) + (0.125,) * 6
+
+
 def _bb84() -> PostInfoEnsemble:
     z0, z1 = _basis(2)
     return PostInfoEnsemble(
@@ -442,11 +448,7 @@ def _thm2_eight() -> GopEnsemble:
         (a[4], _plus(5, 3, 4, 1, 1j)),
         (a[4], _plus(5, 3, 4, -1, 1j)),
     ]
-    return GopEnsemble(
-        a_states=tuple(x for x, _ in entries),
-        b_states=tuple(y for _, y in entries),
-        prior=(0.125,) * 8,
-    )
+    return _gop(entries, (0.125,) * 8)
 
 
 def _thm2_isometry() -> Isometry:
@@ -474,12 +476,7 @@ def _cor4_six() -> GopEnsemble:
         (a[1], _plus(4, 1, 3, -1)),
         (a[2], _plus(4, 2, 3, -1, 1j)),
     ]
-    p = 1.0 / 6.0
-    return GopEnsemble(
-        a_states=tuple(x for x, _ in entries),
-        b_states=tuple(y for _, y in entries),
-        prior=(p,) * 6,
-    )
+    return _gop(entries, (1.0 / 6.0,) * 6)
 
 
 def _cor4_isometry() -> Isometry:
@@ -507,17 +504,9 @@ def gen_bb84(theta: float) -> GopEnsemble:
     )
 
 
-def _weighted_seven(entries) -> GopEnsemble:
-    return GopEnsemble(
-        a_states=tuple(x for x, _ in entries),
-        b_states=tuple(y for _, y in entries),
-        prior=(0.25, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125),
-    )
-
-
 def _obb() -> GopEnsemble:
     a = _basis(3)
-    return _weighted_seven(
+    return _gop(
         [
             (a[0], a[1]),
             (a[0], a[2]),
@@ -526,13 +515,14 @@ def _obb() -> GopEnsemble:
             (a[0], a[0]),
             (a[2], _plus(3, 0, 1, 1)),
             (a[2], _plus(3, 0, 1, -1)),
-        ]
+        ],
+        _SEVEN,
     )
 
 
 def _cq() -> GopEnsemble:
     a = _basis(3)
-    return _weighted_seven(
+    return _gop(
         [
             (a[1], a[1]),
             (a[1], _plus(3, 0, 2, 1)),
@@ -541,14 +531,15 @@ def _cq() -> GopEnsemble:
             (a[0], _plus(3, 0, 1, -1)),
             (a[2], _plus(3, 1, 2, 1)),
             (a[2], _plus(3, 1, 2, -1)),
-        ]
+        ],
+        _SEVEN,
     )
 
 
 def _qq() -> GopEnsemble:
     a = _basis(3)
     minus10 = (a[1] - a[0]) / _SQ2
-    return _weighted_seven(
+    return _gop(
         [
             (a[1], a[1]),
             (minus10, a[2]),
@@ -557,13 +548,14 @@ def _qq() -> GopEnsemble:
             (a[2], _plus(3, 1, 2, 1)),
             (a[2], _plus(3, 1, 2, -1)),
             (_plus(3, 1, 2, 1), a[0]),
-        ]
+        ],
+        _SEVEN,
     )
 
 
 def _qq_tilde() -> GopEnsemble:
     a = _basis(3)
-    return _weighted_seven(
+    return _gop(
         [
             (a[1], a[1]),
             (_plus(3, 1, 2, -1), a[2]),
@@ -572,7 +564,8 @@ def _qq_tilde() -> GopEnsemble:
             (_plus(3, 0, 1, 1), a[0]),
             (a[2], _plus(3, 0, 1, 1)),
             (a[2], _plus(3, 0, 1, -1)),
-        ]
+        ],
+        _SEVEN,
     )
 
 
@@ -594,11 +587,7 @@ def _shifts() -> GopEnsemble:
         (np.kron(minus, z1), plus),
         (np.kron(z1, plus), minus),
     ]
-    return GopEnsemble(
-        a_states=tuple(x for x, _ in entries),
-        b_states=tuple(y for _, y in entries),
-        prior=(0.25,) * 4,
-    )
+    return _gop(entries, (0.25,) * 4)
 
 
 def _thm6_breidbart_povm() -> Povm:

@@ -10,13 +10,12 @@ and splits that norm along a clash-free permutation family.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Povm, _encode_matrix, _decode_matrix
+from .ensembles import Povm
 from .linalg import dagger, dyad, hermitian, kron, operator_norm, partial_trace, psd_sqrt
 
 
@@ -254,32 +253,3 @@ def example_go_trivial() -> GoTrivialityReport:
     bound = lemma_a1_bound(ops, PermutationFamily.cyclic(3)) / 3.0
     contrast = disk_program_solve(obb_disk_program()).bound
     return GoTrivialityReport(overlap_constant=c, copy_strategy_bound=bound, contrast_bound=contrast)
-
-
-# --- JSON --------------------------------------------------------------------
-
-
-def game_to_json_dict(game: MoeGame) -> dict:
-    return {
-        "kind": "moe-game",
-        "dims": [game.dim],
-        "measurements": [[_encode_matrix(e) for e in m.effects] for m in game.measurements],
-    }
-
-
-def game_from_json_dict(data: dict) -> MoeGame:
-    if data.get("kind") != "moe-game":
-        raise ValueError(f"unknown kind {data.get('kind')!r}")
-    return MoeGame(
-        measurements=tuple(
-            Povm(effects=tuple(_decode_matrix(e) for e in m)) for m in data["measurements"]
-        )
-    )
-
-
-def game_dumps(game: MoeGame) -> str:
-    return json.dumps(game_to_json_dict(game), sort_keys=True)
-
-
-def game_loads(text: str) -> MoeGame:
-    return game_from_json_dict(json.loads(text))

@@ -306,56 +306,6 @@ def disk_program_solve(program: DiskProgram) -> DiskSolution:
     )
 
 
-def disk_program_ascent(program: DiskProgram, iterations: int = 200) -> DiskSolution:
-    """Numeric fallback without a certificate: pattern ascent on pair angles.
-
-    Each coupled pair is kept on the disk boundary and parametrized by one
-    angle; the min of the party sums is maximized by coordinate pattern
-    search.  Useful as a cross-check; results carry the heuristic label.
-    """
-    n = program.pair_count
-    phi = np.full(n, math.pi / 4)
-
-    def point(angles):
-        a = np.empty(n)
-        b = np.empty(n)
-        for k, (i, j) in enumerate(program.couplings):
-            a[i] = 0.5 * (1.0 + math.cos(angles[k]))
-            b[j] = 0.5 * (1.0 + math.sin(angles[k]))
-        return a, b
-
-    def value(angles) -> float:
-        a, b = point(angles)
-        return min(a.sum(), b.sum())
-
-    best = value(phi)
-    step = math.pi / 8
-    for _ in range(iterations):
-        improved = False
-        for k in range(n):
-            for delta in (step, -step):
-                trial = phi.copy()
-                trial[k] = min(math.pi / 2, max(0.0, trial[k] + delta))
-                candidate = value(trial)
-                if candidate > best + 1e-15:
-                    phi, best = trial, candidate
-                    improved = True
-        if not improved:
-            step /= 2.0
-            if step < 1e-10:
-                break
-    a, b = point(phi)
-    return DiskSolution(
-        opt=best,
-        bound=program.base + program.scale * (best + program.shift),
-        feasible_a=tuple(a),
-        feasible_b=tuple(b),
-        certificate_value=math.nan,
-        certificate="heuristic",
-        min_constraint_slack=0.0,
-    )
-
-
 _SEVEN_STATE_COUPLINGS = ((0, 1), (1, 0), (2, 3), (3, 2))
 
 

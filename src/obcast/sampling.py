@@ -7,10 +7,6 @@ import numpy as np
 from .linalg import dagger
 
 
-def rng_from(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def case_rng(seed: int, tag: str) -> np.random.Generator:
     """Generator keyed on (seed, tag) so results do not depend on run order."""
     material = [seed] + [ord(c) for c in tag]

@@ -242,3 +242,7 @@ def test_report_matches_the_golden_record(reports):
             passed,
         ), case_id
         assert abs(r.computed - computed) <= tolerance, case_id
+
+
+def test_bruteforce_case_reports_the_reference_bits(reports):
+    assert reports["prop-postinfo-bruteforce"].computed == 8.822147157250271e-08

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from obcast import broadcast
 from obcast.broadcast import (
+    KillPatternCertificate,
     broadcast_outputs,
     kill_pattern_certificate,
     output_marginals,
@@ -10,8 +14,9 @@ from obcast.broadcast import (
     verify_orthogonality_broadcast,
 )
 from obcast.ensembles import Isometry, PostInfoEnsemble, Povm, gallery, induced_postinfo
+from obcast.errors import InternalInconsistency
 from obcast.linalg import dyad, ket
-from obcast.sampling import random_ket, rng_from
+from obcast.sampling import random_ket
 
 SQ2 = np.sqrt(2)
 
@@ -36,7 +41,7 @@ def test_five_level_map_sends_plus23_to_two_two():
 
 
 def test_marginals_have_unit_trace():
-    rng = rng_from(0)
+    rng = np.random.default_rng(0)
     for name in ("thm1-isometry", "thm2-isometry", "cor4-isometry"):
         iso = gallery(name)
         for _ in range(5):
@@ -46,7 +51,7 @@ def test_marginals_have_unit_trace():
 
 
 def test_gallery_isometries_preserve_norm():
-    rng = rng_from(1)
+    rng = np.random.default_rng(1)
     for name in ("thm1-isometry", "thm2-isometry", "cor4-isometry", "qq-equivalence-unitary"):
         iso = gallery(name)
         for _ in range(10):
@@ -149,3 +154,20 @@ def test_broadcast_outputs_shape_matches_ensemble():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         broadcast_outputs(gallery("thm1-isometry"), gallery("bb84"))
+
+
+def test_a_kill_pattern_proof_against_a_feasible_value_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(broadcast, "kill_pattern_certificate", lambda ens: KillPatternCertificate(True, {}))
+    with pytest.raises(InternalInconsistency, match="reaches one but the kill-pattern certificate proves infeasibility"):
+        perfect_classical_broadcast_decision(gallery("minimal-qutrit"))
+
+
+def test_a_witness_that_confuses_states_is_inconsistent(monkeypatch):
+    verify = broadcast.verify_classical_broadcast_povm
+
+    def confusing(povm, ensemble):
+        return dataclasses.replace(verify(povm, ensemble), max_violation=1e-3)
+
+    monkeypatch.setattr(broadcast, "verify_classical_broadcast_povm", confusing)
+    with pytest.raises(InternalInconsistency, match="violates the classical-broadcast condition by 1.000e-03"):
+        perfect_classical_broadcast_decision(gallery("minimal-qutrit"))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from obcast import broadcast, cli
+from obcast import broadcast, cli, qpv
 from obcast.cli import main
 from obcast.ensembles import dumps, gallery
 from obcast.errors import InternalInconsistency, SolverFailure
@@ -231,6 +231,22 @@ def test_internal_inconsistency_is_an_internal_error(monkeypatch, capsys):
     code, _, err = run(capsys, "check", "--gallery", "minimal-qutrit")
     assert code == 2
     assert "internal error: routes disagree" in err
+
+
+def test_an_infeasible_disk_point_is_an_internal_error(monkeypatch, capsys):
+    # past the fixed point a variable exceeds the cap its partner allows
+    monkeypatch.setattr(qpv, "DISK_FIXED_POINT", 0.9)
+    code, out, err = run(capsys, "bound", "--gallery", "obb", "--method", "disk")
+    assert code == 2
+    assert out == ""
+    assert "internal error: symmetric point infeasible (slack -1.000e-01)" in err
+
+
+@pytest.mark.parametrize("name", ["minimal-qutrit", "bb84", "thm1-pairs", "obb", "cq"])
+def test_postinfo_at_zero_eigenvalue_tolerance_allows_rounding(capsys, name):
+    code, out, err = run(capsys, "bound", "--gallery", name, "--method", "postinfo", "--tol-eig", "0")
+    assert code == 0, err
+    assert json.loads(out)["certificate"] == "dual-certified"
 
 
 def test_reproduce_subset_json_and_csv(tmp_path, capsys):

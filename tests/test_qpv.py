@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from obcast import ensembles, qpv
 from obcast.ensembles import gallery, gen_bb84
 from obcast.qpv import (
     DiskProgram,
+    DiskSolution,
     Theorem4Instance,
     bb84_family_instance,
     breidbart_lower,
     cor5_epsilon_star,
     cq_strategy_value,
-    disk_program_ascent,
     disk_program_solve,
     error_per_state,
     obb_disk_program,
@@ -22,6 +23,7 @@ from obcast.qpv import (
     thm4_rhs,
     thm6_separation,
 )
+from obcast.errors import InternalInconsistency
 from obcast.uncertainty import SuperpositionSpec
 
 SQ2 = math.sqrt(2)
@@ -149,6 +151,56 @@ def test_disk_program_empty_and_invalid():
         DiskProgram(couplings=((0, 0), (1, 0)), shift=0.0, base=0.0, scale=1.0)
 
 
+def disk_program_ascent(program: DiskProgram, iterations: int = 200) -> DiskSolution:
+    """Pattern ascent on pair angles: the uncertified numeric route that checks the analytic one.
+
+    Each coupled pair is kept on the disk boundary and parametrized by one
+    angle; the min of the party sums is maximized by coordinate pattern
+    search.  Results carry the heuristic label.
+    """
+    n = program.pair_count
+    phi = np.full(n, math.pi / 4)
+
+    def point(angles):
+        a = np.empty(n)
+        b = np.empty(n)
+        for k, (i, j) in enumerate(program.couplings):
+            a[i] = 0.5 * (1.0 + math.cos(angles[k]))
+            b[j] = 0.5 * (1.0 + math.sin(angles[k]))
+        return a, b
+
+    def value(angles) -> float:
+        a, b = point(angles)
+        return min(a.sum(), b.sum())
+
+    best = value(phi)
+    step = math.pi / 8
+    for _ in range(iterations):
+        improved = False
+        for k in range(n):
+            for delta in (step, -step):
+                trial = phi.copy()
+                trial[k] = min(math.pi / 2, max(0.0, trial[k] + delta))
+                candidate = value(trial)
+                if candidate > best + 1e-15:
+                    phi, best = trial, candidate
+                    improved = True
+        if not improved:
+            step /= 2.0
+            if step < 1e-10:
+                break
+    a, b = point(phi)
+    return DiskSolution(
+        opt=best,
+        bound=program.base + program.scale * (best + program.shift),
+        feasible_a=tuple(a),
+        feasible_b=tuple(b),
+        certificate_value=math.nan,
+        certificate="heuristic",
+        min_constraint_slack=0.0,
+    )
+
+
 def test_disk_ascent_agrees_with_analytic_route():
     analytic = disk_program_solve(obb_disk_program())
     numeric = disk_program_ascent(obb_disk_program())
@@ -247,3 +299,28 @@ def test_rhs_monotone_on_gallery_instances():
     for inst in (bb84_family_instance(math.pi / 2), bb84_family_instance(1.0), shifts_instance()):
         grid = [thm4_rhs(float(e), inst) for e in np.linspace(0, 0.5, 1000)]
         assert all(b >= a - 1e-12 for a, b in zip(grid, grid[1:]))
+
+
+def test_a_right_hand_side_that_falls_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(qpv, "thm4_rhs", lambda eps, inst: 1.0 - eps)
+    with pytest.raises(InternalInconsistency, match="not monotone"):
+        thm4_min_epsilon(bb84_family_instance(math.pi / 2))
+
+
+def test_a_disk_point_below_the_fixed_point_misses_the_certificate(monkeypatch):
+    # the centre of the disk is feasible, but its value is not the certified one
+    monkeypatch.setattr(qpv, "DISK_FIXED_POINT", 0.5)
+    with pytest.raises(InternalInconsistency, match="feasible value 2.0 and certificate .* disagree"):
+        disk_program_solve(obb_disk_program())
+
+
+def test_a_broken_guess_table_is_inconsistent(monkeypatch):
+    monkeypatch.setitem(qpv._CQ_GUESS_TABLE, (1, 0), 1)
+    with pytest.raises(InternalInconsistency, match="strategy table transcription broken"):
+        cq_strategy_value()
+
+
+def test_a_failed_local_unitary_equivalence_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(ensembles, "local_unitary_equivalence_deviation", lambda *args, **kwargs: 1e-3)
+    with pytest.raises(InternalInconsistency, match="local-unitary equivalence fails by 1.000e-03"):
+        thm6_separation()

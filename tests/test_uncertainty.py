@@ -5,7 +5,7 @@ import pytest
 
 from obcast.linalg import dyad, ket, partial_trace, trace_distance
 from obcast.discrimination import helstrom_binary
-from obcast.sampling import random_ket, rng_from
+from obcast.sampling import random_ket
 from obcast.uncertainty import (
     GeneralURInstance,
     SuperpositionSpec,
@@ -49,7 +49,7 @@ def test_pair_bound_vanishes_for_orthogonal_first_factors():
 
 
 def test_pair_bound_trivial_for_equal_angles():
-    rng = rng_from(0)
+    rng = np.random.default_rng(0)
     a0, a1 = random_ket(rng, 4), random_ket(rng, 4)
     spec = SuperpositionSpec(0.7, 0.2, 0.7, 0.2)
     lhs, rhs = ur_pair_bound(a0, a1, spec, (2, 2))
@@ -58,7 +58,7 @@ def test_pair_bound_trivial_for_equal_angles():
 
 
 def test_pair_bound_randomized_soundness():
-    rng = rng_from(1)
+    rng = np.random.default_rng(1)
     for _ in range(300):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
@@ -87,7 +87,7 @@ def test_guess_bound_monotone_when_z2_vanishes():
 
 
 def test_guess_bound_holds_at_exact_optimal_values():
-    rng = rng_from(2)
+    rng = np.random.default_rng(2)
     for _ in range(300):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
@@ -109,7 +109,7 @@ def test_general_form_specializes_to_the_pair_form():
     # the two right-hand sides coincide on the z2 = 0 family (the regime the
     # pair form is deployed in); with z2 != 0 the multi-vector classical term
     # splits per vector and is generally weaker than |z2| D(g0, g1)
-    rng = rng_from(3)
+    rng = np.random.default_rng(3)
     for _ in range(25):
         da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
@@ -126,7 +126,7 @@ def test_general_form_specializes_to_the_pair_form():
 
 
 def test_general_form_soundness_with_lemma_coefficients_any_angles():
-    rng = rng_from(7)
+    rng = np.random.default_rng(7)
     for _ in range(50):
         da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
@@ -140,7 +140,7 @@ def test_general_form_soundness_with_lemma_coefficients_any_angles():
 
 
 def test_general_form_equal_coefficients_collapse():
-    rng = rng_from(4)
+    rng = np.random.default_rng(4)
     gammas = tuple(random_ket(rng, 4) for _ in range(3))
     coeffs = (0.3, 0.5 + 0.1j, -0.2)
     inst = GeneralURInstance(gammas=gammas, alphas=coeffs, betas=coeffs, dims=(2, 2))
@@ -151,7 +151,7 @@ def test_general_form_equal_coefficients_collapse():
 
 
 def test_general_form_randomized_soundness():
-    rng = rng_from(5)
+    rng = np.random.default_rng(5)
     for _ in range(100):
         da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         gammas = tuple(random_ket(rng, da * db) for _ in range(3))
@@ -162,7 +162,7 @@ def test_general_form_randomized_soundness():
 
 
 def test_general_form_size_cap():
-    rng = rng_from(6)
+    rng = np.random.default_rng(6)
     gammas = tuple(random_ket(rng, 4) for _ in range(9))
     ones = (1.0,) * 9
     with pytest.raises(ValueError):
