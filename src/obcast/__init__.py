@@ -17,6 +17,7 @@ from .discrimination import (
     min_error_discrimination,
     min_error_discrimination_stack,
     p_postinfo,
+    solve_stream,
 )
 from .ensembles import (
     GopEnsemble,

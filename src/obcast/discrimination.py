@@ -5,12 +5,15 @@ operators: given a POVM P, form R = sum_r M_r P_r M_r and update
 P_r <- R^{-1/2} M_r P_r M_r R^{-1/2}, damped and Hermitian-projected each
 step.  A dual certificate Y >= M_r is built from the iterate by an
 eigenvalue shift; the reported value is optimal within the certified gap,
-independently of how the iteration behaved.  Same-shape targets are solved
-as one stack; a single solve of at most d^2 operators is a stack of one.  A
-single target with more operators, such as the answer rows of a
-post-information value, is solved by Newton's method on the dual log barrier
-(``_barrier_solve``) over the d^2 coordinates of Y in about a hundred steps;
-below its rounding floor, near 1e-10, the map finishes from its POVM.
+independently of how the iteration behaved.  Same-shape targets stream
+through one lockstep window of at most ``STACK_OPERATORS`` operators
+(``solve_stream``), entering at check steps and leaving as each certifies,
+so every member's result is bit for bit its lone solve's; a single solve of
+at most d^2 operators is a stream of one.  A single target with more
+operators, such as the answer rows of a post-information value, is solved by
+Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
+coordinates of Y in about a hundred steps; below its rounding floor, near
+1e-10, the map finishes from its POVM.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +31,8 @@ from .errors import InternalInconsistency, SolverFailure
 from .linalg import dagger, dyad, hermitian
 
 MAX_ROW_TARGETS = 4096
+# operators (members times outcomes) iterating in lockstep; a wider window costs memory and saves no time
+STACK_OPERATORS = 1024
 # eigenvalues below this fraction of the largest are outside the support in R^{-1/2}
 RANK_TOL = 1e-12
 # units of rounding, in eps times the operator's scale, that every psd_tol check allows
@@ -222,42 +227,63 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.trace(y0, axis1=1, axis2=2).real + m.shape[-1] * np.maximum(-low, 0.0) - primal
 
 
-def _solve_stack(m: np.ndarray, st: SolverSettings, p: np.ndarray | None = None) -> list[tuple[float, np.ndarray, np.ndarray, float, int]]:
-    """Fixed-point iteration on a stack of same-shape targets ``m`` (B, n, d, d).
+def _solve_stack(
+    m: np.ndarray, st: SolverSettings, p: np.ndarray | None = None
+) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
+    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d).
 
-    Members iterate in lockstep from ``p`` (default: the pretty-good
-    measurement), and each leaves at the first check where its own exact
-    certificate meets ``gap_tol``.  Every stacked step computes each member
-    exactly as it would be computed alone, so the results do not depend on
-    the stack.
-    Returns (primal, dual, POVM, gap, iterations) per member, or raises
-    ``SolverFailure`` for the first member that never certifies.
+    A window of at most ``STACK_OPERATORS`` operators (always at least one
+    member) iterates in lockstep.  Members enter it in input order, from
+    ``p`` (default: the pretty-good measurement), and only at check steps,
+    so each is checked at the same local iterations as in its lone solve; a
+    member leaves at the first check where its own exact certificate meets
+    ``gap_tol``, and its place is refilled at the next check step.  Every
+    stacked step computes each member exactly as it would be computed alone,
+    so the results do not depend on the window or on the other members.
+    Yields (index, (primal, dual, POVM, gap, iterations)) as each member
+    certifies, or raises ``SolverFailure`` for the earliest-admitted member
+    whose own ``max_iterations`` run out uncertified.
     """
-    p = _pretty_good(m) if p is None else p
-    out: list = [None] * m.shape[0]
-    live = np.arange(m.shape[0])
-    best_gap = np.full(m.shape[0], np.inf)
-    best_p = p.copy()
+    count, n = m.shape[:2]
+    width = max(1, STACK_OPERATORS // n)
+    every, last = st.check_interval, st.max_iterations - 1
     # screened gaps are within rounding of the exact ones, far inside this window
     window = 2 * st.gap_tol + 1e-12
-    for it in range(st.max_iterations):
-        p = (1.0 - st.damping) * p + st.damping * _pretty_good(m @ p @ m)
-        if it % st.check_interval == 0 or it == st.max_iterations - 1:
-            gaps = _screened_gaps(m, p)
-            better = gaps < best_gap
-            best_gap[better] = gaps[better]
-            best_p[better] = p[better]
-            stay = np.ones(len(live), dtype=bool)
-            for k in np.flatnonzero(gaps <= window):
-                primal, y, gap = _certify(m[k], p[k])
+    # the live window, in admission order: input index, admission step, targets, iterates, best check
+    live, start, ms, ps, best_gap, best_p = np.arange(0), np.arange(0), m[:0], m[:0], np.zeros(0), m[:0]
+    step = admitted = 0
+    while admitted < count or live.size:
+        if not live.size:
+            step = -(-step // every) * every  # an empty window idles to the next check step
+        if step % every == 0 and admitted < count and live.size < width:
+            new = np.arange(admitted, min(count, admitted + width - live.size))
+            admitted = int(new[-1]) + 1
+            entry = _pretty_good(m[new]) if p is None else p[new]
+            live, start = np.concatenate([live, new]), np.concatenate([start, np.full(new.size, step)])
+            ms, ps, best_p = np.concatenate([ms, m[new]]), np.concatenate([ps, entry]), np.concatenate([best_p, entry])
+            best_gap = np.concatenate([best_gap, np.full(new.size, np.inf)])
+        ps = (1.0 - st.damping) * ps + st.damping * _pretty_good(ms @ ps @ ms)
+        # the earliest admissions are the first to reach their own last iteration
+        if step % every == 0 or step - start[0] == last:
+            final = start == step - last
+            due = np.arange(live.size) if step % every == 0 else np.flatnonzero(final)
+            gaps = _screened_gaps(ms[due], ps[due])
+            improved = gaps < best_gap[due]
+            best_gap[due[improved]] = gaps[improved]
+            best_p[due[improved]] = ps[due[improved]]
+            stay = np.ones(live.size, dtype=bool)
+            for k in due[gaps <= window]:
+                primal, y, gap = _certify(ms[k], ps[k])
                 if gap <= st.gap_tol:
-                    out[live[k]] = (primal, y, p[k].copy(), gap, it + 1)
                     stay[k] = False
+                    yield int(live[k]), (primal, y, ps[k].copy(), gap, step - int(start[k]) + 1)
+            overrun = np.flatnonzero(final & stay)
+            if overrun.size:
+                k = overrun[0]
+                raise _failure(st, *_certify(ms[k], best_p[k]), best_p[k], st.max_iterations)
             if not stay.all():
-                m, p, live, best_gap, best_p = m[stay], p[stay], live[stay], best_gap[stay], best_p[stay]
-                if not live.size:
-                    return out
-    raise _failure(st, *_certify(m[0], best_p[0]), best_p[0], st.max_iterations)
+                live, start, ms, ps, best_gap, best_p = (a[stay] for a in (live, start, ms, ps, best_gap, best_p))
+        step += 1
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -334,7 +360,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
     if stalled is not None and steps < st.max_iterations:
         # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
         try:
-            [(primal, y, p, gap, fixed)] = _solve_stack(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
+            [(_, (primal, y, p, gap, fixed))] = _solve_stack(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
             return primal, y, p, gap, steps + fixed
         except SolverFailure as polish:
             final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
@@ -351,25 +377,36 @@ def _result(target: EffectTarget, primal, y, p, gap, iterations) -> Discriminati
     )
 
 
-def min_error_discrimination_stack(
+def solve_stream(
     targets: Sequence[EffectTarget], settings: SolverSettings | None = None
-) -> list[DiscriminationResult]:
-    """Certified optima of same-shape targets, solved as one stack.
+) -> Iterator[tuple[int, DiscriminationResult]]:
+    """Certified optima of same-shape targets, yielded as (index, result) as each certifies.
 
-    Every member iterates on all of its operators, and its result is bit for
-    bit the one it gets in a stack of one (which is what
-    ``min_error_discrimination`` gives a target of at most d^2 operators).
-    A member that never certifies raises ``SolverFailure`` for the first
-    such member in order.
+    The targets stream through one lockstep window (``_solve_stack``), so a
+    caller that folds each result and drops it never holds them all.  Every
+    member iterates on all of its operators, and its result is bit for bit
+    the one it gets alone (which is what ``min_error_discrimination`` gives a
+    target of at most d^2 operators).  A member that never certifies raises
+    ``SolverFailure`` for the earliest such member in order.
     """
     st = settings or DEFAULT_SETTINGS
     if not targets:
-        return []
+        return
     shapes = {(len(t.operators), t.dim) for t in targets}
     if len(shapes) > 1:
         raise ValueError(f"stacked targets must share (outcomes, dim); got {sorted(shapes)}")
-    solved = _solve_stack(np.array([t.operators for t in targets]), st)
-    return [_result(t, *member) for t, member in zip(targets, solved)]
+    for i, member in _solve_stack(np.array([t.operators for t in targets]), st):
+        yield i, _result(targets[i], *member)
+
+
+def min_error_discrimination_stack(
+    targets: Sequence[EffectTarget], settings: SolverSettings | None = None
+) -> list[DiscriminationResult]:
+    """The results of ``solve_stream``, in input order."""
+    results: list = [None] * len(targets)
+    for i, result in solve_stream(targets, settings):
+        results[i] = result
+    return results
 
 
 def min_error_discrimination(

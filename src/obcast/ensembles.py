@@ -120,16 +120,28 @@ class Povm:
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        effects = tuple(_freeze(hermitian(e, tol=PSD_TOL)) for e in self.effects)
-        object.__setattr__(self, "effects", effects)
-        d = effects[0].shape[0]
-        if any(e.shape != (d, d) for e in effects):
+        arrays = [np.asarray(e, dtype=complex) for e in self.effects]
+        if not arrays:
+            raise ValueError("a POVM needs at least one effect")
+        shape = arrays[0].shape
+        if any(a.shape != shape for a in arrays) or len(shape) != 2 or shape[0] != shape[1]:
+            for a in arrays:
+                hermitian(a, tol=PSD_TOL)  # raises the first malformed effect's own error
             raise ValueError("effects must share a dimension")
-        for e in effects:
-            low = np.linalg.eigvalsh(e).min()
-            if low < -PSD_TOL:
-                raise ValueError(f"effect has negative eigenvalue {low:.3e}")
-        residual = np.abs(sum(effects) - np.eye(d)).max()
+        # one stacked check of all effects; each effect's error is the one hermitian() raises for it
+        stack = np.array(arrays)
+        flipped = stack.swapaxes(-1, -2).conj()
+        with np.errstate(invalid="ignore"):  # inf - inf: the effect is rejected as non-finite
+            bad = ~np.isfinite(stack).all(axis=(1, 2)) | (np.abs(stack - flipped).max(axis=(1, 2)) > PSD_TOL)
+        if bad.any():
+            hermitian(stack[np.argmax(bad)], tol=PSD_TOL)
+        effects = np.add(stack, flipped, order="C") / 2
+        effects.flags.writeable = False
+        object.__setattr__(self, "effects", tuple(effects))
+        low = np.linalg.eigvalsh(effects).min(axis=1)
+        if (low < -PSD_TOL).any():
+            raise ValueError(f"effect has negative eigenvalue {low[np.argmax(low < -PSD_TOL)]:.3e}")
+        residual = np.abs(effects.sum(axis=0) - np.eye(shape[0])).max()
         if residual > PSD_TOL:
             raise ValueError(f"effects sum to identity only within {residual:.3e}")
 

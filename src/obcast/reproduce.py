@@ -30,7 +30,7 @@ from .ensembles import GopEnsemble, gallery, gen_bb84, induced_postinfo
 from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import PermutationFamily, lemma_a1_bound
-from .oracles import enumerate_postinfo
+from .oracles import enumerate_postinfo_all
 from .reporting import BoundReport
 from .sampling import (
     case_rng,
@@ -438,14 +438,13 @@ def _prop_bruteforce(case, opts):
         )
     targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
     merged = min_error_discrimination_stack(targets, opts.settings)
-    worst = 0.0
-    for ens, target, res in zip(ensembles, targets, merged):
+    for target, res in zip(targets, merged):
         try:
             res.certificate.validate(target, res.povm, gap_tol=opts.settings.gap_tol)
         except ValueError as exc:
             raise InternalInconsistency(f"brute-force certificate rejected: {exc}") from None
-        worst = max(worst, abs(res.value - enumerate_postinfo(ens)))
-    return worst
+    exhaustive = enumerate_postinfo_all(ensembles)
+    return max(abs(res.value - value) for res, value in zip(merged, exhaustive))
 
 
 # --- runner ----------------------------------------------------------------------

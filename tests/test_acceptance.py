@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; the same computations back the ``obcast reproduce`` report.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -14,6 +15,8 @@ from obcast.reproduce import case_ids, run_reproduce
 
 SQ2 = math.sqrt(2)
 SEED = 42
+# sha256 of the seed-42 JSON report, as ``obcast reproduce --seed 42`` writes it
+REPORT_SHA256 = "8a7411faaf8b9a3be5c041b268709aefbbc80a4b9bfc419280885ceccea2b906"
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +249,8 @@ def test_report_matches_the_golden_record(reports):
 
 def test_bruteforce_case_reports_the_reference_bits(reports):
     assert reports["prop-postinfo-bruteforce"].computed == 8.822147157250271e-08
+
+
+def test_seed_42_report_bytes_are_pinned(reports):
+    text = reports_to_json(list(reports.values()))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256

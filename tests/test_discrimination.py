@@ -17,11 +17,12 @@ from obcast.discrimination import (
     min_error_discrimination,
     min_error_discrimination_stack,
     p_postinfo,
+    solve_stream,
 )
 from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gen_bb84, induced_postinfo
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.linalg import dyad, ket
-from obcast.oracles import _ORACLE_SETTINGS
+from obcast.oracles import _ORACLE_SETTINGS, enumerate_postinfo_all
 from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
 from obcast.sampling import random_density, random_orthonormal_pair, random_unitary
@@ -296,6 +297,87 @@ def test_a_failing_member_raises_what_it_raises_alone():
     assert stacked.value.gap == alone.value.gap
     assert [e.tobytes() for e in stacked.value.povm] == [e.tobytes() for e in alone.value.povm]
     assert stacked.value.iterations == alone.value.iterations == 3
+
+
+def two_member_window(monkeypatch):
+    """Hold at most two four-operator members in lockstep, and record the widest stack iterated."""
+    monkeypatch.setattr(discrimination, "STACK_OPERATORS", 8)
+    widest = [0]
+    pretty_good = discrimination._pretty_good
+
+    def recorded(a):
+        widest[0] = max(widest[0], a.shape[0])
+        return pretty_good(a)
+
+    monkeypatch.setattr(discrimination, "_pretty_good", recorded)
+    return widest
+
+
+def test_members_of_a_narrow_window_match_their_lone_solves_bit_for_bit(monkeypatch):
+    targets = mixed_stack()
+    lone = {st: [min_error_discrimination(t, st) for t in targets] for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS)}
+    widest = two_member_window(monkeypatch)
+    for st, alone in lone.items():
+        for target, mine, own in zip(targets, min_error_discrimination_stack(targets, st), alone):
+            assert mine.value == own.value
+            assert mine.certificate.gap == own.certificate.gap
+            assert mine.certificate.matrix.tobytes() == own.certificate.matrix.tobytes()
+            assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in own.povm.effects]
+            assert mine.iterations == own.iterations > 0
+            assert mine.labels == target.labels
+    assert widest[0] == 2
+
+
+def test_a_failing_member_admitted_late_raises_what_it_raises_alone(monkeypatch):
+    targets = mixed_stack()
+    st = SolverSettings(max_iterations=3)
+    with pytest.raises(SolverFailure) as alone:
+        min_error_discrimination(targets[1], st)
+    two_member_window(monkeypatch)
+    # the (2, 2, 2, 2) members certify at their first check; the last enters the window at step 10
+    stream = solve_stream([targets[2], targets[2], targets[2], targets[1]], st)
+    done = []
+    with pytest.raises(SolverFailure) as late:
+        for i, result in stream:
+            done.append(i)
+            assert result.iterations == 1
+    assert done == [0, 1, 2]
+    assert str(late.value) == str(alone.value)
+    assert late.value.primal == alone.value.primal
+    assert late.value.gap == alone.value.gap
+    assert late.value.dual.tobytes() == alone.value.dual.tobytes()
+    assert [e.tobytes() for e in late.value.povm] == [e.tobytes() for e in alone.value.povm]
+    assert late.value.iterations == alone.value.iterations == 3
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+def test_solve_stream_yields_each_index_once(monkeypatch, narrow):
+    if narrow:
+        two_member_window(monkeypatch)
+    targets = mixed_stack() * 2
+    indices = [i for i, _ in solve_stream(targets, _ORACLE_SETTINGS)]
+    assert sorted(indices) == list(range(len(targets)))
+    assert list(solve_stream([])) == []
+
+
+def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
+    rng = np.random.default_rng(3)
+    ensembles = []
+    for _ in range(5):
+        w = rng.dirichlet(np.ones(4))
+        ensembles.append(
+            PostInfoEnsemble(
+                settings=("0", "1"),
+                states=(random_orthonormal_pair(rng, 2), random_orthonormal_pair(rng, 2)),
+                prior=((float(w[0]), float(w[1])), (float(w[2]), float(w[3]))),
+                orthogonal=True,
+            )
+        )
+    together = enumerate_postinfo_all(ensembles)
+    assert together == [enumerate_postinfo_all([ens])[0] for ens in ensembles]
+    for ens, value in zip(ensembles, together):
+        result = p_postinfo(ens)
+        assert abs(value - result.value) <= result.certificate.gap + 1e-8
 
 
 def test_stacked_targets_must_share_a_shape():

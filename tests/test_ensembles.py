@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from obcast.ensembles import (
     local_unitary_equivalence_deviation,
     qubit_qudit_form_check,
 )
+from obcast.discrimination import merged_row_targets
 from obcast.linalg import ket, pure_state_overlap
+from obcast.sampling import random_unitary
 
 SQ2 = math.sqrt(2)
 
@@ -215,3 +218,51 @@ def test_povm_from_slices_of_a_transposed_layout_stack():
     assert not stack[0].flags.c_contiguous
     povm = Povm(effects=tuple(stack))
     assert all(np.array_equal(a, b) for a, b in zip(povm.effects, gallery("prop1-povm").effects))
+
+
+def povm_inputs():
+    """The gallery POVMs and a pretty-good POVM on 256 answer rows (d = 4, four settings),
+    each effect nudged off Hermitian below the tolerance so that symmetrizing changes its bytes."""
+    rng = np.random.default_rng(11)
+    states = tuple(tuple(np.ascontiguousarray(c) for c in random_unitary(rng, 4).T) for _ in range(4))
+    w = rng.dirichlet(np.ones(16)).reshape(4, 4)
+    ens = PostInfoEnsemble(
+        settings=("0", "1", "2", "3"),
+        states=states,
+        prior=tuple(tuple(float(x) for x in row) for row in w),
+        orthogonal=True,
+    )
+    rows = np.array(merged_row_targets(ens).operators)
+    vals, vecs = np.linalg.eigh(rows.sum(axis=0))
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    povms = [gallery(n).effects for n in gallery_names() if "<" not in n and isinstance(gallery(n), Povm)]
+    assert len(povms) == 2
+    povms.append(tuple(root @ rows @ root))
+    assert len(povms[-1]) == 256
+    return [tuple(e + 1e-13 * rng.normal(size=e.shape) for e in effects) for effects in povms]
+
+
+def test_povm_stores_each_effect_as_its_hermitian_part_bit_for_bit():
+    for raw in povm_inputs():
+        povm = Povm(effects=raw)
+        assert [e.tobytes() for e in povm.effects] == [((e + e.conj().T) / 2).tobytes() for e in raw]
+        assert all(not e.flags.writeable for e in povm.effects)
+
+
+@pytest.mark.parametrize(
+    "effects, message",
+    [
+        (
+            (np.diag([1.0, 0.0]), np.array([[0.0, 2e-6], [1e-6, 1.0]]), np.array([[0.0, 5e-6], [0.0, 0.0]])),
+            "matrix is not Hermitian (residual 1.000e-06 > 1.0e-10)",
+        ),
+        ((np.diag([1.0, -0.25]), np.diag([0.0, 1.75]), np.diag([0.0, -0.5])), "effect has negative eigenvalue -2.500e-01"),
+        ((np.diag([0.5, 0.5]), np.diag([0.25, 0.5])), "effects sum to identity only within 2.500e-01"),
+        ((np.eye(2), np.zeros((3, 3))), "effects must share a dimension"),
+        ((np.eye(2), np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        ((), "a POVM needs at least one effect"),
+    ],
+)
+def test_povm_rejections_report_the_first_bad_effect(effects, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Povm(effects=effects)
