@@ -22,24 +22,22 @@ BORN_ZERO_TOL = 1e-10
 RANK_TOL = 1e-10
 
 
-def output_marginals(iso: Isometry, state: np.ndarray, cut=(0,)) -> tuple[np.ndarray, np.ndarray]:
-    """Both reduced outputs of the isometry applied to a pure state."""
-    cut = tuple(sorted(set(cut)))
+def output_marginals(iso: Isometry, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both reduced outputs of the isometry applied to a pure state: output factor 0 against the rest."""
     n_factors = len(iso.output_dims)
-    if any(c < 0 or c >= n_factors for c in cut) or len(cut) >= n_factors:
-        raise ValueError(f"cut {cut} is not a proper bipartition of {n_factors} output factors")
+    if n_factors < 2:
+        raise ValueError(f"broadcasting needs at least two output factors, got {n_factors}")
     out = dyad(iso.apply(state))
-    other = tuple(sorted(set(range(n_factors)) - set(cut)))
-    sigma_a = partial_trace(out, iso.output_dims, cut)
-    sigma_b = partial_trace(out, iso.output_dims, other)
+    sigma_a = partial_trace(out, iso.output_dims, (0,))
+    sigma_b = partial_trace(out, iso.output_dims, range(1, n_factors))
     return sigma_a, sigma_b
 
 
-def broadcast_outputs(iso: Isometry, ensemble: PostInfoEnsemble, cut=(0,)):
+def broadcast_outputs(iso: Isometry, ensemble: PostInfoEnsemble):
     """Per-state marginal pairs, mirroring the ensemble's (setting, index) layout."""
     if ensemble.dim != iso.input_dim:
         raise ValueError(f"isometry input dim {iso.input_dim} != ensemble dim {ensemble.dim}")
-    return tuple(tuple(output_marginals(iso, s, cut) for s in group) for group in ensemble.states)
+    return tuple(tuple(output_marginals(iso, s) for s in group) for group in ensemble.states)
 
 
 @dataclass(frozen=True)
@@ -48,18 +46,16 @@ class OrthogonalityBroadcastReport:
     max_overlap: float
 
 
-def verify_orthogonality_broadcast(
-    iso: Isometry, ensemble: PostInfoEnsemble, cut=(0,), tol: float = BORN_ZERO_TOL
-) -> OrthogonalityBroadcastReport:
+def verify_orthogonality_broadcast(iso: Isometry, ensemble: PostInfoEnsemble) -> OrthogonalityBroadcastReport:
     """Check Tr[sigma_i sigma_j] = 0 on both output sides for all same-setting pairs."""
     if not ensemble.orthogonal:
         raise ValueError("ensemble must carry the orthogonality flag")
-    outputs = broadcast_outputs(iso, ensemble, cut)
+    outputs = broadcast_outputs(iso, ensemble)
     worst = 0.0
     for group in outputs:
         for (a_i, b_i), (a_j, b_j) in itertools.combinations(group, 2):
             worst = max(worst, abs(np.trace(a_i @ a_j)), abs(np.trace(b_i @ b_j)))
-    return OrthogonalityBroadcastReport(worst <= tol, worst)
+    return OrthogonalityBroadcastReport(worst <= BORN_ZERO_TOL, worst)
 
 
 @dataclass(frozen=True)
@@ -72,13 +68,11 @@ class ClassicalBroadcastReport:
         return self.outcome_table[(setting, index)]
 
 
-def verify_classical_broadcast_povm(
-    povm: Povm, ensemble: PostInfoEnsemble, tol: float = BORN_ZERO_TOL
-) -> ClassicalBroadcastReport:
+def verify_classical_broadcast_povm(povm: Povm, ensemble: PostInfoEnsemble) -> ClassicalBroadcastReport:
     """Check that no POVM outcome is shared by two same-setting states.
 
     Also returns, per state, the outcomes it can trigger with probability
-    above ``tol``.
+    above ``BORN_ZERO_TOL``.
     """
     if povm.dim != ensemble.dim:
         raise ValueError(f"POVM dim {povm.dim} != ensemble dim {ensemble.dim}")
@@ -87,7 +81,7 @@ def verify_classical_broadcast_povm(
         for t, i, s, _ in ensemble.pairs()
     }
     table = {
-        key: tuple(int(x) for x in np.nonzero(p > tol)[0])
+        key: tuple(int(x) for x in np.nonzero(p > BORN_ZERO_TOL)[0])
         for key, p in probs.items()
     }
     worst = 0.0
@@ -96,7 +90,7 @@ def verify_classical_broadcast_povm(
             # second-smallest of each outcome's two probabilities must vanish
             both = np.minimum(probs[(t, i)], probs[(t, j)])
             worst = max(worst, float(both.max()))
-    return ClassicalBroadcastReport(worst <= tol, worst, table)
+    return ClassicalBroadcastReport(worst <= BORN_ZERO_TOL, worst, table)
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class KillPatternCertificate:
     kernel_dims: dict
 
 
-def kill_pattern_certificate(ensemble: PostInfoEnsemble, rank_tol: float = RANK_TOL) -> KillPatternCertificate:
+def kill_pattern_certificate(ensemble: PostInfoEnsemble) -> KillPatternCertificate:
     """Kernel dimension of every survivor pattern, within the joint state span.
 
     Restricting to the span loses nothing: an effect's component outside the
@@ -123,7 +117,7 @@ def kill_pattern_certificate(ensemble: PostInfoEnsemble, rank_tol: float = RANK_
     if not ensemble.orthogonal:
         raise ValueError("ensemble must carry the orthogonality flag")
     all_states = [s for group in ensemble.states for s in group]
-    span_dim = int(np.linalg.matrix_rank(np.array(all_states), tol=rank_tol))
+    span_dim = int(np.linalg.matrix_rank(np.array(all_states), tol=RANK_TOL))
     dims = {}
     for pattern in itertools.product(*[range(n) for n in ensemble.index_sets]):
         killed = [
@@ -132,7 +126,7 @@ def kill_pattern_certificate(ensemble: PostInfoEnsemble, rank_tol: float = RANK_
             for j in range(ensemble.index_sets[t])
             if j != pattern[t]
         ]
-        rank = int(np.linalg.matrix_rank(np.array(killed), tol=rank_tol)) if killed else 0
+        rank = int(np.linalg.matrix_rank(np.array(killed), tol=RANK_TOL)) if killed else 0
         dims[pattern] = span_dim - rank
     return KillPatternCertificate(all(v == 0 for v in dims.values()), dims)
 

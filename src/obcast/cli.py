@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import broadcast, moe, qpv
-from .discrimination import SolverSettings, p_postinfo
+from .discrimination import DEFAULT_SETTINGS, SolverSettings, p_postinfo
 from .ensembles import (
     GopEnsemble,
     PostInfoEnsemble,
@@ -33,7 +33,7 @@ from .ensembles import (
     induced_postinfo,
     qubit_qudit_form_check,
     to_json_dict,
-    _decode_vector,
+    _gop_factors,
 )
 from .errors import InternalInconsistency, SolverFailure
 from .reporting import reports_to_csv, reports_to_json
@@ -68,13 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol-gap",
             type=float,
-            default=_env_default("TOL_GAP", 1e-7, float),
+            default=_env_default("TOL_GAP", DEFAULT_SETTINGS.gap_tol, float),
             help="certified duality-gap tolerance for discrimination solves",
         )
         p.add_argument(
             "--tol-eig",
             type=float,
-            default=_env_default("TOL_EIG", 1e-10, float),
+            default=_env_default("TOL_EIG", DEFAULT_SETTINGS.psd_tol, float),
             help="PSD and identity tolerance of target rows and measurements; 0 allows rounding only",
         )
 
@@ -246,8 +246,7 @@ def _cmd_check(args) -> int:
     name, payload = _load_source(args)
     settings = _settings(args)
     if isinstance(payload, dict) and payload.get("kind") == "gop":
-        a = [_decode_vector(pair[0]) for pair in payload["states"]]
-        b = [_decode_vector(pair[1]) for pair in payload["states"]]
+        a, b = _gop_factors(payload)
         ortho = global_orthogonality_check(a, b)
         if not ortho.ok:
             print(

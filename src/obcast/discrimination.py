@@ -28,7 +28,7 @@ import numpy as np
 
 from .ensembles import GopEnsemble, PostInfoEnsemble, Povm, induced_postinfo
 from .errors import InternalInconsistency, SolverFailure
-from .linalg import dagger, dyad, hermitian
+from .linalg import PSD_TOL, dagger, dyad, hermitian
 
 MAX_ROW_TARGETS = 4096
 # operators (members times outcomes) iterating in lockstep; a wider window costs memory and saves no time
@@ -44,7 +44,7 @@ class SolverSettings:
     """Tolerances and iteration controls for the discrimination solver; a barrier Newton step is an iteration."""
 
     gap_tol: float = 1e-7
-    psd_tol: float = 1e-10
+    psd_tol: float = PSD_TOL
     max_iterations: int = 100_000
     damping: float = 0.5
     check_interval: int = 10
@@ -75,7 +75,7 @@ class EffectTarget:
 
     operators: tuple[np.ndarray, ...]
     labels: tuple = ()
-    psd_tol: float = 1e-10
+    psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         scales = [np.abs(np.asarray(m, dtype=complex)).max(initial=0.0) for m in self.operators]
@@ -119,13 +119,9 @@ class DualCertificate:
     gap: float
 
     def validate(
-        self,
-        target: EffectTarget,
-        povm: Povm | None = None,
-        slack: float = 1e-8,
-        gap_tol: float = DEFAULT_SETTINGS.gap_tol,
+        self, target: EffectTarget, povm: Povm | None = None, gap_tol: float = DEFAULT_SETTINGS.gap_tol
     ) -> None:
-        """Raise ``ValueError`` unless Y >= M_r for every target and the gap is within ``gap_tol``.
+        """Raise ``ValueError`` unless Y >= M_r for every target, within 1e-8, and the gap is within ``gap_tol``.
 
         With ``povm``, also require one effect per target, each PSD, summing
         to the identity, all within the target's ``psd_tol`` or rounding at
@@ -133,7 +129,7 @@ class DualCertificate:
         """
         y = hermitian(self.matrix, tol=1e-9)
         low = np.linalg.eigvalsh(y[None] - np.array(target.operators)).min()
-        if low < -slack:
+        if low < -1e-8:
             raise ValueError(f"dual operator not feasible: Y - M has eigenvalue {low:.3e}")
         if not (-1e-9 <= self.gap <= gap_tol + 1e-12):
             raise ValueError(f"certified gap {self.gap:.3e} outside [0, {gap_tol:.1e}]")
@@ -422,7 +418,7 @@ def min_error_discrimination(
     return _result(target, *_barrier_solve(np.array(target.operators), settings or DEFAULT_SETTINGS))
 
 
-def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = 1e-10) -> EffectTarget:
+def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = PSD_TOL) -> EffectTarget:
     """One weighted target per deterministic answer row.
 
     A row fixes the guessed index for every setting; outcomes sharing a row

@@ -1,8 +1,11 @@
 """Ensemble data model and the gallery of named states, POVMs, and isometries.
 
 Gallery names are stable public identifiers; ``gallery_names()`` lists them.
-All state vectors are stored normalized (shorthand kets like ``|1+2>`` carry
-their 1/sqrt(2) factors).
+Every state vector is a unit vector: the ensemble classes reject a ket whose
+squared norm is off one by more than ``ORTHOGONALITY_TOL``, so shorthand kets
+like ``|1+2>`` carry their 1/sqrt(2) factors.  Priors must be finite,
+nonnegative and sum to one within ``PRIOR_TOL``.  A JSON document with a
+missing or malformed field raises ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -27,6 +30,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_ket(values) -> np.ndarray:
+    """A read-only copy of the ket, which must be a unit vector within ``ORTHOGONALITY_TOL``."""
+    v = _freeze(ket(values))
+    norm2 = float(np.vdot(v, v).real)
+    if abs(norm2 - 1.0) > ORTHOGONALITY_TOL:
+        raise ValueError(f"state vector has squared norm {norm2!r}, not 1")
+    return v
+
+
+def _check_prior(flat) -> None:
+    if not all(math.isfinite(p) and p >= 0 for p in flat):
+        raise ValueError(f"prior entries must be finite and nonnegative, got {list(flat)}")
+    if abs(sum(flat) - 1.0) > PRIOR_TOL:
+        raise ValueError(f"prior sums to {sum(flat)!r}, not 1")
+
+
 @dataclass(frozen=True)
 class PostInfoEnsemble:
     """Pure states indexed by (setting, index) with a joint prior.
@@ -44,18 +63,14 @@ class PostInfoEnsemble:
     def __post_init__(self):
         if len(self.states) != len(self.settings) or len(self.prior) != len(self.settings):
             raise ValueError("settings, states, and prior must align")
-        states = tuple(tuple(_freeze(ket(s)) for s in group) for group in self.states)
+        states = tuple(tuple(_unit_ket(s) for s in group) for group in self.states)
         object.__setattr__(self, "states", states)
         dims = {s.shape[0] for group in states for s in group}
         if len(dims) != 1:
             raise ValueError(f"states live on different dimensions: {sorted(dims)}")
-        flat = [p for group in self.prior for p in group]
         if any(len(g) != len(s) for g, s in zip(self.prior, states)):
             raise ValueError("prior shape must match states")
-        if min(flat) < 0:
-            raise ValueError("prior entries must be nonnegative")
-        if abs(sum(flat) - 1.0) > PRIOR_TOL:
-            raise ValueError(f"prior sums to {sum(flat)!r}, not 1")
+        _check_prior([p for group in self.prior for p in group])
         if self.orthogonal:
             worst = 0.0
             for group in states:
@@ -89,16 +104,15 @@ class GopEnsemble:
     prior: tuple[float, ...]
 
     def __post_init__(self):
-        a = tuple(_freeze(ket(s)) for s in self.a_states)
-        b = tuple(_freeze(ket(s)) for s in self.b_states)
+        a = tuple(_unit_ket(s) for s in self.a_states)
+        b = tuple(_unit_ket(s) for s in self.b_states)
         object.__setattr__(self, "a_states", a)
         object.__setattr__(self, "b_states", b)
         if not (len(a) == len(b) == len(self.prior)):
             raise ValueError("a_states, b_states, prior must have equal length")
         if len({s.shape[0] for s in a}) != 1 or len({s.shape[0] for s in b}) != 1:
             raise ValueError("per-side dimensions must agree")
-        if min(self.prior) < 0 or abs(sum(self.prior) - 1.0) > PRIOR_TOL:
-            raise ValueError("prior must be a probability vector")
+        _check_prior(self.prior)
         report = global_orthogonality_check(a, b)
         if not report.ok:
             raise ValueError(
@@ -207,8 +221,8 @@ def global_orthogonality_check(a_states, b_states) -> GlobalOrthogonalityReport:
     return GlobalOrthogonalityReport(worst <= ORTHOGONALITY_TOL, worst, pair)
 
 
-def _ray_classes(states, tol: float = ORTHOGONALITY_TOL) -> list[int]:
-    """Group states by parallelism (|overlap| > 1 - tol, up to phase)."""
+def _ray_classes(states) -> list[int]:
+    """Group states by parallelism (|overlap| > 1 - ORTHOGONALITY_TOL, up to phase)."""
     kets = [ket(s) for s in states]
     labels = [-1] * len(kets)
     nxt = 0
@@ -217,22 +231,22 @@ def _ray_classes(states, tol: float = ORTHOGONALITY_TOL) -> list[int]:
             continue
         labels[i] = nxt
         for j in range(i + 1, len(kets)):
-            if labels[j] < 0 and abs(pure_state_overlap(v, kets[j])) > 1 - tol:
+            if labels[j] < 0 and abs(pure_state_overlap(v, kets[j])) > 1 - ORTHOGONALITY_TOL:
                 labels[j] = nxt
         nxt += 1
     return labels
 
 
-def classical_ray_labels(states, tol: float = ORTHOGONALITY_TOL) -> list[int] | None:
+def classical_ray_labels(states) -> list[int] | None:
     """Group states into rays of one orthonormal basis.
 
     Returns the ``_ray_classes`` labels when states in different classes are
-    orthogonal within ``tol``; returns None otherwise.
+    orthogonal within ``ORTHOGONALITY_TOL``; returns None otherwise.
     """
     kets = [ket(s) for s in states]
-    labels = _ray_classes(kets, tol)
+    labels = _ray_classes(kets)
     for i, j in itertools.combinations(range(len(kets)), 2):
-        if labels[i] != labels[j] and abs(pure_state_overlap(kets[i], kets[j])) > tol:
+        if labels[i] != labels[j] and abs(pure_state_overlap(kets[i], kets[j])) > ORTHOGONALITY_TOL:
             return None
     return labels
 
@@ -332,18 +346,14 @@ def qubit_qudit_form_check(gop: GopEnsemble) -> FormDecomposition:
     return FormDecomposition(False, "no orthogonal ray selection covers the non-removable states")
 
 
-def local_unitary_equivalence_deviation(
-    u: "Isometry", source: GopEnsemble, target: GopEnsemble, side: str = "a"
-) -> float:
-    """Worst deviation from carrying ``source`` onto ``target`` by a one-sided unitary.
+def local_unitary_equivalence_deviation(u: "Isometry", source: GopEnsemble, target: GopEnsemble) -> float:
+    """Worst deviation from carrying ``source`` onto ``target`` by a unitary on the first factor.
 
-    Applies ``u`` to the chosen side of every source state and greedily
+    Applies ``u`` to the first factor of every source state and greedily
     matches each result to an unused target state with the same prior, up to
     a global phase per state.  Returns the largest per-factor overlap deficit
     (infinity when some state cannot be matched at all).
     """
-    if side not in ("a", "b"):
-        raise ValueError("side must be 'a' or 'b'")
     if u.matrix.shape[0] != u.matrix.shape[1]:
         raise ValueError("equivalence map must be a square unitary")
     n = len(source)
@@ -352,8 +362,8 @@ def local_unitary_equivalence_deviation(
     used: set[int] = set()
     worst = 0.0
     for k in range(n):
-        a = u.apply(source.a_states[k]) if side == "a" else source.a_states[k]
-        b = source.b_states[k] if side == "a" else u.apply(source.b_states[k])
+        a = u.apply(source.a_states[k])
+        b = source.b_states[k]
         match = None
         for j in range(n):
             if j in used or abs(source.prior[k] - target.prior[j]) > PRIOR_TOL:
@@ -719,25 +729,42 @@ def to_json_dict(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _field(data: dict, key: str, decode):
+    """``decode(data[key])``; a missing or undecodable field is a ``ValueError`` naming it."""
+    if key not in data:
+        raise ValueError(f"{data.get('kind')} document has no {key!r} field")
+    try:
+        return decode(data[key])
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise ValueError(f"malformed {key!r} field of a {data.get('kind')} document: {exc}") from None
+
+
+def _gop_factors(data: dict) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The first and second factors of a ``gop`` document's states, decoded but not yet checked."""
+    pairs = _field(data, "states", lambda rows: [(_decode_vector(a), _decode_vector(b)) for a, b in rows])
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
 def from_json_dict(data: dict):
     kind = data.get("kind")
     if kind == "postinfo":
         return PostInfoEnsemble(
-            settings=tuple(data["settings"]),
-            states=tuple(tuple(_decode_vector(s) for s in g) for g in data["states"]),
-            prior=tuple(tuple(float(p) for p in g) for g in data["prior"]),
+            settings=_field(data, "settings", tuple),
+            states=_field(data, "states", lambda g: tuple(tuple(_decode_vector(s) for s in row) for row in g)),
+            prior=_field(data, "prior", lambda g: tuple(tuple(float(p) for p in row) for row in g)),
             orthogonal=bool(data.get("orthogonal", False)),
         )
     if kind == "gop":
-        return GopEnsemble(
-            a_states=tuple(_decode_vector(pair[0]) for pair in data["states"]),
-            b_states=tuple(_decode_vector(pair[1]) for pair in data["states"]),
-            prior=tuple(float(p) for p in data["prior"]),
-        )
+        a, b = _gop_factors(data)
+        prior = _field(data, "prior", lambda g: tuple(float(p) for p in g))
+        return GopEnsemble(a_states=tuple(a), b_states=tuple(b), prior=prior)
     if kind == "povm":
-        return Povm(effects=tuple(_decode_matrix(e) for e in data["states"]))
+        return Povm(effects=_field(data, "states", lambda g: tuple(_decode_matrix(e) for e in g)))
     if kind == "isometry":
-        return Isometry(matrix=_decode_matrix(data["states"]), output_dims=tuple(data["output_dims"]))
+        return Isometry(
+            matrix=_field(data, "states", _decode_matrix),
+            output_dims=_field(data, "output_dims", lambda g: tuple(int(d) for d in g)),
+        )
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 

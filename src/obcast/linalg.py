@@ -19,24 +19,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).T
 
 
-def ket(values, normalize: bool = False) -> np.ndarray:
+def ket(values) -> np.ndarray:
     """Build a state vector from a sequence of amplitudes."""
     v = np.asarray(values, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite amplitudes")
-    if normalize:
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        v = v / n
     return v
 
 
-def dyad(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Outer product |v><w| (|v><v| when w is omitted)."""
+def dyad(v: np.ndarray) -> np.ndarray:
+    """Outer product |v><v|."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    w = v if w is None else np.asarray(w, dtype=complex).reshape(-1)
-    return np.outer(v, np.conj(w))
+    return np.outer(v, np.conj(v))
 
 
 def hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -56,14 +50,13 @@ def hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def hermitian_eig(h, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns (eigenvalues ascending, orthonormal eigenvector columns) with
     H = V diag(w) V^dagger.
     """
-    a = hermitian(h, tol)
-    return np.linalg.eigh(a)
+    return np.linalg.eigh(hermitian(h))
 
 
 def trace_norm(m) -> float:
@@ -84,26 +77,21 @@ def trace_distance(rho, sigma) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def _clamped_psd_eigs(h, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    w, v = hermitian_eig(h)
-    if w.min() < -tol:
-        raise ValueError(f"operator is not PSD (min eigenvalue {w.min():.3e})")
-    return np.clip(w, 0.0, None), v
-
-
-def psd_sqrt(h, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(h) -> np.ndarray:
     """Principal square root of a PSD operator."""
-    w, v = _clamped_psd_eigs(h, tol)
-    return (v * np.sqrt(w)) @ dagger(v)
+    w, v = hermitian_eig(h)
+    if w.min() < -PSD_TOL:
+        raise ValueError(f"operator is not PSD (min eigenvalue {w.min():.3e})")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
 
 
-def fidelity(rho, sigma, tol: float = PSD_TOL) -> float:
+def fidelity(rho, sigma) -> float:
     """Trace norm of sqrt(rho) sqrt(sigma) for PSD operators."""
     a = np.asarray(rho)
     b = np.asarray(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return trace_norm(psd_sqrt(a, tol) @ psd_sqrt(b, tol))
+    return trace_norm(psd_sqrt(a) @ psd_sqrt(b))
 
 
 def operator_norm(m) -> float:

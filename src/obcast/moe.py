@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Povm
-from .linalg import dagger, dyad, hermitian, kron, operator_norm, partial_trace, psd_sqrt
+from .linalg import PSD_TOL, dagger, dyad, hermitian, kron, operator_norm, partial_trace, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class MoeStrategy:
     charlie: tuple[Povm, ...]
 
     def __post_init__(self):
-        rho = hermitian(self.state, tol=1e-10)
-        if abs(np.trace(rho).real - 1.0) > 1e-10 or np.linalg.eigvalsh(rho).min() < -1e-10:
+        rho = hermitian(self.state, tol=PSD_TOL)
+        if abs(np.trace(rho).real - 1.0) > PSD_TOL or np.linalg.eigvalsh(rho).min() < -PSD_TOL:
             raise ValueError("shared state must be a density operator")
         object.__setattr__(self, "state", rho)
 
@@ -77,9 +77,8 @@ class PermutationFamily:
                 raise ValueError(f"permutations {p} and {q} clash")
 
     @classmethod
-    def cyclic(cls, n: int, count: int | None = None) -> "PermutationFamily":
-        k = count if count is not None else n
-        return cls(tuple(tuple((i + shift) % n for i in range(n)) for shift in range(k)))
+    def cyclic(cls, n: int) -> "PermutationFamily":
+        return cls(tuple(tuple((i + shift) % n for i in range(n)) for shift in range(n)))
 
 
 def game_operators(game: MoeGame, strategy: MoeStrategy) -> list[np.ndarray]:
@@ -130,7 +129,7 @@ def overlap_constant(game: MoeGame) -> float:
 
 def lemma_a1_bound(operators, family: PermutationFamily) -> float:
     """Permutation splitting of ||sum R_i||: sum_k max_i ||sqrt(R_i) sqrt(R_pi^k(i))||."""
-    ops = [hermitian(r, tol=1e-10) for r in operators]
+    ops = [hermitian(r, tol=PSD_TOL) for r in operators]
     n = len(ops)
     if any(len(p) != n for p in family.permutations):
         raise ValueError("family size does not match the operator count")
@@ -169,7 +168,7 @@ def transpose_trick_game(unitaries) -> MoeGame:
     mats = [np.asarray(u, dtype=complex) for u in unitaries]
     d = mats[0].shape[0]
     for u in mats:
-        if u.shape != (d, d) or np.abs(dagger(u) @ u - np.eye(d)).max() > 1e-10:
+        if u.shape != (d, d) or np.abs(dagger(u) @ u - np.eye(d)).max() > PSD_TOL:
             raise ValueError("inputs must be unitaries of one dimension")
     basis = np.eye(d, dtype=complex)
     measurements = []

@@ -20,6 +20,8 @@ from .linalg import pure_state_overlap
 from .uncertainty import SuperpositionSpec
 
 DISK_FIXED_POINT = (2.0 + math.sqrt(2.0)) / 4.0
+# final bracket width of the Theorem 4 threshold
+BISECTION_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,20 +89,21 @@ def thm4_rhs(eps: float, inst: Theorem4Instance) -> float:
     )
 
 
-def thm4_min_epsilon(inst: Theorem4Instance, grid_points: int = 1000, tol: float = 1e-10) -> float:
-    """Smallest error satisfying the inequality, by bisection on [0, 1/2].
+def thm4_min_epsilon(inst: Theorem4Instance) -> float:
+    """Smallest error satisfying the inequality, by bisection on [0, 1/2] to ``BISECTION_WIDTH``.
 
-    Monotonicity of the right-hand side is checked on a grid before
-    bisecting; returns zero when the inequality already holds at zero error.
+    Monotonicity of the right-hand side is checked on a 1000-point grid
+    before bisecting; returns zero when the inequality already holds at zero
+    error.
     """
-    grid = np.linspace(0.0, 0.5, grid_points)
+    grid = np.linspace(0.0, 0.5, 1000)
     values = [thm4_rhs(float(e), inst) for e in grid]
     if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
         raise InternalInconsistency("right-hand side is not monotone on [0, 1/2]")
     if values[0] >= 1.0:
         return 0.0
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if thm4_rhs(mid, inst) >= 1.0:
             hi = mid
@@ -167,13 +170,7 @@ class Prop4Result:
     unity_condition_printed: bool
 
 
-def prop4_solve(
-    p: float,
-    pg_a01: float,
-    pg_a23: float,
-    spec: SuperpositionSpec,
-    refine_tol: float = 1e-8,
-) -> Prop4Result:
+def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec) -> Prop4Result:
     """Guessing-probability program over uncertainty-relation constraints.
 
     Maximizes min over the two parties of
@@ -210,7 +207,7 @@ def prop4_solve(
     )
     step = float(grid[1] - grid[0])
     moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
-    while step > refine_tol / 10:
+    while step > 1e-9:
         for dr, ds in moves:
             rr = min(1.0, max(0.5, r0 + dr * step))
             ss = min(1.0, max(0.5, s0 + ds * step))
@@ -408,7 +405,7 @@ def thm6_separation() -> Thm6Separation:
     from .ensembles import local_unitary_equivalence_deviation
 
     u = gallery("qq-equivalence-unitary")
-    deviation = local_unitary_equivalence_deviation(u, gallery("qq"), gallery("qq-tilde"), side="a")
+    deviation = local_unitary_equivalence_deviation(u, gallery("qq"), gallery("qq-tilde"))
     if deviation > 1e-12:
         raise InternalInconsistency(f"local-unitary equivalence fails by {deviation:.3e}")
     upper = disk_program_solve(qq_tilde_disk_program()).bound

@@ -118,7 +118,7 @@ def _bb84_postinfo(case, opts):
     return result.value, result.certificate.gap <= opts.settings.gap_tol
 
 
-@_case("bb84-postinfo-gap", "duality gap of the measure-first solve", 0.0, 1e-7, "dual-certified")
+@_case("bb84-postinfo-gap", "duality gap of the measure-first solve", 0.0, DEFAULT_SETTINGS.gap_tol, "dual-certified")
 def _bb84_gap(case, opts):
     return p_postinfo(gallery("bb84"), opts.settings).certificate.gap
 
@@ -176,13 +176,13 @@ def _prop1_table(case, opts):
     return report.max_violation, report.ok and report.outcome_table == want
 
 
-@_case("minimal-qutrit-feasible", "perfect classical broadcastability of the minimal qutrit set", 1.0, 1e-7, "dual-certified")
+@_case("minimal-qutrit-feasible", "perfect classical broadcastability of the minimal qutrit set", 1.0, DEFAULT_SETTINGS.gap_tol, "dual-certified")
 def _minimal_feasible(case, opts):
     decision = broadcast.perfect_classical_broadcast_decision(gallery("minimal-qutrit"), opts.settings)
     return decision.value, decision.feasible
 
 
-@_case("minimal-qutrit-postinfo", "measure-first value of the minimal qutrit set", 1.0, 1e-7, "dual-certified")
+@_case("minimal-qutrit-postinfo", "measure-first value of the minimal qutrit set", 1.0, DEFAULT_SETTINGS.gap_tol, "dual-certified")
 def _minimal_postinfo(case, opts):
     return p_postinfo(gallery("minimal-qutrit"), opts.settings).value
 

@@ -18,10 +18,9 @@ def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Ginibre-sampled density operator."""
-    k = rank or dim
-    g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 
@@ -34,9 +33,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_psd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g @ dagger(g)) / dim
+    return (g @ dagger(g)) / dim
 
 
 def random_orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,172 @@
+"""Options audit: every defaulted parameter in ``src/obcast`` has a caller that sets it.
+
+A default that no call in the package or in the benchmark ever overrides is a
+constant in disguise.  The audit parses both trees with ``ast``.  A parameter
+counts as set when some call passes it by keyword, by position, through
+``dataclasses.replace`` (for a dataclass field), or, for a constructor,
+through a call by the class name.  Passing the default's own literal, as in
+``f(side="a")`` where the default is ``"a"``, does not set it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from obcast.broadcast import verify_orthogonality_broadcast
+from obcast.ensembles import gallery
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "obcast"
+CALLER_TREES = (PACKAGE, ROOT / "perfbench")
+
+ALLOWED = {
+    "helstrom_binary.p": "the prior of the two states is an input of the Helstrom value, not a tuning knob",
+    "moe_win_prob.priors": "the setting prior is an input of the winning probability, not a tuning knob",
+}
+
+_NO_LITERAL = object()
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NO_LITERAL
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _function_parameters(fn: ast.FunctionDef, name: str, bound: bool):
+    """(name, parameter, position or None, literal default) for each default of ``fn``."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first_default = len(positional) - len(fn.args.defaults)
+    for i, (arg, default) in enumerate(zip(positional[first_default:], fn.args.defaults)):
+        yield name, arg.arg, first_default + i - bound, _literal(default)
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield name, arg.arg, None, _literal(default)
+
+
+class _Scan(ast.NodeVisitor):
+    """Defaulted parameters of the package, and every call with the function it sits in.
+
+    Methods are named by their own name and count positions after ``self``;
+    a dataclass's fields and an explicit ``__init__`` are named by the class.
+    """
+
+    def __init__(self):
+        self.parameters = []
+        self.dataclasses = set()
+        self.calls = []  # (call, name of the enclosing function or None)
+        self._class = None
+        self._function = None
+
+    def visit_ClassDef(self, node):
+        if _is_dataclass(node):
+            self.dataclasses.add(node.name)
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    self.parameters.append((node.name, f.target.id, i, _literal(f.value)))
+        outer, self._class = self._class, node
+        self.generic_visit(node)
+        self._class = outer
+
+    def visit_FunctionDef(self, node):
+        cls = self._class
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        self.parameters.extend(_function_parameters(node, name, cls is not None and not static))
+        outer = (self._class, self._function)
+        self._class, self._function = None, name
+        self.generic_visit(node)
+        self._class, self._function = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        self.calls.append((node, self._function))
+        self.generic_visit(node)
+
+
+def _scan(trees) -> _Scan:
+    scan = _Scan()
+    for tree in trees:
+        for path in sorted(tree.glob("*.py")):
+            scan.visit(ast.parse(path.read_text(), filename=str(path)))
+    return scan
+
+
+def never_set() -> list[str]:
+    """Every ``name.parameter`` with a default that no call sets.
+
+    Forwarding a parameter, as ``fidelity`` once did with ``psd_sqrt(a, tol)``,
+    sets the callee's parameter only if the caller's own is set somewhere.
+    """
+    package = _scan([PACKAGE])
+    parameters = package.parameters
+    defaulted = {f"{name}.{param}" for name, param, _, _ in parameters}
+    calls = _scan(CALLER_TREES).calls
+    is_set: set[str] = set()
+
+    def sets(value: ast.expr, default, enclosing) -> bool:
+        forwarded = f"{enclosing}.{value.id}" if isinstance(value, ast.Name) else None
+        if forwarded in defaulted:
+            return forwarded in is_set
+        literal = _literal(value)
+        return literal is _NO_LITERAL or default is _NO_LITERAL or literal != default
+
+    def passed(call: ast.Call, enclosing, name, param, position, default) -> bool:
+        callee = _callee(call)
+        if callee == "replace" and name in package.dataclasses:
+            keywords = call.keywords  # dataclasses.replace(obj, field=...)
+        elif callee == name:
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                return True
+            if position is not None and len(call.args) > position:
+                return sets(call.args[position], default, enclosing)
+            keywords = call.keywords
+        else:
+            return False
+        return any(kw.arg is None or (kw.arg == param and sets(kw.value, default, enclosing)) for kw in keywords)
+
+    changed = True
+    while changed:
+        changed = False
+        for name, param, position, default in parameters:
+            key = f"{name}.{param}"
+            if key not in is_set and any(passed(c, e, name, param, position, default) for c, e in calls):
+                is_set.add(key)
+                changed = True
+    return sorted(defaulted - is_set)
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    unset = [p for p in never_set() if p not in ALLOWED]
+    assert unset == [], f"defaulted parameters no call in src/obcast or perfbench sets: {unset}"
+
+
+def test_the_allowlist_names_only_parameters_that_exist_and_are_unset():
+    assert sorted(ALLOWED) == [p for p in never_set() if p in ALLOWED]
+
+
+def test_orthogonality_broadcast_rejects_a_one_factor_isometry():
+    with pytest.raises(ValueError, match="at least two output factors"):
+        verify_orthogonality_broadcast(gallery("qq-equivalence-unitary"), gallery("minimal-qutrit"))

@@ -124,6 +124,67 @@ def test_check_malformed_file(tmp_path, capsys):
     assert code == 1
 
 
+def _write(tmp_path, payload) -> str:
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _scaled(payload: dict, factor: float) -> dict:
+    """The document with every amplitude of every ket multiplied by ``factor``."""
+    def scale(node):
+        return [scale(x) for x in node] if isinstance(node, list) else factor * node
+
+    return {**payload, "states": scale(payload["states"])}
+
+
+@pytest.mark.parametrize("gallery_name", ["minimal-qutrit", "bb84"])
+def test_files_with_kets_that_are_not_unit_vectors_are_input_errors(tmp_path, capsys, gallery_name):
+    doubled = _write(tmp_path, _scaled(json.loads(dumps(gallery(gallery_name))), 2.0))
+    for argv in (("bound", "--file", doubled, "--method", "postinfo"), ("check", "--file", doubled)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: state vector has squared norm 4.0")
+    gop = json.loads(dumps(gallery("obb")))
+    for k, factor in ((0, 2.0), (1, 0.5)):
+        gop["states"][0][k] = [[factor * re, factor * im] for re, im in gop["states"][0][k]]
+    code, _, err = run(capsys, "check", "--file", _write(tmp_path, gop))
+    assert code == 1 and "squared norm 4.0" in err
+
+
+@pytest.mark.parametrize("kind", ["postinfo", "gop"])
+def test_files_with_a_non_finite_prior_are_input_errors(tmp_path, capsys, kind):
+    payload = json.loads(dumps(gallery("bb84" if kind == "postinfo" else "obb")))
+    if kind == "postinfo":
+        payload["prior"][0][0] = float("nan")
+    else:
+        payload["prior"][0] = float("nan")
+    code, out, err = run(capsys, "check", "--file", _write(tmp_path, payload))
+    assert code == 1 and "classical broadcast" not in out
+    assert "prior entries must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "gallery_name, field",
+    [("bb84", "prior"), ("bb84", "states"), ("bb84", "settings"), ("obb", "prior"), ("obb", "states")],
+)
+def test_documents_with_a_missing_field_are_input_errors(tmp_path, capsys, gallery_name, field):
+    payload = json.loads(dumps(gallery(gallery_name)))
+    del payload[field]
+    path = _write(tmp_path, payload)
+    for argv in (("bound", "--file", path, "--method", "postinfo"), ("check", "--file", path)):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and repr(field) in err
+
+
+def test_documents_with_a_malformed_field_are_input_errors(tmp_path, capsys):
+    payload = json.loads(dumps(gallery("obb")))
+    payload["states"][0] = [None, None]
+    code, _, err = run(capsys, "check", "--file", _write(tmp_path, payload))
+    assert code == 1 and "malformed 'states' field" in err
+
+
 def test_moe_subcommand(capsys):
     code, out, _ = run(capsys, "moe", "--game", "obb")
     assert code == 0

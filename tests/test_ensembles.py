@@ -133,7 +133,7 @@ def test_entangling_isometry_images():
 
 def test_qq_equivalence_unitary_carries_qq_onto_primed_set():
     dev = local_unitary_equivalence_deviation(
-        gallery("qq-equivalence-unitary"), gallery("qq"), gallery("qq-tilde"), side="a"
+        gallery("qq-equivalence-unitary"), gallery("qq"), gallery("qq-tilde")
     )
     assert dev <= 1e-12
 
