@@ -28,7 +28,7 @@ import numpy as np
 
 from .ensembles import GopEnsemble, PostInfoEnsemble, Povm, induced_postinfo
 from .errors import InternalInconsistency, SolverFailure
-from .linalg import PSD_TOL, dagger, dyad, hermitian
+from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member
 
 MAX_ROW_TARGETS = 4096
 # operators (members times outcomes) iterating in lockstep; a wider window costs memory and saves no time
@@ -156,32 +156,28 @@ class DiscriminationResult:
     iterations: int = 0
 
 
-def helstrom_binary(rho: np.ndarray, sigma: np.ndarray, p: float = 0.5) -> float:
-    """Optimal success probability for discriminating two states with prior (p, 1-p)."""
+def helstrom_binary(rho: np.ndarray, sigma: np.ndarray, p: float = 0.5):
+    """Optimal success probability for discriminating two states with prior (p, 1-p), member by member for stacks."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prior {p} outside [0, 1]")
     a = hermitian(rho)
     b = hermitian(sigma)
     diff = p * a - (1 - p) * b
-    return float(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum()))
-
-
-def _dagger_stack(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2).conj()
+    return per_member(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)))
 
 
 def _psd_pinv_sqrt(r: np.ndarray, rank_tol: float) -> np.ndarray:
     """R^{-1/2} on the support of each PSD operator in the stack ``r`` (B, d, d)."""
-    w, v = np.linalg.eigh((r + _dagger_stack(r)) / 2)
+    w, v = np.linalg.eigh((r + dagger(r)) / 2)
     top = np.maximum(w[:, -1:], 1e-300)  # eigenvalues come in ascending order
     inv = np.where(w > rank_tol * top, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    return (v * inv[:, None, :]) @ _dagger_stack(v)
+    return (v * inv[:, None, :]) @ dagger(v)
 
 
 def _herm_stack(a: np.ndarray) -> np.ndarray:
     # C order: on large stacks the ufunc would otherwise pick the transposed
     # layout, and the per-member certificate would sum in another order
-    return np.add(a, _dagger_stack(a), order="C") / 2
+    return np.add(a, dagger(a), order="C") / 2
 
 
 def _pretty_good(a: np.ndarray) -> np.ndarray:
@@ -218,7 +214,7 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     primal = np.einsum("brij,brji->b", p, m).real
     ymp = np.einsum("brij,brjk->bik", m, p)
-    y0 = (ymp + _dagger_stack(ymp)) / 2
+    y0 = (ymp + dagger(ymp)) / 2
     low = np.linalg.eigvalsh(y0[:, None] - m).min(axis=(1, 2))
     return np.trace(y0, axis1=1, axis2=2).real + m.shape[-1] * np.maximum(-low, 0.0) - primal
 
@@ -320,7 +316,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
     try:
         for steps in range(1, st.max_iterations + 1):
             l_inv = np.linalg.inv(np.linalg.cholesky(y - m))
-            s_inv = _dagger_stack(l_inv) @ l_inv
+            s_inv = dagger(l_inv) @ l_inv
             # Hessian sum_r Tr(S_r^-1 F_j S_r^-1 F_k) from one product of the flattened inverses
             flat = s_inv.reshape(n, d * d)
             outer = (flat.T @ flat).reshape(d, d, d, d).transpose(1, 2, 3, 0).reshape(d * d, d * d)
@@ -344,7 +340,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
             if not math.isfinite(dec):
                 raise np.linalg.LinAlgError("Newton decrement is not finite")
             dy = (dx @ f).reshape(d, d)
-            low = float(np.linalg.eigvalsh(l_inv @ dy @ _dagger_stack(l_inv)).min())
+            low = float(np.linalg.eigvalsh(l_inv @ dy @ dagger(l_inv)).min())
             alpha = min(1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, 0.99 / -low if low < 0 else math.inf)
             y, previous = y + alpha * (dy + dagger(dy)) / 2, y
             if np.array_equal(y, previous):

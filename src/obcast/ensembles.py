@@ -142,14 +142,7 @@ class Povm:
             for a in arrays:
                 hermitian(a, tol=PSD_TOL)  # raises the first malformed effect's own error
             raise ValueError("effects must share a dimension")
-        # one stacked check of all effects; each effect's error is the one hermitian() raises for it
-        stack = np.array(arrays)
-        flipped = stack.swapaxes(-1, -2).conj()
-        with np.errstate(invalid="ignore"):  # inf - inf: the effect is rejected as non-finite
-            bad = ~np.isfinite(stack).all(axis=(1, 2)) | (np.abs(stack - flipped).max(axis=(1, 2)) > PSD_TOL)
-        if bad.any():
-            hermitian(stack[np.argmax(bad)], tol=PSD_TOL)
-        effects = np.add(stack, flipped, order="C") / 2
+        effects = hermitian(np.array(arrays), tol=PSD_TOL)  # names the first bad effect as it would alone
         effects.flags.writeable = False
         object.__setattr__(self, "effects", tuple(effects))
         low = np.linalg.eigvalsh(effects).min(axis=1)
@@ -739,6 +732,12 @@ def _field(data: dict, key: str, decode):
         raise ValueError(f"malformed {key!r} field of a {data.get('kind')} document: {exc}") from None
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _gop_factors(data: dict) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The first and second factors of a ``gop`` document's states, decoded but not yet checked."""
     pairs = _field(data, "states", lambda rows: [(_decode_vector(a), _decode_vector(b)) for a, b in rows])
@@ -752,7 +751,7 @@ def from_json_dict(data: dict):
             settings=_field(data, "settings", tuple),
             states=_field(data, "states", lambda g: tuple(tuple(_decode_vector(s) for s in row) for row in g)),
             prior=_field(data, "prior", lambda g: tuple(tuple(float(p) for p in row) for row in g)),
-            orthogonal=bool(data.get("orthogonal", False)),
+            orthogonal=_field(data, "orthogonal", _boolean) if "orthogonal" in data else False,
         )
     if kind == "gop":
         a, b = _gop_factors(data)

@@ -5,6 +5,15 @@ Operators are validated on entry: Hermitian inputs are symmetrized when the
 residual is below ``HERMITICITY_TOL`` and rejected otherwise, and PSD inputs
 may carry eigenvalues down to ``-PSD_TOL`` (clamped to zero) before being
 rejected.
+
+The primitives take stacks, ``(..., d, d)`` operators or ``(..., n)`` vectors,
+and give each member the bits it gets alone (a float for one operator, an
+array for a stack): every member runs through the same LAPACK, BLAS,
+elementwise and reduction kernels as it would alone.  A rejected stack names
+its first bad member as that member would alone.
+Callers stack per-member scalars computed one at a time: numpy's array
+``np.abs`` of complex128 and array powers can differ in the last bit from
+Python's ``abs()`` and ``**``.
 """
 
 from __future__ import annotations
@@ -15,8 +24,13 @@ HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
+def per_member(x):
+    """A float for a single value, the array itself for one value per member of a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def ket(values) -> np.ndarray:
@@ -28,26 +42,31 @@ def ket(values) -> np.ndarray:
 
 
 def dyad(v: np.ndarray) -> np.ndarray:
-    """Outer product |v><v|."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.outer(v, np.conj(v))
+    """Outer product |v><v| of each vector along the last axis."""
+    v = np.asarray(v, dtype=complex)
+    return v[..., :, None] * np.conj(v)[..., None, :]
 
 
 def hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate and symmetrize a Hermitian operator.
+    """Validate and symmetrize a Hermitian operator (or each member of a stack).
 
-    Returns (M + M^dagger) / 2 when the worst entry of M - M^dagger is at
-    most ``tol``; rejects non-square, non-finite, or more asymmetric input.
+    Returns (M + M^dagger) / 2, in C order, when the worst entry of
+    M - M^dagger is at most ``tol``; rejects non-square, non-finite, or more
+    asymmetric input, naming the first bad member of a stack.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    flipped = dagger(a)
+    finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
+    with np.errstate(invalid="ignore"):  # inf - inf: the member is rejected as non-finite
+        residual = np.abs(a - flipped).max(axis=(-2, -1)).reshape(-1)
+    first = np.argmax(~finite | (residual > tol))  # member 0 when all are good
+    if not finite[first]:
         raise ValueError("matrix has non-finite entries")
-    residual = np.abs(a - dagger(a)).max()
-    if residual > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {tol:.1e})")
-    return (a + dagger(a)) / 2
+    if residual[first] > tol:
+        raise ValueError(f"matrix is not Hermitian (residual {residual[first]:.3e} > {tol:.1e})")
+    return np.add(a, flipped, order="C") / 2
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -59,12 +78,12 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian(h))
 
 
-def trace_norm(m) -> float:
+def trace_norm(m):
     """Sum of singular values of an arbitrary matrix."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
+    return per_member(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1))
 
 
-def trace_distance(rho, sigma) -> float:
+def trace_distance(rho, sigma):
     """Half the trace norm of rho - sigma for Hermitian operators.
 
     Density normalization is not required; unnormalized Hermitian inputs are
@@ -74,18 +93,19 @@ def trace_distance(rho, sigma) -> float:
     b = hermitian(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
+    return per_member(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1))
 
 
 def psd_sqrt(h) -> np.ndarray:
     """Principal square root of a PSD operator."""
     w, v = hermitian_eig(h)
-    if w.min() < -PSD_TOL:
-        raise ValueError(f"operator is not PSD (min eigenvalue {w.min():.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+    low = w[..., 0].reshape(-1)  # eigenvalues come in ascending order
+    if (low < -PSD_TOL).any():
+        raise ValueError(f"operator is not PSD (min eigenvalue {low[np.argmax(low < -PSD_TOL)]:.3e})")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma):
     """Trace norm of sqrt(rho) sqrt(sigma) for PSD operators."""
     a = np.asarray(rho)
     b = np.asarray(sigma)
@@ -94,37 +114,42 @@ def fidelity(rho, sigma) -> float:
     return trace_norm(psd_sqrt(a) @ psd_sqrt(b))
 
 
-def operator_norm(m) -> float:
+def operator_norm(m):
     """Largest singular value."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max())
+    return per_member(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max(axis=-1))
 
 
 def kron(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of each pair of members; the stack shapes broadcast."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
-    ``dims`` lists the factor dimensions of the square operator ``m``;
-    ``keep`` is a set of factor indices to retain, in their original order.
+    ``dims`` lists the factor dimensions of the square operator ``m`` (or of
+    each member of a stack); ``keep`` is a set of factor indices to retain, in
+    their original order.
     """
     a = np.asarray(m, dtype=complex)
     dims = tuple(int(d) for d in dims)
     keep = sorted(set(int(k) for k in keep))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if int(np.prod(dims)) != a.shape[0]:
-        raise ValueError(f"factor dims {dims} do not multiply to {a.shape[0]}")
+    if int(np.prod(dims)) != a.shape[-1]:
+        raise ValueError(f"factor dims {dims} do not multiply to {a.shape[-1]}")
     if not keep:
         raise ValueError("keep set must not be empty")
     if keep[-1] >= len(dims) or keep[0] < 0:
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    t = a.reshape(dims + dims)
+    batch = a.shape[:-2]
+    t = a.reshape(batch + dims + dims)
     for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+        t = np.trace(t, axis1=len(batch) + ax, axis2=len(batch) + ax + (t.ndim - len(batch)) // 2)
     d_keep = int(np.prod([dims[i] for i in keep]))
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(batch + (d_keep, d_keep))
 
 
 def pure_state_overlap(v: np.ndarray, w: np.ndarray) -> complex:

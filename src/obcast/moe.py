@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Povm
-from .linalg import PSD_TOL, dagger, dyad, hermitian, kron, operator_norm, partial_trace, psd_sqrt
+from .linalg import PSD_TOL, dagger, dyad, hermitian, kron, operator_norm, partial_trace, per_member, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ def overlap_constant(game: MoeGame) -> float:
     )
 
 
-def lemma_a1_bound(operators, family: PermutationFamily) -> float:
-    """Permutation splitting of ||sum R_i||: sum_k max_i ||sqrt(R_i) sqrt(R_pi^k(i))||."""
+def lemma_a1_bound(operators, family: PermutationFamily):
+    """Permutation splitting of ||sum R_i||: sum_k max_i ||sqrt(R_i) sqrt(R_pi^k(i))||, per member of stacks."""
     ops = [hermitian(r, tol=PSD_TOL) for r in operators]
     n = len(ops)
     if any(len(p) != n for p in family.permutations):
@@ -136,27 +136,27 @@ def lemma_a1_bound(operators, family: PermutationFamily) -> float:
     roots = [psd_sqrt(r) for r in ops]
     total = 0.0
     for perm in family.permutations:
-        total += max(operator_norm(roots[i] @ roots[perm[i]]) for i in range(n))
-    return total
+        total += np.max([operator_norm(roots[i] @ roots[perm[i]]) for i in range(n)], axis=0)
+    return per_member(total)
 
 
-def steering_deviation(u: np.ndarray) -> float:
-    """Worst deviation of the transpose-trick steering identity for one unitary.
+def steering_deviation(u: np.ndarray):
+    """Worst deviation of the transpose-trick steering identity for one unitary (or each of a stack).
 
     Measuring conj(U) |x><x| conj(U)^dagger on one half of the maximally
     entangled state must leave the other half in U |x><x| U^dagger / d.
     """
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
+    d = u.shape[-1]
     basis = np.eye(d, dtype=complex)
     shared = dyad(basis.reshape(-1) / math.sqrt(d))
     worst = 0.0
     for x in range(d):
-        effect = np.conj(u) @ dyad(basis[x]) @ u.T
+        effect = np.conj(u) @ dyad(basis[x]) @ u.swapaxes(-1, -2)
         marginal = partial_trace(kron(effect, np.eye(d)) @ shared, (d, d), {1})
         steered = u @ dyad(basis[x]) @ dagger(u) / d
-        worst = max(worst, float(np.abs(marginal - steered).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(marginal - steered).max(axis=(-2, -1)))
+    return per_member(worst)
 
 
 def transpose_trick_game(unitaries) -> MoeGame:

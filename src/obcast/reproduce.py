@@ -11,6 +11,7 @@ that hold the interpreter lock, so worker threads would only add overhead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from .sampling import (
 from .uncertainty import (
     GeneralURInstance,
     SuperpositionSpec,
+    superpose,
     ur_general,
     ur_guess_bound,
     ur_pair_bound,
@@ -306,17 +308,49 @@ def _moe_bb84(case, opts):
     return moe.classical_copy_permutation_bound(moe.game_bb84())
 
 
-@_case("moe-transpose-marginal", "steering identity on random unitaries", None, 1e-12, "exact")
-def _moe_transpose(case, opts):
-    rng = case_rng(opts.seed, case.id)
-    worst = 0.0
-    for k in range(opts.n_trials(100)):
-        d = 2 + (k % 2)
-        worst = max(worst, moe.steering_deviation(random_unitary(rng, d)))
-    return worst
-
-
 # --- randomized property suites --------------------------------------------------
+
+SUITES: dict[str, tuple] = {}  # case id -> (default trial count, draw, evaluate)
+HELD_TRIALS = 128  # drawn trials held at once, so memory does not grow with the trial count
+
+
+def trial_values(draw, evaluate, rng, count: int) -> list[tuple]:
+    """The values of ``count`` trials, drawn in order by ``draw(rng, k) -> (key, parts)``.
+
+    Drawn trials wait by key (their dimensions).  Once ``HELD_TRIALS`` wait,
+    and after the last draw, the key with the most waiting trials goes to
+    ``evaluate(key, *stacks)`` in one call, each part stacked (arrays along
+    a new first axis, anything else as a list); it returns a tuple of
+    arrays, one value per trial.
+    """
+    values: list = [None] * count
+    waiting: dict = {}
+    for k in range(count):
+        key, parts = draw(rng, k)
+        waiting.setdefault(key, []).append((k, parts))
+        while waiting and (k == count - 1 or sum(map(len, waiting.values())) == HELD_TRIALS):
+            key = max(waiting, key=lambda q: len(waiting[q]))
+            members, parts = zip(*waiting.pop(key))
+            stacks = [np.stack(part) if isinstance(part[0], np.ndarray) else list(part) for part in zip(*parts)]
+            for m, row in zip(members, zip(*evaluate(key, *stacks))):
+                values[m] = row
+    return values
+
+
+def _suite(case_id: str, paper_ref: str, tolerance: float, trials: int, draw):
+    """Register ``evaluate`` as the randomized case whose value is the worst over ``trials`` draws."""
+
+    def wrap(evaluate):
+        SUITES[case_id] = (trials, draw, evaluate)
+
+        def run(case, opts):
+            values = trial_values(draw, evaluate, case_rng(opts.seed, case.id), opts.n_trials(trials))
+            return max(itertools.chain([-math.inf], *values))
+
+        _case(case_id, paper_ref, None, tolerance, "exact")(run)
+        return evaluate
+
+    return wrap
 
 
 def _random_spec(rng) -> SuperpositionSpec:
@@ -328,93 +362,86 @@ def _random_spec(rng) -> SuperpositionSpec:
     )
 
 
-@_case("prop-ur-pair-soundness", "pair uncertainty relation on random bipartite vectors", None, 1e-9, "exact")
-def _prop_ur_pair(case, opts):
-    rng = case_rng(opts.seed, case.id)
-    worst = -math.inf
-    for _ in range(opts.n_trials(1000)):
-        da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
-        lhs, rhs = ur_pair_bound(a0, a1, _random_spec(rng), (da, db))
-        worst = max(worst, lhs - rhs)
-    return worst
+def _draw_unitary(rng, k):
+    return (2 + k % 2,), (random_unitary(rng, 2 + k % 2),)
 
 
-@_case("prop-ur-guess-soundness", "guessing form of the relation at exact optimal values", None, 1e-9, "exact")
-def _prop_ur_guess(case, opts):
-    rng = case_rng(opts.seed, case.id)
-    worst = -math.inf
-    for _ in range(opts.n_trials(1000)):
-        da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
-        spec = _random_spec(rng)
-        v_t = spec.superpose(a0, a1, "theta")
-        v_o = spec.superpose(a0, a1, "omega")
-        dims = (da, db)
-        marg = lambda v, keep: partial_trace(dyad(v), dims, {keep})
-        lhs = 0.5 * (1.0 + trace_distance(marg(v_t, 1), marg(v_o, 1)))
-        pg_a = helstrom_binary(marg(a0, 0), marg(a1, 0))
-        pg_b = helstrom_binary(marg(a0, 1), marg(a1, 1))
-        worst = max(worst, lhs - ur_guess_bound(pg_a, pg_b, spec))
-    return worst
+@_suite("moe-transpose-marginal", "steering identity on random unitaries", 1e-12, 100, _draw_unitary)
+def _moe_transpose(key, u):
+    return (moe.steering_deviation(u),)
 
 
-@_case("prop-ur-general-soundness", "multi-vector relation on random three-vector instances", None, 1e-9, "exact")
-def _prop_ur_general(case, opts):
-    rng = case_rng(opts.seed, case.id)
-    worst = -math.inf
-    for _ in range(opts.n_trials(500)):
-        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        gammas = tuple(random_ket(rng, da * db) for _ in range(3))
-        coeff = lambda: tuple((rng.normal() + 1j * rng.normal()) / 2 for _ in range(3))
-        inst = GeneralURInstance(gammas=gammas, alphas=coeff(), betas=coeff(), dims=(da, db))
-        bounds = ur_general(inst)
-        worst = max(worst, bounds.lhs - bounds.rhs_tight, bounds.lhs - bounds.rhs_relaxed)
-    return worst
+def _draw_ket_pair(rng, k):
+    da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
+    return (da, db), (a0, a1, _random_spec(rng))
 
 
-@_case("prop-fuchs-van-de-graaf", "trace distance vs fidelity envelope on random density pairs", None, 1e-9, "exact")
-def _prop_fvdg(case, opts):
-    rng = case_rng(opts.seed, case.id)
-    worst = -math.inf
-    for _ in range(opts.n_trials(1000)):
-        d = int(rng.integers(2, 5))
-        rho, sigma = random_density(rng, d), random_density(rng, d)
-        f = fidelity(rho, sigma)
-        dist = trace_distance(rho, sigma)
-        worst = max(worst, (1.0 - f) - dist, dist - math.sqrt(max(0.0, 1.0 - f * f)))
-    return worst
+@_suite("prop-ur-pair-soundness", "pair uncertainty relation on random bipartite vectors", 1e-9, 1000, _draw_ket_pair)
+def _prop_ur_pair(dims, a0, a1, specs):
+    lhs, rhs = ur_pair_bound(a0, a1, specs, dims)
+    return (lhs - rhs,)
 
 
-@_case("prop-product-norm", "tensor-splitting of the trace norm on random state pairs", None, 1e-9, "exact")
-def _prop_product_norm(case, opts):
-    # Sampled over density operators (trace-one members of 0 <= W <= I): the
-    # splitting needs trace-norm-one factors, and that is how it is applied.
-    # General contractions admit counterexamples, e.g. W = Y = I on a qubit.
-    rng = case_rng(opts.seed, case.id)
-    worst = -math.inf
-    for _ in range(opts.n_trials(1000)):
-        d1, d2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        w, y = random_density(rng, d1), random_density(rng, d1)
-        x, z = random_density(rng, d2), random_density(rng, d2)
-        lhs = trace_norm(kron(w, x) - kron(y, z))
-        rhs = trace_norm(w - y) + trace_norm(x - z)
-        worst = max(worst, lhs - rhs)
-    return worst
+@_suite("prop-ur-guess-soundness", "guessing form of the relation at exact optimal values", 1e-9, 1000, _draw_ket_pair)
+def _prop_ur_guess(dims, a0, a1, specs):
+    marg = lambda v, keep: partial_trace(dyad(v), dims, {keep})
+    v_t, v_o = superpose(a0, a1, specs, "theta"), superpose(a0, a1, specs, "omega")
+    lhs = 0.5 * (1.0 + trace_distance(marg(v_t, 1), marg(v_o, 1)))
+    pg_a = helstrom_binary(marg(a0, 0), marg(a1, 0))
+    pg_b = helstrom_binary(marg(a0, 1), marg(a1, 1))
+    return (lhs - ur_guess_bound(pg_a, pg_b, specs),)
 
 
-@_case("prop-lemma-a1", "permutation splitting of the operator norm on random PSD tuples", None, 1e-9, "exact")
-def _prop_lemma_a1(case, opts):
-    rng = case_rng(opts.seed, case.id)
-    worst = -math.inf
-    for _ in range(opts.n_trials(500)):
-        n = int(rng.integers(3, 5))
-        d = int(rng.integers(2, 7))
-        ops = [random_psd(rng, d) for _ in range(n)]
-        bound = lemma_a1_bound(ops, PermutationFamily.cyclic(n))
-        total = float(np.linalg.eigvalsh(sum(ops)).max())
-        worst = max(worst, total - bound)
-    return worst
+def _draw_general(rng, k):
+    da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    gammas = tuple(random_ket(rng, da * db) for _ in range(3))
+    coeff = lambda: tuple((rng.normal() + 1j * rng.normal()) / 2 for _ in range(3))
+    return (da, db), (GeneralURInstance(gammas=gammas, alphas=coeff(), betas=coeff(), dims=(da, db)),)
+
+
+@_suite("prop-ur-general-soundness", "multi-vector relation on random three-vector instances", 1e-9, 500, _draw_general)
+def _prop_ur_general(dims, insts):
+    bounds = ur_general(insts)
+    return [b.lhs - b.rhs_tight for b in bounds], [b.lhs - b.rhs_relaxed for b in bounds]
+
+
+def _draw_density_pair(rng, k):
+    d = int(rng.integers(2, 5))
+    return (d,), (random_density(rng, d), random_density(rng, d))
+
+
+@_suite("prop-fuchs-van-de-graaf", "trace distance vs fidelity envelope on random density pairs", 1e-9, 1000, _draw_density_pair)
+def _prop_fvdg(d, rho, sigma):
+    f = fidelity(rho, sigma)
+    dist = trace_distance(rho, sigma)
+    return (1.0 - f) - dist, dist - np.sqrt(np.maximum(0.0, 1.0 - f * f))
+
+
+# Sampled over density operators (trace-one members of 0 <= W <= I): the
+# splitting needs trace-norm-one factors, and that is how it is applied.
+# General contractions admit counterexamples, e.g. W = Y = I on a qubit.
+def _draw_product_pairs(rng, k):
+    d1, d2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    w, y = random_density(rng, d1), random_density(rng, d1)
+    x, z = random_density(rng, d2), random_density(rng, d2)
+    return (d1, d2), (w, y, x, z)
+
+
+@_suite("prop-product-norm", "tensor-splitting of the trace norm on random state pairs", 1e-9, 1000, _draw_product_pairs)
+def _prop_product_norm(dims, w, y, x, z):
+    return (trace_norm(kron(w, x) - kron(y, z)) - (trace_norm(w - y) + trace_norm(x - z)),)
+
+
+def _draw_psd_tuple(rng, k):
+    n, d = int(rng.integers(3, 5)), int(rng.integers(2, 7))
+    return (n, d), tuple(random_psd(rng, d) for _ in range(n))
+
+
+@_suite("prop-lemma-a1", "permutation splitting of the operator norm on random PSD tuples", 1e-9, 500, _draw_psd_tuple)
+def _prop_lemma_a1(key, *ops):
+    bound = lemma_a1_bound(ops, PermutationFamily.cyclic(len(ops)))
+    return (np.linalg.eigvalsh(sum(ops)).max(axis=-1) - bound,)
 
 
 @_case("prop-postinfo-bruteforce", "row-merged solve matches exhaustive assignment search", None, 1e-6, "dual-certified")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dyad, fidelity, ket, partial_trace, trace_distance
+from .linalg import dyad, fidelity, ket, partial_trace, per_member, trace_distance
 
 MAX_GENERAL_VECTORS = 8
 
@@ -46,58 +46,68 @@ class SuperpositionSpec:
     def z2(self) -> float:
         return 0.5 * (math.cos(self.theta) - math.cos(self.omega))
 
-    def superpose(self, v0: np.ndarray, v1: np.ndarray, which: str) -> np.ndarray:
-        """Linear combination for 'theta' or 'omega'; not renormalized."""
+    def weights(self, which: str) -> tuple[float, complex]:
+        """The coefficients of v0 and v1 in the 'theta' or the 'omega' superposition."""
         angle, phase = (self.theta, self.phi) if which == "theta" else (self.omega, self.phi_prime)
-        return math.cos(angle / 2) * ket(v0) + cmath.exp(1j * phase) * math.sin(angle / 2) * ket(v1)
+        return math.cos(angle / 2), cmath.exp(1j * phase) * math.sin(angle / 2)
+
+
+def _per_spec(spec, batch: tuple[int, ...], fn) -> np.ndarray:
+    """``fn`` of each member's spec, one spec at a time; a lone spec goes with a lone vector."""
+    specs = [spec] if isinstance(spec, SuperpositionSpec) else list(spec)
+    if len(specs) != int(np.prod(batch)):
+        raise ValueError(f"{len(specs)} specs for a stack of shape {batch}")
+    values = np.array([fn(s) for s in specs])
+    return values.reshape(batch + values.shape[1:])
+
+
+def superpose(v0: np.ndarray, v1: np.ndarray, spec, which: str) -> np.ndarray:
+    """The 'theta' or 'omega' superposition, not renormalized, of each member of (..., n) stacks."""
+    c = _per_spec(spec, np.shape(v0)[:-1], lambda s: s.weights(which))
+    return c[..., 0, None] * v0 + c[..., 1, None] * v1
 
 
 def _marginal(v: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     return partial_trace(dyad(v), dims, {keep})
 
 
-def ur_pair_bound(
-    alpha0: np.ndarray,
-    alpha1: np.ndarray,
-    spec: SuperpositionSpec,
-    dims: tuple[int, int],
-) -> tuple[float, float]:
+def ur_pair_bound(alpha0: np.ndarray, alpha1: np.ndarray, spec, dims: tuple[int, int]) -> tuple:
     """Both sides of the pair uncertainty relation.
 
     Returns (lhs, rhs) with
     lhs = D(alpha_theta^B, alpha_omega^B) and
     rhs = |z1| F(alpha_0^A, alpha_1^A) + |z2| D(alpha_0^B, alpha_1^B),
     where the superpositions stay unnormalized and A is the first factor.
+    For (..., n) stacks of vectors and one spec per member, both hold one
+    value per member.
     """
-    a0, a1 = ket(alpha0), ket(alpha1)
+    a0, a1 = np.asarray(alpha0, dtype=complex), np.asarray(alpha1, dtype=complex)
     if a0.shape != a1.shape:
         raise ValueError("vectors must share a dimension")
-    if int(np.prod(dims)) != a0.shape[0]:
-        raise ValueError(f"dims {dims} do not match vector length {a0.shape[0]}")
-    v_theta = spec.superpose(a0, a1, "theta")
-    v_omega = spec.superpose(a0, a1, "omega")
-    lhs = trace_distance(_marginal(v_theta, dims, 1), _marginal(v_omega, dims, 1))
-    rhs = abs(spec.z1) * fidelity(_marginal(a0, dims, 0), _marginal(a1, dims, 0)) + abs(
-        spec.z2
-    ) * trace_distance(_marginal(a0, dims, 1), _marginal(a1, dims, 1))
-    return lhs, rhs
+    if int(np.prod(dims)) != a0.shape[-1]:
+        raise ValueError(f"dims {dims} do not match vector length {a0.shape[-1]}")
+    z1, z2 = np.moveaxis(_per_spec(spec, a0.shape[:-1], lambda s: (abs(s.z1), abs(s.z2))), -1, 0)
+    lhs = trace_distance(*(_marginal(superpose(a0, a1, spec, which), dims, 1) for which in ("theta", "omega")))
+    fid = fidelity(_marginal(a0, dims, 0), _marginal(a1, dims, 0))
+    return lhs, per_member(z1 * fid + z2 * trace_distance(_marginal(a0, dims, 1), _marginal(a1, dims, 1)))
 
 
-def ur_guess_bound(pg_cross_a: float, pg_pair_b: float, spec: SuperpositionSpec) -> float:
+def ur_guess_bound(pg_cross_a, pg_pair_b, spec):
     """Upper bound on guessing the two superpositions from the second factor.
 
     Inputs are equiprobable guessing probabilities: ``pg_cross_a`` for the
     base pair seen on the first factor, ``pg_pair_b`` for the base pair seen
-    on the second factor.
+    on the second factor; arrays of them, with one spec per member, give one
+    bound per member.
     """
-    for name, p in (("pg_cross_a", pg_cross_a), ("pg_pair_b", pg_pair_b)):
-        if not 0.5 - 1e-12 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"{name}={p!r} outside [1/2, 1]")
-    return 0.5 * (
-        abs(spec.z1) * math.sqrt(max(0.0, 1.0 - (2 * pg_cross_a - 1) ** 2))
-        + abs(spec.z2) * (2 * pg_pair_b - 1)
-        + 1.0
-    )
+    pa, pb = np.asarray(pg_cross_a, dtype=float), np.asarray(pg_pair_b, dtype=float)
+    for name, p in (("pg_cross_a", pa), ("pg_pair_b", pb)):
+        outside = ~((0.5 - 1e-12 <= p) & (p <= 1.0 + 1e-12))
+        if outside.any():
+            raise ValueError(f"{name}={float(p[outside][0])!r} outside [1/2, 1]")
+    z1, z2 = np.moveaxis(_per_spec(spec, pa.shape, lambda s: (abs(s.z1), abs(s.z2))), -1, 0)
+    squares = np.array([(2 * p - 1) ** 2 for p in pa.ravel().tolist()]).reshape(pa.shape)  # Python's pow
+    return per_member(0.5 * (z1 * np.sqrt(np.maximum(0.0, 1.0 - squares)) + z2 * (2 * pb - 1) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ class URGeneralBounds:
     best_permutation: tuple[int, ...]
 
 
-def ur_general(inst: GeneralURInstance) -> URGeneralBounds:
+def ur_general(inst):
     """Multi-vector uncertainty relation.
 
     The tight right-hand side minimizes the classical term over index
@@ -138,35 +148,37 @@ def ur_general(inst: GeneralURInstance) -> URGeneralBounds:
     replaces that term with the total-variation distance of the coefficient
     weight vectors.  The fidelity term runs over unordered vector pairs with
     z_ij = alpha_i alpha_j^* - beta_i beta_j^*, matching the pair form when
-    only two vectors are present.
+    only two vectors are present.  A sequence of instances of one shape is
+    evaluated as one stack and gives a list of bounds, one per instance.
     """
-    n = len(inst.gammas)
+    insts = [inst] if isinstance(inst, GeneralURInstance) else list(inst)
+    n, dims = len(insts[0].gammas), insts[0].dims
     if n > MAX_GENERAL_VECTORS:
         raise ValueError(f"{n} vectors exceed the supported {MAX_GENERAL_VECTORS}")
-    v_alpha = sum(a * g for a, g in zip(inst.alphas, inst.gammas))
-    v_beta = sum(b * g for b, g in zip(inst.betas, inst.gammas))
-    marg_b = [_marginal(g, inst.dims, 1) for g in inst.gammas]
-    marg_a = [_marginal(g, inst.dims, 0) for g in inst.gammas]
-    lhs = trace_distance(_marginal(v_alpha, inst.dims, 1), _marginal(v_beta, inst.dims, 1))
-    p = [abs(a) ** 2 for a in inst.alphas]
-    q = [abs(b) ** 2 for b in inst.betas]
+    if any(len(x.gammas) != n or x.dims != dims for x in insts):
+        raise ValueError("stacked instances must share the vector count and dims")
+    gammas = np.array([x.gammas for x in insts])
+    alphas, betas = np.array([x.alphas for x in insts]), np.array([x.betas for x in insts])
+    v_alpha = sum(alphas[:, k, None] * gammas[:, k] for k in range(n))
+    v_beta = sum(betas[:, k, None] * gammas[:, k] for k in range(n))
+    marg_b = [_marginal(gammas[:, k], dims, 1) for k in range(n)]
+    marg_a = [_marginal(gammas[:, k], dims, 0) for k in range(n)]
+    lhs = trace_distance(_marginal(v_alpha, dims, 1), _marginal(v_beta, dims, 1))
+    # per-instance scalars by Python's abs and pow, as for one instance alone
+    p = np.array([[abs(a) ** 2 for a in x.alphas] for x in insts])
+    q = np.array([[abs(b) ** 2 for b in x.betas] for x in insts])
     fid_term = 0.0
     for i, j in itertools.combinations(range(n), 2):
-        z_ij = inst.alphas[i] * np.conj(inst.alphas[j]) - inst.betas[i] * np.conj(inst.betas[j])
-        fid_term += abs(z_ij) * fidelity(marg_a[i], marg_a[j])
-    cost = [[trace_distance(p[i] * marg_b[i], q[j] * marg_b[j]) for j in range(n)] for i in range(n)]
-    best_perm, best_classical = None, math.inf
-    for perm in itertools.permutations(range(n)):
-        classical = sum(cost[i][perm[i]] for i in range(n))
-        if classical < best_classical:
-            best_perm, best_classical = perm, classical
-    relaxed_classical = 0.5 * sum(abs(pi - qi) for pi, qi in zip(p, q))
-    return URGeneralBounds(
-        lhs=lhs,
-        rhs_tight=best_classical + fid_term,
-        rhs_relaxed=relaxed_classical + fid_term,
-        best_permutation=best_perm,
-    )
+        z_ij = [abs(x.alphas[i] * np.conj(x.alphas[j]) - x.betas[i] * np.conj(x.betas[j])) for x in insts]
+        fid_term += np.array(z_ij) * fidelity(marg_a[i], marg_a[j])
+    cost = [[trace_distance(p[:, i, None, None] * marg_b[i], q[:, j, None, None] * marg_b[j]) for j in range(n)] for i in range(n)]
+    perms = list(itertools.permutations(range(n)))
+    classical = np.array([sum(cost[i][perm[i]] for i in range(n)) for perm in perms])
+    best = np.argmin(classical, axis=0)  # the first of equal minima, as a scan with < keeps
+    tight = classical[best, np.arange(len(insts))] + fid_term
+    relaxed = 0.5 * sum(np.abs(p[:, i] - q[:, i]) for i in range(n)) + fid_term
+    bounds = [URGeneralBounds(float(a), float(b), float(c), perms[k]) for a, b, c, k in zip(lhs, tight, relaxed, best)]
+    return bounds[0] if isinstance(inst, GeneralURInstance) else bounds
 
 
 def no_go_bound(theta: float) -> float:

@@ -7,11 +7,13 @@ lines; the same computations back the ``obcast reproduce`` report.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from obcast.qpv import cor5_epsilon_star, thm6_separation
 from obcast.reporting import reports_to_csv, reports_to_json
-from obcast.reproduce import case_ids, run_reproduce
+from obcast.reproduce import SUITES, case_ids, run_reproduce, trial_values
+from obcast.sampling import case_rng
 
 SQ2 = math.sqrt(2)
 SEED = 42
@@ -254,3 +256,105 @@ def test_bruteforce_case_reports_the_reference_bits(reports):
 def test_seed_42_report_bytes_are_pinned(reports):
     text = reports_to_json(list(reports.values()))
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+# --- the stacked property suites ---------------------------------------------------
+
+
+def _one_at_a_time(case_id: str, seed: int, count: int) -> list[tuple]:
+    """Each trial of a suite evaluated alone, as a group of one, in draw order."""
+    _, draw, evaluate = SUITES[case_id]
+    rng = case_rng(seed, case_id)
+    rows = []
+    for k in range(count):
+        key, parts = draw(rng, k)
+        stacks = [np.stack([p]) if isinstance(p, np.ndarray) else [p] for p in parts]
+        rows.append(tuple(values[0] for values in evaluate(key, *stacks)))
+    return rows
+
+
+def test_the_seven_solver_free_suites_are_stacked():
+    assert sorted(SUITES) == [
+        "moe-transpose-marginal",
+        "prop-fuchs-van-de-graaf",
+        "prop-lemma-a1",
+        "prop-product-norm",
+        "prop-ur-general-soundness",
+        "prop-ur-guess-soundness",
+        "prop-ur-pair-soundness",
+    ]
+
+
+@pytest.mark.parametrize("seed, trials", [(1, 1), (1, 3), (7, 1), (7, 3), (42, 1), (42, 3), (42, None)])
+@pytest.mark.parametrize("case_id", sorted(SUITES))
+def test_each_suite_gives_every_trial_the_bits_it_gets_alone(case_id, seed, trials):
+    default, draw, evaluate = SUITES[case_id]
+    count = default if trials is None else trials
+    stacked = trial_values(draw, evaluate, case_rng(seed, case_id), count)
+    alone = _one_at_a_time(case_id, seed, count)
+    assert len(stacked) == count
+    assert np.array(stacked, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
+
+
+# The seven suite rows at seeds 1 and 7, and the sha256 prefix of all their
+# per-trial values (float64 bytes, trials in draw order), as the trial-by-trial
+# loops that the stacked suites replaced computed them; seed 42's rows are
+# pinned by the report digest.
+SUITE_VALUES = {
+    1: {
+        "moe-transpose-marginal": 1.1413389461667815e-16,
+        "prop-fuchs-van-de-graaf": -1.2973549391448458e-06,
+        "prop-lemma-a1": -0.7580770161012733,
+        "prop-product-norm": -0.10337334541214396,
+        "prop-ur-general-soundness": -0.14194673780549408,
+        "prop-ur-guess-soundness": -0.002000179159092008,
+        "prop-ur-pair-soundness": -0.0018293908369018397,
+    },
+    7: {
+        "moe-transpose-marginal": 1.1411462897013008e-16,
+        "prop-fuchs-van-de-graaf": -1.0876221452349455e-06,
+        "prop-lemma-a1": -0.7615444860455458,
+        "prop-product-norm": -0.1146075762782317,
+        "prop-ur-general-soundness": -0.17074049773578107,
+        "prop-ur-guess-soundness": -0.00047841095872735995,
+        "prop-ur-pair-soundness": -0.0019832926642326387,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_VALUES))
+def test_suite_rows_at_other_seeds_are_pinned(seed):
+    got = {r.id: r.computed for case_id in SUITE_VALUES[seed] for r in run_reproduce(seed=seed, only=case_id)}
+    assert got == SUITE_VALUES[seed]
+
+
+SUITE_TRIALS_SHA256 = {
+    1: {
+        "moe-transpose-marginal": "9aca636548824004",
+        "prop-fuchs-van-de-graaf": "2b8eb46079d06f0d",
+        "prop-lemma-a1": "d07bf35030af1781",
+        "prop-product-norm": "5b18765fdee0c4c2",
+        "prop-ur-general-soundness": "b54040dc3bd70cce",
+        "prop-ur-guess-soundness": "ab0e32f941fc79a3",
+        "prop-ur-pair-soundness": "090d635e64b26a4d",
+    },
+    7: {
+        "moe-transpose-marginal": "6d25467436ac5935",
+        "prop-fuchs-van-de-graaf": "a7e3d3f5d10307f6",
+        "prop-lemma-a1": "70a7ce7f94bedf0a",
+        "prop-product-norm": "5eb97fd71a6bb71b",
+        "prop-ur-general-soundness": "0358ca748bfd1ce6",
+        "prop-ur-guess-soundness": "73c9ff7d166b8d74",
+        "prop-ur-pair-soundness": "7d230d1c6eb4b724",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_TRIALS_SHA256))
+def test_suite_trials_at_other_seeds_are_pinned(seed):
+    got = {}
+    for case_id in SUITE_TRIALS_SHA256[seed]:
+        trials, draw, evaluate = SUITES[case_id]
+        values = np.array(trial_values(draw, evaluate, case_rng(seed, case_id), trials), dtype=float)
+        got[case_id] = hashlib.sha256(values.tobytes()).hexdigest()[:16]
+    assert got == SUITE_TRIALS_SHA256[seed]

@@ -185,6 +185,26 @@ def test_documents_with_a_malformed_field_are_input_errors(tmp_path, capsys):
     assert code == 1 and "malformed 'states' field" in err
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 1, 0, None])
+def test_an_orthogonal_flag_that_is_not_a_json_boolean_is_an_input_error(tmp_path, capsys, flag):
+    payload = json.loads(dumps(gallery("bb84")))
+    payload["orthogonal"] = flag
+    path = _write(tmp_path, payload)
+    for argv in (("bound", "--file", path, "--method", "postinfo"), ("check", "--file", path)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed 'orthogonal' field of a postinfo document: expected true or false, got {flag!r}")
+
+
+def test_an_orthogonal_flag_of_json_false_turns_the_check_off(tmp_path, capsys):
+    # equal second-setting states: the set is not orthogonal, and the flag says so
+    payload = json.loads(dumps(gallery("bb84")))
+    payload["states"][1][1] = payload["states"][1][0]
+    payload["orthogonal"] = False
+    code, out, _ = run(capsys, "bound", "--file", _write(tmp_path, payload), "--method", "postinfo")
+    assert code == 0 and json.loads(out)["computed"] == pytest.approx(0.75, abs=1e-6)
+
+
 def test_moe_subcommand(capsys):
     code, out, _ = run(capsys, "moe", "--game", "obb")
     assert code == 0

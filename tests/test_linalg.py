@@ -3,6 +3,7 @@ import pytest
 
 from obcast.ensembles import gallery
 from obcast.linalg import (
+    dagger,
     dyad,
     fidelity,
     hermitian,
@@ -210,3 +211,121 @@ def test_random_kets_are_normalized():
     rng = np.random.default_rng(9)
     for _ in range(20):
         assert abs(np.linalg.norm(random_ket(rng, 5)) - 1) <= 1e-12
+
+
+# --- stacks ---------------------------------------------------------------------
+#
+# Every primitive takes (..., d, d) stacks of operators (or (..., n) stacks of
+# vectors) and must give each member the bits it gives that member alone.
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(np.asarray(x, dtype=np.result_type(x, float))).tobytes()
+
+
+def _mixed_operators(rng, d, count=8):
+    """Densities of full and low rank, a projector, zero, a multiple of I and a non-PSD Hermitian."""
+    g = rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1))
+    members = [random_density(rng, d) for _ in range(count - 5)]
+    members += [g @ g.conj().T / np.vdot(g, g).real, np.zeros((d, d)), 0.5 * np.eye(d)]
+    members += [np.diag(np.linspace(0.0, 1.0, d)), random_hermitian(rng, d)]
+    return np.array(members, dtype=complex)
+
+
+def _layouts(stack):
+    """The stack as a C-ordered (2, n/2, ...) block, with each member transposed in memory, and as a strided slice."""
+    big = np.zeros((2 * stack.shape[0],) + tuple(s + 1 for s in stack.shape[1:]), dtype=complex)
+    inner = (slice(None, None, 2),) + tuple(slice(1, None) for _ in stack.shape[1:])
+    big[inner] = stack
+    strided = big[inner]
+    transposed = np.ascontiguousarray(np.swapaxes(stack, -1, -2)).swapaxes(-1, -2) if stack.ndim > 2 else np.asfortranarray(stack)
+    assert not strided.flags.c_contiguous and not transposed.flags.c_contiguous
+    return {"blocked": stack.reshape((2, -1) + stack.shape[1:]), "transposed": transposed, "strided": strided}
+
+
+def _assert_members_match(fn, *stacks, core=2):
+    """``fn`` on the stacks equals ``fn`` on each member alone; members have ``core`` trailing axes."""
+    out = fn(*stacks)
+    for index in np.ndindex(stacks[0].shape[:-core]):
+        assert _bits(out[index]) == _bits(fn(*(s[index] for s in stacks))), (fn.__name__, index)
+
+
+STACK_PRIMITIVES = {
+    "hermitian": (hermitian, 1),
+    "dagger": (dagger, 1),
+    "trace_norm": (trace_norm, 1),
+    "operator_norm": (operator_norm, 1),
+    "psd_sqrt": (psd_sqrt, 1),
+    "trace_distance": (trace_distance, 2),
+    "fidelity": (fidelity, 2),
+    "kron": (kron, 2),
+}
+
+
+@pytest.mark.parametrize("layout", ["blocked", "transposed", "strided"])
+@pytest.mark.parametrize("name", sorted(STACK_PRIMITIVES))
+def test_stacked_primitives_match_each_member_alone_bit_for_bit(name, layout):
+    fn, arity = STACK_PRIMITIVES[name]
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4):
+        stacks = [_mixed_operators(rng, d) for _ in range(arity)]
+        if name in ("psd_sqrt", "fidelity"):  # PSD members only: drop the non-PSD last one
+            stacks = [np.concatenate([s[:-1], s[:1]]) for s in stacks]
+        if name == "kron":
+            stacks[1] = _mixed_operators(rng, 6 - d)
+        _assert_members_match(fn, *(_layouts(s)[layout] for s in stacks))
+
+
+@pytest.mark.parametrize("layout", ["blocked", "transposed", "strided"])
+def test_stacked_dyad_and_partial_trace_match_each_member_alone_bit_for_bit(layout):
+    rng = np.random.default_rng(22)
+    vectors = np.array([random_ket(rng, 6) for _ in range(8)])
+    _assert_members_match(dyad, _layouts(vectors)[layout], core=1)
+    operators = _layouts(_mixed_operators(rng, 6))[layout]
+    for keep in ({0}, {1}, {0, 1}):
+        _assert_members_match(lambda m: partial_trace(m, (2, 3), keep), operators)
+
+
+def test_kron_broadcasts_one_operator_against_a_stack_and_matches_numpy():
+    rng = np.random.default_rng(23)
+    stack = _mixed_operators(rng, 3)
+    eye = np.eye(2)
+    out = kron(stack, eye)
+    assert out.shape == (8, 6, 6)
+    for member, got in zip(stack, out):
+        assert _bits(got) == _bits(kron(member, eye)) == _bits(np.kron(member, eye))
+    a, b = random_hermitian(rng, 2), rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    assert _bits(kron(a, b)) == _bits(np.kron(a, b))
+
+
+def test_a_single_operator_gives_a_float_and_a_stack_an_array():
+    rho = random_density(np.random.default_rng(24), 3)
+    assert type(trace_distance(rho, rho)) is float and type(fidelity(rho, rho)) is float
+    assert type(trace_norm(rho)) is float and type(operator_norm(rho)) is float
+    assert trace_distance(rho[None], rho[None]).shape == (1,)
+
+
+def _message(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_a_rejected_member_raises_what_it_raises_alone():
+    rng = np.random.default_rng(25)
+    good = _mixed_operators(rng, 3)[:-1]
+    skew = good.copy()
+    skew[2, 0, 1] += 1e-6
+    skew[4, 1, 2] += 1e-3  # a second, larger defect: the first bad member is the one named
+    assert _message(hermitian, skew) == _message(hermitian, skew[2])
+    assert "residual 1.000e-06" in _message(hermitian, skew)
+    assert _message(trace_distance, skew, good) == _message(trace_distance, skew[2], good[2])
+    nonfinite = skew.copy()
+    nonfinite[1, 0, 0] = np.inf
+    assert _message(hermitian, nonfinite) == _message(hermitian, nonfinite[1]) == "matrix has non-finite entries"
+    negative = good.copy()
+    negative[3] = np.diag([0.5, 0.5, -1e-6])
+    negative[5] = np.diag([0.5, 0.5, -1e-3])
+    assert _message(psd_sqrt, negative) == _message(psd_sqrt, negative[3])
+    assert "min eigenvalue -1.000e-06" in _message(psd_sqrt, negative)
+    assert _message(fidelity, good, negative) == _message(fidelity, good[3], negative[3])

@@ -10,6 +10,7 @@ from obcast.uncertainty import (
     GeneralURInstance,
     SuperpositionSpec,
     no_go_bound,
+    superpose,
     ur_general,
     ur_guess_bound,
     ur_pair_bound,
@@ -86,6 +87,21 @@ def test_guess_bound_monotone_when_z2_vanishes():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_stacked_guess_bound_matches_the_scalar_formula_bit_for_bit():
+    # Python's ** 2 differs from numpy's array ** 2 in the last bit for about one
+    # value in a thousand; every member must get the one-pair formula's bits
+    rng = np.random.default_rng(8)
+    pa, pb = rng.uniform(0.5, 1.0, size=(2, 4000))
+    specs = [random_spec(rng) for _ in range(4000)]
+    assert any((2 * a - 1) ** 2 != (2 * a - 1) * (2 * a - 1) for a in pa.tolist())
+    want = [
+        0.5 * (abs(s.z1) * math.sqrt(max(0.0, 1.0 - (2 * a - 1) ** 2)) + abs(s.z2) * (2 * b - 1) + 1.0)
+        for a, b, s in zip(pa.tolist(), pb.tolist(), specs)
+    ]
+    assert ur_guess_bound(pa, pb, specs).tobytes() == np.array(want).tobytes()
+    assert ur_guess_bound(float(pa[0]), float(pb[0]), specs[0]) == want[0]
+
+
 def test_guess_bound_holds_at_exact_optimal_values():
     rng = np.random.default_rng(2)
     for _ in range(300):
@@ -97,7 +113,7 @@ def test_guess_bound_holds_at_exact_optimal_values():
         lhs = 0.5 * (
             1.0
             + trace_distance(
-                marg(spec.superpose(a0, a1, "theta"), 1), marg(spec.superpose(a0, a1, "omega"), 1)
+                marg(superpose(a0, a1, spec, "theta"), 1), marg(superpose(a0, a1, spec, "omega"), 1)
             )
         )
         pg_a = helstrom_binary(marg(a0, 0), marg(a1, 0))
