@@ -7,9 +7,12 @@ step.  A dual certificate Y >= M_r is built from the iterate by an
 eigenvalue shift; the reported value is optimal within the certified gap,
 independently of how the iteration behaved.  Same-shape targets stream
 through one lockstep window of at most ``STACK_OPERATORS`` operators
-(``solve_stream``), entering at check steps and leaving as each certifies,
-so every member's result is bit for bit its lone solve's; a single solve of
-at most d^2 operators is a stream of one.  A single target with more
+(``solve_stream``), each member at its own settings, entering at steps that
+are multiples of every member's check interval and leaving as each
+certifies, so every member's result is bit for bit its lone solve's; a
+single solve of at most d^2 operators is a stream of one.  The exact
+certificate of a member runs only once its screened gap, which agrees with
+it to rounding, is within 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
 Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
 coordinates of Y in about a hundred steps; below its rounding floor, near
@@ -19,6 +22,7 @@ coordinates of Y in about a hundred steps; below its rounding floor, near
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from collections.abc import Iterator, Sequence
@@ -121,17 +125,26 @@ class DualCertificate:
     def validate(
         self, target: EffectTarget, povm: Povm | None = None, gap_tol: float = DEFAULT_SETTINGS.gap_tol
     ) -> None:
-        """Raise ``ValueError`` unless Y >= M_r for every target, within 1e-8, and the gap is within ``gap_tol``.
+        """Raise ``ValueError`` unless the certificate holds at ``gap_tol``, to rounding and no further.
 
-        With ``povm``, also require one effect per target, each PSD, summing
-        to the identity, all within the target's ``psd_tol`` or rounding at
-        scale d, whichever is larger.
+        Y >= M_r for every target, and ``gap`` is Tr Y - primal, each within
+        rounding (``ROUNDING_ULPS``) at the scale of the largest entry of Y
+        and the targets, and the gap is at most ``gap_tol``.  With ``povm``,
+        also require one effect per target, each PSD, summing to the
+        identity, all within the target's ``psd_tol`` or rounding at scale d,
+        whichever is larger.
         """
         y = hermitian(self.matrix, tol=1e-9)
-        low = np.linalg.eigvalsh(y[None] - np.array(target.operators)).min()
-        if low < -1e-8:
+        ops = np.array(target.operators)
+        scale = max(np.abs(y).max(), np.abs(ops).max())
+        low = np.linalg.eigvalsh(y[None] - ops).min()
+        if low < -_rounding_floor(0.0, scale):
             raise ValueError(f"dual operator not feasible: Y - M has eigenvalue {low:.3e}")
-        if not (-1e-9 <= self.gap <= gap_tol + 1e-12):
+        excess = float(np.trace(y).real) - self.primal_value
+        rounding = _rounding_floor(0.0, target.dim * scale)
+        if abs(self.gap - excess) > rounding:
+            raise ValueError(f"certified gap {self.gap:.3e} is not Tr Y - primal = {excess:.3e}")
+        if not -rounding <= self.gap <= gap_tol:
             raise ValueError(f"certified gap {self.gap:.3e} outside [0, {gap_tol:.1e}]")
         if povm is None:
             return
@@ -166,6 +179,14 @@ def helstrom_binary(rho: np.ndarray, sigma: np.ndarray, p: float = 0.5):
     return per_member(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)))
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built once and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _psd_pinv_sqrt(r: np.ndarray, rank_tol: float) -> np.ndarray:
     """R^{-1/2} on the support of each PSD operator in the stack ``r`` (B, d, d)."""
     w, v = np.linalg.eigh((r + dagger(r)) / 2)
@@ -185,7 +206,7 @@ def _pretty_good(a: np.ndarray) -> np.ndarray:
     n, d = a.shape[1], a.shape[-1]
     s = _psd_pinv_sqrt(a.sum(axis=1), RANK_TOL)
     p = _herm_stack(s[:, None] @ a @ s[:, None])
-    p += ((np.eye(d) - p.sum(axis=1)) / n)[:, None]
+    p += ((_identity(d) - p.sum(axis=1)) / n)[:, None]
     return p
 
 
@@ -195,7 +216,7 @@ def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
     ymp = np.einsum("rij,rjk->ik", m, p)
     y0 = (ymp + dagger(ymp)) / 2
     shift = max(float(-np.linalg.eigvalsh(y0[None] - m).min()), 0.0)
-    y = y0 + shift * np.eye(m.shape[1])
+    y = y0 + shift * _identity(m.shape[1])
     gap = float(np.trace(y).real - primal)
     return primal, y, max(gap, 0.0)
 
@@ -220,61 +241,79 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _solve_stack(
-    m: np.ndarray, st: SolverSettings, p: np.ndarray | None = None
+    m: np.ndarray, settings: Sequence[SolverSettings], p: np.ndarray | None = None
 ) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
-    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d).
+    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), member b at ``settings[b]``.
 
     A window of at most ``STACK_OPERATORS`` operators (always at least one
-    member) iterates in lockstep.  Members enter it in input order, from
-    ``p`` (default: the pretty-good measurement), and only at check steps,
-    so each is checked at the same local iterations as in its lone solve; a
-    member leaves at the first check where its own exact certificate meets
-    ``gap_tol``, and its place is refilled at the next check step.  Every
-    stacked step computes each member exactly as it would be computed alone,
-    so the results do not depend on the window or on the other members.
-    Yields (index, (primal, dual, POVM, gap, iterations)) as each member
-    certifies, or raises ``SolverFailure`` for the earliest-admitted member
-    whose own ``max_iterations`` run out uncertified.
+    member) iterates in lockstep, each member with its own damping.  Members
+    enter it in input order, from ``p`` (default: the pretty-good
+    measurement), and only at steps that are multiples of every member's
+    check interval, so each is checked at the same local iterations as in its
+    lone solve; a member leaves at the first of its checks where its own
+    exact certificate meets its ``gap_tol``, and its place is refilled at the
+    next admission step.  Every stacked step computes each member exactly as
+    it would be computed alone, so the results do not depend on the window or
+    on the other members.  Yields (index, (primal, dual, POVM, gap,
+    iterations)) as each member certifies, or raises ``SolverFailure`` for
+    the member whose own ``max_iterations`` run out first uncertified (the
+    earliest admitted among those that run out at the same step).
     """
     count, n = m.shape[:2]
     width = max(1, STACK_OPERATORS // n)
-    every, last = st.check_interval, st.max_iterations - 1
-    # screened gaps are within rounding of the exact ones, far inside this window
-    window = 2 * st.gap_tol + 1e-12
+    intervals = [st.check_interval for st in settings]
+    admit_every, check_every = math.lcm(*intervals), math.gcd(*intervals)
+    # per-member constants in input order; the update factors are complex, as numpy casts a float factor
+    keep_by = np.array([1.0 - st.damping for st in settings], dtype=complex)[:, None, None, None]
+    damp_by = np.array([st.damping for st in settings], dtype=complex)[:, None, None, None]
+    every_by = np.array(intervals)
+    last_by = np.array([st.max_iterations - 1 for st in settings])
+    # screened gaps are within rounding of the exact ones, far inside this margin
+    screen_by = np.array([st.gap_tol for st in settings]) + 1e-12
     # the live window, in admission order: input index, admission step, targets, iterates, best check
     live, start, ms, ps, best_gap, best_p = np.arange(0), np.arange(0), m[:0], m[:0], np.zeros(0), m[:0]
     step = admitted = 0
+    next_final = math.inf  # the first step at which a live member reaches its last iteration
     while admitted < count or live.size:
         if not live.size:
-            step = -(-step // every) * every  # an empty window idles to the next check step
-        if step % every == 0 and admitted < count and live.size < width:
+            step = -(-step // admit_every) * admit_every  # an empty window idles to the next admission step
+        if step % admit_every == 0 and admitted < count and live.size < width:
             new = np.arange(admitted, min(count, admitted + width - live.size))
             admitted = int(new[-1]) + 1
             entry = _pretty_good(m[new]) if p is None else p[new]
             live, start = np.concatenate([live, new]), np.concatenate([start, np.full(new.size, step)])
             ms, ps, best_p = np.concatenate([ms, m[new]]), np.concatenate([ps, entry]), np.concatenate([best_p, entry])
             best_gap = np.concatenate([best_gap, np.full(new.size, np.inf)])
-        ps = (1.0 - st.damping) * ps + st.damping * _pretty_good(ms @ ps @ ms)
-        # the earliest admissions are the first to reach their own last iteration
-        if step % every == 0 or step - start[0] == last:
-            final = start == step - last
-            due = np.arange(live.size) if step % every == 0 else np.flatnonzero(final)
+            keep, damp = keep_by[live], damp_by[live]
+            next_final = min(next_final, step + int(last_by[new].min()))
+        # (1 - damping) P + damping PGM(M P M), the operands in the order of a scalar update
+        pretty_good = _pretty_good(ms @ ps @ ms)
+        np.multiply(keep, ps, out=ps)
+        np.multiply(damp, pretty_good, out=pretty_good)
+        ps += pretty_good
+        if step % check_every == 0 or step == next_final:
+            age = step - start
+            final = age == last_by[live]
+            due = np.flatnonzero((age % every_by[live] == 0) | final)
             gaps = _screened_gaps(ms[due], ps[due])
             improved = gaps < best_gap[due]
             best_gap[due[improved]] = gaps[improved]
             best_p[due[improved]] = ps[due[improved]]
             stay = np.ones(live.size, dtype=bool)
-            for k in due[gaps <= window]:
+            for k in due[gaps <= screen_by[live[due]]]:
                 primal, y, gap = _certify(ms[k], ps[k])
-                if gap <= st.gap_tol:
+                if gap <= settings[live[k]].gap_tol:
                     stay[k] = False
-                    yield int(live[k]), (primal, y, ps[k].copy(), gap, step - int(start[k]) + 1)
+                    yield int(live[k]), (primal, y, ps[k].copy(), gap, int(age[k]) + 1)
             overrun = np.flatnonzero(final & stay)
             if overrun.size:
                 k = overrun[0]
+                st = settings[live[k]]
                 raise _failure(st, *_certify(ms[k], best_p[k]), best_p[k], st.max_iterations)
             if not stay.all():
                 live, start, ms, ps, best_gap, best_p = (a[stay] for a in (live, start, ms, ps, best_gap, best_p))
+                keep, damp = keep_by[live], damp_by[live]
+                next_final = int((start + last_by[live]).min()) if live.size else math.inf
         step += 1
 
 
@@ -352,7 +391,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
     if stalled is not None and steps < st.max_iterations:
         # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
         try:
-            [(_, (primal, y, p, gap, fixed))] = _solve_stack(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
+            [(_, (primal, y, p, gap, fixed))] = _solve_stack(m[None], [replace(st, max_iterations=st.max_iterations - steps)], p[None])
             return primal, y, p, gap, steps + fixed
         except SolverFailure as polish:
             final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
@@ -370,24 +409,29 @@ def _result(target: EffectTarget, primal, y, p, gap, iterations) -> Discriminati
 
 
 def solve_stream(
-    targets: Sequence[EffectTarget], settings: SolverSettings | None = None
+    targets: Sequence[EffectTarget], settings: SolverSettings | Sequence[SolverSettings] | None = None
 ) -> Iterator[tuple[int, DiscriminationResult]]:
     """Certified optima of same-shape targets, yielded as (index, result) as each certifies.
 
-    The targets stream through one lockstep window (``_solve_stack``), so a
+    ``settings`` is one value for every target or one per target.  The
+    targets stream through one lockstep window (``_solve_stack``), so a
     caller that folds each result and drops it never holds them all.  Every
-    member iterates on all of its operators, and its result is bit for bit
-    the one it gets alone (which is what ``min_error_discrimination`` gives a
-    target of at most d^2 operators).  A member that never certifies raises
-    ``SolverFailure`` for the earliest such member in order.
+    member iterates on all of its operators at its own settings, and its
+    result is bit for bit the one it gets alone (which is what
+    ``min_error_discrimination`` gives a target of at most d^2 operators).
+    A member that never certifies raises ``SolverFailure`` for the member
+    whose iterations run out first.
     """
-    st = settings or DEFAULT_SETTINGS
+    if settings is None or isinstance(settings, SolverSettings):
+        settings = [settings or DEFAULT_SETTINGS] * len(targets)
+    elif len(settings) != len(targets):
+        raise ValueError(f"{len(settings)} settings for {len(targets)} targets")
     if not targets:
         return
     shapes = {(len(t.operators), t.dim) for t in targets}
     if len(shapes) > 1:
         raise ValueError(f"stacked targets must share (outcomes, dim); got {sorted(shapes)}")
-    for i, member in _solve_stack(np.array([t.operators for t in targets]), st):
+    for i, member in _solve_stack(np.array([t.operators for t in targets]), settings):
         yield i, _result(targets[i], *member)
 
 

@@ -8,10 +8,11 @@ Only the weighted row operators come from ``merged_row_targets``, as for
 ``p_postinfo``; the closed-form cases (``bb84-postinfo``, ``thm1-postinfo``)
 pin them independently.  The search deliberately ignores the row-merging
 shortcut that ``p_postinfo`` relies on; agreement between the two is what
-the test asserts.  The assignment problems of all the ensembles run as one
-fixed-point stream (``solve_stream``), and each result is folded into its
-ensemble's optimum as it certifies and then dropped, so the POVMs and duals
-of the search are never held at once.
+the test asserts.  ``AssignmentSearch`` holds the assignment problems of a
+set of ensembles, with the settings to solve them at; its caller streams them
+(``solve_stream``), alongside any other targets of the same shape, and folds
+each result into its ensemble's optimum as it certifies, so the POVMs and
+duals of the search are never held at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import math
 from collections.abc import Sequence
 
-from .discrimination import SolverSettings, merged_row_targets, solve_stream
+from .discrimination import DiscriminationResult, SolverSettings, merged_row_targets
 from .discrimination import min_error_discrimination  # noqa: F401  (bound here for perfbench's span tracer)
 from .ensembles import PostInfoEnsemble
 
@@ -29,18 +30,28 @@ from .ensembles import PostInfoEnsemble
 _ORACLE_SETTINGS = SolverSettings(gap_tol=1e-8, damping=1.0, check_interval=5)
 
 
-def enumerate_postinfo_all(ensembles: Sequence[PostInfoEnsemble]) -> list[float]:
-    """Post-information value of each ensemble (all of one dimension) by exhaustive deterministic-assignment search."""
-    targets, owner = [], []
-    for e, ens in enumerate(ensembles):
-        row_target = merged_row_targets(ens)
-        rows = range(len(row_target.operators))
-        # an assignment's value depends only on the multiset of rows it uses
-        keys = dict.fromkeys(tuple(sorted(a)) for a in itertools.product(rows, repeat=ens.dim * ens.dim))
-        targets += [row_target.select(k) for k in keys]
-        owner += [e] * len(keys)
-    best = [-math.inf] * len(ensembles)
-    for i, result in solve_stream(targets, _ORACLE_SETTINGS):
+class AssignmentSearch:
+    """Exhaustive deterministic-assignment search for the post-information value of each ensemble, all of one dimension.
+
+    ``targets`` are the distinct assignment problems, to be solved at
+    ``settings``; ``fold(k, result)`` takes the result of ``targets[k]`` and
+    keeps its ensemble's running optimum in ``values``.
+    """
+
+    settings = _ORACLE_SETTINGS
+
+    def __init__(self, ensembles: Sequence[PostInfoEnsemble]):
+        self.targets, self._owner = [], []
+        for e, ens in enumerate(ensembles):
+            row_target = merged_row_targets(ens)
+            rows = range(len(row_target.operators))
+            # an assignment's value depends only on the multiset of rows it uses
+            keys = dict.fromkeys(tuple(sorted(a)) for a in itertools.product(rows, repeat=ens.dim * ens.dim))
+            self.targets += [row_target.select(k) for k in keys]
+            self._owner += [e] * len(keys)
+        self.values = [-math.inf] * len(ensembles)
+
+    def fold(self, k: int, result: DiscriminationResult) -> None:
         # certified window: the optimum lies within gap above the primal
-        best[owner[i]] = max(best[owner[i]], result.value + result.certificate.gap)
-    return best
+        e = self._owner[k]
+        self.values[e] = max(self.values[e], result.value + result.certificate.gap)

@@ -24,14 +24,14 @@ from .discrimination import (
     helstrom_binary,
     losscc_value_cq,
     merged_row_targets,
-    min_error_discrimination_stack,
     p_postinfo,
+    solve_stream,
 )
 from .ensembles import GopEnsemble, gallery, gen_bb84, induced_postinfo
 from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import PermutationFamily, lemma_a1_bound
-from .oracles import enumerate_postinfo_all
+from .oracles import AssignmentSearch
 from .reporting import BoundReport
 from .sampling import (
     case_rng,
@@ -464,14 +464,22 @@ def _prop_bruteforce(case, opts):
             )
         )
     targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
-    merged = min_error_discrimination_stack(targets, opts.settings)
+    search = AssignmentSearch(ensembles)
+    # one stream: the row-merged targets at the settings in force, then the search's problems at its own
+    members = targets + search.targets
+    settings = [opts.settings] * len(targets) + [search.settings] * len(search.targets)
+    merged: list = [None] * len(targets)
+    for i, res in solve_stream(members, settings):
+        if i < len(targets):
+            merged[i] = res
+        else:
+            search.fold(i - len(targets), res)
     for target, res in zip(targets, merged):
         try:
             res.certificate.validate(target, res.povm, gap_tol=opts.settings.gap_tol)
         except ValueError as exc:
             raise InternalInconsistency(f"brute-force certificate rejected: {exc}") from None
-    exhaustive = enumerate_postinfo_all(ensembles)
-    return max(abs(res.value - value) for res, value in zip(merged, exhaustive))
+    return max(abs(res.value - value) for res, value in zip(merged, search.values))
 
 
 # --- runner ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from obcast.discrimination import (
 from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gen_bb84, induced_postinfo
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.linalg import dyad, ket
-from obcast.oracles import _ORACLE_SETTINGS, enumerate_postinfo_all
+from obcast.oracles import _ORACLE_SETTINGS, AssignmentSearch
 from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
 from obcast.sampling import random_density, random_orthonormal_pair, random_unitary
@@ -351,6 +351,76 @@ def test_a_failing_member_admitted_late_raises_what_it_raises_alone(monkeypatch)
 
 
 @pytest.mark.parametrize("narrow", [False, True])
+def test_members_at_mixed_settings_match_their_lone_solves_bit_for_bit(monkeypatch, narrow):
+    targets = mixed_stack()
+    settings = [(DEFAULT_SETTINGS, _ORACLE_SETTINGS, TIGHT)[i % 3] for i in range(len(targets))]
+    lone = [min_error_discrimination(t, st) for t, st in zip(targets, settings)]
+    widest = two_member_window(monkeypatch) if narrow else None
+    mine = [None] * len(targets)
+    for i, result in solve_stream(targets, settings):
+        assert mine[i] is None
+        mine[i] = result
+    for target, st, result, own in zip(targets, settings, mine, lone):
+        assert result.value == own.value
+        assert result.certificate.gap == own.certificate.gap <= st.gap_tol
+        assert result.certificate.matrix.tobytes() == own.certificate.matrix.tobytes()
+        assert [e.tobytes() for e in result.povm.effects] == [e.tobytes() for e in own.povm.effects]
+        assert result.iterations == own.iterations > 0
+        assert result.labels == target.labels
+    # a member checked at local step k has run k + 1 iterations: every 5 steps for the undamped members, else 10
+    assert {r.iterations % 10 for r, st in zip(mine, settings) if st is _ORACLE_SETTINGS} == {1, 6}
+    assert all(r.iterations % 10 == 1 for r, st in zip(mine, settings) if st is not _ORACLE_SETTINGS)
+    if narrow:
+        assert widest[0] == 2
+
+
+def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
+    targets = mixed_stack()
+    # neither certifies within its cap; the one admitted second runs out first
+    settings = [SolverSettings(max_iterations=40), dataclasses.replace(_ORACLE_SETTINGS, max_iterations=12)]
+    with pytest.raises(SolverFailure) as alone:
+        min_error_discrimination(targets[1], settings[1])
+    with pytest.raises(SolverFailure) as stacked:
+        list(solve_stream([targets[0], targets[1]], settings))
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.primal == alone.value.primal
+    assert stacked.value.gap == alone.value.gap
+    assert stacked.value.dual.tobytes() == alone.value.dual.tobytes()
+    assert [e.tobytes() for e in stacked.value.povm] == [e.tobytes() for e in alone.value.povm]
+    assert stacked.value.iterations == alone.value.iterations == 12
+    with pytest.raises(ValueError, match="1 settings for 2 targets"):
+        list(solve_stream(targets[:2], settings[:1]))
+
+
+def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(monkeypatch):
+    counts = {"steps": 0, "member_steps": 0, "certified": 0}
+    pretty_good, certify = discrimination._pretty_good, discrimination._certify
+
+    def counted_step(a):
+        counts["steps"] += 1
+        counts["member_steps"] += a.shape[0]
+        return pretty_good(a)
+
+    def counted_certify(m, p):
+        counts["certified"] += 1
+        return certify(m, p)
+
+    monkeypatch.setattr(discrimination, "_pretty_good", counted_step)
+    monkeypatch.setattr(discrimination, "_certify", counted_certify)
+    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    assert report.computed == 8.822147157250271e-08
+    # 50 row-merged and 1,750 assignment solves, each with the iterations it takes alone
+    assert counts == {"steps": 9301, "member_steps": 193360, "certified": 1800}
+
+
+@pytest.mark.parametrize("seed, computed", [(1, 6.288832898881935e-08), (7, 5.690133486613291e-08)])
+def test_bruteforce_case_at_other_seeds_is_pinned(seed, computed):
+    [report] = run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=10)
+    assert report.computed == computed
+    assert report.passed
+
+
+@pytest.mark.parametrize("narrow", [False, True])
 def test_solve_stream_yields_each_index_once(monkeypatch, narrow):
     if narrow:
         two_member_window(monkeypatch)
@@ -358,6 +428,14 @@ def test_solve_stream_yields_each_index_once(monkeypatch, narrow):
     indices = [i for i, _ in solve_stream(targets, _ORACLE_SETTINGS)]
     assert sorted(indices) == list(range(len(targets)))
     assert list(solve_stream([])) == []
+
+
+def searched_values(ensembles):
+    """Each ensemble's post-information value by the exhaustive search alone, as one stream."""
+    search = AssignmentSearch(ensembles)
+    for k, result in solve_stream(search.targets, search.settings):
+        search.fold(k, result)
+    return search.values
 
 
 def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
@@ -373,8 +451,8 @@ def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
                 orthogonal=True,
             )
         )
-    together = enumerate_postinfo_all(ensembles)
-    assert together == [enumerate_postinfo_all([ens])[0] for ens in ensembles]
+    together = searched_values(ensembles)
+    assert together == [searched_values([ens])[0] for ens in ensembles]
     for ens, value in zip(ensembles, together):
         result = p_postinfo(ens)
         assert abs(value - result.value) <= result.certificate.gap + 1e-8
@@ -390,15 +468,17 @@ def test_stacked_targets_must_share_a_shape():
 
 
 def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch):
-    solve = reproduce.min_error_discrimination_stack
+    stream = reproduce.solve_stream
 
-    def loose_last_dual(targets, settings=None):
-        results = solve(targets, settings)
-        last = results[-1]
-        bad = dataclasses.replace(last.certificate, matrix=last.certificate.matrix - 1e-3 * np.eye(targets[-1].dim))
-        return results[:-1] + [dataclasses.replace(last, certificate=bad)]
+    def loose_first_dual(targets, settings):
+        # member 0 is the first row-merged target; the search's members follow the merged ones
+        for i, result in stream(targets, settings):
+            if i == 0:
+                bad = result.certificate.matrix - 1e-3 * np.eye(targets[0].dim)
+                result = dataclasses.replace(result, certificate=dataclasses.replace(result.certificate, matrix=bad))
+            yield i, result
 
-    monkeypatch.setattr(reproduce, "min_error_discrimination_stack", loose_last_dual)
+    monkeypatch.setattr(reproduce, "solve_stream", loose_first_dual)
     with pytest.raises(InternalInconsistency, match="not feasible"):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
 
@@ -464,6 +544,34 @@ def test_validate_checks_the_povm_against_every_row():
     low = DualCertificate(result.certificate.matrix - 1e-3 * np.eye(target.dim), result.value, 0.0)
     with pytest.raises(ValueError, match="not feasible"):
         low.validate(target)
+
+
+def test_validate_holds_a_certificate_to_rounding_at_the_tolerance_in_force():
+    target = merged_row_targets(gallery("bb84"))
+    tight = min_error_discrimination(target, SolverSettings(gap_tol=1e-12))
+    tight.certificate.validate(target, tight.povm, gap_tol=1e-12)
+    # Tr Y now lies 1e-8 below the primal, which no feasible dual can do
+    shifted = dataclasses.replace(tight.certificate, matrix=tight.certificate.matrix - 5e-9 * np.eye(target.dim))
+    with pytest.raises(ValueError, match="not feasible"):
+        shifted.validate(target, gap_tol=1e-12)
+    result = min_error_discrimination(target)
+    gap = result.certificate.gap
+    assert 1e-8 < gap <= DEFAULT_SETTINGS.gap_tol
+    with pytest.raises(ValueError, match="is not Tr Y - primal"):
+        dataclasses.replace(result.certificate, gap=0.0).validate(target, result.povm)
+    # the gap is held to the tolerance with no absolute slack
+    result.certificate.validate(target, result.povm, gap_tol=gap)
+    with pytest.raises(ValueError, match="outside"):
+        result.certificate.validate(target, result.povm, gap_tol=float(np.nextafter(gap, 0.0)))
+
+
+@pytest.mark.parametrize("gap_tol", [1e-7, 1e-10, 1e-13])
+def test_produced_certificates_validate_at_the_tolerance_they_were_solved_at(gap_tol):
+    views = [gallery(name) for name in ("bb84", "minimal-qutrit", "thm1-pairs")]
+    views += [induced_postinfo(gallery(name), classical_side="a") for name in ("obb", "cq")]
+    for ens in views:
+        result = p_postinfo(ens, SolverSettings(gap_tol=gap_tol))
+        result.certificate.validate(merged_row_targets(ens), result.povm, gap_tol=gap_tol)
 
 
 @pytest.mark.parametrize("psd_tol", [0.0, DEFAULT_SETTINGS.psd_tol])
