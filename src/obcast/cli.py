@@ -29,6 +29,7 @@ from .ensembles import (
     from_json_dict,
     gallery,
     gallery_names,
+    gen_bb84_angle,
     global_orthogonality_check,
     induced_postinfo,
     qubit_qudit_form_check,
@@ -37,7 +38,7 @@ from .ensembles import (
 )
 from .errors import InternalInconsistency, SolverFailure
 from .reporting import reports_to_csv, reports_to_json
-from .reproduce import run_reproduce
+from .reproduce import SUITES, run_reproduce
 from .uncertainty import SuperpositionSpec
 
 EXIT_OK = 0
@@ -165,11 +166,6 @@ def _postinfo_view(obj):
     raise ValueError("no classical side to reduce on; provide a post-information ensemble")
 
 
-_THM4_INSTANCES = {
-    "bb84": lambda: qpv.bb84_family_instance(math.pi / 2),
-    "shifts": qpv.shifts_instance,
-}
-
 _DISK_PROGRAMS = {
     "obb": qpv.obb_disk_program,
     "qq-tilde": qpv.qq_tilde_disk_program,
@@ -177,109 +173,74 @@ _DISK_PROGRAMS = {
 }
 
 
+def _bound_record(method: str, name: str, payload, settings: SolverSettings) -> dict:
+    """The ``bound`` record of ``method`` on the entry ``name``; a pair with no route is a ``ValueError``."""
+    # the angle when the entry is the rotated family, bb84 included; a post-information view needs no name
+    theta = None if method == "postinfo" else gen_bb84_angle(name)
+    if method == "postinfo":
+        result = p_postinfo(_postinfo_view(_as_object(payload)), settings)
+        record = {"computed": result.value, "certificate": "dual-certified", "gap": result.certificate.gap}
+    elif method == "thm4" and (theta is not None or name == "shifts"):
+        inst = qpv.shifts_instance() if theta is None else qpv.bb84_family_instance(theta)
+        record = {"computed": qpv.thm4_min_epsilon(inst), "certificate": "analytic"}
+    elif method == "prop4" and theta is not None:
+        spec = SuperpositionSpec(theta, 0.0, theta - math.pi, 0.0)
+        record = {"computed": qpv.prop4_solve(0.5, 0.5, 0.5, spec).bound, "certificate": "heuristic"}
+    elif method == "disk" and name in _DISK_PROGRAMS:
+        solution = qpv.disk_program_solve(_DISK_PROGRAMS[name]())
+        record = {"computed": solution.bound, "certificate": solution.certificate}
+    elif method == "moe" and name == "obb":
+        record = {"computed": moe.example_go_trivial().copy_strategy_bound, "certificate": "exact"}
+    elif method == "moe" and theta == math.pi / 2:  # the two-basis game is the family at pi/2 only
+        record = {"computed": moe.classical_copy_permutation_bound(moe.game_bb84()), "certificate": "exact"}
+    else:
+        raise ValueError(f"no {method} bound is known for {name!r}")
+    return {"id": f"{method}:{name}", **record}
+
+
 def _cmd_bound(args) -> int:
     name, payload = _load_source(args)
-    settings = _settings(args)
-    if args.method == "postinfo":
-        ens = _postinfo_view(_as_object(payload))
-        result = p_postinfo(ens, settings)
-        _print_record(
-            {
-                "id": f"postinfo:{name}",
-                "computed": result.value,
-                "certificate": "dual-certified",
-                "gap": result.certificate.gap,
-            }
-        )
-        return EXIT_OK
-    if args.method == "thm4":
-        if name.startswith("gen-bb84"):
-            theta = _gen_bb84_angle(name)
-            inst = qpv.bb84_family_instance(theta)
-        elif name in _THM4_INSTANCES:
-            inst = _THM4_INSTANCES[name]()
-        else:
-            raise ValueError(f"no four-state overlap data known for {name!r}")
-        eps = qpv.thm4_min_epsilon(inst)
-        _print_record({"id": f"thm4:{name}", "computed": eps, "certificate": "analytic"})
-        return EXIT_OK
-    if args.method == "prop4":
-        if name.startswith("gen-bb84"):
-            theta = _gen_bb84_angle(name)
-        elif name == "bb84":
-            theta = math.pi / 2
-        else:
-            raise ValueError(f"no program parameters known for {name!r}")
-        spec = SuperpositionSpec(theta, 0.0, theta - math.pi, 0.0)
-        result = qpv.prop4_solve(0.5, 0.5, 0.5, spec)
-        _print_record({"id": f"prop4:{name}", "computed": result.bound, "certificate": "heuristic"})
-        return EXIT_OK
-    if args.method == "disk":
-        if name not in _DISK_PROGRAMS:
-            raise ValueError(f"no coupled-disk program known for {name!r}")
-        solution = qpv.disk_program_solve(_DISK_PROGRAMS[name]())
-        _print_record({"id": f"disk:{name}", "computed": solution.bound, "certificate": solution.certificate})
-        return EXIT_OK
-    if args.method == "moe":
-        if name == "obb":
-            report = moe.example_go_trivial()
-            _print_record({"id": "moe:obb", "computed": report.copy_strategy_bound, "certificate": "exact"})
-            return EXIT_OK
-        if name == "bb84" or name.startswith("gen-bb84"):
-            bound = moe.classical_copy_permutation_bound(moe.game_bb84())
-            _print_record({"id": f"moe:{name}", "computed": bound, "certificate": "exact"})
-            return EXIT_OK
-        raise ValueError(f"no game route known for {name!r} (try the 'moe' subcommand)")
-    raise ValueError(f"unknown method {args.method!r}")
+    _print_record(_bound_record(args.method, name, payload, _settings(args)))
+    return EXIT_OK
 
 
-def _gen_bb84_angle(name: str) -> float:
-    from .ensembles import _GEN_BB84, _parse_angle
-
-    m = _GEN_BB84.match(name)
-    if not m:
-        raise ValueError(f"cannot parse {name!r}")
-    return _parse_angle(m.group("theta"))
+# gallery entry -> the isometry that broadcasts its orthogonality
+_PROTOCOLS = {"thm1-pairs": "thm1-isometry", "thm2-eight": "thm2-isometry", "cor4-six": "cor4-isometry"}
 
 
 def _cmd_check(args) -> int:
-    name, payload = _load_source(args)
+    _, payload = _load_source(args)
     settings = _settings(args)
-    if isinstance(payload, dict) and payload.get("kind") == "gop":
-        a, b = _gop_factors(payload)
-        ortho = global_orthogonality_check(a, b)
+    if isinstance(payload, GopEnsemble):
+        factors = payload.a_states, payload.b_states
+    elif isinstance(payload, dict) and payload.get("kind") == "gop":
+        factors = _gop_factors(payload)  # building the set would reject the violation this reports
+    else:
+        factors = None
+    if factors is not None:
+        ortho = global_orthogonality_check(*factors)
         if not ortho.ok:
-            print(
-                f"orthogonality: VIOLATED at pair {ortho.worst_pair} "
-                f"(deviation {ortho.max_violation:.3e})"
-            )
+            print(f"orthogonality: VIOLATED at pair {ortho.worst_pair} (deviation {ortho.max_violation:.3e})")
             return EXIT_FAILED
         print(f"orthogonality: ok (max deviation {ortho.max_violation:.3e})")
     obj = _as_object(payload)
     if isinstance(obj, GopEnsemble):
-        if args.gallery_name:
-            ortho = global_orthogonality_check(obj.a_states, obj.b_states)
-            print(f"orthogonality: ok (max deviation {ortho.max_violation:.3e})")
         form = qubit_qudit_form_check(obj)
         print(f"qubit-qudit form: {'fits' if form.fits else form.reason}")
-        iso_name = {"cor4-six": "cor4-isometry", "thm2-eight": "thm2-isometry"}.get(args.gallery_name)
         try:
             ens = induced_postinfo(obj, classical_side="a")
         except ValueError:
             print("classical reduction: no classical side; stopping at the form check")
             return EXIT_OK
-        if iso_name:
-            report = broadcast.verify_orthogonality_broadcast(gallery(iso_name), ens)
-            verdict = "verified" if report.ok else f"FAILED (overlap {report.max_overlap:.3e})"
-            print(f"quantum-communication protocol ({iso_name}): {verdict}")
-    else:
-        if not isinstance(obj, PostInfoEnsemble):
-            raise ValueError("check expects a post-information or product ensemble")
+    elif isinstance(obj, PostInfoEnsemble):
         ens = obj
-        if args.gallery_name == "thm1-pairs":
-            report = broadcast.verify_orthogonality_broadcast(gallery("thm1-isometry"), ens)
-            verdict = "verified" if report.ok else f"FAILED (overlap {report.max_overlap:.3e})"
-            print(f"quantum-communication protocol (thm1-isometry): {verdict}")
+    else:
+        raise ValueError("check expects a post-information or product ensemble")
+    iso_name = _PROTOCOLS.get(args.gallery_name)
+    if iso_name:
+        report = broadcast.verify_orthogonality_broadcast(gallery(iso_name), ens)
+        verdict = "verified" if report.ok else f"FAILED (overlap {report.max_overlap:.3e})"
+        print(f"quantum-communication protocol ({iso_name}): {verdict}")
     cert = broadcast.kill_pattern_certificate(ens)
     if cert.certified_infeasible:
         print(f"kill-pattern certificate: infeasible ({len(cert.kernel_dims)} patterns, all kernels trivial)")
@@ -309,7 +270,7 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_ur_test(args) -> int:
     (report,) = run_reproduce(seed=args.seed, only="prop-ur-pair-soundness", trials=args.trials)
-    trials = 1000 if args.trials is None else args.trials
+    trials = SUITES["prop-ur-pair-soundness"][0] if args.trials is None else args.trials
     verdict = "PASS" if report.passed else "FAIL"
     print(f"pair relation: {trials} trials, max(lhs - rhs) = {report.computed:.3e} -> {verdict}")
     return EXIT_OK if report.passed else EXIT_FAILED

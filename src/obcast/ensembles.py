@@ -10,7 +10,6 @@ missing or malformed field raises ``ValueError`` naming the field.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, dagger, dyad, hermitian, ket, pure_state_overlap
+from .linalg import PSD_TOL, dagger, dyad, hermitian, ket
 
 PRIOR_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-12
@@ -37,6 +36,21 @@ def _unit_ket(values) -> np.ndarray:
     if abs(norm2 - 1.0) > ORTHOGONALITY_TOL:
         raise ValueError(f"state vector has squared norm {norm2!r}, not 1")
     return v
+
+
+def _gram(v, w) -> np.ndarray:
+    """The overlaps <v_j|w_k> of two lists of kets, each entry with the bits of ``pure_state_overlap``."""
+    return np.array([[np.vdot(x, y) for y in w] for x in v], dtype=complex).reshape(len(v), len(w))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """Entrywise |z| with the bits of Python's ``abs``, which array ``np.abs`` of complex128 does not always give."""
+    return np.hypot(z.real, z.imag)
+
+
+def _largest_in_setting_overlap(groups) -> float:
+    """The largest |<s_i|s_j>| over pairs of distinct states of one group (0 with no such pair)."""
+    return max((float(_modulus(np.triu(_gram(g, g), 1)).max()) for g in groups if len(g) > 1), default=0.0)
 
 
 def _check_prior(flat) -> None:
@@ -71,14 +85,8 @@ class PostInfoEnsemble:
         if any(len(g) != len(s) for g, s in zip(self.prior, states)):
             raise ValueError("prior shape must match states")
         _check_prior([p for group in self.prior for p in group])
-        if self.orthogonal:
-            worst = 0.0
-            for group in states:
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        worst = max(worst, abs(pure_state_overlap(group[i], group[j])))
-            if worst > ORTHOGONALITY_TOL:
-                raise ValueError(f"orthogonality flag set but max in-setting overlap is {worst:.3e}")
+        if self.orthogonal and (worst := _largest_in_setting_overlap(states)) > ORTHOGONALITY_TOL:
+            raise ValueError(f"orthogonality flag set but max in-setting overlap is {worst:.3e}")
 
     @property
     def dim(self) -> int:
@@ -200,33 +208,28 @@ class GlobalOrthogonalityReport:
 
 
 def global_orthogonality_check(a_states, b_states) -> GlobalOrthogonalityReport:
-    """Check <a_j|a_k><b_j|b_k> = delta_jk on raw state lists."""
+    """Check <a_j|a_k><b_j|b_k> = delta_jk on raw state lists.
+
+    ``worst_pair`` is the first largest deviation in row-major order, None when nothing deviates.
+    """
     a = [ket(s) for s in a_states]
     b = [ket(s) for s in b_states]
-    worst, pair = 0.0, None
-    for j in range(len(a)):
-        for k in range(len(a)):
-            target = 1.0 if j == k else 0.0
-            got = pure_state_overlap(a[j], a[k]) * pure_state_overlap(b[j], b[k])
-            dev = abs(got - target)
-            if dev > worst:
-                worst, pair = dev, (j, k)
+    dev = _modulus(_gram(a, a) * _gram(b, b) - np.eye(len(a)))
+    worst = float(dev.max(initial=0.0))
+    pair = tuple(int(i) for i in np.argwhere(dev == worst)[0]) if worst > 0 else None
     return GlobalOrthogonalityReport(worst <= ORTHOGONALITY_TOL, worst, pair)
 
 
-def _ray_classes(states) -> list[int]:
-    """Group states by parallelism (|overlap| > 1 - ORTHOGONALITY_TOL, up to phase)."""
-    kets = [ket(s) for s in states]
-    labels = [-1] * len(kets)
-    nxt = 0
-    for i, v in enumerate(kets):
-        if labels[i] >= 0:
-            continue
-        labels[i] = nxt
-        for j in range(i + 1, len(kets)):
-            if labels[j] < 0 and abs(pure_state_overlap(v, kets[j])) > 1 - ORTHOGONALITY_TOL:
-                labels[j] = nxt
-        nxt += 1
+def _ray_classes(overlaps: np.ndarray) -> list[int]:
+    """Group states by parallelism (|overlap| > 1 - ORTHOGONALITY_TOL, up to phase), given ``|_gram|``."""
+    labels: list[int] = []
+    reps: list[int] = []  # the first state of each class
+    for i in range(len(overlaps)):
+        c = next((c for c, r in enumerate(reps) if overlaps[r, i] > 1 - ORTHOGONALITY_TOL), None)
+        if c is None:
+            c = len(reps)
+            reps.append(i)
+        labels.append(c)
     return labels
 
 
@@ -237,11 +240,11 @@ def classical_ray_labels(states) -> list[int] | None:
     orthogonal within ``ORTHOGONALITY_TOL``; returns None otherwise.
     """
     kets = [ket(s) for s in states]
-    labels = _ray_classes(kets)
-    for i, j in itertools.combinations(range(len(kets)), 2):
-        if labels[i] != labels[j] and abs(pure_state_overlap(kets[i], kets[j])) > ORTHOGONALITY_TOL:
-            return None
-    return labels
+    overlaps = _modulus(_gram(kets, kets))
+    labels = np.array(_ray_classes(overlaps))
+    if (overlaps[labels[:, None] != labels[None, :]] > ORTHOGONALITY_TOL).any():
+        return None
+    return labels.tolist()
 
 
 def induced_postinfo(gop: GopEnsemble, classical_side: str = "a") -> PostInfoEnsemble:
@@ -264,17 +267,11 @@ def induced_postinfo(gop: GopEnsemble, classical_side: str = "a") -> PostInfoEns
     for lab, s, p in zip(labels, qu, gop.prior):
         states[lab].append(s)
         prior[lab].append(p)
-    orthogonal = all(
-        abs(pure_state_overlap(g[i], g[j])) <= ORTHOGONALITY_TOL
-        for g in states
-        for i in range(len(g))
-        for j in range(i + 1, len(g))
-    )
     return PostInfoEnsemble(
         settings=tuple(str(t) for t in range(n_classes)),
         states=tuple(tuple(g) for g in states),
         prior=tuple(tuple(p) for p in prior),
-        orthogonal=orthogonal,
+        orthogonal=_largest_in_setting_overlap(states) <= ORTHOGONALITY_TOL,
     )
 
 
@@ -302,26 +299,23 @@ def qubit_qudit_form_check(gop: GopEnsemble) -> FormDecomposition:
     if d_a != 2:
         return FormDecomposition(False, f"first factor has dimension {d_a}, not 2")
     n = len(gop)
-    labels = _ray_classes(gop.a_states)
+    a_overlaps = _modulus(_gram(gop.a_states, gop.a_states))
+    b_overlaps = _modulus(_gram(gop.b_states, gop.b_states))
+    labels = _ray_classes(a_overlaps)
     classes = sorted(set(labels))
     members = {c: [k for k in range(n) if labels[k] == c] for c in classes}
-    reps = {c: gop.a_states[members[c][0]] for c in classes}
-
-    def orthogonal_pair(c1, c2):
-        return abs(pure_state_overlap(reps[c1], reps[c2])) <= ORTHOGONALITY_TOL
-
-    candidates = [(c1, c2) for i, c1 in enumerate(classes) for c2 in classes[i + 1 :] if orthogonal_pair(c1, c2)]
+    candidates = [
+        (c1, c2)
+        for i, c1 in enumerate(classes)
+        for c2 in classes[i + 1 :]
+        if a_overlaps[members[c1][0], members[c2][0]] <= ORTHOGONALITY_TOL  # orthogonal rays
+    ]
     candidates += [(c,) for c in classes]
     candidates.sort(key=lambda sel: -sum(len(members[c]) for c in sel))
     for selection in candidates:
         kept = [k for c in selection for k in members[c]]
         removable = sorted(set(range(n)) - set(kept))
-        if any(
-            abs(pure_state_overlap(gop.b_states[k], gop.b_states[j])) > ORTHOGONALITY_TOL
-            for k in removable
-            for j in range(n)
-            if j != k
-        ):
+        if any(b_overlaps[k, j] > ORTHOGONALITY_TOL for k in removable for j in range(n) if j != k):
             continue
         weight = sum(gop.prior[k] for k in kept)
         groups = []
@@ -352,25 +346,20 @@ def local_unitary_equivalence_deviation(u: "Isometry", source: GopEnsemble, targ
     n = len(source)
     if n != len(target):
         return math.inf
+    # [j, k]: the overlap of target state j with the image of source state k, per factor
+    ov_a = _modulus(_gram(target.a_states, [u.apply(a) for a in source.a_states]))
+    ov_b = _modulus(_gram(target.b_states, source.b_states))
+    same_prior = np.abs(np.subtract.outer(target.prior, source.prior)) <= PRIOR_TOL
+    matches = same_prior & (ov_a > 1 - 1e-9) & (ov_b > 1 - 1e-9)
     used: set[int] = set()
     worst = 0.0
     for k in range(n):
-        a = u.apply(source.a_states[k])
-        b = source.b_states[k]
-        match = None
-        for j in range(n):
-            if j in used or abs(source.prior[k] - target.prior[j]) > PRIOR_TOL:
-                continue
-            ov_a = abs(pure_state_overlap(target.a_states[j], a))
-            ov_b = abs(pure_state_overlap(target.b_states[j], b))
-            if ov_a > 1 - 1e-9 and ov_b > 1 - 1e-9:
-                match = max(1 - ov_a, 1 - ov_b)
-                used.add(j)
-                break
-        if match is None:
+        j = next((j for j in np.flatnonzero(matches[:, k]) if j not in used), None)
+        if j is None:
             return math.inf
-        worst = max(worst, match)
-    return worst
+        used.add(j)
+        worst = max(worst, 1 - ov_a[j, k], 1 - ov_b[j, k])
+    return float(worst)
 
 
 # --- gallery -----------------------------------------------------------------
@@ -658,16 +647,22 @@ def gallery_names() -> tuple[str, ...]:
     return tuple(sorted(_GALLERY)) + ("gen-bb84(<theta>)",)
 
 
+def gen_bb84_angle(name: str) -> float | None:
+    """The angle of the rotated family that ``name`` is: theta for ``gen-bb84(theta)``, pi/2 for ``bb84``, else None."""
+    if name == "bb84":
+        return math.pi / 2
+    m = _GEN_BB84.match(name)
+    return None if m is None else _parse_angle(m.group("theta"))
+
+
 def gallery(name: str):
     """Look up a named gallery object; parameterized names carry an angle argument."""
-    m = _GEN_BB84.match(name)
-    if m:
-        return gen_bb84(_parse_angle(m.group("theta")))
-    try:
-        builder = _GALLERY[name]
-    except KeyError:
-        raise ValueError(f"unknown gallery name {name!r}; known: {', '.join(gallery_names())}") from None
-    return builder()
+    if name in _GALLERY:
+        return _GALLERY[name]()
+    theta = gen_bb84_angle(name)
+    if theta is None:
+        raise ValueError(f"unknown gallery name {name!r}; known: {', '.join(gallery_names())}")
+    return gen_bb84(theta)
 
 
 # --- JSON encoding -----------------------------------------------------------

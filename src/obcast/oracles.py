@@ -5,14 +5,15 @@ value: an extremal POVM needs at most d^2 outcomes, and the optimum is
 deterministic, so it suffices to scan every assignment of an answer row to
 each of the d^2 outcomes and solve the resulting discrimination problem.
 Only the weighted row operators come from ``merged_row_targets``, as for
-``p_postinfo``; the closed-form cases (``bb84-postinfo``, ``thm1-postinfo``)
-pin them independently.  The search deliberately ignores the row-merging
-shortcut that ``p_postinfo`` relies on; agreement between the two is what
-the test asserts.  ``AssignmentSearch`` holds the assignment problems of a
-set of ensembles, with the settings to solve them at; its caller streams them
-(``solve_stream``), alongside any other targets of the same shape, and folds
-each result into its ensemble's optimum as it certifies, so the POVMs and
-duals of the search are never held at once.
+``p_postinfo``: the search takes the caller's row targets, so each ensemble's
+rows are built once; the closed-form cases (``bb84-postinfo``,
+``thm1-postinfo``) pin them independently.  The search deliberately ignores
+the row-merging shortcut that ``p_postinfo`` relies on; agreement between the
+two is what the test asserts.  ``AssignmentSearch`` holds the assignment
+problems of a set of row targets, with the settings to solve them at; its
+caller streams them (``solve_stream``), alongside any other targets of the
+same shape, and folds each result into its target's optimum as it
+certifies, so the POVMs and duals of the search are never held at once.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import itertools
 import math
 from collections.abc import Sequence
 
-from .discrimination import DiscriminationResult, SolverSettings, merged_row_targets
+from .discrimination import DiscriminationResult, EffectTarget, SolverSettings
 from .discrimination import min_error_discrimination  # noqa: F401  (bound here for perfbench's span tracer)
-from .ensembles import PostInfoEnsemble
 
 # Undamped iterations converge in fewer steps; every inner solve still
 # carries its own dual certificate, so speed does not trade against rigor.
@@ -31,25 +31,25 @@ _ORACLE_SETTINGS = SolverSettings(gap_tol=1e-8, damping=1.0, check_interval=5)
 
 
 class AssignmentSearch:
-    """Exhaustive deterministic-assignment search for the post-information value of each ensemble, all of one dimension.
+    """Exhaustive deterministic-assignment search for the post-information value behind each row target.
 
-    ``targets`` are the distinct assignment problems, to be solved at
-    ``settings``; ``fold(k, result)`` takes the result of ``targets[k]`` and
-    keeps its ensemble's running optimum in ``values``.
+    ``row_targets`` are ``merged_row_targets`` of the ensembles, all of one
+    dimension.  ``targets`` are the distinct assignment problems, to be solved
+    at ``settings``; ``fold(k, result)`` takes the result of ``targets[k]``
+    and keeps its row target's running optimum in ``values``.
     """
 
     settings = _ORACLE_SETTINGS
 
-    def __init__(self, ensembles: Sequence[PostInfoEnsemble]):
+    def __init__(self, row_targets: Sequence[EffectTarget]):
         self.targets, self._owner = [], []
-        for e, ens in enumerate(ensembles):
-            row_target = merged_row_targets(ens)
+        for e, row_target in enumerate(row_targets):
             rows = range(len(row_target.operators))
             # an assignment's value depends only on the multiset of rows it uses
-            keys = dict.fromkeys(tuple(sorted(a)) for a in itertools.product(rows, repeat=ens.dim * ens.dim))
+            keys = dict.fromkeys(tuple(sorted(a)) for a in itertools.product(rows, repeat=row_target.dim**2))
             self.targets += [row_target.select(k) for k in keys]
             self._owner += [e] * len(keys)
-        self.values = [-math.inf] * len(ensembles)
+        self.values = [-math.inf] * len(row_targets)
 
     def fold(self, k: int, result: DiscriminationResult) -> None:
         # certified window: the optimum lies within gap above the primal

@@ -464,7 +464,7 @@ def _prop_bruteforce(case, opts):
             )
         )
     targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
-    search = AssignmentSearch(ensembles)
+    search = AssignmentSearch(targets)
     # one stream: the row-merged targets at the settings in force, then the search's problems at its own
     members = targets + search.targets
     settings = [opts.settings] * len(targets) + [search.settings] * len(search.targets)

@@ -167,10 +167,13 @@ def test_criterion_10_property_suites(reports):
     _verdict(10, ok, f"max violations {worst}")
 
 
-def test_criterion_11_determinism_across_selection_and_order(reports):
+def test_criterion_11_determinism_across_selection_and_order(reports, counted_bruteforce_run):
     full = sorted(reports.values(), key=lambda r: r.id)
-    alone = {}
+    bruteforce, _ = counted_bruteforce_run  # the brute-force case alone, shared with its count test
+    alone = {bruteforce.id: bruteforce}
     for case_id in reversed(case_ids()):
+        if case_id in alone:
+            continue
         # ``only`` is a substring filter; keep the one row this run is for
         (alone[case_id],) = [r for r in run_reproduce(seed=SEED, only=case_id) if r.id == case_id]
     single = [alone[r.id] for r in full]

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from obcast import broadcast, cli, qpv
+from obcast import broadcast, cli, moe, qpv
 from obcast.cli import main
-from obcast.ensembles import dumps, gallery
+from obcast.ensembles import dumps, gallery, gallery_names, gen_bb84_angle
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.reproduce import run_reproduce
 
@@ -71,6 +71,120 @@ def test_bound_unsupported_combination(capsys):
     assert code == 1 and "disk" in err
 
 
+METHODS = ("postinfo", "thm4", "prop4", "disk", "moe")
+# the fixed gallery names and the rotated family at four angles
+ENTRIES = tuple(n for n in gallery_names() if "<" not in n) + tuple(
+    f"gen-bb84({theta})" for theta in ("0.1", "pi/3", "pi/2", "1.5707963267948966")
+)
+
+# every (method, entry) pair that ``bound`` serves, with the record it prints
+BOUND_RECORDS = {
+    ("disk", "obb"): '{"certificate": "analytic", "computed": 0.6035533905932737, "id": "disk:obb"}',
+    ("disk", "qq"): '{"certificate": "analytic", "computed": 0.7803300858899106, "id": "disk:qq"}',
+    ("disk", "qq-tilde"): '{"certificate": "analytic", "computed": 0.7803300858899106, "id": "disk:qq-tilde"}',
+    ("moe", "bb84"): '{"certificate": "exact", "computed": 0.8535533905932737, "id": "moe:bb84"}',
+    ("moe", "gen-bb84(1.5707963267948966)"): (
+        '{"certificate": "exact", "computed": 0.8535533905932737, "id": "moe:gen-bb84(1.5707963267948966)"}'
+    ),
+    ("moe", "gen-bb84(pi/2)"): '{"certificate": "exact", "computed": 0.8535533905932737, "id": "moe:gen-bb84(pi/2)"}',
+    ("moe", "obb"): '{"certificate": "exact", "computed": 1.0000000000000002, "id": "moe:obb"}',
+    ("postinfo", "bb84"): (
+        '{"certificate": "dual-certified", "computed": 0.8535532989364552, "gap": 9.165681857936647e-08, '
+        '"id": "postinfo:bb84"}'
+    ),
+    ("postinfo", "cor4-six"): (
+        '{"certificate": "dual-certified", "computed": 0.9330126993378958, "gap": 3.4057646702834177e-09, '
+        '"id": "postinfo:cor4-six"}'
+    ),
+    ("postinfo", "cq"): (
+        '{"certificate": "dual-certified", "computed": 0.8535533807359232, "gap": 1.267373628266455e-08, '
+        '"id": "postinfo:cq"}'
+    ),
+    ("postinfo", "gen-bb84(0.1)"): (
+        '{"certificate": "dual-certified", "computed": 0.9993751281905614, "gap": 2.006921739905465e-09, '
+        '"id": "postinfo:gen-bb84(0.1)"}'
+    ),
+    ("postinfo", "gen-bb84(1.5707963267948966)"): (
+        '{"certificate": "dual-certified", "computed": 0.8535532989364549, "gap": 9.165681880141108e-08, '
+        '"id": "postinfo:gen-bb84(1.5707963267948966)"}'
+    ),
+    ("postinfo", "gen-bb84(pi/2)"): (
+        '{"certificate": "dual-certified", "computed": 0.8535532989364549, "gap": 9.165681880141108e-08, '
+        '"id": "postinfo:gen-bb84(pi/2)"}'
+    ),
+    ("postinfo", "gen-bb84(pi/3)"): (
+        '{"certificate": "dual-certified", "computed": 0.9330126841105599, "gap": 1.778165947818877e-08, '
+        '"id": "postinfo:gen-bb84(pi/3)"}'
+    ),
+    ("postinfo", "minimal-qutrit"): (
+        '{"certificate": "dual-certified", "computed": 0.9999999359886957, "gap": 6.401130470123917e-08, '
+        '"id": "postinfo:minimal-qutrit"}'
+    ),
+    ("postinfo", "obb"): (
+        '{"certificate": "dual-certified", "computed": 0.8342793183457208, "gap": 1.2639187696450449e-08, '
+        '"id": "postinfo:obb"}'
+    ),
+    ("postinfo", "thm1-pairs"): (
+        '{"certificate": "dual-certified", "computed": 0.9330126993378958, "gap": 2.5543234194458364e-09, '
+        '"id": "postinfo:thm1-pairs"}'
+    ),
+    ("postinfo", "thm2-eight"): (
+        '{"certificate": "dual-certified", "computed": 0.9497594837025856, "gap": 7.119430467383836e-08, '
+        '"id": "postinfo:thm2-eight"}'
+    ),
+    ("prop4", "bb84"): '{"certificate": "heuristic", "computed": 0.853553390593274, "id": "prop4:bb84"}',
+    ("prop4", "gen-bb84(0.1)"): '{"certificate": "heuristic", "computed": 0.9993751301974831, "id": "prop4:gen-bb84(0.1)"}',
+    ("prop4", "gen-bb84(1.5707963267948966)"): (
+        '{"certificate": "heuristic", "computed": 0.853553390593274, "id": "prop4:gen-bb84(1.5707963267948966)"}'
+    ),
+    ("prop4", "gen-bb84(pi/2)"): '{"certificate": "heuristic", "computed": 0.853553390593274, "id": "prop4:gen-bb84(pi/2)"}',
+    ("prop4", "gen-bb84(pi/3)"): '{"certificate": "heuristic", "computed": 0.9330127018922194, "id": "prop4:gen-bb84(pi/3)"}',
+    ("thm4", "bb84"): '{"certificate": "analytic", "computed": 0.14644660946214572, "id": "thm4:bb84"}',
+    ("thm4", "gen-bb84(0.1)"): '{"certificate": "analytic", "computed": 0.00042946357280015945, "id": "thm4:gen-bb84(0.1)"}',
+    ("thm4", "gen-bb84(1.5707963267948966)"): (
+        '{"certificate": "analytic", "computed": 0.14644660946214572, "id": "thm4:gen-bb84(1.5707963267948966)"}'
+    ),
+    ("thm4", "gen-bb84(pi/2)"): '{"certificate": "analytic", "computed": 0.14644660946214572, "id": "thm4:gen-bb84(pi/2)"}',
+    ("thm4", "gen-bb84(pi/3)"): '{"certificate": "analytic", "computed": 0.05409709381638095, "id": "thm4:gen-bb84(pi/3)"}',
+    ("thm4", "shifts"): '{"certificate": "analytic", "computed": 0.0002782088704407215, "id": "thm4:shifts"}',
+}
+
+
+@pytest.mark.parametrize("method, name", sorted(BOUND_RECORDS))
+def test_bound_prints_the_reference_record_of_each_served_pair(capsys, method, name):
+    assert run(capsys, "bound", "--gallery", name, "--method", method) == (0, BOUND_RECORDS[method, name] + "\n", "")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_pair_bound_does_not_serve_is_an_input_error(capsys, method):
+    for name in ENTRIES:
+        if (method, name) in BOUND_RECORDS:
+            continue
+        code, out, err = run(capsys, "bound", "--gallery", name, "--method", method)
+        assert (code, out) == (1, ""), name
+        if method == "postinfo":  # every entry has the route; these have no post-information view
+            assert err == "error: no classical side to reduce on; provide a post-information ensemble\n"
+        else:
+            assert err == f"error: no {method} bound is known for {name!r}\n"
+
+
+@pytest.mark.parametrize("theta", ["0.1", "pi/3"])
+def test_the_game_route_serves_the_rotated_family_only_at_pi_over_2(capsys, theta):
+    name = f"gen-bb84({theta})"
+    code, out, err = run(capsys, "bound", "--gallery", name, "--method", "moe")
+    assert (code, out) == (1, "")
+    assert err == f"error: no moe bound is known for {name!r}\n"
+    # the two-basis game value is no bound here: an explicit attack and the certified value both beat it
+    game = moe.classical_copy_permutation_bound(moe.game_bb84())
+    assert qpv.breidbart_lower(gen_bb84_angle(name)) > game
+    code, out, _ = run(capsys, "bound", "--gallery", name, "--method", "postinfo")
+    assert code == 0 and json.loads(out)["computed"] > game
+    code, out, _ = run(capsys, "bound", "--gallery", "gen-bb84(pi/2)", "--method", "moe")
+    assert code == 0 and json.loads(out)["computed"] == game
+    code, out, _ = run(capsys, "bound", "--gallery", "bb84", "--method", "moe")
+    assert code == 0 and json.loads(out)["computed"] == game
+
+
 def test_bound_from_file(tmp_path, capsys):
     path = tmp_path / "bb84.json"
     path.write_text(dumps(gallery("bb84")))
@@ -114,7 +228,76 @@ def test_check_flags_orthogonality_violation(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "check", "--file", str(path))
     assert code == 3
-    assert "VIOLATED" in out
+    assert out == "orthogonality: VIOLATED at pair (0, 1) (deviation 7.071e-01)\n"
+
+
+_ORTHOGONAL = "orthogonality: ok (max deviation 2.220e-16)\n"
+_BB84_TAIL = (
+    "qubit-qudit form: fits\n"
+    "kill-pattern certificate: infeasible (4 patterns, all kernels trivial)\n"
+    "classical broadcast: infeasible (optimal value 0.853553299 < 1)\n"
+)
+_NO_CLASSICAL_SIDE = "classical reduction: no classical side; stopping at the form check\n"
+# the text ``check`` prints for each gallery entry it accepts
+CHECK_OUTPUT = {
+    "bb84": (
+        "kill-pattern certificate: infeasible (4 patterns, all kernels trivial)\n"
+        "classical broadcast: infeasible (optimal value 0.853553299 < 1)\n"
+    ),
+    "cor4-six": _ORTHOGONAL
+    + "qubit-qudit form: first factor has dimension 3, not 2\n"
+    "quantum-communication protocol (cor4-isometry): verified\n"
+    "kill-pattern certificate: infeasible (8 patterns, all kernels trivial)\n"
+    "classical broadcast: infeasible (optimal value 0.933012699 < 1)\n",
+    "cq": _ORTHOGONAL
+    + "qubit-qudit form: first factor has dimension 3, not 2\n"
+    "kill-pattern certificate: infeasible (12 patterns, all kernels trivial)\n"
+    "classical broadcast: infeasible (optimal value 0.871153735 < 1)\n",
+    "gen-bb84(0.1)": "orthogonality: ok (max deviation 1.015e-16)\n"
+    "qubit-qudit form: fits\n"
+    "kill-pattern certificate: infeasible (4 patterns, all kernels trivial)\n"
+    "classical broadcast: infeasible (optimal value 0.999375128 < 1)\n",
+    "gen-bb84(1.5707963267948966)": "orthogonality: ok (max deviation 1.997e-16)\n" + _BB84_TAIL,
+    "gen-bb84(pi/2)": "orthogonality: ok (max deviation 1.997e-16)\n" + _BB84_TAIL,
+    "gen-bb84(pi/3)": "orthogonality: ok (max deviation 6.295e-17)\n"
+    "qubit-qudit form: fits\n"
+    "kill-pattern certificate: infeasible (4 patterns, all kernels trivial)\n"
+    "classical broadcast: infeasible (optimal value 0.933012684 < 1)\n",
+    "minimal-qutrit": (
+        "kill-pattern certificate: inconclusive (4 patterns with nontrivial kernels)\n"
+        "classical broadcast: feasible (value 0.999999936, witness violation 3.20e-08)\n"
+    ),
+    "obb": _ORTHOGONAL
+    + "qubit-qudit form: first factor has dimension 3, not 2\n"
+    "kill-pattern certificate: infeasible (12 patterns, all kernels trivial)\n"
+    "classical broadcast: infeasible (optimal value 0.832632437 < 1)\n",
+    "qq": _ORTHOGONAL + "qubit-qudit form: first factor has dimension 3, not 2\n" + _NO_CLASSICAL_SIDE,
+    "qq-tilde": _ORTHOGONAL + "qubit-qudit form: first factor has dimension 3, not 2\n" + _NO_CLASSICAL_SIDE,
+    "shifts": "orthogonality: ok (max deviation 4.441e-16)\n"
+    "qubit-qudit form: first factor has dimension 4, not 2\n" + _NO_CLASSICAL_SIDE,
+    "thm1-pairs": (
+        "quantum-communication protocol (thm1-isometry): verified\n"
+        "kill-pattern certificate: infeasible (8 patterns, all kernels trivial)\n"
+        "classical broadcast: infeasible (optimal value 0.933012699 < 1)\n"
+    ),
+    "thm2-eight": _ORTHOGONAL
+    + "qubit-qudit form: first factor has dimension 5, not 2\n"
+    "quantum-communication protocol (thm2-isometry): verified\n"
+    "kill-pattern certificate: inconclusive (8 patterns with nontrivial kernels)\n"
+    "classical broadcast: infeasible (optimal value 0.949759484 < 1)\n",
+}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_check_prints_the_reference_text_for_each_gallery_entry(capsys, name):
+    if name in CHECK_OUTPUT:
+        assert run(capsys, "check", "--gallery", name) == (0, CHECK_OUTPUT[name], "")
+    else:
+        assert run(capsys, "check", "--gallery", name) == (
+            1,
+            "",
+            "error: check expects a post-information or product ensemble\n",
+        )
 
 
 def test_check_malformed_file(tmp_path, capsys):

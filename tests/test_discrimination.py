@@ -392,22 +392,8 @@ def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
         list(solve_stream(targets[:2], settings[:1]))
 
 
-def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(monkeypatch):
-    counts = {"steps": 0, "member_steps": 0, "certified": 0}
-    pretty_good, certify = discrimination._pretty_good, discrimination._certify
-
-    def counted_step(a):
-        counts["steps"] += 1
-        counts["member_steps"] += a.shape[0]
-        return pretty_good(a)
-
-    def counted_certify(m, p):
-        counts["certified"] += 1
-        return certify(m, p)
-
-    monkeypatch.setattr(discrimination, "_pretty_good", counted_step)
-    monkeypatch.setattr(discrimination, "_certify", counted_certify)
-    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(counted_bruteforce_run):
+    report, counts = counted_bruteforce_run
     assert report.computed == 8.822147157250271e-08
     # 50 row-merged and 1,750 assignment solves, each with the iterations it takes alone
     assert counts == {"steps": 9301, "member_steps": 193360, "certified": 1800}
@@ -432,7 +418,7 @@ def test_solve_stream_yields_each_index_once(monkeypatch, narrow):
 
 def searched_values(ensembles):
     """Each ensemble's post-information value by the exhaustive search alone, as one stream."""
-    search = AssignmentSearch(ensembles)
+    search = AssignmentSearch([merged_row_targets(ens) for ens in ensembles])
     for k, result in solve_stream(search.targets, search.settings):
         search.fold(k, result)
     return search.values

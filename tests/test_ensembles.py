@@ -20,6 +20,7 @@ from obcast.ensembles import (
     local_unitary_equivalence_deviation,
     qubit_qudit_form_check,
 )
+from obcast.ensembles import _gram, _largest_in_setting_overlap, _modulus, _ray_classes
 from obcast.discrimination import merged_row_targets
 from obcast.linalg import ket, pure_state_overlap
 from obcast.sampling import random_unitary
@@ -170,6 +171,7 @@ _RAY_LABELS = {
     "qq": (None, None),
     "qq-tilde": (None, None),
     "shifts": (None, None),
+    "gen-bb84(0.1)": ([0, 0, 1, 1], None),
     "gen-bb84(pi/2)": ([0, 0, 1, 1], None),
     "gen-bb84(pi/3)": ([0, 0, 1, 1], None),
 }
@@ -180,6 +182,126 @@ def test_classical_ray_labels_on_product_sets(name):
     gop = gallery(name)
     got = (classical_ray_labels(gop.a_states), classical_ray_labels(gop.b_states))
     assert got == _RAY_LABELS[name]
+
+
+_OTHER_FIRST_FACTOR = {3: "first factor has dimension 3, not 2", 4: "first factor has dimension 4, not 2"}
+_FITS = (True, "fits", (), (2, 2))
+# per product-set entry: ray classes of (a side, b side); the induced ensemble's
+# (index sets, orthogonal flag) on side a and on side b, None where the side is
+# not classical; global orthogonality's (ok, worst pair); and the form check's
+# (fits, reason, removable, induced index sets)
+_PRODUCT_STRUCTURE = {
+    "cor4-six": (
+        ([0, 1, 2, 0, 1, 2], [0, 1, 2, 3, 4, 5]),
+        (((2, 2, 2), True), None),
+        (True, (0, 0)),
+        (False, _OTHER_FIRST_FACTOR[3], (), None),
+    ),
+    "cq": (
+        ([0, 0, 0, 1, 1, 2, 2], list(range(7))),
+        (((3, 2, 2), True), None),
+        (True, (1, 1)),
+        (False, _OTHER_FIRST_FACTOR[3], (), None),
+    ),
+    "obb": (
+        ([0, 0, 1, 1, 0, 2, 2], list(range(7))),
+        (((3, 2, 2), True), None),
+        (True, (2, 2)),
+        (False, _OTHER_FIRST_FACTOR[3], (), None),
+    ),
+    "qq": (([0, 1, 2, 2, 3, 3, 4], list(range(7))), (None, None), (True, (1, 1)), (False, _OTHER_FIRST_FACTOR[3], (), None)),
+    "qq-tilde": (
+        ([0, 1, 2, 2, 3, 4, 4], list(range(7))),
+        (None, None),
+        (True, (1, 1)),
+        (False, _OTHER_FIRST_FACTOR[3], (), None),
+    ),
+    "shifts": (([0, 1, 2, 3], [0, 1, 2, 3]), (None, None), (True, (1, 1)), (False, _OTHER_FIRST_FACTOR[4], (), None)),
+    "thm2-eight": (
+        ([0, 0, 1, 1, 2, 2, 3, 3], list(range(8))),
+        (((2, 2, 2, 2), True), None),
+        (True, (2, 2)),
+        (False, "first factor has dimension 5, not 2", (), None),
+    ),
+    "gen-bb84(0.1)": (([0, 0, 1, 1], [0, 1, 2, 3]), (((2, 2), True), None), (True, (2, 3)), _FITS),
+    "gen-bb84(pi/2)": (([0, 0, 1, 1], [0, 1, 2, 3]), (((2, 2), True), None), (True, (2, 3)), _FITS),
+    "gen-bb84(pi/3)": (([0, 0, 1, 1], [0, 1, 2, 3]), (((2, 2), True), None), (True, (2, 3)), _FITS),
+}
+
+
+def _rays(states) -> list[int]:
+    return _ray_classes(_modulus(_gram(states, states)))
+
+
+def _induced(gop, side):
+    try:
+        ens = induced_postinfo(gop, classical_side=side)
+    except ValueError:
+        return None
+    return ens.index_sets, ens.orthogonal
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_STRUCTURE))
+def test_product_entries_keep_their_rays_reductions_orthogonality_and_form(name):
+    gop = gallery(name)
+    ortho = global_orthogonality_check(gop.a_states, gop.b_states)
+    form = qubit_qudit_form_check(gop)
+    got = (
+        (_rays(gop.a_states), _rays(gop.b_states)),
+        (_induced(gop, "a"), _induced(gop, "b")),
+        (ortho.ok, ortho.worst_pair),
+        (form.fits, form.reason, form.removable, form.induced and form.induced.index_sets),
+    )
+    assert got == _PRODUCT_STRUCTURE[name]
+
+
+@pytest.mark.parametrize("name, rays", [("bb84", [0, 1, 2, 3]), ("minimal-qutrit", [0, 1, 2, 3]), ("thm1-pairs", list(range(6)))])
+def test_postinfo_entries_keep_their_rays_and_orthogonality(name, rays):
+    ens = gallery(name)
+    states = [s for group in ens.states for s in group]
+    assert (_rays(states), classical_ray_labels(states), ens.orthogonal) == (rays, None, True)
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_STRUCTURE) + ["bb84", "minimal-qutrit", "thm1-pairs"])
+def test_overlap_matrix_has_the_bits_of_each_scalar_overlap(name):
+    obj = gallery(name)
+    groups = obj.states if isinstance(obj, PostInfoEnsemble) else (obj.a_states, obj.b_states)
+    for v in groups:
+        for w in (w for w in groups if len(w[0]) == len(v[0])):
+            gram = _gram(v, w)
+            assert gram.shape == (len(v), len(w))
+            for j, x in enumerate(v):
+                for k, y in enumerate(w):
+                    overlap = pure_state_overlap(x, y)
+                    assert gram[j, k] == overlap and _modulus(gram)[j, k] == abs(overlap)
+    worst = max((abs(pure_state_overlap(g[i], g[j])) for g in groups for i in range(len(g)) for j in range(i)), default=0.0)
+    assert _largest_in_setting_overlap(groups) == worst
+
+
+def test_overlap_matrix_of_random_kets_has_the_bits_of_each_scalar_overlap():
+    rng = np.random.default_rng(11)
+    for d, n, m in ((2, 3, 4), (3, 5, 5), (7, 4, 2)):
+        v = list(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
+        w = list(rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d)))
+        gram = _gram(v, w)
+        want = [[pure_state_overlap(x, y) for y in w] for x in v]
+        assert gram.tolist() == want
+        assert _modulus(gram).tolist() == [[abs(z) for z in row] for row in want]
+
+
+def test_form_check_falls_back_when_a_removable_state_overlaps_another():
+    # the largest ray class (the three |+> states) would leave |0>e0 and |1>e0 removable, whose
+    # second factors coincide, so the orthogonal pair {|0>, |1>} is kept and the |+> states go
+    e4 = np.eye(4, dtype=complex)
+    plus = ket([1, 1]) / SQ2
+    gop = GopEnsemble(
+        a_states=(ket([1, 0]), ket([0, 1]), plus, plus, plus),
+        b_states=(e4[0], e4[0], e4[1], e4[2], e4[3]),
+        prior=(0.2,) * 5,
+    )
+    form = qubit_qudit_form_check(gop)
+    assert form.fits and form.removable == (2, 3, 4)
+    assert form.induced.index_sets == (1, 1)
 
 
 def test_form_check_rejects_qutrit_first_factor():
