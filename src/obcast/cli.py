@@ -173,23 +173,27 @@ _DISK_PROGRAMS = {
 }
 
 
-def _bound_record(method: str, name: str, payload, settings: SolverSettings) -> dict:
-    """The ``bound`` record of ``method`` on the entry ``name``; a pair with no route is a ``ValueError``."""
+def _bound_record(method: str, entry: str | None, name: str, payload, settings: SolverSettings) -> dict:
+    """The ``bound`` record of ``method`` on the input ``name``; a pair with no route is a ``ValueError``.
+
+    Every method but ``postinfo`` is routed by ``entry``, the gallery name,
+    which a file does not have: a file's path names no gallery object.
+    """
     # the angle when the entry is the rotated family, bb84 included; a post-information view needs no name
-    theta = None if method == "postinfo" else gen_bb84_angle(name)
+    theta = None if method == "postinfo" or entry is None else gen_bb84_angle(entry)
     if method == "postinfo":
         result = p_postinfo(_postinfo_view(_as_object(payload)), settings)
         record = {"computed": result.value, "certificate": "dual-certified", "gap": result.certificate.gap}
-    elif method == "thm4" and (theta is not None or name == "shifts"):
+    elif method == "thm4" and (theta is not None or entry == "shifts"):
         inst = qpv.shifts_instance() if theta is None else qpv.bb84_family_instance(theta)
         record = {"computed": qpv.thm4_min_epsilon(inst), "certificate": "analytic"}
     elif method == "prop4" and theta is not None:
         spec = SuperpositionSpec(theta, 0.0, theta - math.pi, 0.0)
         record = {"computed": qpv.prop4_solve(0.5, 0.5, 0.5, spec).bound, "certificate": "heuristic"}
-    elif method == "disk" and name in _DISK_PROGRAMS:
-        solution = qpv.disk_program_solve(_DISK_PROGRAMS[name]())
+    elif method == "disk" and entry in _DISK_PROGRAMS:
+        solution = qpv.disk_program_solve(_DISK_PROGRAMS[entry]())
         record = {"computed": solution.bound, "certificate": solution.certificate}
-    elif method == "moe" and name == "obb":
+    elif method == "moe" and entry == "obb":
         record = {"computed": moe.example_go_trivial().copy_strategy_bound, "certificate": "exact"}
     elif method == "moe" and theta == math.pi / 2:  # the two-basis game is the family at pi/2 only
         record = {"computed": moe.classical_copy_permutation_bound(moe.game_bb84()), "certificate": "exact"}
@@ -200,7 +204,7 @@ def _bound_record(method: str, name: str, payload, settings: SolverSettings) -> 
 
 def _cmd_bound(args) -> int:
     name, payload = _load_source(args)
-    _print_record(_bound_record(args.method, name, payload, _settings(args)))
+    _print_record(_bound_record(args.method, args.gallery_name, name, payload, _settings(args)))
     return EXIT_OK
 
 

@@ -68,9 +68,9 @@ class SolverSettings:
 DEFAULT_SETTINGS = SolverSettings()
 
 
-def _rounding_floor(tol: float, scale: float) -> float:
-    """``tol``, raised to the rounding error of an operator whose entries reach ``scale``."""
-    return max(tol, ROUNDING_ULPS * np.finfo(float).eps * scale)
+def _rounding_floor(tol: float, scale):
+    """``tol``, raised to the rounding error of an operator whose entries reach ``scale`` (or of each, for an array)."""
+    return np.maximum(tol, ROUNDING_ULPS * np.finfo(float).eps * scale)
 
 
 @dataclass(frozen=True)
@@ -82,22 +82,26 @@ class EffectTarget:
     psd_tol: float = PSD_TOL
 
     def __post_init__(self):
-        scales = [np.abs(np.asarray(m, dtype=complex)).max(initial=0.0) for m in self.operators]
-        floors = [_rounding_floor(self.psd_tol, scale) for scale in scales]
-        ops = tuple(hermitian(m, tol=floor) for m, floor in zip(self.operators, floors))
-        object.__setattr__(self, "operators", ops)
-        if not ops:
-            raise ValueError("need at least one target")
-        d = ops[0].shape[0]
-        if any(m.shape != (d, d) for m in ops):
-            raise ValueError("targets must share a dimension")
-        for m, floor in zip(ops, floors):
-            low = np.linalg.eigvalsh(m).min()
-            if low < -floor:
-                raise ValueError(f"target has negative eigenvalue {low:.3e}")
+        try:
+            stack = np.array(self.operators, dtype=complex)
+        except (TypeError, ValueError):  # operators of mixed shapes, or not numbers
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            # no (n, d, d) stack: each operator alone names the first bad one, else the shapes are at fault
+            for m in self.operators:
+                a = np.asarray(m, dtype=complex)
+                hermitian(a, tol=_rounding_floor(self.psd_tol, np.abs(a).max(initial=0.0)))
+            raise ValueError("targets must share a dimension" if self.operators else "need at least one target")
+        floors = _rounding_floor(self.psd_tol, np.abs(stack).max(axis=(1, 2), initial=0.0))
+        stack = hermitian(stack, tol=floors)
+        lows = np.linalg.eigvalsh(stack).min(axis=1)
+        bad = np.flatnonzero(lows < -floors)
+        if bad.size:
+            raise ValueError(f"target has negative eigenvalue {lows[bad[0]]:.3e}")
+        object.__setattr__(self, "operators", tuple(stack))
         if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(len(ops))))
-        elif len(self.labels) != len(ops):
+            object.__setattr__(self, "labels", tuple(range(len(stack))))
+        elif len(self.labels) != len(stack):
             raise ValueError("labels must match targets")
 
     @property
@@ -333,13 +337,46 @@ def _central_povm(s_inv: np.ndarray) -> np.ndarray:
     return _herm_stack(r @ s_inv @ r)
 
 
+@functools.cache
+def _lower_weights(d: int) -> np.ndarray:
+    """1 on the diagonal and 2 below it: the weight of each |c_ij|^2 in the Frobenius norm of what eigvalsh reads."""
+    weights = np.tril(np.full((d, d), 2.0), -1) + np.eye(d)
+    weights.flags.writeable = False
+    return weights
+
+
+def _step_length(l_inv: np.ndarray, dy: np.ndarray, dec: float) -> float:
+    """The damped Newton step, held to 0.99 of the boundary of every S_r > 0.
+
+    That is min(alpha_N, 0.99 / -low), with alpha_N = 1 / (1 + sqrt(dec)) for
+    a squared decrement above 1 (1 otherwise) and low the least eigenvalue of
+    C_r = L_r^-1 dY L_r^-H over every row (no bound when low >= 0).
+    ``eigvalsh`` reads the lower triangle of each C_r and is backward
+    stable, so no eigenvalue it returns exceeds the Frobenius norm F_r of that
+    Hermitian matrix by more than a rounding of order eps F_r.  When
+    alpha_N max_r F_r <= 0.98 the guard therefore cannot bind in floating
+    point, and alpha_N is returned without the eigendecomposition: the same
+    bits either way.
+    """
+    newton = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0
+    c = l_inv @ dy @ dagger(l_inv)
+    frobenius = math.sqrt(float(((c.real**2 + c.imag**2) * _lower_weights(c.shape[-1])).sum(axis=(1, 2)).max()))
+    if newton * frobenius <= 0.98:  # False for a non-finite C, which goes to eigvalsh as before
+        return newton
+    low = float(np.linalg.eigvalsh(c).min())
+    return min(newton, 0.99 / -low if low < 0 else math.inf)
+
+
 def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray, np.ndarray, float, int]:
     """Certified optimum of one target ``m`` (n, d, d) by Newton's method on the dual log barrier.
 
     Minimises t Tr Y - sum_r log det S_r, S_r = Y - M_r, over Y in an
     orthonormal Hermitian basis F (Vandenberghe and Boyd, SIAM Rev. 38, 49,
     1996), from Y = (max eigenvalue + 1) I and t = n d, by damped steps held
-    to 0.99 of the boundary of every S_r > 0.  When the squared Newton
+    to 0.99 of the boundary of every S_r > 0 (``_step_length``); the guard's
+    eigendecomposition runs only at steps where a Frobenius-norm bound does
+    not already prove it slack, which leaves every iterate's bits as they
+    are with the eigendecomposition at every step.  When the squared Newton
     decrement is below 2, the central POVM is certified against Y (Eldar,
     Megretski and Verghese, IEEE TIT 49, 1007, 2003): the solve returns
     (primal, dual, POVM, gap, iterations) if the gap meets ``gap_tol``, and
@@ -379,8 +416,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
             if not math.isfinite(dec):
                 raise np.linalg.LinAlgError("Newton decrement is not finite")
             dy = (dx @ f).reshape(d, d)
-            low = float(np.linalg.eigvalsh(l_inv @ dy @ dagger(l_inv)).min())
-            alpha = min(1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, 0.99 / -low if low < 0 else math.inf)
+            alpha = _step_length(l_inv, dy, dec)
             y, previous = y + alpha * (dy + dagger(dy)) / 2, y
             if np.array_equal(y, previous):
                 raise np.linalg.LinAlgError("Newton step is below rounding")
@@ -469,15 +505,13 @@ def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = PSD_TOL) -> 
     n_rows = int(np.prod(counts))
     if n_rows > MAX_ROW_TARGETS:
         raise ValueError(f"index-set product {n_rows} exceeds {MAX_ROW_TARGETS}")
-    projectors = tuple(tuple(dyad(s) for s in group) for group in ensemble.states)
     rows = list(itertools.product(*[range(c) for c in counts]))
-    ops = []
-    for row in rows:
-        acc = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
-        for t, i in enumerate(row):
-            acc += ensemble.prior[t][i] * projectors[t][i]
-        ops.append(acc)
-    return EffectTarget(operators=tuple(ops), labels=tuple(rows), psd_tol=psd_tol)
+    index = np.array(rows).reshape(n_rows, len(counts))
+    acc = np.zeros((n_rows, ensemble.dim, ensemble.dim), dtype=complex)
+    for t, group in enumerate(ensemble.states):  # one indexed add per setting, in the order a row sums them
+        weighted = np.array([ensemble.prior[t][i] * dyad(s) for i, s in enumerate(group)])
+        acc += weighted[index[:, t]]
+    return EffectTarget(operators=tuple(acc), labels=tuple(rows), psd_tol=psd_tol)
 
 
 @dataclass(frozen=True)

@@ -734,9 +734,17 @@ def _boolean(value) -> bool:
 
 
 def _gop_factors(data: dict) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The first and second factors of a ``gop`` document's states, decoded but not yet checked."""
-    pairs = _field(data, "states", lambda rows: [(_decode_vector(a), _decode_vector(b)) for a, b in rows])
-    return [a for a, _ in pairs], [b for _, b in pairs]
+    """The first and second factors of a ``gop`` document's states, decoded, each factor of one ket length."""
+
+    def decode(rows):
+        factors = [_decode_vector(a) for a, _ in rows], [_decode_vector(b) for _, b in rows]
+        for side, kets in zip(("first", "second"), factors):
+            sizes = sorted({k.size for k in kets})
+            if len(sizes) > 1:
+                raise ValueError(f"{side} factor kets differ in length: {sizes}")
+        return factors
+
+    return _field(data, "states", decode)
 
 
 def from_json_dict(data: dict):

@@ -47,12 +47,13 @@ def dyad(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * np.conj(v)[..., None, :]
 
 
-def hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian(m, tol: float | np.ndarray = HERMITICITY_TOL) -> np.ndarray:
     """Validate and symmetrize a Hermitian operator (or each member of a stack).
 
     Returns (M + M^dagger) / 2, in C order, when the worst entry of
-    M - M^dagger is at most ``tol``; rejects non-square, non-finite, or more
-    asymmetric input, naming the first bad member of a stack.
+    M - M^dagger is at most ``tol`` (one float, or one per member of a stack
+    of operators); rejects non-square, non-finite, or more asymmetric input,
+    naming the first bad member of a stack.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -61,11 +62,13 @@ def hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
     with np.errstate(invalid="ignore"):  # inf - inf: the member is rejected as non-finite
         residual = np.abs(a - flipped).max(axis=(-2, -1)).reshape(-1)
-    first = np.argmax(~finite | (residual > tol))  # member 0 when all are good
+    asymmetric = residual > tol
+    first = np.argmax(~finite | asymmetric)  # member 0 when all are good
     if not finite[first]:
         raise ValueError("matrix has non-finite entries")
-    if residual[first] > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {residual[first]:.3e} > {tol:.1e})")
+    if asymmetric[first]:
+        limit = tol if np.ndim(tol) == 0 else tol[first]
+        raise ValueError(f"matrix is not Hermitian (residual {residual[first]:.3e} > {limit:.1e})")
     return np.add(a, flipped, order="C") / 2
 
 

@@ -193,6 +193,23 @@ def test_bound_from_file(tmp_path, capsys):
     assert json.loads(out)["computed"] == pytest.approx((2 + math.sqrt(2)) / 4, abs=1e-6)
 
 
+
+@pytest.mark.parametrize("file_name, entry", [("shifts", "bb84"), ("obb", "obb")])
+def test_a_file_reaches_the_postinfo_route_only_whatever_its_path(tmp_path, monkeypatch, capsys, file_name, entry):
+    monkeypatch.chdir(tmp_path)  # the path is then the bare gallery name
+    path = file_name
+    (tmp_path / file_name).write_text(dumps(gallery(entry)))
+    for method in METHODS:
+        if method != "postinfo":  # the other routes take gallery names, and a path names none
+            assert run(capsys, "bound", "--file", path, "--method", method) == (
+                1,
+                "",
+                f"error: no {method} bound is known for {path!r}\n",
+            )
+    code, out, err = run(capsys, "bound", "--file", path, "--method", "postinfo")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(BOUND_RECORDS["postinfo", entry]), "id": f"postinfo:{path}"}
+
 def test_check_feasible_gallery(capsys):
     code, out, _ = run(capsys, "check", "--gallery", "minimal-qutrit")
     assert code == 0
@@ -230,6 +247,17 @@ def test_check_flags_orthogonality_violation(tmp_path, capsys):
     assert code == 3
     assert out == "orthogonality: VIOLATED at pair (0, 1) (deviation 7.071e-01)\n"
 
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_check_rejects_factor_kets_of_unequal_length_by_field(tmp_path, capsys, side):
+    payload = json.loads(dumps(gallery("obb")))
+    n = len(payload["states"][0][side])
+    payload["states"][1][side].append([0.0, 0.0])  # one amplitude more than the first pair's ket
+    code, out, err = run(capsys, "check", "--file", _write(tmp_path, payload))
+    factor = ("first", "second")[side]
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed 'states' field of a gop document: {factor} factor kets differ in length: [{n}, {n + 1}]\n"
 
 _ORTHOGONAL = "orthogonality: ok (max deviation 2.220e-16)\n"
 _BB84_TAIL = (

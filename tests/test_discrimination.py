@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +22,9 @@ from obcast.discrimination import (
     p_postinfo,
     solve_stream,
 )
-from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gen_bb84, induced_postinfo
+from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gallery_names, gen_bb84, induced_postinfo
 from obcast.errors import InternalInconsistency, SolverFailure
-from obcast.linalg import dyad, ket
+from obcast.linalg import dagger, dyad, ket
 from obcast.oracles import _ORACLE_SETTINGS, AssignmentSearch
 from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
@@ -237,6 +240,96 @@ def test_target_validation():
         EffectTarget(operators=(np.diag([1.0, -0.5]),))
     with pytest.raises(ValueError):
         EffectTarget(operators=(np.eye(2),), labels=(1, 2))
+
+
+GOOD_OPERATORS = (np.diag([0.5, 0.25]), np.array([[0.3, 0.1j], [-0.1j, 0.2]]), 0.1 * np.eye(2))
+# each bad operator with the message it got when every operator was validated on its own
+BAD_OPERATORS = {
+    "non-finite": (np.diag([np.nan, 1.0]), "matrix has non-finite entries"),
+    "non-Hermitian": (np.array([[1.0, 1e-3], [0.0, 1.0]]), "matrix is not Hermitian (residual 1.000e-03 > 1.0e-10)"),
+    "negative": (np.diag([1.0, -0.5]), "target has negative eigenvalue -5.000e-01"),
+    "mixed shapes": (np.eye(3), "targets must share a dimension"),
+    "non-square": (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 2])
+@pytest.mark.parametrize("kind", sorted(BAD_OPERATORS))
+def test_a_bad_target_operator_is_named_as_it_was_alone(kind, index):
+    bad, message = BAD_OPERATORS[kind]
+    with pytest.raises(ValueError) as rejected:
+        EffectTarget(operators=GOOD_OPERATORS[:index] + (bad,) + GOOD_OPERATORS[index:])
+    assert str(rejected.value) == message
+
+
+def test_target_checks_keep_their_order_and_each_operators_floor():
+    # every operator is checked for Hermiticity before any for its eigenvalues
+    negative, asymmetric = BAD_OPERATORS["negative"][0], BAD_OPERATORS["non-Hermitian"]
+    with pytest.raises(ValueError) as rejected:
+        EffectTarget(operators=(negative, asymmetric[0]))
+    assert str(rejected.value) == asymmetric[1]
+    # the asymmetry allowed is psd_tol or the rounding at each operator's own scale
+    skew = np.array([[0.0, 1e-9], [0.0, 0.0]])
+    large = EffectTarget(operators=(1e6 * np.eye(2) + skew, np.eye(2)))
+    assert large.operators[0][0, 1] == 5e-10
+    with pytest.raises(ValueError) as rejected:
+        EffectTarget(operators=(1e6 * np.eye(2), np.eye(2) + skew))
+    assert str(rejected.value) == "matrix is not Hermitian (residual 1.000e-09 > 1.0e-10)"
+
+
+def gallery_views():
+    """Every post-information ensemble of the gallery, and every classical-side view of a product set."""
+    for name in gallery_names():
+        obj = gallery(name.replace("<theta>", "0.3"))
+        if isinstance(obj, PostInfoEnsemble):
+            yield obj
+        elif isinstance(obj, GopEnsemble):
+            for side in ("a", "b"):
+                try:
+                    yield induced_postinfo(obj, classical_side=side)
+                except ValueError:
+                    continue
+
+
+def reference_row_operators(ens):
+    """The bytes of each row's operator, summed one row and one setting at a time, then symmetrized alone."""
+    out = []
+    for row in itertools.product(*[range(c) for c in ens.index_sets]):
+        acc = np.zeros((ens.dim, ens.dim), dtype=complex)
+        for t, i in enumerate(row):
+            acc += ens.prior[t][i] * dyad(ens.states[t][i])
+        out.append(((acc + acc.conj().T) / 2).tobytes())
+    return out
+
+
+class Built(Exception):
+    """Stops the brute-force case once its row targets are built."""
+
+
+def test_row_targets_keep_their_bytes(monkeypatch):
+    seed42 = []
+
+    def record(ens, **kwargs):
+        seed42.append(ens)
+        return merged_row_targets(ens, **kwargs)
+
+    def stop(targets):
+        raise Built
+
+    monkeypatch.setattr(reproduce, "merged_row_targets", record)
+    monkeypatch.setattr(reproduce, "AssignmentSearch", stop)
+    with pytest.raises(Built):
+        run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    ensembles = list(gallery_views()) + seed42
+    assert len(ensembles) == 8 + 50
+    digest = hashlib.sha256()
+    for ens in ensembles:
+        target = merged_row_targets(ens)
+        assert [op.tobytes() for op in target.operators] == reference_row_operators(ens)
+        digest.update(repr(target.labels).encode())
+        for op in target.operators:
+            digest.update(op.tobytes())
+    assert digest.hexdigest() == "597d488acf0df3ee08598174aba4f08b7179fd000e8a58ca9014e30e98a08ec0"
 
 
 def mixed_stack():
@@ -713,3 +806,107 @@ def test_a_barrier_stalled_on_rounding_fails_with_its_best_certificate():
     assert_reported_certificate(exc, m)
     # the barrier's own certificate, far better than the unfinished fixed-point iterate's
     assert 1e-13 < exc.gap < 1e-10
+
+
+def reference_barrier_solve(m, st):
+    """``_barrier_solve`` with the boundary guard's eigendecomposition taken at every Newton step."""
+    n, d = m.shape[0], m.shape[-1]
+    f = discrimination._hermitian_basis(d)
+    trace_f = f[:, :: d + 1].real.sum(axis=1)
+    y, t = (np.linalg.eigvalsh(m).max() + 1.0) * np.eye(d), float(n * d)
+    best, stalled = (None, None, math.inf, None), None
+    try:
+        for steps in range(1, st.max_iterations + 1):
+            l_inv = np.linalg.inv(np.linalg.cholesky(y - m))
+            s_inv = dagger(l_inv) @ l_inv
+            flat = s_inv.reshape(n, d * d)
+            outer = (flat.T @ flat).reshape(d, d, d, d).transpose(1, 2, 3, 0).reshape(d * d, d * d)
+            hess = (f @ outer @ f.T).real
+            pull = (f @ s_inv.sum(axis=0).conj().ravel()).real
+            u, v = np.linalg.solve(hess, np.stack([trace_f, pull], axis=1)).T
+            if float((pull - t * trace_f) @ (v - t * u)) < 2:
+                p = discrimination._central_povm(s_inv)
+                primal = float(np.einsum("rij,rji->", p, m).real)
+                gap = float(np.trace(y).real) - primal
+                if gap <= st.gap_tol:
+                    return primal, y, p, gap, steps
+                if gap < best[2]:
+                    best = (primal, y, gap, p)
+                if 100.0 * t * np.finfo(float).eps * np.trace(y).real > 1.0:
+                    raise np.linalg.LinAlgError(f"barrier parameter {100.0 * t:.1e} is beyond rounding")
+                t *= 100.0
+            dx = v - t * u
+            dec = float((pull - t * trace_f) @ dx)
+            if not math.isfinite(dec):
+                raise np.linalg.LinAlgError("Newton decrement is not finite")
+            dy = (dx @ f).reshape(d, d)
+            low = float(np.linalg.eigvalsh(l_inv @ dy @ dagger(l_inv)).min())
+            alpha = min(1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, 0.99 / -low if low < 0 else math.inf)
+            y, previous = y + alpha * (dy + dagger(dy)) / 2, y
+            if np.array_equal(y, previous):
+                raise np.linalg.LinAlgError("Newton step is below rounding")
+    except np.linalg.LinAlgError as exc:
+        stalled = exc
+    p = discrimination._central_povm(s_inv) if best[3] is None else best[3]
+    final = (*discrimination._certify(m, p), p)
+    if stalled is not None and steps < st.max_iterations:
+        try:
+            rest = dataclasses.replace(st, max_iterations=st.max_iterations - steps)
+            [(_, (primal, y, p, gap, fixed))] = discrimination._solve_stack(m[None], [rest], p[None])
+            return primal, y, p, gap, steps + fixed
+        except SolverFailure as polish:
+            final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
+    raise discrimination._failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
+
+
+@pytest.fixture
+def guard_eigensolves(monkeypatch):
+    """Counts the ``eigvalsh`` calls made by ``_step_length``, the boundary guard, and by nothing else."""
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls[0] += sys._getframe(1).f_code is discrimination._step_length.__code__
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_the_step_length_is_the_guarded_newton_step_bit_for_bit(guard_eigensolves):
+    rng = np.random.default_rng(13)
+    bound = 0
+    for trial in range(400):
+        n, d = int(rng.integers(1, 30)), int(rng.integers(2, 5))
+        a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        s = a @ dagger(a) + 10.0 ** rng.uniform(-6, 1) * np.eye(d)
+        l_inv = np.linalg.inv(np.linalg.cholesky(s))
+        dy = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        dy = 10.0 ** rng.uniform(-8, 2) * (dy + dagger(dy))
+        dec = float(10.0 ** rng.uniform(-3, 6))
+        low = float(np.linalg.eigvalsh(l_inv @ dy @ dagger(l_inv)).min())  # not counted: called from here
+        newton = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0
+        expected = min(newton, 0.99 / -low if low < 0 else math.inf)
+        assert discrimination._step_length(l_inv, dy, dec) == expected, trial
+        bound += expected < newton
+    # the guard bound on some inputs, so the eigendecomposition ran, and was skipped on others
+    assert 0 < bound <= guard_eigensolves[0] < 400
+
+
+def newton_instances():
+    """Every target above d^2 rows, and d = 4 and d = 3 ensembles of 64 and 81 rows."""
+    return above_d_squared_instances() + [random_postinfo(20, 4, 3), random_postinfo(21, 3, 4)]
+
+
+@pytest.mark.parametrize("gap_tol", [1e-7, 1e-13])
+def test_the_barrier_gives_the_bits_of_the_guard_at_every_step(guard_eigensolves, gap_tol):
+    st = SolverSettings(gap_tol=gap_tol)
+    for ens in newton_instances():
+        m = np.array(merged_row_targets(ens).operators)
+        primal, y, p, gap, steps = _barrier_solve(m, st)
+        ref_primal, ref_y, ref_p, ref_gap, ref_steps = reference_barrier_solve(m, st)
+        assert (primal, gap, steps) == (ref_primal, ref_gap, ref_steps)
+        assert y.tobytes() == ref_y.tobytes() and p.tobytes() == ref_p.tobytes()
+    if gap_tol == DEFAULT_SETTINGS.gap_tol:
+        # alpha_N max_r ||C_r||_F stayed below 0.98 at every step, so the guard never needed its eigenvalues
+        assert guard_eigensolves[0] == 0
