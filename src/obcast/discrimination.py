@@ -109,8 +109,8 @@ class EffectTarget:
         return self.operators[0].shape[0]
 
     def select(self, rows: Sequence[int]) -> EffectTarget:
-        """The target made of the operators at ``rows``, which need no second validation."""
-        if not rows:
+        """The target made of the operators at ``rows`` (a sequence or an index array), which need no second validation."""
+        if len(rows) == 0:
             raise ValueError("need at least one target")
         sub = copy.copy(self)
         object.__setattr__(sub, "operators", tuple(self.operators[r] for r in rows))
@@ -205,11 +205,28 @@ def _herm_stack(a: np.ndarray) -> np.ndarray:
     return np.add(a, dagger(a), order="C") / 2
 
 
+def _right_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_r b for every row a_r of ``a`` (..., n, d, d), with b the member's own ``b`` (..., d, d).
+
+    The rows are stacked into one (n d, d) operand, so this is one BLAS call
+    per member where ``a @ b[..., None, :, :]`` makes one per row.  Each entry
+    is still the dot product of one row of a_r with one column of b, and the
+    BLAS kernel gives it the same bits either way;
+    ``tests/test_discrimination.py`` checks that property on random stacks.  A shared left factor, or a stack through a
+    wider operand, does not keep the bits, so only right products come here.
+    """
+    return (a.reshape(*a.shape[:-3], -1, a.shape[-1]) @ b).reshape(a.shape)
+
+
 def _pretty_good(a: np.ndarray) -> np.ndarray:
-    """S^{-1/2} A_r S^{-1/2} with S = sum_r A_r, completed to a POVM, for each member of ``a`` (B, n, d, d)."""
+    """S^{-1/2} A_r S^{-1/2} with S = sum_r A_r, completed to a POVM, for each member of ``a`` (B, n, d, d).
+
+    The left product S^{-1/2} A_r is one BLAS call per row; the right one is
+    one per member (``_right_product``), with the bits of one per row.
+    """
     n, d = a.shape[1], a.shape[-1]
     s = _psd_pinv_sqrt(a.sum(axis=1), RANK_TOL)
-    p = _herm_stack(s[:, None] @ a @ s[:, None])
+    p = _herm_stack(_right_product(s[:, None] @ a, s))
     p += ((_identity(d) - p.sum(axis=1)) / n)[:, None]
     return p
 
@@ -334,7 +351,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
 def _central_povm(s_inv: np.ndarray) -> np.ndarray:
     """B^{-1/2} S_r^{-1} B^{-1/2} with B = sum_r S_r^{-1}: the central point S_r^{-1} / t, summing to I exactly."""
     r = _psd_pinv_sqrt(s_inv.sum(axis=0)[None], 0.0)  # B is positive definite
-    return _herm_stack(r @ s_inv @ r)
+    return _herm_stack(_right_product(r @ s_inv, r[0]))
 
 
 @functools.cache
@@ -356,10 +373,12 @@ def _step_length(l_inv: np.ndarray, dy: np.ndarray, dec: float) -> float:
     Hermitian matrix by more than a rounding of order eps F_r.  When
     alpha_N max_r F_r <= 0.98 the guard therefore cannot bind in floating
     point, and alpha_N is returned without the eigendecomposition: the same
-    bits either way.
+    bits either way.  C_r is formed as (L_r^-1 dY) L_r^-H: the first product
+    shares its right factor dY across rows, so it is one BLAS call
+    (``_right_product``) with the bits of one call per row.
     """
     newton = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0
-    c = l_inv @ dy @ dagger(l_inv)
+    c = _right_product(l_inv, dy) @ dagger(l_inv)
     frobenius = math.sqrt(float(((c.real**2 + c.imag**2) * _lower_weights(c.shape[-1])).sum(axis=(1, 2)).max()))
     if newton * frobenius <= 0.98:  # False for a non-finite C, which goes to eigvalsh as before
         return newton

@@ -45,8 +45,8 @@ class AssignmentSearch:
         self.targets, self._owner = [], []
         for e, row_target in enumerate(row_targets):
             rows = range(len(row_target.operators))
-            # an assignment's value depends only on the multiset of rows it uses
-            keys = dict.fromkeys(tuple(sorted(a)) for a in itertools.product(rows, repeat=row_target.dim**2))
+            # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
+            keys = list(itertools.combinations_with_replacement(rows, row_target.dim**2))
             self.targets += [row_target.select(k) for k in keys]
             self._owner += [e] * len(keys)
         self.values = [-math.inf] * len(row_targets)

@@ -170,6 +170,30 @@ class Prop4Result:
     unity_condition_printed: bool
 
 
+def _prop4_grid(p: float, pg_a01: float, pg_a23: float, z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
+    """``prop4_solve``'s seed grid and its objective, value [i, j] at (r0, s0) = (grid[i], grid[j]).
+
+    The scalar objective's operations in its order (``+ - * sqrt``, ``** 2``,
+    and ``max``/``min`` as ``maximum``/``minimum``), each correctly rounded
+    elementwise, so every value has the scalar's bits (``tests/test_qpv.py``
+    compares them all).  Swapping r0 and s0 swaps the parties, so s's term is
+    the transpose of r's; r's is built in place (IEEE + and * commute
+    exactly), so only two 201 x 201 arrays are held.
+    """
+    grid = np.linspace(0.5, 1.0, 201)
+    shift = 2 * grid - 1
+    reach = z1 * np.sqrt(np.maximum(0.0, 1.0 - shift**2))
+    f_r = reach[None, :] + z2 * shift[:, None]
+    f_r += 1.0
+    f_r *= 0.5
+    np.minimum(1.0, f_r, out=f_r)  # r1
+    f_r += pg_a23
+    f_r *= 1 - p
+    f_r += (p * (pg_a01 + grid))[:, None]
+    f_r -= 0.5
+    return grid, np.minimum(f_r, f_r.T)
+
+
 def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec) -> Prop4Result:
     """Guessing-probability program over uncertainty-relation constraints.
 
@@ -177,10 +201,12 @@ def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec)
     p (pg_a01 + x0) + (1-p) (pg_a23 + x1) - 1/2, where each party's second
     slot is capped by the cross-party relation.  The second slots sit at
     their caps at any optimum, leaving a two-variable maximization handled
-    by grid seeding plus pattern ascent.  The derivation fixes the constant
-    at -1/2; the reported bound is additionally clipped at one, since it
-    bounds a probability.  The published unity condition
-    cos(theta) = 1 + cos(omega) is evaluated and reported as a flag.
+    by grid seeding plus pattern ascent.  The 201 x 201 seed grid is one
+    array expression (``_prop4_grid``) with the scalar objective's bits; the
+    ascent starts at its first maximum in r0-major order and is scalar.  The
+    derivation fixes the constant at -1/2; the reported bound is additionally
+    clipped at one, since it bounds a probability.  The published unity
+    condition cos(theta) = 1 + cos(omega) is evaluated and reported as a flag.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p!r} outside [0, 1]")
@@ -200,11 +226,9 @@ def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec)
         f_s = p * (pg_a01 + s0) + (1 - p) * (pg_a23 + s1) - 0.5
         return min(f_r, f_s)
 
-    grid = np.linspace(0.5, 1.0, 201)
-    value, r0, s0 = max(
-        ((objective(float(a), float(b)), float(a), float(b)) for a in grid for b in grid),
-        key=lambda t: t[0],
-    )
+    grid, values = _prop4_grid(p, pg_a01, pg_a23, z1, z2)
+    i, j = np.unravel_index(np.argmax(values), values.shape)  # the first maximum, r0-major
+    value, r0, s0 = float(values[i, j]), float(grid[i]), float(grid[j])
     step = float(grid[1] - grid[0])
     moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
     while step > 1e-9:

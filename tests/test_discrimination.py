@@ -277,6 +277,16 @@ def test_target_checks_keep_their_order_and_each_operators_floor():
     assert str(rejected.value) == "matrix is not Hermitian (residual 1.000e-09 > 1.0e-10)"
 
 
+def test_select_takes_an_index_array_as_it_takes_a_tuple():
+    target = merged_row_targets(gallery("bb84"))
+    by_tuple, by_array = target.select((0, 2)), target.select(np.array([0, 2]))
+    assert by_array.labels == by_tuple.labels
+    assert [op.tobytes() for op in by_array.operators] == [op.tobytes() for op in by_tuple.operators]
+    for empty in ((), np.array([], dtype=int)):
+        with pytest.raises(ValueError, match="need at least one target"):
+            target.select(empty)
+
+
 def gallery_views():
     """Every post-information ensemble of the gallery, and every classical-side view of a product set."""
     for name in gallery_names():
@@ -515,6 +525,59 @@ def searched_values(ensembles):
     for k, result in solve_stream(search.targets, search.settings):
         search.fold(k, result)
     return search.values
+
+
+def seed42_row_targets(monkeypatch):
+    """The 50 row targets of the seed-42 brute-force case, built as the case builds them."""
+    targets = []
+
+    def stop(row_targets):
+        targets.extend(row_targets)
+        raise Built
+
+    monkeypatch.setattr(reproduce, "AssignmentSearch", stop)
+    with pytest.raises(Built):
+        run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    return targets
+
+
+def test_assignment_search_keeps_each_sorted_multiset_of_rows_in_first_occurrence_order(monkeypatch):
+    row_targets = seed42_row_targets(monkeypatch)
+    assert len(row_targets) == 50
+    search = AssignmentSearch(row_targets)
+    expected = []
+    for e, target in enumerate(row_targets):
+        # every assignment of a row to each of the d^2 outcomes, kept once per sorted multiset
+        assignments = itertools.product(range(len(target.operators)), repeat=target.dim**2)
+        expected += [(e, target.select(k)) for k in dict.fromkeys(tuple(sorted(a)) for a in assignments)]
+    assert len(search.targets) == len(expected) == 50 * 35
+    assert search._owner == [e for e, _ in expected]
+    for mine, (_, theirs) in zip(search.targets, expected):
+        assert mine.labels == theirs.labels
+        assert [op.tobytes() for op in mine.operators] == [op.tobytes() for op in theirs.operators]
+
+
+def test_assignment_search_on_nine_qutrit_rows_builds_one_problem_per_multiset():
+    target = merged_row_targets(random_postinfo(6, 3, 2))
+    assert (len(target.operators), target.dim) == (9, 3)
+    # C(9 + 9 - 1, 9) multisets of 9 rows over 9 outcomes, not the 9^9 assignments
+    assert len(AssignmentSearch([target]).targets) == math.comb(17, 9) == 24_310
+
+
+def test_a_product_with_a_shared_right_factor_has_the_bits_of_one_product_per_row():
+    rng = np.random.default_rng(14)
+    sizes = [(d, n) for d in range(1, 7) for n in (1, 2, 3, 7, 64, 257, 999)]
+    for trial, (d, n) in enumerate(sizes * 3):
+        members = () if trial % 4 == 0 else (int(rng.integers(1, min(65, max(2, 20_000 // (n * d * d))))),)
+        scale = 10.0 ** rng.uniform(-12, 3)
+        a = scale * (rng.normal(size=(*members, n, d, d)) + 1j * rng.normal(size=(*members, n, d, d)))
+        b = rng.normal(size=(*members, d, d)) + 1j * rng.normal(size=(*members, d, d))
+        per_row = a @ b[..., None, :, :]
+        assert discrimination._right_product(a, b).tobytes() == per_row.tobytes(), (
+            f"the BLAS in use gives a ({n * d}, {d}) product other bits than {n} ({d}, {d}) products "
+            f"(members {members}, scale {scale:.1e}); the solvers, and the seed-42 report, rely on these "
+            "bits being equal, and numpy.show_config() names the BLAS"
+        )
 
 
 def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():

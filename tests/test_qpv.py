@@ -122,6 +122,55 @@ def test_prop4_orthogonal_case_saturates():
     assert result.raw_value >= 1.0
 
 
+def reference_prop4_objective(p, pg_a01, pg_a23, z1, z2):
+    """``prop4_solve``'s objective at one (r0, s0), in Python floats, as its seed grid was once evaluated."""
+
+    def objective(r0, s0):
+        r1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * s0 - 1) ** 2)) + z2 * (2 * r0 - 1) + 1.0)
+        s1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * r0 - 1) ** 2)) + z2 * (2 * s0 - 1) + 1.0)
+        f_r = p * (pg_a01 + r0) + (1 - p) * (pg_a23 + min(1.0, r1)) - 0.5
+        f_s = p * (pg_a01 + s0) + (1 - p) * (pg_a23 + min(1.0, s1)) - 0.5
+        return min(f_r, f_s)
+
+    return objective
+
+
+def prop4_instances():
+    """The ``bb84-prop4`` instance, then random ones."""
+    yield 0.5, 0.5, 0.5, CONJUGATE
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        p, pg_a01, pg_a23 = float(rng.uniform()), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.5, 1.0))
+        yield p, pg_a01, pg_a23, SuperpositionSpec(*(float(x) for x in rng.uniform(-math.pi, math.pi, 4)))
+
+
+@pytest.mark.parametrize("instance", list(prop4_instances()))
+def test_prop4_grid_has_the_bits_of_the_scalar_objective(instance):
+    p, pg_a01, pg_a23, spec = instance
+    z1, z2 = abs(spec.z1), abs(spec.z2)
+    grid, values = qpv._prop4_grid(p, pg_a01, pg_a23, z1, z2)
+    objective = reference_prop4_objective(p, pg_a01, pg_a23, z1, z2)
+    expected = np.array([[objective(float(a), float(b)) for b in grid] for a in grid])
+    assert values.shape == (201, 201)
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_prop4_seeds_at_the_first_maximum_in_r0_major_order():
+    # p = 0 and z1 = z2 = 0: both caps are 1/2 and the objective is pg_a23 on the whole grid, so every point ties
+    spec = SuperpositionSpec(0.4, 0.0, 0.4, 0.0)
+    z1, z2 = abs(spec.z1), abs(spec.z2)
+    grid, values = qpv._prop4_grid(0.0, 0.6, 0.7, z1, z2)
+    assert np.all(values == values[0, 0])
+    objective = reference_prop4_objective(0.0, 0.6, 0.7, z1, z2)
+    # the seed the scalar grid took: the first of its maxima, r0 before s0
+    _, r0, s0 = max(((objective(float(a), float(b)), float(a), float(b)) for a in grid for b in grid), key=lambda t: t[0])
+    assert (r0, s0) == (0.5, 0.5)
+    # no move improves on a tie, so the pattern ascent ends where it was seeded, not at another maximum
+    result = prop4_solve(0.0, 0.6, 0.7, spec)
+    assert (result.r[0], result.s[0]) == (r0, s0)
+    assert result.raw_value == values[0, 0]
+
+
 def test_prop4_input_validation():
     with pytest.raises(ValueError):
         prop4_solve(1.5, 0.5, 0.5, CONJUGATE)
