@@ -15,7 +15,6 @@ from .discrimination import (
     helstrom_binary,
     losscc_value_cq,
     min_error_discrimination,
-    min_error_discrimination_stack,
     p_postinfo,
     solve_stream,
 )

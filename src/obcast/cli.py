@@ -5,8 +5,8 @@ Subcommands: ``reproduce`` (full report of every tracked value), ``bound``
 objects), ``ur-test`` (randomized relation suites), ``moe`` (game bounds).
 Each subcommand takes only the flags it reads: ``--seed`` and ``--trials``
 for ``reproduce`` and ``ur-test``, ``--tol-gap`` and ``--tol-eig`` for
-``reproduce``, ``bound`` and ``check``.  Every flag can also be supplied
-through an ``OBCAST_``-prefixed environment variable, e.g. ``OBCAST_SEED=7``.
+``reproduce``, ``bound`` and ``check``.  The command line is the only
+input: no environment variable sets a flag.
 
 Exit codes: 0 all checks pass, 1 usage or input error, 2 internal failure,
 3 a tracked check failed.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -47,45 +46,35 @@ EXIT_INTERNAL = 2
 EXIT_FAILED = 3
 
 
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(f"OBCAST_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"invalid OBCAST_{name}={raw!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="obcast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def sampling(p):
-        p.add_argument("--seed", type=int, default=_env_default("SEED", 42, int))
-        p.add_argument("--trials", type=int, default=_env_default("TRIALS", None, int))
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--trials", type=int)
 
     def tolerances(p):
         p.add_argument(
             "--tol-gap",
             type=float,
-            default=_env_default("TOL_GAP", DEFAULT_SETTINGS.gap_tol, float),
+            default=DEFAULT_SETTINGS.gap_tol,
             help="certified duality-gap tolerance for discrimination solves",
         )
         p.add_argument(
             "--tol-eig",
             type=float,
-            default=_env_default("TOL_EIG", DEFAULT_SETTINGS.psd_tol, float),
+            default=DEFAULT_SETTINGS.psd_tol,
             help="PSD and identity tolerance of target rows and measurements; 0 allows rounding only",
         )
 
     rep = sub.add_parser("reproduce", help="recompute every tracked value and emit a report")
     sampling(rep)
     tolerances(rep)
-    rep.add_argument("--format", choices=("json", "csv"), default=_env_default("FORMAT", "json", str))
-    rep.add_argument("--out", type=Path, default=_env_default("OUT", None, Path))
-    rep.add_argument("--only", default=_env_default("ONLY", None, str), help="substring filter on case ids")
-    rep.add_argument("--jobs", type=int, default=_env_default("JOBS", 1, int), help="accepted and ignored")
+    rep.add_argument("--format", choices=("json", "csv"), default="json")
+    rep.add_argument("--out", type=Path)
+    rep.add_argument("--only", help="substring filter on case ids")
+    rep.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     rep.add_argument("--quiet", action="store_true")
 
     bnd = sub.add_parser("bound", help="compute one bound for a gallery entry or ensemble file")

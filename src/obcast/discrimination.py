@@ -32,15 +32,13 @@ import numpy as np
 
 from .ensembles import GopEnsemble, PostInfoEnsemble, Povm, induced_postinfo
 from .errors import InternalInconsistency, SolverFailure
-from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member
+from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member, psd_stack, rounding_floor
 
 MAX_ROW_TARGETS = 4096
 # operators (members times outcomes) iterating in lockstep; a wider window costs memory and saves no time
 STACK_OPERATORS = 1024
 # eigenvalues below this fraction of the largest are outside the support in R^{-1/2}
 RANK_TOL = 1e-12
-# units of rounding, in eps times the operator's scale, that every psd_tol check allows
-ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -68,41 +66,21 @@ class SolverSettings:
 DEFAULT_SETTINGS = SolverSettings()
 
 
-def _rounding_floor(tol: float, scale):
-    """``tol``, raised to the rounding error of an operator whose entries reach ``scale`` (or of each, for an array)."""
-    return np.maximum(tol, ROUNDING_ULPS * np.finfo(float).eps * scale)
-
-
 @dataclass(frozen=True)
 class EffectTarget:
-    """Weighted PSD operators to be told apart; priors are absorbed."""
+    """Weighted PSD operators to be told apart, priors absorbed, each checked by ``linalg.psd_stack`` at ``psd_tol``."""
 
     operators: tuple[np.ndarray, ...]
     labels: tuple = ()
     psd_tol: float = PSD_TOL
 
     def __post_init__(self):
-        try:
-            stack = np.array(self.operators, dtype=complex)
-        except (TypeError, ValueError):  # operators of mixed shapes, or not numbers
-            stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            # no (n, d, d) stack: each operator alone names the first bad one, else the shapes are at fault
-            for m in self.operators:
-                a = np.asarray(m, dtype=complex)
-                hermitian(a, tol=_rounding_floor(self.psd_tol, np.abs(a).max(initial=0.0)))
-            raise ValueError("targets must share a dimension" if self.operators else "need at least one target")
-        floors = _rounding_floor(self.psd_tol, np.abs(stack).max(axis=(1, 2), initial=0.0))
-        stack = hermitian(stack, tol=floors)
-        lows = np.linalg.eigvalsh(stack).min(axis=1)
-        bad = np.flatnonzero(lows < -floors)
-        if bad.size:
-            raise ValueError(f"target has negative eigenvalue {lows[bad[0]]:.3e}")
+        stack = psd_stack(self.operators, self.psd_tol, "target")
         object.__setattr__(self, "operators", tuple(stack))
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(len(stack))))
-        elif len(self.labels) != len(stack):
+        labels = tuple(self.labels) if len(self.labels) else tuple(range(len(stack)))
+        if len(labels) != len(stack):
             raise ValueError("labels must match targets")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -131,21 +109,22 @@ class DualCertificate:
     ) -> None:
         """Raise ``ValueError`` unless the certificate holds at ``gap_tol``, to rounding and no further.
 
-        Y >= M_r for every target, and ``gap`` is Tr Y - primal, each within
-        rounding (``ROUNDING_ULPS``) at the scale of the largest entry of Y
-        and the targets, and the gap is at most ``gap_tol``.  With ``povm``,
+        Y is Hermitian within rounding (``linalg.ROUNDING_ULPS``) at the scale
+        of its largest entry; Y >= M_r for every target and ``gap`` is Tr Y -
+        primal, both within rounding at the scale of the largest entry of Y
+        and the targets; and the gap is at most ``gap_tol``.  With ``povm``,
         also require one effect per target, each PSD, summing to the
         identity, all within the target's ``psd_tol`` or rounding at scale d,
         whichever is larger.
         """
-        y = hermitian(self.matrix, tol=1e-9)
+        y = hermitian(self.matrix, tol=rounding_floor(0.0, np.abs(self.matrix).max()))
         ops = np.array(target.operators)
         scale = max(np.abs(y).max(), np.abs(ops).max())
         low = np.linalg.eigvalsh(y[None] - ops).min()
-        if low < -_rounding_floor(0.0, scale):
+        if low < -rounding_floor(0.0, scale):
             raise ValueError(f"dual operator not feasible: Y - M has eigenvalue {low:.3e}")
         excess = float(np.trace(y).real) - self.primal_value
-        rounding = _rounding_floor(0.0, target.dim * scale)
+        rounding = rounding_floor(0.0, target.dim * scale)
         if abs(self.gap - excess) > rounding:
             raise ValueError(f"certified gap {self.gap:.3e} is not Tr Y - primal = {excess:.3e}")
         if not -rounding <= self.gap <= gap_tol:
@@ -155,7 +134,7 @@ class DualCertificate:
         if len(povm) != len(target.operators):
             raise ValueError(f"{len(povm)} effects for {len(target.operators)} targets")
         effects = np.array(povm.effects)
-        floor = _rounding_floor(target.psd_tol, target.dim)
+        floor = rounding_floor(target.psd_tol, target.dim)
         low = np.linalg.eigvalsh(effects).min()
         if low < -floor:
             raise ValueError(f"POVM effect has eigenvalue {low:.3e}")
@@ -490,16 +469,6 @@ def solve_stream(
         yield i, _result(targets[i], *member)
 
 
-def min_error_discrimination_stack(
-    targets: Sequence[EffectTarget], settings: SolverSettings | None = None
-) -> list[DiscriminationResult]:
-    """The results of ``solve_stream``, in input order."""
-    results: list = [None] * len(targets)
-    for i, result in solve_stream(targets, settings):
-        results[i] = result
-    return results
-
-
 def min_error_discrimination(
     target: EffectTarget, settings: SolverSettings | None = None
 ) -> DiscriminationResult:
@@ -509,7 +478,8 @@ def min_error_discrimination(
     solve (``_barrier_solve``); the certificate covers every target either way.
     """
     if len(target.operators) <= target.dim**2:
-        return min_error_discrimination_stack([target], settings)[0]
+        [(_, result)] = solve_stream([target], settings)
+        return result
     return _result(target, *_barrier_solve(np.array(target.operators), settings or DEFAULT_SETTINGS))
 
 
@@ -569,20 +539,11 @@ def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = Non
     )
 
 
-@dataclass(frozen=True)
-class LosccResult:
-    value: float
-    induced: PostInfoEnsemble
-    postinfo: PostInfoResult
-
-
-def losscc_value_cq(gop: GopEnsemble, settings: SolverSettings | None = None) -> LosccResult:
+def losscc_value_cq(gop: GopEnsemble, settings: SolverSettings | None = None) -> PostInfoResult:
     """Simultaneous-classical-communication value for a GOP set with classical second factor.
 
     The classical side is copied and forwarded, so the optimum equals the
     post-information value of the induced ensemble on the first factor; no
     quantum memory is ever required.
     """
-    induced = induced_postinfo(gop, classical_side="b")
-    result = p_postinfo(induced, settings)
-    return LosccResult(value=result.value, induced=induced, postinfo=result)
+    return p_postinfo(induced_postinfo(gop, classical_side="b"), settings)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, dagger, dyad, hermitian, ket
+from .linalg import PSD_TOL, dagger, dyad, ket, psd_stack
 
 PRIOR_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-12
@@ -137,26 +137,17 @@ class GopEnsemble:
 
 @dataclass(frozen=True)
 class Povm:
-    """PSD effects summing to the identity."""
+    """Effects summing to the identity, each checked by ``linalg.psd_stack`` at ``PSD_TOL``."""
 
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        arrays = [np.asarray(e, dtype=complex) for e in self.effects]
-        if not arrays:
+        if len(self.effects) == 0:
             raise ValueError("a POVM needs at least one effect")
-        shape = arrays[0].shape
-        if any(a.shape != shape for a in arrays) or len(shape) != 2 or shape[0] != shape[1]:
-            for a in arrays:
-                hermitian(a, tol=PSD_TOL)  # raises the first malformed effect's own error
-            raise ValueError("effects must share a dimension")
-        effects = hermitian(np.array(arrays), tol=PSD_TOL)  # names the first bad effect as it would alone
+        effects = psd_stack(self.effects, PSD_TOL, "effect")
         effects.flags.writeable = False
         object.__setattr__(self, "effects", tuple(effects))
-        low = np.linalg.eigvalsh(effects).min(axis=1)
-        if (low < -PSD_TOL).any():
-            raise ValueError(f"effect has negative eigenvalue {low[np.argmax(low < -PSD_TOL)]:.3e}")
-        residual = np.abs(effects.sum(axis=0) - np.eye(shape[0])).max()
+        residual = np.abs(effects.sum(axis=0) - np.eye(effects.shape[-1])).max()
         if residual > PSD_TOL:
             raise ValueError(f"effects sum to identity only within {residual:.3e}")
 

@@ -22,6 +22,13 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
+# units of rounding, in eps times the operator's scale, that every psd_tol check allows
+ROUNDING_ULPS = 64
+
+
+def rounding_floor(tol: float, scale):
+    """``tol``, raised to the rounding error of an operator whose entries reach ``scale`` (or of each, for an array)."""
+    return np.maximum(tol, ROUNDING_ULPS * np.finfo(float).eps * scale)
 
 
 def per_member(x):
@@ -63,22 +70,41 @@ def hermitian(m, tol: float | np.ndarray = HERMITICITY_TOL) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf: the member is rejected as non-finite
         residual = np.abs(a - flipped).max(axis=(-2, -1)).reshape(-1)
     asymmetric = residual > tol
-    first = np.argmax(~finite | asymmetric)  # member 0 when all are good
-    if not finite[first]:
+    bad = np.flatnonzero(~finite | asymmetric)  # empty for an empty stack
+    if bad.size and not finite[bad[0]]:
         raise ValueError("matrix has non-finite entries")
-    if asymmetric[first]:
-        limit = tol if np.ndim(tol) == 0 else tol[first]
-        raise ValueError(f"matrix is not Hermitian (residual {residual[first]:.3e} > {limit:.1e})")
+    if bad.size:
+        limit = tol if np.ndim(tol) == 0 else tol[bad[0]]
+        raise ValueError(f"matrix is not Hermitian (residual {residual[bad[0]]:.3e} > {limit:.1e})")
     return np.add(a, flipped, order="C") / 2
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+def psd_stack(operators, tol: float, name: str) -> np.ndarray:
+    """The Hermitian parts of ``operators`` as one (n, d, d) stack, each checked PSD at its own floor.
 
-    Returns (eigenvalues ascending, orthonormal eigenvector columns) with
-    H = V diag(w) V^dagger.
+    Each operator's floor is ``rounding_floor(tol, scale)`` at the scale of its
+    largest entry, for its asymmetry and its least eigenvalue alike.  Every
+    operator is checked for Hermiticity before any for its eigenvalues, and
+    the first bad one is named as it would be alone; operators that form no
+    (n, d, d) stack are each checked alone, so a malformed one is named
+    before the shapes are blamed.
     """
-    return np.linalg.eigh(hermitian(h))
+    try:
+        stack = np.array(operators, dtype=complex)
+    except (TypeError, ValueError):  # operators of mixed shapes, or not numbers
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        for m in operators:
+            a = np.asarray(m, dtype=complex)
+            hermitian(a, tol=rounding_floor(tol, np.abs(a).max(initial=0.0)))
+        raise ValueError(f"{name}s must share a dimension" if len(operators) else f"need at least one {name}")
+    floors = rounding_floor(tol, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    stack = hermitian(stack, tol=floors)
+    lows = np.linalg.eigvalsh(stack).min(axis=1)
+    bad = np.flatnonzero(lows < -floors)
+    if bad.size:
+        raise ValueError(f"{name} has negative eigenvalue {lows[bad[0]]:.3e}")
+    return stack
 
 
 def trace_norm(m):
@@ -101,7 +127,7 @@ def trace_distance(rho, sigma):
 
 def psd_sqrt(h) -> np.ndarray:
     """Principal square root of a PSD operator."""
-    w, v = hermitian_eig(h)
+    w, v = np.linalg.eigh(hermitian(h))
     low = w[..., 0].reshape(-1)  # eigenvalues come in ascending order
     if (low < -PSD_TOL).any():
         raise ValueError(f"operator is not PSD (min eigenvalue {low[np.argmax(low < -PSD_TOL)]:.3e})")

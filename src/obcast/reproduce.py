@@ -60,6 +60,8 @@ class ReproduceOptions:
     settings: SolverSettings = field(default_factory=lambda: DEFAULT_SETTINGS)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 

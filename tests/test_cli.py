@@ -455,6 +455,16 @@ def test_nonpositive_trials_rejected(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [("reproduce", "--seed", "-1"), ("ur-test", "--seed", "-1")])
+def test_negative_seed_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "bound", "--gallery", "bb84")[0] == 1  # missing --method
     assert run(capsys, "bogus")[0] == 1
@@ -497,11 +507,13 @@ def test_invalid_tolerances_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("OBCAST_SEED", "abc")
-    code, _, err = run(capsys, "gallery")
-    assert code == 1
-    assert "error: invalid OBCAST_SEED='abc'" in err
+def test_environment_variables_set_no_flag(monkeypatch, capsys):
+    unset = run(capsys, "ur-test", "--trials", "5")
+    assert unset[0] == 0
+    assert run(capsys, "ur-test", "--trials", "5", "--seed", "7") != unset  # the seed shows in the output
+    for value in ("abc", "7"):
+        monkeypatch.setenv("OBCAST_SEED", value)
+        assert run(capsys, "ur-test", "--trials", "5") == unset
 
 
 def test_solver_failure_is_an_internal_error(monkeypatch, capsys):

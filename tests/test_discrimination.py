@@ -18,7 +18,6 @@ from obcast.discrimination import (
     losscc_value_cq,
     merged_row_targets,
     min_error_discrimination,
-    min_error_discrimination_stack,
     p_postinfo,
     solve_stream,
 )
@@ -37,6 +36,12 @@ TIGHT = SolverSettings(gap_tol=1e-9)
 
 def swap_sides(g):
     return GopEnsemble(a_states=g.b_states, b_states=g.a_states, prior=g.prior)
+
+
+def streamed(targets, settings=None):
+    """The results ``solve_stream`` yields, in input order."""
+    results = dict(solve_stream(targets, settings))
+    return [results[i] for i in range(len(targets))]
 
 
 def test_helstrom_examples():
@@ -161,9 +166,10 @@ def test_postinfo_size_cap():
 
 
 def test_losscc_on_swapped_rotated_family():
-    result = losscc_value_cq(swap_sides(gen_bb84(math.pi / 2)))
+    gop = swap_sides(gen_bb84(math.pi / 2))
+    result = losscc_value_cq(gop)
     assert result.value == pytest.approx(BB84_VALUE, abs=1e-6)
-    assert result.induced.index_sets == (2, 2)
+    assert induced_postinfo(gop, classical_side="b").index_sets == (2, 2)
 
 
 def test_losscc_perfect_for_orthonormal_products():
@@ -185,7 +191,7 @@ def test_losscc_optimum_dominates_explicit_strategy():
     # the exact classical-communication optimum can only beat the table
     # strategy; the solver's primal sits within its certified gap of it
     result = losscc_value_cq(swap_sides(gallery("cq")), TIGHT)
-    certified_upper = result.value + result.postinfo.certificate.gap
+    certified_upper = result.value + result.certificate.gap
     assert certified_upper >= cq_strategy_value().value - 1e-9
 
 
@@ -287,6 +293,15 @@ def test_select_takes_an_index_array_as_it_takes_a_tuple():
             target.select(empty)
 
 
+def test_array_labels_equal_the_tuple_labels():
+    by_tuple = EffectTarget(operators=GOOD_OPERATORS, labels=("x", "y", "z"))
+    by_array = EffectTarget(operators=GOOD_OPERATORS, labels=np.array(["x", "y", "z"]))
+    assert by_array.labels == by_tuple.labels
+    assert EffectTarget(operators=GOOD_OPERATORS, labels=np.array([], dtype=int)).labels == (0, 1, 2)
+    with pytest.raises(ValueError, match="labels must match targets"):
+        EffectTarget(operators=GOOD_OPERATORS, labels=np.array([0, 1]))
+
+
 def gallery_views():
     """Every post-information ensemble of the gallery, and every classical-side view of a product set."""
     for name in gallery_names():
@@ -362,7 +377,7 @@ def mixed_stack():
 def test_stacked_members_match_their_lone_solves_bit_for_bit():
     targets = mixed_stack()
     for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS):
-        stacked = min_error_discrimination_stack(targets, st)
+        stacked = streamed(targets, st)
         assert len({r.iterations for r in stacked}) > 1  # members leave at different checks
         for target, mine in zip(targets, stacked):
             alone = min_error_discrimination(target, st)
@@ -377,7 +392,7 @@ def test_stacked_members_match_their_lone_solves_bit_for_bit():
 def test_stacked_certificates_validate_under_the_settings_in_force():
     targets = mixed_stack()
     for st in (DEFAULT_SETTINGS, TIGHT, _ORACLE_SETTINGS):
-        for target, result in zip(targets, min_error_discrimination_stack(targets, st)):
+        for target, result in zip(targets, streamed(targets, st)):
             result.certificate.validate(target, gap_tol=st.gap_tol)
     # a certificate earned under a looser tolerance fails the default one
     loose = min_error_discrimination(targets[0], SolverSettings(gap_tol=1e-4))
@@ -394,7 +409,7 @@ def test_a_failing_member_raises_what_it_raises_alone():
     with pytest.raises(SolverFailure) as alone:
         min_error_discrimination(targets[1], st)
     with pytest.raises(SolverFailure) as stacked:
-        min_error_discrimination_stack(targets[1:], st)
+        streamed(targets[1:], st)
     assert str(stacked.value) == str(alone.value)
     assert stacked.value.primal == alone.value.primal
     assert stacked.value.gap == alone.value.gap
@@ -421,7 +436,7 @@ def test_members_of_a_narrow_window_match_their_lone_solves_bit_for_bit(monkeypa
     lone = {st: [min_error_discrimination(t, st) for t in targets] for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS)}
     widest = two_member_window(monkeypatch)
     for st, alone in lone.items():
-        for target, mine, own in zip(targets, min_error_discrimination_stack(targets, st), alone):
+        for target, mine, own in zip(targets, streamed(targets, st), alone):
             assert mine.value == own.value
             assert mine.certificate.gap == own.certificate.gap
             assert mine.certificate.matrix.tobytes() == own.certificate.matrix.tobytes()
@@ -603,10 +618,10 @@ def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
 def test_stacked_targets_must_share_a_shape():
     targets = mixed_stack()
     with pytest.raises(ValueError):
-        min_error_discrimination_stack([targets[0], merged_row_targets(gallery("minimal-qutrit"))])
+        streamed([targets[0], merged_row_targets(gallery("minimal-qutrit"))])
     with pytest.raises(ValueError):
-        min_error_discrimination_stack([targets[0], targets[0].select((0, 1))])
-    assert min_error_discrimination_stack([]) == []
+        streamed([targets[0], targets[0].select((0, 1))])
+    assert streamed([]) == []
 
 
 def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch):
@@ -707,6 +722,17 @@ def test_validate_holds_a_certificate_to_rounding_at_the_tolerance_in_force():
         result.certificate.validate(target, result.povm, gap_tol=float(np.nextafter(gap, 0.0)))
 
 
+def test_validate_holds_the_dual_to_hermitian_at_rounding():
+    target = merged_row_targets(gallery("bb84"))
+    result = min_error_discrimination(target)
+    y = result.certificate.matrix
+    assert np.array_equal(y, y.conj().T) and np.abs(y).max() < 1  # produced exactly Hermitian, at unit scale
+    result.certificate.validate(target, result.povm)
+    skewed = dataclasses.replace(result.certificate, matrix=y + 1e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        skewed.validate(target, result.povm)
+
+
 @pytest.mark.parametrize("gap_tol", [1e-7, 1e-10, 1e-13])
 def test_produced_certificates_validate_at_the_tolerance_they_were_solved_at(gap_tol):
     views = [gallery(name) for name in ("bb84", "minimal-qutrit", "thm1-pairs")]
@@ -764,8 +790,9 @@ def random_postinfo(seed, dim, n_settings):
 
 
 def full_solve(target):
-    """The solve that iterates on every row: a stack of one."""
-    return min_error_discrimination_stack([target])[0]
+    """The solve that iterates on every row: a stream of one."""
+    [(_, result)] = solve_stream([target])
+    return result
 
 
 def above_d_squared_instances():

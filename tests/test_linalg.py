@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from obcast.discrimination import helstrom_binary
 from obcast.ensembles import gallery
 from obcast.linalg import (
     dagger,
     dyad,
     fidelity,
     hermitian,
-    hermitian_eig,
     ket,
     kron,
     operator_norm,
@@ -29,18 +29,18 @@ def random_hermitian(rng, d):
 
 
 def test_eig_identity():
-    w, _ = hermitian_eig(np.eye(3))
+    w, _ = np.linalg.eigh(hermitian(np.eye(3)))
     assert np.allclose(w, [1, 1, 1])
 
 
 def test_eig_pauli_x():
-    w, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+    w, _ = np.linalg.eigh(hermitian(np.array([[0, 1], [1, 0]], dtype=complex)))
     assert np.allclose(w, [-1, 1])
 
 
 def test_eig_gallery_effect_spectrum():
     effect = gallery("prop1-povm").effects[0]
-    w, _ = hermitian_eig(effect)
+    w, _ = np.linalg.eigh(hermitian(effect))
     assert np.abs(np.sort(w) - np.array([0.0, 0.0, 0.75])).max() <= 1e-12
 
 
@@ -49,7 +49,7 @@ def test_eig_reconstruction_residuals():
     for _ in range(100):
         d = int(rng.integers(2, 17))
         h = random_hermitian(rng, d)
-        w, v = hermitian_eig(h)
+        w, v = np.linalg.eigh(hermitian(h))
         assert np.linalg.norm((v * w) @ v.conj().T - h) <= 1e-10
         assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
         assert np.all(np.diff(w) >= -1e-14)
@@ -57,9 +57,9 @@ def test_eig_reconstruction_residuals():
 
 def test_eig_rejects_bad_input():
     with pytest.raises(ValueError):
-        hermitian_eig(np.ones((2, 3)))
+        np.linalg.eigh(hermitian(np.ones((2, 3))))
     with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        np.linalg.eigh(hermitian(np.array([[0, 1], [0, 0]], dtype=complex)))
     with pytest.raises(ValueError):
         hermitian(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
@@ -303,6 +303,27 @@ def test_a_single_operator_gives_a_float_and_a_stack_an_array():
     assert type(trace_distance(rho, rho)) is float and type(fidelity(rho, rho)) is float
     assert type(trace_norm(rho)) is float and type(operator_norm(rho)) is float
     assert trace_distance(rho[None], rho[None]).shape == (1,)
+
+
+EMPTY_RESULTS = {  # each stack primitive on a (0, 2, 2) stack (or (0, 2) vectors), and the shape it gives
+    "hermitian": (hermitian, (0, 2, 2)),
+    "dagger": (dagger, (0, 2, 2)),
+    "dyad": (lambda z: dyad(z[..., 0]), (0, 2, 2)),
+    "trace_norm": (trace_norm, (0,)),
+    "operator_norm": (operator_norm, (0,)),
+    "psd_sqrt": (psd_sqrt, (0, 2, 2)),
+    "trace_distance": (lambda z: trace_distance(z, z), (0,)),
+    "fidelity": (lambda z: fidelity(z, z), (0,)),
+    "helstrom_binary": (lambda z: helstrom_binary(z, z), (0,)),
+    "kron": (lambda z: kron(z, z), (0, 4, 4)),
+    "partial_trace": (lambda z: partial_trace(kron(z, z), (2, 2), {0}), (0, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_RESULTS))
+def test_an_empty_stack_gives_an_empty_result(name):
+    fn, shape = EMPTY_RESULTS[name]
+    assert np.shape(fn(np.zeros((0, 2, 2), dtype=complex))) == shape
 
 
 def _message(fn, *args) -> str:
