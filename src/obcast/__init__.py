@@ -13,7 +13,6 @@ from .discrimination import (
     EffectTarget,
     SolverSettings,
     helstrom_binary,
-    losscc_value_cq,
     min_error_discrimination,
     p_postinfo,
     solve_stream,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensembles import GopEnsemble, PostInfoEnsemble, Povm, induced_postinfo
+from .ensembles import PostInfoEnsemble, Povm
 from .errors import InternalInconsistency, SolverFailure
 from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member, psd_stack, rounding_floor
 
@@ -117,7 +117,7 @@ class DualCertificate:
         identity, all within the target's ``psd_tol`` or rounding at scale d,
         whichever is larger.
         """
-        y = hermitian(self.matrix, tol=rounding_floor(0.0, np.abs(self.matrix).max()))
+        y = hermitian(self.matrix, tol=rounding_floor(0.0, np.abs(self.matrix).max(initial=0.0)))
         ops = np.array(target.operators)
         scale = max(np.abs(y).max(), np.abs(ops).max())
         low = np.linalg.eigvalsh(y[None] - ops).min()
@@ -327,12 +327,6 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return f.reshape(d * d, d * d)
 
 
-def _central_povm(s_inv: np.ndarray) -> np.ndarray:
-    """B^{-1/2} S_r^{-1} B^{-1/2} with B = sum_r S_r^{-1}: the central point S_r^{-1} / t, summing to I exactly."""
-    r = _psd_pinv_sqrt(s_inv.sum(axis=0)[None], 0.0)  # B is positive definite
-    return _herm_stack(_right_product(r @ s_inv, r[0]))
-
-
 @functools.cache
 def _lower_weights(d: int) -> np.ndarray:
     """1 on the diagonal and 2 below it: the weight of each |c_ij|^2 in the Frobenius norm of what eigvalsh reads."""
@@ -375,8 +369,9 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
     eigendecomposition runs only at steps where a Frobenius-norm bound does
     not already prove it slack, which leaves every iterate's bits as they
     are with the eigendecomposition at every step.  When the squared Newton
-    decrement is below 2, the central POVM is certified against Y (Eldar,
-    Megretski and Verghese, IEEE TIT 49, 1007, 2003): the solve returns
+    decrement is below 2, the central POVM, the square-root measurement of
+    the S_r^-1 (``_pretty_good``), is certified against Y (Eldar, Megretski
+    and Verghese, IEEE TIT 49, 1007, 2003): the solve returns
     (primal, dual, POVM, gap, iterations) if the gap meets ``gap_tol``, and
     otherwise multiplies t by 100.  Once t outgrows the rounding of Y, the
     fixed-point map on every row finishes from the best certified POVM with
@@ -399,7 +394,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
             # the gradient is t Tr F - pull, so the step is linear in t
             u, v = np.linalg.solve(hess, np.stack([trace_f, pull], axis=1)).T
             if float((pull - t * trace_f) @ (v - t * u)) < 2:
-                p = _central_povm(s_inv)
+                p = _pretty_good(s_inv[None])[0]
                 primal = float(np.einsum("rij,rji->", p, m).real)
                 gap = float(np.trace(y).real) - primal
                 if gap <= st.gap_tol:
@@ -420,7 +415,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
                 raise np.linalg.LinAlgError("Newton step is below rounding")
     except np.linalg.LinAlgError as exc:
         stalled = exc
-    p = _central_povm(s_inv) if best[3] is None else best[3]
+    p = _pretty_good(s_inv[None])[0] if best[3] is None else best[3]
     final = (*_certify(m, p), p)
     if stalled is not None and steps < st.max_iterations:
         # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
@@ -537,13 +532,3 @@ def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = Non
         certificate=result.certificate,
         iterations=result.iterations,
     )
-
-
-def losscc_value_cq(gop: GopEnsemble, settings: SolverSettings | None = None) -> PostInfoResult:
-    """Simultaneous-classical-communication value for a GOP set with classical second factor.
-
-    The classical side is copied and forwarded, so the optimum equals the
-    post-information value of the induced ensemble on the first factor; no
-    quantum memory is ever required.
-    """
-    return p_postinfo(induced_postinfo(gop, classical_side="b"), settings)

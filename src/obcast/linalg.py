@@ -59,12 +59,14 @@ def hermitian(m, tol: float | np.ndarray = HERMITICITY_TOL) -> np.ndarray:
 
     Returns (M + M^dagger) / 2, in C order, when the worst entry of
     M - M^dagger is at most ``tol`` (one float, or one per member of a stack
-    of operators); rejects non-square, non-finite, or more asymmetric input,
-    naming the first bad member of a stack.
+    of operators); rejects non-square, zero-dimensional, non-finite, or more
+    asymmetric input, naming the first bad member of a stack.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise ValueError(f"expected a matrix of dimension at least 1, got shape {a.shape}")
     flipped = dagger(a)
     finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
     with np.errstate(invalid="ignore"):  # inf - inf: the member is rejected as non-finite
@@ -145,7 +147,10 @@ def fidelity(rho, sigma):
 
 def operator_norm(m):
     """Largest singular value."""
-    return per_member(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max(axis=-1))
+    a = np.asarray(m, dtype=complex)
+    if 0 in a.shape[-2:]:
+        raise ValueError(f"expected a matrix of dimension at least 1, got shape {a.shape}")
+    return per_member(np.linalg.svd(a, compute_uv=False).max(axis=-1))
 
 
 def kron(a, b) -> np.ndarray:

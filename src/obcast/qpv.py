@@ -92,15 +92,11 @@ def thm4_rhs(eps: float, inst: Theorem4Instance) -> float:
 def thm4_min_epsilon(inst: Theorem4Instance) -> float:
     """Smallest error satisfying the inequality, by bisection on [0, 1/2] to ``BISECTION_WIDTH``.
 
-    Monotonicity of the right-hand side is checked on a 1000-point grid
-    before bisecting; returns zero when the inequality already holds at zero
-    error.
+    Each term of the right-hand side (2|z1| sqrt(eps (1 - eps)) / a01^2, two
+    constants, 2 eps) is nondecreasing on [0, 1/2], so the bisection brackets
+    the one crossing; returns zero when the inequality holds at zero error.
     """
-    grid = np.linspace(0.0, 0.5, 1000)
-    values = [thm4_rhs(float(e), inst) for e in grid]
-    if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
-        raise InternalInconsistency("right-hand side is not monotone on [0, 1/2]")
-    if values[0] >= 1.0:
+    if thm4_rhs(0.0, inst) >= 1.0:
         return 0.0
     lo, hi = 0.0, 0.5
     while hi - lo > BISECTION_WIDTH:

@@ -22,12 +22,11 @@ from .discrimination import (
     DEFAULT_SETTINGS,
     SolverSettings,
     helstrom_binary,
-    losscc_value_cq,
     merged_row_targets,
     p_postinfo,
     solve_stream,
 )
-from .ensembles import GopEnsemble, gallery, gen_bb84, induced_postinfo
+from .ensembles import gallery, gen_bb84, induced_postinfo
 from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import PermutationFamily, lemma_a1_bound
@@ -149,9 +148,9 @@ def _bb84_cor5_printed(case, opts):
 
 @_case("bb84-losscc", "classical-communication value with the classical side forwarded", BB84_VALUE, 1e-6, "dual-certified")
 def _bb84_losscc(case, opts):
-    g = gen_bb84(math.pi / 2)
-    swapped = GopEnsemble(a_states=g.b_states, b_states=g.a_states, prior=g.prior)
-    return losscc_value_cq(swapped, opts.settings).value
+    # the classical side is copied and forwarded, so the optimum is the post-information
+    # value of the ensemble induced on the quantum side; no quantum memory is required
+    return p_postinfo(induced_postinfo(gen_bb84(math.pi / 2), classical_side="a"), opts.settings).value
 
 
 # --- explicit qutrit POVM ------------------------------------------------------

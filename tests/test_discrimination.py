@@ -15,7 +15,6 @@ from obcast.discrimination import (
     SolverSettings,
     _barrier_solve,
     helstrom_binary,
-    losscc_value_cq,
     merged_row_targets,
     min_error_discrimination,
     p_postinfo,
@@ -42,6 +41,25 @@ def streamed(targets, settings=None):
     """The results ``solve_stream`` yields, in input order."""
     results = dict(solve_stream(targets, settings))
     return [results[i] for i in range(len(targets))]
+
+
+def assert_same_result(mine, alone):
+    """``mine`` is ``alone`` bit for bit: value, gap, dual, POVM and a positive iteration count."""
+    assert mine.value == alone.value
+    assert mine.certificate.gap == alone.certificate.gap
+    assert mine.certificate.matrix.tobytes() == alone.certificate.matrix.tobytes()
+    assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in alone.povm.effects]
+    assert mine.iterations == alone.iterations > 0
+
+
+def assert_same_failure(mine, alone, iterations):
+    """The ``SolverFailure`` ``mine`` is ``alone`` bit for bit, after ``iterations`` iterations."""
+    assert str(mine) == str(alone)
+    assert mine.primal == alone.primal
+    assert mine.gap == alone.gap
+    assert mine.dual.tobytes() == alone.dual.tobytes()
+    assert [e.tobytes() for e in mine.povm] == [e.tobytes() for e in alone.povm]
+    assert mine.iterations == alone.iterations == iterations
 
 
 def test_helstrom_examples():
@@ -167,9 +185,9 @@ def test_postinfo_size_cap():
 
 def test_losscc_on_swapped_rotated_family():
     gop = swap_sides(gen_bb84(math.pi / 2))
-    result = losscc_value_cq(gop)
-    assert result.value == pytest.approx(BB84_VALUE, abs=1e-6)
-    assert induced_postinfo(gop, classical_side="b").index_sets == (2, 2)
+    ens = induced_postinfo(gop, classical_side="b")
+    assert p_postinfo(ens).value == pytest.approx(BB84_VALUE, abs=1e-6)
+    assert ens.index_sets == (2, 2)
 
 
 def test_losscc_perfect_for_orthonormal_products():
@@ -179,18 +197,18 @@ def test_losscc_perfect_for_orthonormal_products():
         b_states=(basis[0], basis[1], basis[0], basis[1]),
         prior=(0.25,) * 4,
     )
-    assert losscc_value_cq(gop).value == pytest.approx(1.0, abs=1e-7)
+    assert p_postinfo(induced_postinfo(gop, classical_side="b")).value == pytest.approx(1.0, abs=1e-7)
 
 
 def test_losscc_rejects_quantum_second_factor():
     with pytest.raises(ValueError):
-        losscc_value_cq(gen_bb84(math.pi / 2))
+        p_postinfo(induced_postinfo(gen_bb84(math.pi / 2), classical_side="b"))
 
 
 def test_losscc_optimum_dominates_explicit_strategy():
     # the exact classical-communication optimum can only beat the table
     # strategy; the solver's primal sits within its certified gap of it
-    result = losscc_value_cq(swap_sides(gallery("cq")), TIGHT)
+    result = p_postinfo(induced_postinfo(swap_sides(gallery("cq")), classical_side="b"), TIGHT)
     certified_upper = result.value + result.certificate.gap
     assert certified_upper >= cq_strategy_value().value - 1e-9
 
@@ -380,12 +398,7 @@ def test_stacked_members_match_their_lone_solves_bit_for_bit():
         stacked = streamed(targets, st)
         assert len({r.iterations for r in stacked}) > 1  # members leave at different checks
         for target, mine in zip(targets, stacked):
-            alone = min_error_discrimination(target, st)
-            assert mine.value == alone.value
-            assert mine.certificate.gap == alone.certificate.gap
-            assert mine.certificate.matrix.tobytes() == alone.certificate.matrix.tobytes()
-            assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in alone.povm.effects]
-            assert mine.iterations == alone.iterations > 0
+            assert_same_result(mine, min_error_discrimination(target, st))
             assert mine.labels == target.labels
 
 
@@ -410,11 +423,7 @@ def test_a_failing_member_raises_what_it_raises_alone():
         min_error_discrimination(targets[1], st)
     with pytest.raises(SolverFailure) as stacked:
         streamed(targets[1:], st)
-    assert str(stacked.value) == str(alone.value)
-    assert stacked.value.primal == alone.value.primal
-    assert stacked.value.gap == alone.value.gap
-    assert [e.tobytes() for e in stacked.value.povm] == [e.tobytes() for e in alone.value.povm]
-    assert stacked.value.iterations == alone.value.iterations == 3
+    assert_same_failure(stacked.value, alone.value, 3)
 
 
 def two_member_window(monkeypatch):
@@ -437,11 +446,7 @@ def test_members_of_a_narrow_window_match_their_lone_solves_bit_for_bit(monkeypa
     widest = two_member_window(monkeypatch)
     for st, alone in lone.items():
         for target, mine, own in zip(targets, streamed(targets, st), alone):
-            assert mine.value == own.value
-            assert mine.certificate.gap == own.certificate.gap
-            assert mine.certificate.matrix.tobytes() == own.certificate.matrix.tobytes()
-            assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in own.povm.effects]
-            assert mine.iterations == own.iterations > 0
+            assert_same_result(mine, own)
             assert mine.labels == target.labels
     assert widest[0] == 2
 
@@ -460,12 +465,7 @@ def test_a_failing_member_admitted_late_raises_what_it_raises_alone(monkeypatch)
             done.append(i)
             assert result.iterations == 1
     assert done == [0, 1, 2]
-    assert str(late.value) == str(alone.value)
-    assert late.value.primal == alone.value.primal
-    assert late.value.gap == alone.value.gap
-    assert late.value.dual.tobytes() == alone.value.dual.tobytes()
-    assert [e.tobytes() for e in late.value.povm] == [e.tobytes() for e in alone.value.povm]
-    assert late.value.iterations == alone.value.iterations == 3
+    assert_same_failure(late.value, alone.value, 3)
 
 
 @pytest.mark.parametrize("narrow", [False, True])
@@ -479,11 +479,8 @@ def test_members_at_mixed_settings_match_their_lone_solves_bit_for_bit(monkeypat
         assert mine[i] is None
         mine[i] = result
     for target, st, result, own in zip(targets, settings, mine, lone):
-        assert result.value == own.value
-        assert result.certificate.gap == own.certificate.gap <= st.gap_tol
-        assert result.certificate.matrix.tobytes() == own.certificate.matrix.tobytes()
-        assert [e.tobytes() for e in result.povm.effects] == [e.tobytes() for e in own.povm.effects]
-        assert result.iterations == own.iterations > 0
+        assert_same_result(result, own)
+        assert result.certificate.gap <= st.gap_tol
         assert result.labels == target.labels
     # a member checked at local step k has run k + 1 iterations: every 5 steps for the undamped members, else 10
     assert {r.iterations % 10 for r, st in zip(mine, settings) if st is _ORACLE_SETTINGS} == {1, 6}
@@ -500,12 +497,7 @@ def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
         min_error_discrimination(targets[1], settings[1])
     with pytest.raises(SolverFailure) as stacked:
         list(solve_stream([targets[0], targets[1]], settings))
-    assert str(stacked.value) == str(alone.value)
-    assert stacked.value.primal == alone.value.primal
-    assert stacked.value.gap == alone.value.gap
-    assert stacked.value.dual.tobytes() == alone.value.dual.tobytes()
-    assert [e.tobytes() for e in stacked.value.povm] == [e.tobytes() for e in alone.value.povm]
-    assert stacked.value.iterations == alone.value.iterations == 12
+    assert_same_failure(stacked.value, alone.value, 12)
     with pytest.raises(ValueError, match="1 settings for 2 targets"):
         list(solve_stream(targets[:2], settings[:1]))
 
@@ -821,12 +813,7 @@ def test_postinfo_at_most_d_squared_rows_is_the_full_solve_bit_for_bit():
         target = merged_row_targets(ens)
         assert len(target.operators) <= target.dim**2
         full = full_solve(target)
-        mine = p_postinfo(ens)
-        assert mine.value == full.value
-        assert mine.certificate.gap == full.certificate.gap
-        assert mine.certificate.matrix.tobytes() == full.certificate.matrix.tobytes()
-        assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in full.povm.effects]
-        assert mine.iterations == full.iterations
+        assert_same_result(p_postinfo(ens), full)
 
 
 def test_barrier_and_fixed_point_agree_within_both_gaps_at_most_d_squared_rows():
@@ -915,7 +902,7 @@ def reference_barrier_solve(m, st):
             pull = (f @ s_inv.sum(axis=0).conj().ravel()).real
             u, v = np.linalg.solve(hess, np.stack([trace_f, pull], axis=1)).T
             if float((pull - t * trace_f) @ (v - t * u)) < 2:
-                p = discrimination._central_povm(s_inv)
+                p = discrimination._pretty_good(s_inv[None])[0]
                 primal = float(np.einsum("rij,rji->", p, m).real)
                 gap = float(np.trace(y).real) - primal
                 if gap <= st.gap_tol:
@@ -937,7 +924,7 @@ def reference_barrier_solve(m, st):
                 raise np.linalg.LinAlgError("Newton step is below rounding")
     except np.linalg.LinAlgError as exc:
         stalled = exc
-    p = discrimination._central_povm(s_inv) if best[3] is None else best[3]
+    p = discrimination._pretty_good(s_inv[None])[0] if best[3] is None else best[3]
     final = (*discrimination._certify(m, p), p)
     if stalled is not None and steps < st.max_iterations:
         try:

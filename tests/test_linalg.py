@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from obcast.discrimination import helstrom_binary
-from obcast.ensembles import gallery
+from obcast.discrimination import DualCertificate, EffectTarget, helstrom_binary
+from obcast.ensembles import Povm, gallery
 from obcast.linalg import (
     dagger,
     dyad,
@@ -324,6 +324,25 @@ EMPTY_RESULTS = {  # each stack primitive on a (0, 2, 2) stack (or (0, 2) vector
 def test_an_empty_stack_gives_an_empty_result(name):
     fn, shape = EMPTY_RESULTS[name]
     assert np.shape(fn(np.zeros((0, 2, 2), dtype=complex))) == shape
+
+
+ZERO_DIMENSIONAL = {  # each entry point that takes one operator or a stack, on zero-dimensional input
+    "hermitian": hermitian,
+    "psd_sqrt": psd_sqrt,
+    "trace_distance": lambda z: trace_distance(z, z),
+    "fidelity": lambda z: fidelity(z, z),
+    "operator_norm": operator_norm,
+    "Povm": lambda z: Povm(effects=(z,) if z.ndim == 2 else tuple(z)),
+    "DualCertificate.validate": lambda z: DualCertificate(z, 0.0, 0.0).validate(EffectTarget(operators=(np.eye(2),))),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+@pytest.mark.parametrize("name", sorted(ZERO_DIMENSIONAL))
+def test_a_zero_dimensional_operator_is_rejected_by_shape(name, shape):
+    # a POVM names the shape of its effects' stack, (1, 0, 0) for one 0 x 0 effect
+    with pytest.raises(ValueError, match=r"expected a matrix of dimension at least 1, got shape \((\d+, )?0, 0\)"):
+        ZERO_DIMENSIONAL[name](np.zeros(shape, dtype=complex))
 
 
 def _message(fn, *args) -> str:
