@@ -36,6 +36,12 @@ def per_member(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _nonzero_dimension(shape: tuple) -> None:
+    """Reject an operator of shape (..., d, d') with d or d' zero, naming that shape."""
+    if 0 in shape[-2:]:
+        raise ValueError(f"expected a matrix of dimension at least 1, got shape {shape}")
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
@@ -49,8 +55,9 @@ def ket(values) -> np.ndarray:
 
 
 def dyad(v: np.ndarray) -> np.ndarray:
-    """Outer product |v><v| of each vector along the last axis."""
+    """Outer product |v><v| of each vector along the last axis; a zero-length vector is rejected by that shape."""
     v = np.asarray(v, dtype=complex)
+    _nonzero_dimension(v.shape + v.shape[-1:])
     return v[..., :, None] * np.conj(v)[..., None, :]
 
 
@@ -65,8 +72,7 @@ def hermitian(m, tol: float | np.ndarray = HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[-1] == 0:
-        raise ValueError(f"expected a matrix of dimension at least 1, got shape {a.shape}")
+    _nonzero_dimension(a.shape)
     flipped = dagger(a)
     finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
     with np.errstate(invalid="ignore"):  # inf - inf: the member is rejected as non-finite
@@ -111,7 +117,9 @@ def psd_stack(operators, tol: float, name: str) -> np.ndarray:
 
 def trace_norm(m):
     """Sum of singular values of an arbitrary matrix."""
-    return per_member(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1))
+    a = np.asarray(m, dtype=complex)
+    _nonzero_dimension(a.shape)
+    return per_member(np.linalg.svd(a, compute_uv=False).sum(axis=-1))
 
 
 def trace_distance(rho, sigma):
@@ -148,14 +156,15 @@ def fidelity(rho, sigma):
 def operator_norm(m):
     """Largest singular value."""
     a = np.asarray(m, dtype=complex)
-    if 0 in a.shape[-2:]:
-        raise ValueError(f"expected a matrix of dimension at least 1, got shape {a.shape}")
+    _nonzero_dimension(a.shape)
     return per_member(np.linalg.svd(a, compute_uv=False).max(axis=-1))
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of each pair of members; the stack shapes broadcast."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    _nonzero_dimension(a.shape)
+    _nonzero_dimension(b.shape)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
 
@@ -172,6 +181,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     keep = sorted(set(int(k) for k in keep))
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _nonzero_dimension(a.shape)
     if int(np.prod(dims)) != a.shape[-1]:
         raise ValueError(f"factor dims {dims} do not multiply to {a.shape[-1]}")
     if not keep:

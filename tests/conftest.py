@@ -30,3 +30,17 @@ def counted_bruteforce_run():
         mp.setattr(discrimination, "_certify", counted_certify)
         [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     return report, counts
+
+
+@pytest.fixture
+def barrier_rounds(monkeypatch):
+    """The row count of every ``_barrier_solve`` call, in call order: one per working-set round."""
+    rows = []
+    solve = discrimination._barrier_solve
+
+    def counted(m, st):
+        rows.append(len(m))
+        return solve(m, st)
+
+    monkeypatch.setattr(discrimination, "_barrier_solve", counted)
+    return rows

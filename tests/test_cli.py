@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,23 @@ def test_bound_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "bound", "--file", str(path), "--method", "postinfo")
     assert code == 0
     assert json.loads(out)["computed"] == pytest.approx((2 + math.sqrt(2)) / 4, abs=1e-6)
+
+
+SIX_BASES = Path(__file__).parent / "data" / "qubit-six-bases.json"  # 64 answer rows on a qubit
+
+
+def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_set(barrier_rounds, capsys):
+    records = []
+    for tol in ("1e-7", "1e-12"):
+        barrier_rounds.clear()
+        code, out, err = run(capsys, "bound", "--file", str(SIX_BASES), "--method", "postinfo", "--tol-gap", tol)
+        assert (code, err) == (0, "")
+        records.append(json.loads(out))
+        assert records[-1]["certificate"] == "dual-certified" and records[-1]["gap"] <= float(tol)
+        assert barrier_rounds == [8, 12]  # the first working set misses rows, so a second round runs
+    loose, tight = records
+    assert tight["computed"] <= loose["computed"] + loose["gap"] + 1e-12
+    assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
 
 
 

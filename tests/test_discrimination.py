@@ -885,6 +885,52 @@ def test_a_barrier_stalled_on_rounding_fails_with_its_best_certificate():
     assert 1e-13 < exc.gap < 1e-10
 
 
+def test_postinfo_of_at_most_two_d_squared_rows_is_the_barrier_on_every_row_bit_for_bit():
+    instances = [induced_postinfo(gallery(name), classical_side="a") for name in ("obb", "cq")]
+    instances += [random_postinfo(seed, 2, 3) for seed in (0, 1)]
+    for ens in instances:
+        target = merged_row_targets(ens)
+        assert target.dim**2 < len(target.operators) <= 2 * target.dim**2
+        primal, y, p, gap, steps = _barrier_solve(np.array(target.operators), DEFAULT_SETTINGS)
+        mine = p_postinfo(ens)
+        assert (mine.value, mine.certificate.gap, mine.iterations) == (primal, gap, steps)
+        assert mine.certificate.matrix.tobytes() == y.tobytes()
+        assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in p]
+
+
+def test_a_working_set_certifies_every_row_within_the_full_barrier_gaps(barrier_rounds):
+    # (3, 2, 5) and (2, 2, 5) are qubit targets of 32 rows whose first working set of 8 misses a row
+    instances = [random_postinfo(seed, 2, 5) for seed in (2, 3)] + [random_postinfo(0, 3, 3), random_postinfo(4, 4, 3)]
+    rounds = []
+    for ens in instances:
+        target = merged_row_targets(ens)
+        assert len(target.operators) > 2 * target.dim**2
+        primal, _, _, gap, _ = _barrier_solve(np.array(target.operators), DEFAULT_SETTINGS)
+        barrier_rounds.clear()
+        mine = p_postinfo(ens)
+        rounds.append(len(barrier_rounds))
+        assert barrier_rounds[0] == 2 * target.dim**2 and barrier_rounds == sorted(set(barrier_rounds))
+        mine.certificate.validate(target, mine.povm)
+        assert len(mine.povm) == len(target.operators)
+        assert mine.value <= primal + gap + 1e-12
+        assert primal <= mine.value + mine.certificate.gap + 1e-12
+    assert rounds[:2] == [2, 2] and max(rounds) >= 2
+
+
+@pytest.mark.parametrize("cap", [30, 40])
+def test_a_cap_that_runs_out_in_a_second_round_reports_its_certificate_on_every_row(barrier_rounds, cap):
+    ens = random_postinfo(3, 2, 5)  # certifies its first 8 rows in 30 steps, then misses 8 more
+    m = np.array(merged_row_targets(ens).operators)
+    with pytest.raises(SolverFailure) as failure:
+        p_postinfo(ens, SolverSettings(max_iterations=cap))
+    exc = failure.value
+    # at 30 the first round certifies with every step, so no second round runs
+    assert barrier_rounds == ([8] if cap == 30 else [8, 16])
+    assert exc.iterations == cap
+    assert_reported_certificate(exc, m)
+    assert exc.gap > DEFAULT_SETTINGS.gap_tol
+
+
 def reference_barrier_solve(m, st):
     """``_barrier_solve`` with the boundary guard's eigendecomposition taken at every Newton step."""
     n, d = m.shape[0], m.shape[-1]

@@ -332,6 +332,10 @@ ZERO_DIMENSIONAL = {  # each entry point that takes one operator or a stack, on 
     "trace_distance": lambda z: trace_distance(z, z),
     "fidelity": lambda z: fidelity(z, z),
     "operator_norm": operator_norm,
+    "trace_norm": trace_norm,
+    "dyad": lambda z: dyad(z.diagonal(axis1=-2, axis2=-1)),  # zero-length vectors, named by the (…, 0, 0) dyad
+    "kron": lambda z: kron(z, np.eye(2)),
+    "partial_trace": lambda z: partial_trace(z, (0, 2), {1}),
     "Povm": lambda z: Povm(effects=(z,) if z.ndim == 2 else tuple(z)),
     "DualCertificate.validate": lambda z: DualCertificate(z, 0.0, 0.0).validate(EffectTarget(operators=(np.eye(2),))),
 }
