@@ -128,6 +128,8 @@ def _cmd_reproduce(args) -> int:
         trials=args.trials,
         settings=_settings(args),
     )
+    if not reports:
+        raise ValueError(f"--only {args.only!r} selects no case")
     if not args.quiet:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

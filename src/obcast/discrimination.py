@@ -15,11 +15,12 @@ certificate of a member runs only once its screened gap, which agrees with
 it to rounding, is within 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
 Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
-coordinates of Y in about a hundred steps; below its rounding floor, near
-1e-10, the map finishes from its POVM.  A target of more than 2 d^2 rows is
-solved on a working set of rows (``_working_set_solve``): 2 d^2 to start,
-and the least covered of the rows the dual misses after each round, until one
-Y is feasible for every row.
+coordinates of Y in 30 to 150 steps; below its rounding floor, near 1e-10,
+the map finishes from its POVM.  A target of more than 2 d^2 rows is solved
+on a working set of rows (``_working_set_solve``): 2 d^2 to start, and the
+least covered of the rows the dual misses after each round, until one Y is
+feasible for every row.  Each round starts from the last certified dual, and
+ends at the first certification whose dual misses a row off the working set.
 """
 
 from __future__ import annotations
@@ -226,6 +227,12 @@ def _cover(y0: np.ndarray, m: np.ndarray, primal: float) -> tuple[float, np.ndar
     return primal, y, max(gap, 0.0)
 
 
+def _uncovered(y: np.ndarray, m: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_row_slack`` of Y over the rows of ``m``, and which fall below ``DualCertificate.validate``'s floor at ``scale``."""
+    slack = _row_slack(y, m)
+    return slack, slack < -rounding_floor(0.0, max(np.abs(y).max(), scale))
+
+
 def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Exact certificate of one member (n, d, d): primal, dual Y >= M_r, and gap."""
     primal = float(np.einsum("rij,rji->", p, m).real)
@@ -371,7 +378,9 @@ def _step_length(l_inv: np.ndarray, dy: np.ndarray, dec: float) -> float:
     return min(newton, 0.99 / -low if low < 0 else math.inf)
 
 
-def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray, np.ndarray, float, int]:
+def _barrier_solve(
+    m: np.ndarray, st: SolverSettings, start: tuple[np.ndarray, float] | None = None, off: np.ndarray | None = None
+) -> tuple[float, np.ndarray, np.ndarray, float, int]:
     """Certified optimum of one target ``m`` (n, d, d) by Newton's method on the dual log barrier.
 
     Minimises t Tr Y - sum_r log det S_r, S_r = Y - M_r, over Y in an
@@ -388,11 +397,26 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
     otherwise multiplies t by 100.  Once t outgrows the rounding of Y, the
     fixed-point map on every row finishes from the best certified POVM with
     the rest of ``st.max_iterations``; a failure reports the better certificate.
+
+    ``start`` = (Y0, gap0) replaces the cold start: Y0 raised by the least
+    multiple of I that covers every row (``_cover``), plus 0.1 gap0 / d I, at
+    t = n d / gap0, the barrier parameter whose central gap is gap0 (gap0
+    floored at ``gap_tol``).  ``off``, the rows a working set leaves out,
+    ends the solve early: a certification that misses ``gap_tol`` returns
+    its own certificate when its Y falls below ``DualCertificate.validate``'s
+    floor on any of them (``_uncovered``).  With neither, the solve is the
+    cold one above, bit for bit.
     """
     n, d = m.shape[0], m.shape[-1]
     f = _hermitian_basis(d)
     trace_f = f[:, :: d + 1].real.sum(axis=1)
-    y, t = (np.linalg.eigvalsh(m).max() + 1.0) * np.eye(d), float(n * d)
+    if start is None:
+        y, t = (np.linalg.eigvalsh(m).max() + 1.0) * np.eye(d), float(n * d)
+    else:
+        y0, gap0 = start[0], max(start[1], st.gap_tol)
+        y, t = _cover(y0, m, 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
+    if off is not None:
+        scale = max(np.abs(m).max(), np.abs(off).max())
     best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
     try:
         for steps in range(1, st.max_iterations + 1):
@@ -409,7 +433,7 @@ def _barrier_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray
                 p = _pretty_good(s_inv[None])[0]
                 primal = float(np.einsum("rij,rji->", p, m).real)
                 gap = float(np.trace(y).real) - primal
-                if gap <= st.gap_tol:
+                if gap <= st.gap_tol or (off is not None and _uncovered(y, off, scale)[1].any()):
                     return primal, y, p, gap, steps
                 if gap < best[2]:
                     best = (primal, y, gap, p)
@@ -447,14 +471,18 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     rows least covered by the eigenvalue-shift dual of the pretty-good
     measurement of all rows (``_certify``), that is with the least
     eigenvalue of Y - M_r.  Each round solves the working set, in input
-    order, with what is left of ``st.max_iterations``; then, of the other rows
-    whose Y - M_r falls below the rounding floor of
-    ``DualCertificate.validate``, it adds the 2 d^2 least covered.  A round
-    that finds none returns its certificate, with zero effects off the
-    working set and the steps of every round.  A target of at most 2 d^2 rows
-    is one round on all of them, so its result is ``_barrier_solve``'s.  A
-    failure reports, after ``st.max_iterations``, the better of the round's
-    dual raised to cover every row (``_cover``) and the eigenvalue-shift
+    order, with what is left of ``st.max_iterations``, warm-started from the
+    last certified (Y, gap): that eigenvalue-shift certificate for the first
+    round, the previous round's for the others.  A round ends at its first
+    certification whose Y misses one of the other rows, or once it meets
+    ``gap_tol``.  Then, of the other rows whose Y - M_r falls below the
+    rounding floor of ``DualCertificate.validate``, it adds the 2 d^2 least
+    covered.  A round that meets ``gap_tol`` and finds none returns its
+    certificate, with zero effects off the working set and the steps of every
+    round.  A target of at most 2 d^2 rows is one cold round on all of them,
+    so its result is ``_barrier_solve``'s.  A failure reports, after
+    ``st.max_iterations``, the better of the last round's certified dual,
+    raised to cover every row (``_cover``), and the eigenvalue-shift
     certificate of its POVM.
     """
     n, d = m.shape[0], m.shape[-1]
@@ -462,20 +490,22 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     if n <= size:
         return _barrier_solve(m, st)
     scale = np.abs(m).max()
-    slack, missed = _row_slack(_certify(m, _pretty_good(m[None])[0])[1], m), np.arange(n)
+    _, y, gap = _certify(m, _pretty_good(m[None])[0])
+    slack, missed = _row_slack(y, m), np.arange(n)
     inside, p, steps, stalled = np.zeros(n, dtype=bool), np.zeros_like(m), 0, None
     while True:
         inside[missed[np.argsort(slack[missed], kind="stable")[:size]]] = True
-        rows = np.flatnonzero(inside)
+        rows, off = np.flatnonzero(inside), m[~inside]
+        rest = replace(st, max_iterations=st.max_iterations - steps)
         try:
-            primal, y, p[rows], gap, used = _barrier_solve(m[rows], replace(st, max_iterations=st.max_iterations - steps))
+            primal, y, p[rows], gap, used = _barrier_solve(m[rows], rest, (y, gap), off if len(off) else None)
         except SolverFailure as exc:
             primal, y, p[rows], stalled = exc.primal, exc.dual, exc.povm, exc.__cause__
             break
         steps += used
-        slack = _row_slack(y, m)
-        missed = np.flatnonzero(~inside & (slack < -rounding_floor(0.0, max(np.abs(y).max(), scale))))
-        if not missed.size:
+        slack, below = _uncovered(y, m, scale)
+        missed = np.flatnonzero(~inside & below)
+        if not missed.size and gap <= st.gap_tol:
             return primal, y, p, gap, steps
         if steps == st.max_iterations:
             break

@@ -38,9 +38,9 @@ def barrier_rounds(monkeypatch):
     rows = []
     solve = discrimination._barrier_solve
 
-    def counted(m, st):
+    def counted(m, *args, **kwargs):
         rows.append(len(m))
-        return solve(m, st)
+        return solve(m, *args, **kwargs)
 
     monkeypatch.setattr(discrimination, "_barrier_solve", counted)
     return rows

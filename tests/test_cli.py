@@ -607,6 +607,15 @@ def test_reproduce_subset_json_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + len(records)
 
 
+def test_an_only_filter_that_selects_no_case_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (("--out", "none.json"), ("--quiet",)):
+        code, out, err = run(capsys, "reproduce", "--only", "no-such-case", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: --only 'no-such-case' selects no case\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_seed_determinism_on_a_random_case(tmp_path, capsys):
     paths = []
     for k in range(2):

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from obcast.discrimination import (
     p_postinfo,
     solve_stream,
 )
-from obcast.ensembles import GopEnsemble, PostInfoEnsemble, gallery, gallery_names, gen_bb84, induced_postinfo
+from obcast.ensembles import (
+    GopEnsemble,
+    PostInfoEnsemble,
+    from_json_dict,
+    gallery,
+    gallery_names,
+    gen_bb84,
+    induced_postinfo,
+)
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.linalg import dagger, dyad, ket
 from obcast.oracles import _ORACLE_SETTINGS, AssignmentSearch
@@ -31,6 +41,7 @@ from obcast.sampling import random_density, random_orthonormal_pair, random_unit
 SQ2 = math.sqrt(2)
 BB84_VALUE = (2 + SQ2) / 4
 TIGHT = SolverSettings(gap_tol=1e-9)
+SIX_BASES = Path(__file__).parent / "data" / "qubit-six-bases.json"  # 64 answer rows on a qubit
 
 
 def swap_sides(g):
@@ -841,9 +852,9 @@ def assert_reported_certificate(exc, m):
     assert exc.gap == pytest.approx(np.trace(exc.dual).real - exc.primal, abs=1e-12)
 
 
-@pytest.mark.parametrize("cap", [5, 40])
+@pytest.mark.parametrize("cap", [5, 35])
 def test_barrier_failure_reports_its_best_certificate_on_every_row(cap):
-    ens = random_postinfo(2, 3, 3)  # needs 56 Newton steps
+    ens = random_postinfo(2, 3, 3)  # needs 39 Newton steps, all in its first round
     target = merged_row_targets(ens)
     m = np.array(target.operators)
     with pytest.raises(SolverFailure) as failure:
@@ -899,7 +910,7 @@ def test_postinfo_of_at_most_two_d_squared_rows_is_the_barrier_on_every_row_bit_
 
 
 def test_a_working_set_certifies_every_row_within_the_full_barrier_gaps(barrier_rounds):
-    # (3, 2, 5) and (2, 2, 5) are qubit targets of 32 rows whose first working set of 8 misses a row
+    # (2, 2, 5) and (3, 2, 5) are qubit targets of 32 rows whose first working set of 8 misses rows
     instances = [random_postinfo(seed, 2, 5) for seed in (2, 3)] + [random_postinfo(0, 3, 3), random_postinfo(4, 4, 3)]
     rounds = []
     for ens in instances:
@@ -914,21 +925,62 @@ def test_a_working_set_certifies_every_row_within_the_full_barrier_gaps(barrier_
         assert len(mine.povm) == len(target.operators)
         assert mine.value <= primal + gap + 1e-12
         assert primal <= mine.value + mine.certificate.gap + 1e-12
-    assert rounds[:2] == [2, 2] and max(rounds) >= 2
+    assert rounds[:2] == [2, 3] and max(rounds) >= 2
 
 
-@pytest.mark.parametrize("cap", [30, 40])
+@pytest.mark.parametrize("cap", [6, 12])
 def test_a_cap_that_runs_out_in_a_second_round_reports_its_certificate_on_every_row(barrier_rounds, cap):
-    ens = random_postinfo(3, 2, 5)  # certifies its first 8 rows in 30 steps, then misses 8 more
+    ens = random_postinfo(3, 2, 5)  # its first round of 8 rows ends early at step 6, its second of 10 at step 16
     m = np.array(merged_row_targets(ens).operators)
     with pytest.raises(SolverFailure) as failure:
         p_postinfo(ens, SolverSettings(max_iterations=cap))
     exc = failure.value
-    # at 30 the first round certifies with every step, so no second round runs
-    assert barrier_rounds == ([8] if cap == 30 else [8, 16])
+    # at 6 the first round ends with every step, so no second round runs
+    assert barrier_rounds == ([8] if cap == 6 else [8, 10])
     assert exc.iterations == cap
     assert_reported_certificate(exc, m)
     assert exc.gap > DEFAULT_SETTINGS.gap_tol
+
+
+@pytest.fixture
+def barrier_returns(monkeypatch):
+    """What every ``_barrier_solve`` call returns, in call order: one per working-set round that does not fail."""
+    returns = []
+    solve = discrimination._barrier_solve
+
+    def recorded(*args, **kwargs):
+        returns.append(solve(*args, **kwargs))
+        return returns[-1]
+
+    monkeypatch.setattr(discrimination, "_barrier_solve", recorded)
+    return returns
+
+
+def test_a_cap_that_expires_at_an_early_exit_reports_that_checkpoint_on_every_row(barrier_returns):
+    ens = random_postinfo(3, 2, 5)
+    m = np.array(merged_row_targets(ens).operators)
+    p_postinfo(ens)
+    primal, y, p, gap, steps = barrier_returns[0]
+    assert gap > DEFAULT_SETTINGS.gap_tol  # the first round ended at a checkpoint whose dual misses a row
+    barrier_returns.clear()
+    with pytest.raises(SolverFailure) as failure:
+        p_postinfo(ens, SolverSettings(max_iterations=steps))
+    exc = failure.value
+    assert len(barrier_returns) == 1 and exc.iterations == steps
+    assert_reported_certificate(exc, m)
+    # that checkpoint's POVM, zero off the working set, and the better of its two certificates on every row
+    povm = np.array(exc.povm)
+    assert povm[np.abs(povm).max(axis=(1, 2)) > 0].tobytes() == p.tobytes()
+    assert exc.gap == min(discrimination._cover(y, m, primal)[2], discrimination._certify(m, povm)[2])
+
+
+def test_a_first_round_that_ends_early_still_certifies_every_row(barrier_returns):
+    ens = from_json_dict(json.loads(SIX_BASES.read_text()))
+    target = merged_row_targets(ens)
+    mine = p_postinfo(ens)
+    assert len(target.operators) == 64 and len(barrier_returns) > 1
+    assert barrier_returns[0][3] > DEFAULT_SETTINGS.gap_tol
+    mine.certificate.validate(target, mine.povm)
 
 
 def reference_barrier_solve(m, st):
@@ -1033,3 +1085,10 @@ def test_the_barrier_gives_the_bits_of_the_guard_at_every_step(guard_eigensolves
     if gap_tol == DEFAULT_SETTINGS.gap_tol:
         # alpha_N max_r ||C_r||_F stayed below 0.98 at every step, so the guard never needed its eigenvalues
         assert guard_eigensolves[0] == 0
+
+
+def test_a_working_set_takes_no_more_newton_steps_than_every_row():
+    for ens in newton_instances():
+        m = np.array(merged_row_targets(ens).operators)
+        if len(m) > 2 * m.shape[-1] ** 2:
+            assert p_postinfo(ens).iterations <= _barrier_solve(m, DEFAULT_SETTINGS)[4]
