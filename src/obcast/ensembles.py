@@ -621,17 +621,18 @@ _ANGLE = re.compile(r"^(?:(?P<num>[0-9.]+)\s*\*\s*)?pi(?:\s*/\s*(?P<den>[0-9.]+)
 
 
 def _parse_angle(text: str) -> float:
+    """The finite angle that ``text`` names: a float, or a multiple of pi such as 'pi/2' or '3*pi/4'."""
     text = text.strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
     m = _ANGLE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse angle {text!r} (use a float, 'pi', 'pi/2', '3*pi/4', ...)")
-    num = float(m.group("num")) if m.group("num") else 1.0
-    den = float(m.group("den")) if m.group("den") else 1.0
-    return num * math.pi / den
+    try:
+        theta = float(text) if m is None else float(m.group("num") or 1) * math.pi / float(m.group("den") or 1)
+    except ValueError:
+        raise ValueError(f"cannot parse angle {text!r} (use a float, 'pi', 'pi/2', '3*pi/4', ...)") from None
+    except ZeroDivisionError:
+        theta = math.inf
+    if not math.isfinite(theta):
+        raise ValueError(f"angle {text!r} is not a finite number")
+    return theta
 
 
 def gallery_names() -> tuple[str, ...]:

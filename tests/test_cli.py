@@ -98,7 +98,7 @@ BOUND_RECORDS = {
         '"id": "postinfo:cor4-six"}'
     ),
     ("postinfo", "cq"): (
-        '{"certificate": "dual-certified", "computed": 0.8535533807359232, "gap": 1.267373628266455e-08, '
+        '{"certificate": "dual-certified", "computed": 0.85355334357185, "gap": 6.044175548947095e-08, '
         '"id": "postinfo:cq"}'
     ),
     ("postinfo", "gen-bb84(0.1)"): (
@@ -122,7 +122,7 @@ BOUND_RECORDS = {
         '"id": "postinfo:minimal-qutrit"}'
     ),
     ("postinfo", "obb"): (
-        '{"certificate": "dual-certified", "computed": 0.8342793183457208, "gap": 1.2639187696450449e-08, '
+        '{"certificate": "dual-certified", "computed": 0.8342792878203493, "gap": 5.810199232847424e-08, '
         '"id": "postinfo:obb"}'
     ),
     ("postinfo", "thm1-pairs"): (
@@ -298,7 +298,7 @@ CHECK_OUTPUT = {
     "cq": _ORTHOGONAL
     + "qubit-qudit form: first factor has dimension 3, not 2\n"
     "kill-pattern certificate: infeasible (12 patterns, all kernels trivial)\n"
-    "classical broadcast: infeasible (optimal value 0.871153735 < 1)\n",
+    "classical broadcast: infeasible (optimal value 0.871153706 < 1)\n",
     "gen-bb84(0.1)": "orthogonality: ok (max deviation 1.015e-16)\n"
     "qubit-qudit form: fits\n"
     "kill-pattern certificate: infeasible (4 patterns, all kernels trivial)\n"
@@ -316,7 +316,7 @@ CHECK_OUTPUT = {
     "obb": _ORTHOGONAL
     + "qubit-qudit form: first factor has dimension 3, not 2\n"
     "kill-pattern certificate: infeasible (12 patterns, all kernels trivial)\n"
-    "classical broadcast: infeasible (optimal value 0.832632437 < 1)\n",
+    "classical broadcast: infeasible (optimal value 0.832632408 < 1)\n",
     "qq": _ORTHOGONAL + "qubit-qudit form: first factor has dimension 3, not 2\n" + _NO_CLASSICAL_SIDE,
     "qq-tilde": _ORTHOGONAL + "qubit-qudit form: first factor has dimension 3, not 2\n" + _NO_CLASSICAL_SIDE,
     "shifts": "orthogonality: ok (max deviation 4.441e-16)\n"
@@ -614,6 +614,12 @@ def test_an_only_filter_that_selects_no_case_is_an_input_error(tmp_path, monkeyp
         assert (code, out) == (1, "")
         assert err == "error: --only 'no-such-case' selects no case\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("theta", ["pi/0", "3*pi/0.0", "inf", "-inf", "nan", "1e400"])
+def test_a_gen_bb84_angle_that_is_not_a_finite_number_is_an_input_error(capsys, theta):
+    message = f"error: angle {theta!r} is not a finite number\n"
+    assert run(capsys, "bound", "--gallery", f"gen-bb84({theta})", "--method", "thm4") == (1, "", message)
 
 
 def test_reproduce_seed_determinism_on_a_random_case(tmp_path, capsys):

@@ -852,9 +852,9 @@ def assert_reported_certificate(exc, m):
     assert exc.gap == pytest.approx(np.trace(exc.dual).real - exc.primal, abs=1e-12)
 
 
-@pytest.mark.parametrize("cap", [5, 35])
+@pytest.mark.parametrize("cap", [5, 25])
 def test_barrier_failure_reports_its_best_certificate_on_every_row(cap):
-    ens = random_postinfo(2, 3, 3)  # needs 39 Newton steps, all in its first round
+    ens = random_postinfo(2, 3, 3)  # needs 26 Newton steps, all in its first round
     target = merged_row_targets(ens)
     m = np.array(target.operators)
     with pytest.raises(SolverFailure) as failure:
@@ -884,13 +884,13 @@ def test_barrier_certifies_gaps_below_its_rounding_floor(gap_tol):
 
 
 def test_a_barrier_stalled_on_rounding_fails_with_its_best_certificate():
-    ens = induced_postinfo(gallery("obb"), classical_side="a")  # certifies 1e-13 in 196 iterations
+    ens = induced_postinfo(gallery("obb"), classical_side="a")  # certifies 1e-13 in 139 iterations; the barrier stalls at 58
     m = np.array(merged_row_targets(ens).operators)
     with pytest.raises(SolverFailure) as failure:
-        p_postinfo(ens, SolverSettings(gap_tol=1e-13, max_iterations=150))
+        p_postinfo(ens, SolverSettings(gap_tol=1e-13, max_iterations=100))
     exc = failure.value
     assert isinstance(exc.__cause__, np.linalg.LinAlgError)
-    assert exc.iterations == 150
+    assert exc.iterations == 100
     assert_reported_certificate(exc, m)
     # the barrier's own certificate, far better than the unfinished fixed-point iterate's
     assert 1e-13 < exc.gap < 1e-10
@@ -990,6 +990,7 @@ def reference_barrier_solve(m, st):
     trace_f = f[:, :: d + 1].real.sum(axis=1)
     y, t = (np.linalg.eigvalsh(m).max() + 1.0) * np.eye(d), float(n * d)
     best, stalled = (None, None, math.inf, None), None
+    predict, last = True, math.inf
     try:
         for steps in range(1, st.max_iterations + 1):
             l_inv = np.linalg.inv(np.linalg.cholesky(y - m))
@@ -1007,9 +1008,17 @@ def reference_barrier_solve(m, st):
                     return primal, y, p, gap, steps
                 if gap < best[2]:
                     best = (primal, y, gap, p)
-                if 100.0 * t * np.finfo(float).eps * np.trace(y).real > 1.0:
-                    raise np.linalg.LinAlgError(f"barrier parameter {100.0 * t:.1e} is beyond rounding")
-                t *= 100.0
+                growth = discrimination.GROWTH
+                if growth * t * np.finfo(float).eps * np.trace(y).real > 1.0:
+                    raise np.linalg.LinAlgError(f"barrier parameter {growth * t:.1e} is beyond rounding")
+                predict, last = predict and gap < last / 2, gap
+                if predict:
+                    dy = (1.0 / growth - 1.0) * t * (u @ f).reshape(d, d)
+                    low = float(np.linalg.eigvalsh(l_inv @ dy @ dagger(l_inv)).min())
+                    alpha = min(1.0, 0.9 / -low if low < 0 else math.inf)
+                    y, t = y + alpha * (dy + dagger(dy)) / 2, growth * t
+                    continue
+                t *= growth
             dx = v - t * u
             dec = float((pull - t * trace_f) @ dx)
             if not math.isfinite(dec):
@@ -1092,3 +1101,37 @@ def test_a_working_set_takes_no_more_newton_steps_than_every_row():
         m = np.array(merged_row_targets(ens).operators)
         if len(m) > 2 * m.shape[-1] ** 2:
             assert p_postinfo(ens).iterations <= _barrier_solve(m, DEFAULT_SETTINGS)[4]
+
+
+def test_the_central_path_predictor_cuts_the_newton_steps():
+    # 413 with no predictor and t multiplied by 100 at each certification
+    assert sum(p_postinfo(ens).iterations for ens in newton_instances()) == 256
+
+
+def test_a_growth_factor_of_ten_certifies_without_the_fixed_point_finish(monkeypatch):
+    # predicting at every increase sends six of these eight into the finish at this factor; the fallback sends none
+    finishes = []
+    solve_stack = discrimination._solve_stack
+
+    def counted(m, *args):
+        finishes.append(m.shape[1])  # the rows of the target the map finishes
+        return solve_stack(m, *args)
+
+    monkeypatch.setattr(discrimination, "GROWTH", 10.0)
+    monkeypatch.setattr(discrimination, "_solve_stack", counted)
+    for ens in newton_instances():
+        target = merged_row_targets(ens)
+        mine = p_postinfo(ens)
+        mine.certificate.validate(target, mine.povm)
+    assert finishes == []
+
+
+@pytest.mark.parametrize("gap_tol", [1e-7, 1e-10])
+def test_random_post_information_targets_certify_every_row(gap_tol):
+    st = SolverSettings(gap_tol=gap_tol)
+    for (dim, n_settings), seed in itertools.product([(2, 5), (3, 4), (4, 3)], range(8)):
+        ens = random_postinfo(seed, dim, n_settings)
+        target = merged_row_targets(ens)
+        mine = p_postinfo(ens, st)
+        assert len(mine.povm) == len(target.operators) == dim**n_settings
+        mine.certificate.validate(target, mine.povm, gap_tol=gap_tol)
