@@ -35,7 +35,6 @@ from .moe import (
     MoeStrategy,
     PermutationFamily,
     lemma_a1_bound,
-    moe_win_prob,
     overlap_constant,
     transpose_trick_game,
 )

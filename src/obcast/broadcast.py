@@ -64,9 +64,6 @@ class ClassicalBroadcastReport:
     max_violation: float
     outcome_table: dict
 
-    def outcomes(self, setting: int, index: int) -> tuple[int, ...]:
-        return self.outcome_table[(setting, index)]
-
 
 def verify_classical_broadcast_povm(povm: Povm, ensemble: PostInfoEnsemble) -> ClassicalBroadcastReport:
     """Check that no POVM outcome is shared by two same-setting states.

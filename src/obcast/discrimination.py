@@ -17,12 +17,13 @@ operators, such as the answer rows of a post-information value, is solved by
 Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
 coordinates of Y in 15 to 130 steps, each increase of the barrier parameter
 starting with a predictor step along the central path; below its rounding
-floor, near 1e-10, the map finishes from its POVM.  A target of more than
-2 d^2 rows is solved on a working set of rows (``_working_set_solve``): 2 d^2
-to start, and the least covered of the rows the dual misses after each
-round, until one Y is feasible for every row.  Each round starts from the
-last certified dual, and ends at the first certification whose dual misses a
-row off the working set.
+floor, near 1e-10, the map finishes from its POVM.  The barrier runs on a
+working set of rows (``_working_set_solve``): the 2 d^2 least covered by the
+eigenvalue-shift dual of the pretty-good measurement to start (every row when
+there are at most 2 d^2), and the least covered of the rows the dual misses
+after each round, until one Y is feasible for every row.  Each round starts
+from the last certified dual, and ends at the first certification whose dual
+misses a row off the working set.
 """
 
 from __future__ import annotations
@@ -383,17 +384,20 @@ def _step_length(l_inv: np.ndarray, dy: np.ndarray, dec: float) -> float:
 
 
 def _barrier_solve(
-    m: np.ndarray, st: SolverSettings, start: tuple[np.ndarray, float] | None = None, off: np.ndarray | None = None
+    m: np.ndarray, st: SolverSettings, start: tuple[np.ndarray, float], off: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, float, int]:
     """Certified optimum of one target ``m`` (n, d, d) by Newton's method on the dual log barrier.
 
     Minimises t Tr Y - sum_r log det S_r, S_r = Y - M_r, over Y in an
     orthonormal Hermitian basis F (Vandenberghe and Boyd, SIAM Rev. 38, 49,
-    1996), from Y = (max eigenvalue + 1) I and t = n d, by damped steps held
-    to 0.99 of the boundary of every S_r > 0 (``_step_length``); the guard's
-    eigendecomposition runs only at steps where a Frobenius-norm bound does
-    not already prove it slack, which leaves every iterate's bits as they
-    are with the eigendecomposition at every step.  When the squared Newton
+    1996), from ``start`` = (Y0, gap0): Y0 raised by the least multiple of I
+    that covers every row (``_cover``), plus 0.1 gap0 / d I, at t = n d /
+    gap0, the barrier parameter whose central gap is gap0 (gap0 floored at
+    ``gap_tol``).  Its damped steps are held to 0.99 of the boundary of
+    every S_r > 0 (``_step_length``); the guard's eigendecomposition runs
+    only at steps where a Frobenius-norm bound does not already prove it
+    slack, which leaves every iterate's bits as they are with the
+    eigendecomposition at every step.  When the squared Newton
     decrement is below 2, the central POVM, the square-root measurement of
     the S_r^-1 (``_pretty_good``), is certified against Y (Eldar, Megretski
     and Verghese, IEEE TIT 49, 1007, 2003): the solve returns
@@ -410,25 +414,17 @@ def _barrier_solve(
     POVM with the rest of ``st.max_iterations``; a failure reports the
     better certificate.
 
-    ``start`` = (Y0, gap0) replaces the cold start: Y0 raised by the least
-    multiple of I that covers every row (``_cover``), plus 0.1 gap0 / d I, at
-    t = n d / gap0, the barrier parameter whose central gap is gap0 (gap0
-    floored at ``gap_tol``).  ``off``, the rows a working set leaves out,
+    ``off`` (k, d, d), the rows a working set leaves out (k = 0 for none),
     ends the solve early: a certification that misses ``gap_tol`` returns
     its own certificate when its Y falls below ``DualCertificate.validate``'s
-    floor on any of them (``_uncovered``).  With neither, the solve is the
-    cold one above, bit for bit.
+    floor on any of them (``_uncovered``).
     """
     n, d = m.shape[0], m.shape[-1]
     f = _hermitian_basis(d)
     trace_f = f[:, :: d + 1].real.sum(axis=1)
-    if start is None:
-        y, t = (np.linalg.eigvalsh(m).max() + 1.0) * np.eye(d), float(n * d)
-    else:
-        y0, gap0 = start[0], max(start[1], st.gap_tol)
-        y, t = _cover(y0, m, 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
-    if off is not None:
-        scale = max(np.abs(m).max(), np.abs(off).max())
+    y0, gap0 = start[0], max(start[1], st.gap_tol)
+    y, t = _cover(y0, m, 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
+    scale = max(np.abs(m).max(), np.abs(off).max(initial=0.0))
     best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
     predict, last = True, math.inf  # whether t's increases still take the predictor, and the last certified gap
     try:
@@ -446,7 +442,7 @@ def _barrier_solve(
                 p = _pretty_good(s_inv[None])[0]
                 primal = float(np.einsum("rij,rji->", p, m).real)
                 gap = float(np.trace(y).real) - primal
-                if gap <= st.gap_tol or (off is not None and _uncovered(y, off, scale)[1].any()):
+                if gap <= st.gap_tol or _uncovered(y, off, scale)[1].any():
                     return primal, y, p, gap, steps
                 if gap < best[2]:
                     best = (primal, y, gap, p)
@@ -486,10 +482,9 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     """``_barrier_solve`` on a working set of the rows of ``m`` (n, d, d), grown until its dual covers every row.
 
     An extremal optimal POVM has at most d^2 nonzero effects (Davies, IEEE TIT
-    24, 596, 1978).  So a target of more than 2 d^2 rows starts from the 2 d^2
-    rows least covered by the eigenvalue-shift dual of the pretty-good
-    measurement of all rows (``_certify``), that is with the least
-    eigenvalue of Y - M_r.  Each round solves the working set, in input
+    24, 596, 1978).  So the solve starts from the 2 d^2 rows least covered
+    by the eigenvalue-shift dual of the pretty-good measurement of all rows
+    (``_certify``), that is with the least eigenvalue of Y - M_r.  Each round solves the working set, in input
     order, with what is left of ``st.max_iterations``, warm-started from the
     last certified (Y, gap): that eigenvalue-shift certificate for the first
     round, the previous round's for the others.  A round ends at its first
@@ -498,16 +493,14 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     rounding floor of ``DualCertificate.validate``, it adds the 2 d^2 least
     covered.  A round that meets ``gap_tol`` and finds none returns its
     certificate, with zero effects off the working set and the steps of every
-    round.  A target of at most 2 d^2 rows is one cold round on all of them,
-    so its result is ``_barrier_solve``'s.  A failure reports, after
+    round.  A target of at most 2 d^2 rows is one round on all of them, with
+    no row off the working set.  A failure reports, after
     ``st.max_iterations``, the better of the last round's certified dual,
     raised to cover every row (``_cover``), and the eigenvalue-shift
     certificate of its POVM.
     """
     n, d = m.shape[0], m.shape[-1]
     size = 2 * d * d
-    if n <= size:
-        return _barrier_solve(m, st)
     scale = np.abs(m).max()
     _, y, gap = _certify(m, _pretty_good(m[None])[0])
     slack, missed = _row_slack(y, m), np.arange(n)
@@ -517,7 +510,7 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
         rows, off = np.flatnonzero(inside), m[~inside]
         rest = replace(st, max_iterations=st.max_iterations - steps)
         try:
-            primal, y, p[rows], gap, used = _barrier_solve(m[rows], rest, (y, gap), off if len(off) else None)
+            primal, y, p[rows], gap, used = _barrier_solve(m[rows], rest, (y, gap), off)
         except SolverFailure as exc:
             primal, y, p[rows], stalled = exc.primal, exc.dual, exc.povm, exc.__cause__
             break
@@ -575,9 +568,8 @@ def min_error_discrimination(
     """Certified optimum of max_POVM sum_r Tr[P_r M_r].
 
     With at most d^2 targets this is a stack of one, and with more a barrier
-    solve (``_barrier_solve``), on a working set of rows once there are more
-    than 2 d^2 (``_working_set_solve``); the certificate covers every target
-    either way.
+    solve on a working set of rows (``_working_set_solve``); the certificate
+    covers every target either way.
     """
     if len(target.operators) <= target.dim**2:
         [(_, result)] = solve_stream([target], settings)
@@ -614,9 +606,6 @@ class PostInfoResult:
     assignment: tuple[tuple[int, ...], ...]
     certificate: DualCertificate
     iterations: int = 0
-
-    def guess(self, setting: int, outcome: int) -> int:
-        return self.assignment[outcome][setting]
 
 
 def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = None) -> PostInfoResult:

@@ -1,4 +1,4 @@
-"""Tripartite correlation games: winning probability and operator-norm bounds.
+"""Tripartite correlation games: game operators and operator-norm bounds.
 
 One referee measurement per setting is applied to the first share of a
 three-party state; the other two parties must both reproduce the outcome
@@ -46,17 +46,10 @@ class MoeGame:
 
 @dataclass(frozen=True)
 class MoeStrategy:
-    """Shared state plus per-setting response POVMs for the two guessing parties."""
+    """Per-setting response POVMs for the two guessing parties."""
 
-    state: np.ndarray
     bob: tuple[Povm, ...]
     charlie: tuple[Povm, ...]
-
-    def __post_init__(self):
-        rho = hermitian(self.state, tol=PSD_TOL)
-        if abs(np.trace(rho).real - 1.0) > PSD_TOL or np.linalg.eigvalsh(rho).min() < -PSD_TOL:
-            raise ValueError("shared state must be a density operator")
-        object.__setattr__(self, "state", rho)
 
 
 @dataclass(frozen=True)
@@ -95,23 +88,6 @@ def game_operators(game: MoeGame, strategy: MoeStrategy) -> list[np.ndarray]:
             acc = term if acc is None else acc + term
         ops.append(acc)
     return ops
-
-
-def moe_win_prob(game: MoeGame, strategy: MoeStrategy, priors=None) -> float:
-    """Probability that both responders match the referee outcome."""
-    n = len(game.measurements)
-    pr = np.full(n, 1.0 / n) if priors is None else np.asarray(priors, dtype=float)
-    if pr.shape != (n,) or pr.min() < 0 or abs(pr.sum() - 1.0) > 1e-12:
-        raise ValueError("priors must be a probability vector over the settings")
-    ops = game_operators(game, strategy)
-    if ops[0].shape != strategy.state.shape:
-        raise ValueError(
-            f"state dimension {strategy.state.shape[0]} does not match game operators {ops[0].shape[0]}"
-        )
-    value = float(sum(w * np.trace(op @ strategy.state).real for w, op in zip(pr, ops)))
-    if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise ValueError(f"winning probability {value!r} escaped [0, 1]")
-    return min(1.0, max(0.0, value))
 
 
 def overlap_constant(game: MoeGame) -> float:
@@ -201,10 +177,7 @@ def game_obb() -> MoeGame:
 
 def copying_strategy(game: MoeGame) -> MoeStrategy:
     """Both responders reuse the referee's effects on their own copies."""
-    d = game.dim
-    basis = np.eye(d, dtype=complex)
-    correlated = sum(dyad(np.kron(np.kron(basis[i], basis[i]), basis[i])) for i in range(d)) / d
-    return MoeStrategy(state=correlated, bob=game.measurements, charlie=game.measurements)
+    return MoeStrategy(bob=game.measurements, charlie=game.measurements)
 
 
 def classical_copy_registers(game: MoeGame) -> list[np.ndarray]:

@@ -1,11 +1,15 @@
-"""Options audit: every defaulted parameter in ``src/obcast`` has a caller that sets it.
+"""API audits: every public function of ``src/obcast`` has a caller, and every defaulted parameter one that sets it.
 
-A default that no call in the package or in the benchmark ever overrides is a
-constant in disguise.  The audit parses both trees with ``ast``.  A parameter
-counts as set when some call passes it by keyword, by position, through
-``dataclasses.replace`` (for a dataclass field), or, for a constructor,
-through a call by the class name.  Passing the default's own literal, as in
-``f(side="a")`` where the default is ``"a"``, does not set it.
+A function that only tests call, or a default that no call in the package or
+in the benchmark ever overrides, is code or a constant in disguise.  The
+audits parse both trees with ``ast``.  A public function or method counts as
+reached when some code in either tree names it, as a bare name or as an
+attribute, by its identifier; the package's re-exports in ``__init__.py`` are
+not a use.  A parameter counts as set when some call passes it by keyword,
+by position, through ``dataclasses.replace`` (for a dataclass field), or,
+for a constructor, through a call by the class name.  Passing the default's
+own literal, as in ``f(side="a")`` where the default is ``"a"``, does not
+set it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ CALLER_TREES = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
     "helstrom_binary.p": "the prior of the two states is an input of the Helstrom value, not a tuning knob",
-    "moe_win_prob.priors": "the setting prior is an input of the winning probability, not a tuning knob",
+}
+# public functions that nothing in either tree reaches yet, each with the reason it stays
+UNREACHED = {
+    "uncertainty.no_go_bound": "the qubit-basis no-go bound awaits its report row, which decides whether it stays",
 }
 
 _NO_LITERAL = object()
@@ -156,6 +163,39 @@ def never_set() -> list[str]:
                 is_set.add(key)
                 changed = True
     return sorted(defaulted - is_set)
+
+
+def _public_functions(tree: ast.Module, module: str):
+    """(qualified name, identifier) of each public module-level function and public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def unreached() -> list[str]:
+    """Every public function or method of the package whose identifier no code in either tree names."""
+    public = [f for path in sorted(PACKAGE.glob("*.py")) for f in _public_functions(ast.parse(path.read_text()), path.stem)]
+    paths = [path for tree in CALLER_TREES for path in sorted(tree.glob("*.py")) if path != PACKAGE / "__init__.py"]
+    names = set()
+    for node in (node for path in paths for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(qualified for qualified, name in public if name not in names)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    orphans = [f for f in unreached() if f not in UNREACHED]
+    assert orphans == [], f"public functions that no code in src/obcast or perfbench reaches: {orphans}"
+
+
+def test_the_unreached_allowlist_names_only_functions_that_exist_and_are_unreached():
+    assert sorted(UNREACHED) == [f for f in unreached() if f in UNREACHED]
 
 
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():

@@ -78,10 +78,10 @@ def test_trivial_second_output_cannot_broadcast():
 def test_classical_broadcast_povm_partition():
     report = verify_classical_broadcast_povm(gallery("prop1-povm"), gallery("minimal-qutrit"))
     assert report.ok
-    assert report.outcomes(0, 0) == (0, 1)
-    assert report.outcomes(0, 1) == (2, 3)
-    assert report.outcomes(1, 0) == (0, 2)
-    assert report.outcomes(1, 1) == (1, 3)
+    assert report.outcome_table[0, 0] == (0, 1)
+    assert report.outcome_table[0, 1] == (2, 3)
+    assert report.outcome_table[1, 0] == (0, 2)
+    assert report.outcome_table[1, 1] == (1, 3)
 
 
 def test_computational_povm_fails_on_conjugate_bases():

@@ -6,7 +6,7 @@ import pytest
 
 from obcast import broadcast, cli, moe, qpv
 from obcast.cli import main
-from obcast.ensembles import dumps, gallery, gallery_names, gen_bb84_angle
+from obcast.ensembles import gallery, gallery_names, gen_bb84_angle, to_json_dict
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.reproduce import run_reproduce
 
@@ -98,7 +98,7 @@ BOUND_RECORDS = {
         '"id": "postinfo:cor4-six"}'
     ),
     ("postinfo", "cq"): (
-        '{"certificate": "dual-certified", "computed": 0.85355334357185, "gap": 6.044175548947095e-08, '
+        '{"certificate": "dual-certified", "computed": 0.8535533804107329, "gap": 1.3091637551809754e-08, '
         '"id": "postinfo:cq"}'
     ),
     ("postinfo", "gen-bb84(0.1)"): (
@@ -122,7 +122,7 @@ BOUND_RECORDS = {
         '"id": "postinfo:minimal-qutrit"}'
     ),
     ("postinfo", "obb"): (
-        '{"certificate": "dual-certified", "computed": 0.8342792878203493, "gap": 5.810199232847424e-08, '
+        '{"certificate": "dual-certified", "computed": 0.8342793169550937, "gap": 1.4725098251844315e-08, '
         '"id": "postinfo:obb"}'
     ),
     ("postinfo", "thm1-pairs"): (
@@ -188,7 +188,7 @@ def test_the_game_route_serves_the_rotated_family_only_at_pi_over_2(capsys, thet
 
 def test_bound_from_file(tmp_path, capsys):
     path = tmp_path / "bb84.json"
-    path.write_text(dumps(gallery("bb84")))
+    path.write_text(json.dumps(to_json_dict(gallery("bb84"))))
     code, out, _ = run(capsys, "bound", "--file", str(path), "--method", "postinfo")
     assert code == 0
     assert json.loads(out)["computed"] == pytest.approx((2 + math.sqrt(2)) / 4, abs=1e-6)
@@ -216,7 +216,7 @@ def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_
 def test_a_file_reaches_the_postinfo_route_only_whatever_its_path(tmp_path, monkeypatch, capsys, file_name, entry):
     monkeypatch.chdir(tmp_path)  # the path is then the bare gallery name
     path = file_name
-    (tmp_path / file_name).write_text(dumps(gallery(entry)))
+    (tmp_path / file_name).write_text(json.dumps(to_json_dict(gallery(entry))))
     for method in METHODS:
         if method != "postinfo":  # the other routes take gallery names, and a path names none
             assert run(capsys, "bound", "--file", path, "--method", method) == (
@@ -269,7 +269,7 @@ def test_check_flags_orthogonality_violation(tmp_path, capsys):
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_check_rejects_factor_kets_of_unequal_length_by_field(tmp_path, capsys, side):
-    payload = json.loads(dumps(gallery("obb")))
+    payload = to_json_dict(gallery("obb"))
     n = len(payload["states"][0][side])
     payload["states"][1][side].append([0.0, 0.0])  # one amplitude more than the first pair's ket
     code, out, err = run(capsys, "check", "--file", _write(tmp_path, payload))
@@ -298,7 +298,7 @@ CHECK_OUTPUT = {
     "cq": _ORTHOGONAL
     + "qubit-qudit form: first factor has dimension 3, not 2\n"
     "kill-pattern certificate: infeasible (12 patterns, all kernels trivial)\n"
-    "classical broadcast: infeasible (optimal value 0.871153706 < 1)\n",
+    "classical broadcast: infeasible (optimal value 0.871153736 < 1)\n",
     "gen-bb84(0.1)": "orthogonality: ok (max deviation 1.015e-16)\n"
     "qubit-qudit form: fits\n"
     "kill-pattern certificate: infeasible (4 patterns, all kernels trivial)\n"
@@ -316,7 +316,7 @@ CHECK_OUTPUT = {
     "obb": _ORTHOGONAL
     + "qubit-qudit form: first factor has dimension 3, not 2\n"
     "kill-pattern certificate: infeasible (12 patterns, all kernels trivial)\n"
-    "classical broadcast: infeasible (optimal value 0.832632408 < 1)\n",
+    "classical broadcast: infeasible (optimal value 0.832632440 < 1)\n",
     "qq": _ORTHOGONAL + "qubit-qudit form: first factor has dimension 3, not 2\n" + _NO_CLASSICAL_SIDE,
     "qq-tilde": _ORTHOGONAL + "qubit-qudit form: first factor has dimension 3, not 2\n" + _NO_CLASSICAL_SIDE,
     "shifts": "orthogonality: ok (max deviation 4.441e-16)\n"
@@ -369,12 +369,12 @@ def _scaled(payload: dict, factor: float) -> dict:
 
 @pytest.mark.parametrize("gallery_name", ["minimal-qutrit", "bb84"])
 def test_files_with_kets_that_are_not_unit_vectors_are_input_errors(tmp_path, capsys, gallery_name):
-    doubled = _write(tmp_path, _scaled(json.loads(dumps(gallery(gallery_name))), 2.0))
+    doubled = _write(tmp_path, _scaled(to_json_dict(gallery(gallery_name)), 2.0))
     for argv in (("bound", "--file", doubled, "--method", "postinfo"), ("check", "--file", doubled)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: state vector has squared norm 4.0")
-    gop = json.loads(dumps(gallery("obb")))
+    gop = to_json_dict(gallery("obb"))
     for k, factor in ((0, 2.0), (1, 0.5)):
         gop["states"][0][k] = [[factor * re, factor * im] for re, im in gop["states"][0][k]]
     code, _, err = run(capsys, "check", "--file", _write(tmp_path, gop))
@@ -383,7 +383,7 @@ def test_files_with_kets_that_are_not_unit_vectors_are_input_errors(tmp_path, ca
 
 @pytest.mark.parametrize("kind", ["postinfo", "gop"])
 def test_files_with_a_non_finite_prior_are_input_errors(tmp_path, capsys, kind):
-    payload = json.loads(dumps(gallery("bb84" if kind == "postinfo" else "obb")))
+    payload = to_json_dict(gallery("bb84" if kind == "postinfo" else "obb"))
     if kind == "postinfo":
         payload["prior"][0][0] = float("nan")
     else:
@@ -398,7 +398,7 @@ def test_files_with_a_non_finite_prior_are_input_errors(tmp_path, capsys, kind):
     [("bb84", "prior"), ("bb84", "states"), ("bb84", "settings"), ("obb", "prior"), ("obb", "states")],
 )
 def test_documents_with_a_missing_field_are_input_errors(tmp_path, capsys, gallery_name, field):
-    payload = json.loads(dumps(gallery(gallery_name)))
+    payload = to_json_dict(gallery(gallery_name))
     del payload[field]
     path = _write(tmp_path, payload)
     for argv in (("bound", "--file", path, "--method", "postinfo"), ("check", "--file", path)):
@@ -408,7 +408,7 @@ def test_documents_with_a_missing_field_are_input_errors(tmp_path, capsys, galle
 
 
 def test_documents_with_a_malformed_field_are_input_errors(tmp_path, capsys):
-    payload = json.loads(dumps(gallery("obb")))
+    payload = to_json_dict(gallery("obb"))
     payload["states"][0] = [None, None]
     code, _, err = run(capsys, "check", "--file", _write(tmp_path, payload))
     assert code == 1 and "malformed 'states' field" in err
@@ -416,7 +416,7 @@ def test_documents_with_a_malformed_field_are_input_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["false", "true", 1, 0, None])
 def test_an_orthogonal_flag_that_is_not_a_json_boolean_is_an_input_error(tmp_path, capsys, flag):
-    payload = json.loads(dumps(gallery("bb84")))
+    payload = to_json_dict(gallery("bb84"))
     payload["orthogonal"] = flag
     path = _write(tmp_path, payload)
     for argv in (("bound", "--file", path, "--method", "postinfo"), ("check", "--file", path)):
@@ -427,7 +427,7 @@ def test_an_orthogonal_flag_that_is_not_a_json_boolean_is_an_input_error(tmp_pat
 
 def test_an_orthogonal_flag_of_json_false_turns_the_check_off(tmp_path, capsys):
     # equal second-setting states: the set is not orthogonal, and the flag says so
-    payload = json.loads(dumps(gallery("bb84")))
+    payload = to_json_dict(gallery("bb84"))
     payload["states"][1][1] = payload["states"][1][0]
     payload["orthogonal"] = False
     code, out, _ = run(capsys, "bound", "--file", _write(tmp_path, payload), "--method", "postinfo")
@@ -620,6 +620,21 @@ def test_an_only_filter_that_selects_no_case_is_an_input_error(tmp_path, monkeyp
 def test_a_gen_bb84_angle_that_is_not_a_finite_number_is_an_input_error(capsys, theta):
     message = f"error: angle {theta!r} is not a finite number\n"
     assert run(capsys, "bound", "--gallery", f"gen-bb84({theta})", "--method", "thm4") == (1, "", message)
+
+
+@pytest.mark.parametrize("theta", ["1e5", "1e8", "3.2", "-0.1", "2*pi"])
+def test_a_gen_bb84_angle_outside_zero_to_pi_is_an_input_error(capsys, theta):
+    # at 1e5 the set was built, then failed its own orthogonality check: theta - pi rounds
+    message = f"error: angle {theta!r} is outside [0, pi]\n"
+    for method in ("postinfo", "thm4", "prop4"):
+        assert run(capsys, "bound", "--gallery", f"gen-bb84({theta})", "--method", method) == (1, "", message)
+    assert run(capsys, "check", "--gallery", f"gen-bb84({theta})") == (1, "", message)
+
+
+def test_the_ends_of_the_gen_bb84_domain_are_served(capsys):
+    for theta in ("0", "pi"):
+        code, out, err = run(capsys, "bound", "--gallery", f"gen-bb84({theta})", "--method", "postinfo")
+        assert (code, err) == (0, "") and json.loads(out)["certificate"] == "dual-certified"
 
 
 def test_reproduce_seed_determinism_on_a_random_case(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -10,15 +11,15 @@ from obcast.ensembles import (
     PostInfoEnsemble,
     Povm,
     classical_ray_labels,
-    dumps,
+    from_json_dict,
     gallery,
     gallery_names,
     gen_bb84,
     global_orthogonality_check,
     induced_postinfo,
-    loads,
     local_unitary_equivalence_deviation,
     qubit_qudit_form_check,
+    to_json_dict,
 )
 from obcast.ensembles import _gram, _largest_in_setting_overlap, _modulus, _ray_classes
 from obcast.discrimination import merged_row_targets
@@ -87,24 +88,29 @@ def test_obb_passes_global_orthogonality():
 
 
 def test_json_round_trip_is_bit_exact():
+    kinds = set()
     for name in (n for n in gallery_names() if "<" not in n):
         obj = gallery(name)
-        back = loads(dumps(obj))
+        if not isinstance(obj, (PostInfoEnsemble, GopEnsemble)):
+            continue
+        document = json.loads(json.dumps(to_json_dict(obj)))
+        kinds.add(document["kind"])
+        back = from_json_dict(document)
         assert type(back) is type(obj)
         if isinstance(obj, PostInfoEnsemble):
             assert back.settings == obj.settings and back.prior == obj.prior
-            for g1, g2 in zip(obj.states, back.states):
-                for s1, s2 in zip(g1, g2):
-                    assert np.array_equal(s1, s2)
-        elif isinstance(obj, GopEnsemble):
+            kets = [pair for groups in zip(obj.states, back.states, strict=True) for pair in zip(*groups, strict=True)]
+        else:
             assert back.prior == obj.prior
-            assert all(np.array_equal(a, b) for a, b in zip(obj.a_states, back.a_states))
-            assert all(np.array_equal(a, b) for a, b in zip(obj.b_states, back.b_states))
-        elif isinstance(obj, Povm):
-            assert all(np.array_equal(a, b) for a, b in zip(obj.effects, back.effects))
-        elif isinstance(obj, Isometry):
-            assert np.array_equal(obj.matrix, back.matrix)
-            assert back.output_dims == obj.output_dims
+            kets = list(zip(obj.a_states + obj.b_states, back.a_states + back.b_states, strict=True))
+        assert all(s1.tobytes() == s2.tobytes() for s1, s2 in kets)
+    assert kinds == {"postinfo", "gop"}
+
+
+@pytest.mark.parametrize("name", ["prop1-povm", "thm1-isometry"])
+def test_a_povm_or_isometry_document_is_no_ensemble(name):
+    with pytest.raises(ValueError, match="unknown ensemble kind"):
+        from_json_dict(to_json_dict(gallery(name)))
 
 
 def test_entangling_isometry_images():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obcast.ensembles import Povm
-from obcast.linalg import dyad, kron
+from obcast.linalg import PSD_TOL, dyad, hermitian, kron
 from obcast.moe import (
     MoeGame,
     MoeStrategy,
@@ -17,7 +17,6 @@ from obcast.moe import (
     game_obb,
     game_operators,
     lemma_a1_bound,
-    moe_win_prob,
     overlap_constant,
     steering_deviation,
     transpose_trick_game,
@@ -32,16 +31,40 @@ def computational_game(d=2):
     return MoeGame(measurements=(Povm(effects=tuple(dyad(basis[x]) for x in range(d))),))
 
 
+def correlated_state(d):
+    """The classically correlated three-party state sum_i |iii><iii| / d."""
+    basis = np.eye(d, dtype=complex)
+    return sum(dyad(np.kron(np.kron(basis[i], basis[i]), basis[i])) for i in range(d)) / d
+
+
+def moe_win_prob(game, strategy, state, priors=None):
+    """Probability that both responders match the referee outcome on the shared ``state``."""
+    rho = hermitian(state, tol=PSD_TOL)
+    if abs(np.trace(rho).real - 1.0) > PSD_TOL or np.linalg.eigvalsh(rho).min() < -PSD_TOL:
+        raise ValueError("shared state must be a density operator")
+    n = len(game.measurements)
+    pr = np.full(n, 1.0 / n) if priors is None else np.asarray(priors, dtype=float)
+    if pr.shape != (n,) or pr.min() < 0 or abs(pr.sum() - 1.0) > 1e-12:
+        raise ValueError("priors must be a probability vector over the settings")
+    ops = game_operators(game, strategy)
+    if ops[0].shape != rho.shape:
+        raise ValueError(f"state dimension {rho.shape[0]} does not match game operators {ops[0].shape[0]}")
+    value = float(sum(w * np.trace(op @ rho).real for w, op in zip(pr, ops)))
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise ValueError(f"winning probability {value!r} escaped [0, 1]")
+    return min(1.0, max(0.0, value))
+
+
 def test_single_setting_copying_wins():
     game = computational_game()
-    assert moe_win_prob(game, copying_strategy(game)) == pytest.approx(1.0, abs=1e-12)
+    assert moe_win_prob(game, copying_strategy(game), correlated_state(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_three_basis_copying_strategy_win_prob():
     # classically correlated input: full marks on the computational setting,
     # one quarter per superposition state elsewhere
     game = game_obb()
-    value = moe_win_prob(game, copying_strategy(game))
+    value = moe_win_prob(game, copying_strategy(game), correlated_state(3))
     assert value == pytest.approx((1 + 0.5 + 0.5) / 3, abs=1e-12)
     assert value <= 1.0
 
@@ -53,18 +76,19 @@ def test_uniform_responder_dilutes_to_outcome_count():
     correlated = sum(dyad(np.kron(basis[i], basis[i])) for i in range(d)) / d
     state = kron(correlated, np.eye(d) / d)
     uniform = Povm(effects=(np.eye(d) / d,) * d)
-    strategy = MoeStrategy(state=state, bob=game.measurements, charlie=(uniform,))
-    assert moe_win_prob(game, strategy) == pytest.approx(1.0 / d, abs=1e-12)
+    strategy = MoeStrategy(bob=game.measurements, charlie=(uniform,))
+    assert moe_win_prob(game, strategy, state) == pytest.approx(1.0 / d, abs=1e-12)
 
 
 def test_win_prob_validates_priors_and_dims():
     game = computational_game()
     strategy = copying_strategy(game)
-    with pytest.raises(ValueError):
-        moe_win_prob(game, strategy, priors=[0.7, 0.7])
-    small = MoeStrategy(state=np.eye(2) / 2, bob=game.measurements, charlie=game.measurements)
-    with pytest.raises(ValueError):
-        moe_win_prob(game, small)
+    with pytest.raises(ValueError, match="priors"):
+        moe_win_prob(game, strategy, correlated_state(2), priors=[0.7, 0.7])
+    with pytest.raises(ValueError, match="state dimension"):
+        moe_win_prob(game, strategy, np.eye(2) / 2)
+    with pytest.raises(ValueError, match="density operator"):
+        moe_win_prob(game, strategy, 2 * correlated_state(2))
 
 
 def test_overlap_constants():
@@ -112,14 +136,12 @@ def test_lemma_bound_randomized_soundness():
 
 
 def test_win_prob_never_exceeds_lemma_route():
-    for game, strategy in (
-        (game_obb(), copying_strategy(game_obb())),
-        (computational_game(3), copying_strategy(computational_game(3))),
-    ):
+    for game in (game_obb(), computational_game(3)):
+        strategy = copying_strategy(game)
         n = len(game.measurements)
         ops = game_operators(game, strategy)
         bound = lemma_a1_bound(ops, PermutationFamily.cyclic(n)) / n
-        assert moe_win_prob(game, strategy) <= bound + 1e-9
+        assert moe_win_prob(game, strategy, correlated_state(3)) <= bound + 1e-9
 
 
 def test_permutation_family_validation():
