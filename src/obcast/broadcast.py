@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import DEFAULT_SETTINGS, PostInfoResult, SolverSettings, p_postinfo
+from .discrimination import DEFAULT_SETTINGS, PostInfoResult, SolverSettings, answer_rows, p_postinfo
 from .ensembles import Isometry, PostInfoEnsemble, Povm
 from .errors import InternalInconsistency
 from .linalg import dyad, partial_trace
@@ -109,14 +109,15 @@ def kill_pattern_certificate(ensemble: PostInfoEnsemble) -> KillPatternCertifica
 
     Restricting to the span loses nothing: an effect's component outside the
     span never fires on any state, so completeness on the span already leads
-    to the contradiction when every kernel is trivial.
+    to the contradiction when every kernel is trivial.  The patterns are the
+    answer rows (``discrimination.answer_rows``), held to the same cap.
     """
     if not ensemble.orthogonal:
         raise ValueError("ensemble must carry the orthogonality flag")
     all_states = [s for group in ensemble.states for s in group]
     span_dim = int(np.linalg.matrix_rank(np.array(all_states), tol=RANK_TOL))
     dims = {}
-    for pattern in itertools.product(*[range(n) for n in ensemble.index_sets]):
+    for pattern in answer_rows(ensemble):
         killed = [
             ensemble.states[t][j]
             for t in range(len(ensemble.settings))

@@ -5,14 +5,15 @@ operators: given a POVM P, form R = sum_r M_r P_r M_r and update
 P_r <- R^{-1/2} M_r P_r M_r R^{-1/2}, damped and Hermitian-projected each
 step.  A dual certificate Y >= M_r is built from the iterate by an
 eigenvalue shift; the reported value is optimal within the certified gap,
-independently of how the iteration behaved.  Same-shape targets stream
-through one lockstep window of at most ``STACK_OPERATORS`` operators
-(``solve_stream``), each member at its own settings, entering at steps that
-are multiples of every member's check interval and leaving as each
-certifies, so every member's result is bit for bit its lone solve's; a
-single solve of at most d^2 operators is a stream of one.  The exact
-certificate of a member runs only once its screened gap, which agrees with
-it to rounding, is within 1e-12 of its ``gap_tol``.  A single target with more
+independently of how the iteration behaved.  Same-shape targets stream, as
+one (B, n, d, d) array, through one lockstep window of at most
+``STACK_OPERATORS`` operators (``solve_stream``), each at its own settings,
+entering at steps that are multiples of every member's check interval and
+leaving as each certifies, so every member's arrays are bit for bit its lone
+solve's; result objects are built only where read, and a single solve of at
+most d^2 operators is a stream of one.  The exact certificate of a member
+runs only once its screened gap, which agrees with it to rounding, is within
+1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
 Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
 coordinates of Y in 15 to 130 steps, each increase of the barrier parameter
@@ -28,7 +29,6 @@ misses a row off the working set.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -94,15 +94,6 @@ class EffectTarget:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
-
-    def select(self, rows: Sequence[int]) -> EffectTarget:
-        """The target made of the operators at ``rows`` (a sequence or an index array), which need no second validation."""
-        if len(rows) == 0:
-            raise ValueError("need at least one target")
-        sub = copy.copy(self)
-        object.__setattr__(sub, "operators", tuple(self.operators[r] for r in rows))
-        object.__setattr__(sub, "labels", tuple(self.labels[r] for r in rows))
-        return sub
 
 
 @dataclass(frozen=True)
@@ -264,10 +255,10 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.trace(y0, axis1=1, axis2=2).real + m.shape[-1] * np.maximum(-low, 0.0) - primal
 
 
-def _solve_stack(
-    m: np.ndarray, settings: Sequence[SolverSettings], p: np.ndarray | None = None
+def solve_stream(
+    m: np.ndarray, settings: SolverSettings | Sequence[SolverSettings], p: np.ndarray | None = None
 ) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
-    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), member b at ``settings[b]``.
+    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), at one ``settings`` or one per member.
 
     A window of at most ``STACK_OPERATORS`` operators (always at least one
     member) iterates in lockstep, each member with its own damping.  Members
@@ -278,11 +269,16 @@ def _solve_stack(
     exact certificate meets its ``gap_tol``, and its place is refilled at the
     next admission step.  Every stacked step computes each member exactly as
     it would be computed alone, so the results do not depend on the window or
-    on the other members.  Yields (index, (primal, dual, POVM, gap,
+    on the other members, and a caller that folds each result and drops it
+    never holds them all.  Yields (index, (primal, dual, POVM, gap,
     iterations)) as each member certifies, or raises ``SolverFailure`` for
     the member whose own ``max_iterations`` run out first uncertified (the
     earliest admitted among those that run out at the same step).
     """
+    if isinstance(settings, SolverSettings):
+        settings = [settings] * len(m)
+    elif len(settings) != len(m):
+        raise ValueError(f"{len(settings)} settings for {len(m)} targets")
     count, n = m.shape[:2]
     width = max(1, STACK_OPERATORS // n)
     intervals = [st.check_interval for st in settings]
@@ -471,7 +467,7 @@ def _barrier_solve(
     if stalled is not None and steps < st.max_iterations:
         # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
         try:
-            [(_, (primal, y, p, gap, fixed))] = _solve_stack(m[None], [replace(st, max_iterations=st.max_iterations - steps)], p[None])
+            [(_, (primal, y, p, gap, fixed))] = solve_stream(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
             return primal, y, p, gap, steps + fixed
         except SolverFailure as polish:
             final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
@@ -525,72 +521,44 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     raise _failure(st, *min(candidates, key=lambda c: c[2]), st.max_iterations) from stalled
 
 
-def _result(target: EffectTarget, primal, y, p, gap, iterations) -> DiscriminationResult:
-    return DiscriminationResult(
-        value=primal,
-        povm=Povm(effects=tuple(p)),
-        certificate=DualCertificate(matrix=y, primal_value=primal, gap=gap),
-        labels=target.labels,
-        iterations=iterations,
-    )
-
-
-def solve_stream(
-    targets: Sequence[EffectTarget], settings: SolverSettings | Sequence[SolverSettings] | None = None
-) -> Iterator[tuple[int, DiscriminationResult]]:
-    """Certified optima of same-shape targets, yielded as (index, result) as each certifies.
-
-    ``settings`` is one value for every target or one per target.  The
-    targets stream through one lockstep window (``_solve_stack``), so a
-    caller that folds each result and drops it never holds them all.  Every
-    member iterates on all of its operators at its own settings, and its
-    result is bit for bit the one it gets alone (which is what
-    ``min_error_discrimination`` gives a target of at most d^2 operators).
-    A member that never certifies raises ``SolverFailure`` for the member
-    whose iterations run out first.
-    """
-    if settings is None or isinstance(settings, SolverSettings):
-        settings = [settings or DEFAULT_SETTINGS] * len(targets)
-    elif len(settings) != len(targets):
-        raise ValueError(f"{len(settings)} settings for {len(targets)} targets")
-    if not targets:
-        return
-    shapes = {(len(t.operators), t.dim) for t in targets}
-    if len(shapes) > 1:
-        raise ValueError(f"stacked targets must share (outcomes, dim); got {sorted(shapes)}")
-    for i, member in _solve_stack(np.array([t.operators for t in targets]), settings):
-        yield i, _result(targets[i], *member)
-
-
 def min_error_discrimination(
     target: EffectTarget, settings: SolverSettings | None = None
 ) -> DiscriminationResult:
     """Certified optimum of max_POVM sum_r Tr[P_r M_r].
 
-    With at most d^2 targets this is a stack of one, and with more a barrier
-    solve on a working set of rows (``_working_set_solve``); the certificate
-    covers every target either way.
+    With at most d^2 targets this is a stream of one (``solve_stream``), and
+    with more a barrier solve on a working set of rows
+    (``_working_set_solve``); the certificate covers every target either way.
     """
-    if len(target.operators) <= target.dim**2:
-        [(_, result)] = solve_stream([target], settings)
-        return result
-    return _result(target, *_working_set_solve(np.array(target.operators), settings or DEFAULT_SETTINGS))
+    st, m = settings or DEFAULT_SETTINGS, np.array(target.operators)
+    if len(m) <= target.dim**2:
+        [(_, (primal, y, p, gap, iterations))] = solve_stream(m[None], st)
+    else:
+        primal, y, p, gap, iterations = _working_set_solve(m, st)
+    return DiscriminationResult(primal, Povm(effects=tuple(p)), DualCertificate(y, primal, gap), target.labels, iterations)
+
+
+def answer_rows(ensemble: PostInfoEnsemble) -> list[tuple[int, ...]]:
+    """Every deterministic answer row, one guessed index per setting, in lexicographic order.
+
+    Their count, the product of the index-set sizes, is held to
+    ``MAX_ROW_TARGETS`` before any row is listed.
+    """
+    if (n_rows := math.prod(ensemble.index_sets)) > MAX_ROW_TARGETS:
+        raise ValueError(f"index-set product {n_rows} exceeds {MAX_ROW_TARGETS}")
+    return list(itertools.product(*[range(c) for c in ensemble.index_sets]))
 
 
 def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = PSD_TOL) -> EffectTarget:
-    """One weighted target per deterministic answer row.
+    """One weighted target per deterministic answer row (``answer_rows``).
 
     A row fixes the guessed index for every setting; outcomes sharing a row
     can be merged, so the post-information value is a single discrimination
     over sum_theta p(theta, r_theta) rho_{r_theta|theta}.
     """
-    counts = ensemble.index_sets
-    n_rows = int(np.prod(counts))
-    if n_rows > MAX_ROW_TARGETS:
-        raise ValueError(f"index-set product {n_rows} exceeds {MAX_ROW_TARGETS}")
-    rows = list(itertools.product(*[range(c) for c in counts]))
-    index = np.array(rows).reshape(n_rows, len(counts))
-    acc = np.zeros((n_rows, ensemble.dim, ensemble.dim), dtype=complex)
+    rows = answer_rows(ensemble)
+    index = np.array(rows).reshape(len(rows), len(ensemble.settings))
+    acc = np.zeros((len(rows), ensemble.dim, ensemble.dim), dtype=complex)
     for t, group in enumerate(ensemble.states):  # one indexed add per setting, in the order a row sums them
         weighted = np.array([ensemble.prior[t][i] * dyad(s) for i, s in enumerate(group)])
         acc += weighted[index[:, t]]

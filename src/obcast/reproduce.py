@@ -20,13 +20,14 @@ import numpy as np
 from . import broadcast, moe, qpv
 from .discrimination import (
     DEFAULT_SETTINGS,
+    DualCertificate,
     SolverSettings,
     helstrom_binary,
     merged_row_targets,
     p_postinfo,
     solve_stream,
 )
-from .ensembles import gallery, gen_bb84, induced_postinfo
+from .ensembles import Povm, gallery, gen_bb84, induced_postinfo
 from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import PermutationFamily, lemma_a1_bound
@@ -467,20 +468,21 @@ def _prop_bruteforce(case, opts):
     targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
     search = AssignmentSearch(targets)
     # one stream: the row-merged targets at the settings in force, then the search's problems at its own
-    members = targets + search.targets
-    settings = [opts.settings] * len(targets) + [search.settings] * len(search.targets)
+    members = np.concatenate([np.array([t.operators for t in targets]), search.problems])
+    settings = [opts.settings] * len(targets) + [search.settings] * len(search.problems)
     merged: list = [None] * len(targets)
-    for i, res in solve_stream(members, settings):
+    for i, (primal, y, p, gap, _) in solve_stream(members, settings):
         if i < len(targets):
-            merged[i] = res
+            merged[i] = primal, y, p, gap
         else:
-            search.fold(i - len(targets), res)
-    for target, res in zip(targets, merged):
+            search.fold(i - len(targets), primal, gap)
+    # result objects only for the merged solves, the ones validated here
+    for target, (primal, y, p, gap) in zip(targets, merged):
         try:
-            res.certificate.validate(target, res.povm, gap_tol=opts.settings.gap_tol)
+            DualCertificate(y, primal, gap).validate(target, Povm(effects=tuple(p)), gap_tol=opts.settings.gap_tol)
         except ValueError as exc:
             raise InternalInconsistency(f"brute-force certificate rejected: {exc}") from None
-    return max(abs(res.value - value) for res, value in zip(merged, search.values))
+    return max(abs(primal - value) for (primal, *_), value in zip(merged, search.values))
 
 
 # --- runner ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from obcast import discrimination
+from obcast import discrimination, ensembles
 from obcast.reproduce import run_reproduce
 
 
@@ -10,11 +10,14 @@ from obcast.reproduce import run_reproduce
 def counted_bruteforce_run():
     """The seed-42 ``prop-postinfo-bruteforce`` case run alone, once per session, with its solver work counted.
 
-    Returns ``(report, counts)``; ``counts`` holds the lockstep steps
-    (``_pretty_good`` calls), the member-steps and the exact ``_certify`` calls.
+    Returns ``(report, counts, povms)``; ``counts`` holds the lockstep steps
+    (``_pretty_good`` calls), the member-steps and the exact ``_certify``
+    calls, and ``povms`` the ``Povm`` objects built.
     """
     counts = {"steps": 0, "member_steps": 0, "certified": 0}
+    povms = [0]
     pretty_good, certify = discrimination._pretty_good, discrimination._certify
+    povm_check = ensembles.Povm.__post_init__
 
     def counted_step(a):
         counts["steps"] += 1
@@ -25,11 +28,16 @@ def counted_bruteforce_run():
         counts["certified"] += 1
         return certify(m, p)
 
+    def counted_povm(povm):
+        povms[0] += 1
+        povm_check(povm)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrimination, "_pretty_good", counted_step)
         mp.setattr(discrimination, "_certify", counted_certify)
+        mp.setattr(ensembles.Povm, "__post_init__", counted_povm)
         [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
-    return report, counts
+    return report, counts, povms[0]
 
 
 @pytest.fixture

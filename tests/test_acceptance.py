@@ -169,7 +169,7 @@ def test_criterion_10_property_suites(reports):
 
 def test_criterion_11_determinism_across_selection_and_order(reports, counted_bruteforce_run):
     full = sorted(reports.values(), key=lambda r: r.id)
-    bruteforce, _ = counted_bruteforce_run  # the brute-force case alone, shared with its count test
+    bruteforce, *_ = counted_bruteforce_run  # the brute-force case alone, shared with its count tests
     alone = {bruteforce.id: bruteforce}
     for case_id in reversed(case_ids()):
         if case_id in alone:

@@ -5,7 +5,8 @@ in the benchmark ever overrides, is code or a constant in disguise.  The
 audits parse both trees with ``ast``.  A public function or method counts as
 reached when some code in either tree names it, as a bare name or as an
 attribute, by its identifier; the package's re-exports in ``__init__.py`` are
-not a use.  A parameter counts as set when some call passes it by keyword,
+not a use, and neither is an attribute of a module imported from outside the
+package, such as ``json.dumps``.  A parameter counts as set when some call passes it by keyword,
 by position, through ``dataclasses.replace`` (for a dataclass field), or,
 for a constructor, through a call by the class name.  Passing the default's
 own literal, as in ``f(side="a")`` where the default is ``"a"``, does not
@@ -176,16 +177,35 @@ def _public_functions(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
-def unreached() -> list[str]:
-    """Every public function or method of the package whose identifier no code in either tree names."""
-    public = [f for path in sorted(PACKAGE.glob("*.py")) for f in _public_functions(ast.parse(path.read_text()), path.stem)]
-    paths = [path for tree in CALLER_TREES for path in sorted(tree.glob("*.py")) if path != PACKAGE / "__init__.py"]
+def _foreign_modules(tree: ast.Module) -> set[str]:
+    """The names that ``import`` binds to a module outside ``obcast``, such as ``json`` or ``np``."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] != "obcast"
+    }
+
+
+def unreached(package: Path = PACKAGE, trees=CALLER_TREES) -> list[str]:
+    """Every public function or method of ``package`` whose identifier no code in ``trees`` names.
+
+    An attribute of a name that ``import`` binds to a module outside
+    ``obcast``, such as ``json.dumps``, names that module's function, so it is
+    not a use.
+    """
+    public = [f for path in sorted(package.glob("*.py")) for f in _public_functions(ast.parse(path.read_text()), path.stem)]
+    paths = [path for tree in trees for path in sorted(tree.glob("*.py")) if path != package / "__init__.py"]
     names = set()
-    for node in (node for path in paths for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        foreign = _foreign_modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                names.add(node.attr)
     return sorted(qualified for qualified, name in public if name not in names)
 
 
@@ -196,6 +216,16 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 
 def test_the_unreached_allowlist_names_only_functions_that_exist_and_are_unreached():
     assert sorted(UNREACHED) == [f for f in unreached() if f in UNREACHED]
+
+
+def test_an_attribute_of_a_foreign_module_is_not_a_use(tmp_path):
+    package = tmp_path / "obcast"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .codec import dumps, loads\n")
+    (package / "codec.py").write_text("def dumps(x):\n    return x\n\n\ndef loads(x):\n    return x\n")
+    # ``dumps`` is reached only as ``json.dumps``, ``loads`` through the package's own module
+    (package / "report.py").write_text("import json\n\nfrom . import codec\n\njson.dumps(codec.loads(1))\n")
+    assert unreached(package, (package,)) == ["codec.dumps"]
 
 
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():

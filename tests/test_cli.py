@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from obcast import broadcast, cli, moe, qpv
+from obcast import broadcast, cli, discrimination, moe, qpv
 from obcast.cli import main
-from obcast.ensembles import gallery, gallery_names, gen_bb84_angle, to_json_dict
+from obcast.ensembles import from_json_dict, gallery, gallery_names, gen_bb84_angle, to_json_dict
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.reproduce import run_reproduce
 
@@ -209,6 +209,32 @@ def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_
     loose, tight = records
     assert tight["computed"] <= loose["computed"] + loose["gap"] + 1e-12
     assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
+
+
+SIXTY_FOUR = Path(__file__).parent / "data" / "qubit-64-settings.json"  # 2^64 answer rows on a qubit
+
+
+def first_settings(count: int) -> dict:
+    """The document of ``SIXTY_FOUR``'s first ``count`` settings, with a uniform prior."""
+    payload = json.loads(SIXTY_FOUR.read_text())
+    for key in ("settings", "states"):
+        payload[key] = payload[key][:count]
+    payload["prior"] = [[1 / (2 * count)] * 2 for _ in range(count)]
+    return payload
+
+
+@pytest.mark.parametrize("count", [13, 24, 63, 64])
+def test_more_answer_rows_than_the_cap_is_an_input_error_before_any_is_listed(tmp_path, capsys, count):
+    # the count is exact: a numpy product of 64 twos is 0 and of 63 is -2^63, and 2^24 kill patterns take minutes
+    path = str(SIXTY_FOUR) if count == 64 else _write(tmp_path, first_settings(count))
+    message = f"error: index-set product {2**count} exceeds {discrimination.MAX_ROW_TARGETS}\n"
+    for argv in (("check", "--file", path), ("bound", "--file", path, "--method", "postinfo")):
+        assert run(capsys, *argv) == (1, "", message)
+
+
+def test_the_row_cap_admits_its_own_count_of_kill_patterns():
+    ens = from_json_dict(first_settings(12))
+    assert len(broadcast.kill_pattern_certificate(ens).kernel_dims) == 2**12 == discrimination.MAX_ROW_TARGETS
 
 
 

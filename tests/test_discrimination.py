@@ -12,6 +12,7 @@ import pytest
 from obcast import discrimination, reproduce
 from obcast.discrimination import (
     DEFAULT_SETTINGS,
+    DiscriminationResult,
     DualCertificate,
     EffectTarget,
     SolverSettings,
@@ -25,6 +26,7 @@ from obcast.discrimination import (
 from obcast.ensembles import (
     GopEnsemble,
     PostInfoEnsemble,
+    Povm,
     from_json_dict,
     gallery,
     gallery_names,
@@ -48,19 +50,31 @@ def swap_sides(g):
     return GopEnsemble(a_states=g.b_states, b_states=g.a_states, prior=g.prior)
 
 
-def streamed(targets, settings=None):
-    """The results ``solve_stream`` yields, in input order."""
-    results = dict(solve_stream(targets, settings))
+def stacked(targets):
+    """The operators of same-shape targets as one (B, n, d, d) stream."""
+    return np.array([t.operators for t in targets])
+
+
+def streamed(targets, settings=DEFAULT_SETTINGS):
+    """The members ``solve_stream`` yields for ``targets``, (primal, dual, POVM, gap, iterations) each, in input order."""
+    results = dict(solve_stream(stacked(targets), settings))
     return [results[i] for i in range(len(targets))]
 
 
-def assert_same_result(mine, alone):
-    """``mine`` is ``alone`` bit for bit: value, gap, dual, POVM and a positive iteration count."""
-    assert mine.value == alone.value
-    assert mine.certificate.gap == alone.certificate.gap
-    assert mine.certificate.matrix.tobytes() == alone.certificate.matrix.tobytes()
-    assert [e.tobytes() for e in mine.povm.effects] == [e.tobytes() for e in alone.povm.effects]
-    assert mine.iterations == alone.iterations > 0
+def member(result):
+    """A result object as the stream yields its member: (primal, dual, POVM, gap, iterations)."""
+    certificate = result.certificate
+    return result.value, certificate.matrix, np.array(result.povm.effects), certificate.gap, result.iterations
+
+
+def assert_same_member(mine, alone):
+    """The stream member ``mine`` is the member ``alone`` bit for bit, with a positive iteration count."""
+    (primal, y, p, gap, iterations), (primal_alone, y_alone, p_alone, gap_alone, iterations_alone) = mine, alone
+    assert primal == primal_alone
+    assert gap == gap_alone
+    assert y.tobytes() == y_alone.tobytes()
+    assert p.tobytes() == p_alone.tobytes()
+    assert iterations == iterations_alone > 0
 
 
 def assert_same_failure(mine, alone, iterations):
@@ -314,16 +328,6 @@ def test_target_checks_keep_their_order_and_each_operators_floor():
     assert str(rejected.value) == "matrix is not Hermitian (residual 1.000e-09 > 1.0e-10)"
 
 
-def test_select_takes_an_index_array_as_it_takes_a_tuple():
-    target = merged_row_targets(gallery("bb84"))
-    by_tuple, by_array = target.select((0, 2)), target.select(np.array([0, 2]))
-    assert by_array.labels == by_tuple.labels
-    assert [op.tobytes() for op in by_array.operators] == [op.tobytes() for op in by_tuple.operators]
-    for empty in ((), np.array([], dtype=int)):
-        with pytest.raises(ValueError, match="need at least one target"):
-            target.select(empty)
-
-
 def test_array_labels_equal_the_tuple_labels():
     by_tuple = EffectTarget(operators=GOOD_OPERATORS, labels=("x", "y", "z"))
     by_array = EffectTarget(operators=GOOD_OPERATORS, labels=np.array(["x", "y", "z"]))
@@ -397,8 +401,8 @@ def mixed_stack():
         prior=((0.1, 0.2), (0.3, 0.4)),
         orthogonal=True,
     )
-    rows = merged_row_targets(ens)
-    targets = [rows.select(k) for k in ((0, 1, 2, 3), (0, 0, 1, 3), (2, 2, 2, 2), (1, 1, 3, 3))]
+    rows = np.array(merged_row_targets(ens).operators)
+    targets = [EffectTarget(operators=tuple(rows[list(k)])) for k in ((0, 1, 2, 3), (0, 0, 1, 3), (2, 2, 2, 2), (1, 1, 3, 3))]
     for _ in range(4):
         w = rng.dirichlet(np.ones(4))
         targets.append(EffectTarget(operators=tuple(x * random_density(rng, 2) for x in w)))
@@ -408,18 +412,17 @@ def mixed_stack():
 def test_stacked_members_match_their_lone_solves_bit_for_bit():
     targets = mixed_stack()
     for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS):
-        stacked = streamed(targets, st)
-        assert len({r.iterations for r in stacked}) > 1  # members leave at different checks
-        for target, mine in zip(targets, stacked):
-            assert_same_result(mine, min_error_discrimination(target, st))
-            assert mine.labels == target.labels
+        members = streamed(targets, st)
+        assert len({iterations for *_, iterations in members}) > 1  # members leave at different checks
+        for target, mine in zip(targets, members):
+            assert_same_member(mine, member(min_error_discrimination(target, st)))
 
 
 def test_stacked_certificates_validate_under_the_settings_in_force():
     targets = mixed_stack()
     for st in (DEFAULT_SETTINGS, TIGHT, _ORACLE_SETTINGS):
-        for target, result in zip(targets, streamed(targets, st)):
-            result.certificate.validate(target, gap_tol=st.gap_tol)
+        for target, (primal, y, p, gap, _) in zip(targets, streamed(targets, st)):
+            DualCertificate(y, primal, gap).validate(target, Povm(effects=tuple(p)), gap_tol=st.gap_tol)
     # a certificate earned under a looser tolerance fails the default one
     loose = min_error_discrimination(targets[0], SolverSettings(gap_tol=1e-4))
     assert 1e-7 < loose.certificate.gap <= 1e-4
@@ -434,9 +437,9 @@ def test_a_failing_member_raises_what_it_raises_alone():
     # the (2, 2, 2, 2) member certifies at the first check; the others cannot
     with pytest.raises(SolverFailure) as alone:
         min_error_discrimination(targets[1], st)
-    with pytest.raises(SolverFailure) as stacked:
+    with pytest.raises(SolverFailure) as failure:
         streamed(targets[1:], st)
-    assert_same_failure(stacked.value, alone.value, 3)
+    assert_same_failure(failure.value, alone.value, 3)
 
 
 def two_member_window(monkeypatch):
@@ -458,9 +461,8 @@ def test_members_of_a_narrow_window_match_their_lone_solves_bit_for_bit(monkeypa
     lone = {st: [min_error_discrimination(t, st) for t in targets] for st in (DEFAULT_SETTINGS, _ORACLE_SETTINGS)}
     widest = two_member_window(monkeypatch)
     for st, alone in lone.items():
-        for target, mine, own in zip(targets, streamed(targets, st), alone):
-            assert_same_result(mine, own)
-            assert mine.labels == target.labels
+        for mine, own in zip(streamed(targets, st), alone):
+            assert_same_member(mine, member(own))
     assert widest[0] == 2
 
 
@@ -471,12 +473,12 @@ def test_a_failing_member_admitted_late_raises_what_it_raises_alone(monkeypatch)
         min_error_discrimination(targets[1], st)
     two_member_window(monkeypatch)
     # the (2, 2, 2, 2) members certify at their first check; the last enters the window at step 10
-    stream = solve_stream([targets[2], targets[2], targets[2], targets[1]], st)
+    stream = solve_stream(stacked([targets[2], targets[2], targets[2], targets[1]]), st)
     done = []
     with pytest.raises(SolverFailure) as late:
-        for i, result in stream:
+        for i, (*_, iterations) in stream:
             done.append(i)
-            assert result.iterations == 1
+            assert iterations == 1
     assert done == [0, 1, 2]
     assert_same_failure(late.value, alone.value, 3)
 
@@ -488,16 +490,16 @@ def test_members_at_mixed_settings_match_their_lone_solves_bit_for_bit(monkeypat
     lone = [min_error_discrimination(t, st) for t, st in zip(targets, settings)]
     widest = two_member_window(monkeypatch) if narrow else None
     mine = [None] * len(targets)
-    for i, result in solve_stream(targets, settings):
+    for i, result in solve_stream(stacked(targets), settings):
         assert mine[i] is None
         mine[i] = result
-    for target, st, result, own in zip(targets, settings, mine, lone):
-        assert_same_result(result, own)
-        assert result.certificate.gap <= st.gap_tol
-        assert result.labels == target.labels
+    for st, result, own in zip(settings, mine, lone):
+        assert_same_member(result, member(own))
+        assert result[3] <= st.gap_tol
     # a member checked at local step k has run k + 1 iterations: every 5 steps for the undamped members, else 10
-    assert {r.iterations % 10 for r, st in zip(mine, settings) if st is _ORACLE_SETTINGS} == {1, 6}
-    assert all(r.iterations % 10 == 1 for r, st in zip(mine, settings) if st is not _ORACLE_SETTINGS)
+    iterations = [result[4] for result in mine]
+    assert {k % 10 for k, st in zip(iterations, settings) if st is _ORACLE_SETTINGS} == {1, 6}
+    assert all(k % 10 == 1 for k, st in zip(iterations, settings) if st is not _ORACLE_SETTINGS)
     if narrow:
         assert widest[0] == 2
 
@@ -508,18 +510,23 @@ def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
     settings = [SolverSettings(max_iterations=40), dataclasses.replace(_ORACLE_SETTINGS, max_iterations=12)]
     with pytest.raises(SolverFailure) as alone:
         min_error_discrimination(targets[1], settings[1])
-    with pytest.raises(SolverFailure) as stacked:
-        list(solve_stream([targets[0], targets[1]], settings))
-    assert_same_failure(stacked.value, alone.value, 12)
+    with pytest.raises(SolverFailure) as failure:
+        list(solve_stream(stacked(targets[:2]), settings))
+    assert_same_failure(failure.value, alone.value, 12)
     with pytest.raises(ValueError, match="1 settings for 2 targets"):
-        list(solve_stream(targets[:2], settings[:1]))
+        list(solve_stream(stacked(targets[:2]), settings[:1]))
 
 
 def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(counted_bruteforce_run):
-    report, counts = counted_bruteforce_run
+    report, counts, _ = counted_bruteforce_run
     assert report.computed == 8.822147157250271e-08
     # 50 row-merged and 1,750 assignment solves, each with the iterations it takes alone
     assert counts == {"steps": 9301, "member_steps": 193360, "certified": 1800}
+
+
+def test_the_bruteforce_case_builds_a_povm_only_for_the_results_it_validates(counted_bruteforce_run):
+    # the 50 row-merged results; the 1,750 assignment results are folded as arrays
+    assert counted_bruteforce_run[2] == 50
 
 
 @pytest.mark.parametrize("seed, computed", [(1, 6.288832898881935e-08), (7, 5.690133486613291e-08)])
@@ -533,17 +540,17 @@ def test_bruteforce_case_at_other_seeds_is_pinned(seed, computed):
 def test_solve_stream_yields_each_index_once(monkeypatch, narrow):
     if narrow:
         two_member_window(monkeypatch)
-    targets = mixed_stack() * 2
-    indices = [i for i, _ in solve_stream(targets, _ORACLE_SETTINGS)]
-    assert sorted(indices) == list(range(len(targets)))
-    assert list(solve_stream([])) == []
+    m = stacked(mixed_stack() * 2)
+    indices = [i for i, _ in solve_stream(m, _ORACLE_SETTINGS)]
+    assert sorted(indices) == list(range(len(m)))
+    assert list(solve_stream(m[:0], _ORACLE_SETTINGS)) == list(solve_stream(m[:0], [])) == []
 
 
 def searched_values(ensembles):
     """Each ensemble's post-information value by the exhaustive search alone, as one stream."""
     search = AssignmentSearch([merged_row_targets(ens) for ens in ensembles])
-    for k, result in solve_stream(search.targets, search.settings):
-        search.fold(k, result)
+    for k, (primal, _, _, gap, _) in solve_stream(search.problems, search.settings):
+        search.fold(k, primal, gap)
     return search.values
 
 
@@ -569,19 +576,18 @@ def test_assignment_search_keeps_each_sorted_multiset_of_rows_in_first_occurrenc
     for e, target in enumerate(row_targets):
         # every assignment of a row to each of the d^2 outcomes, kept once per sorted multiset
         assignments = itertools.product(range(len(target.operators)), repeat=target.dim**2)
-        expected += [(e, target.select(k)) for k in dict.fromkeys(tuple(sorted(a)) for a in assignments)]
-    assert len(search.targets) == len(expected) == 50 * 35
+        expected += [(e, [target.operators[r] for r in k]) for k in dict.fromkeys(tuple(sorted(a)) for a in assignments)]
+    assert search.problems.shape == (len(expected), 4, 2, 2) == (50 * 35, 4, 2, 2)
     assert search._owner == [e for e, _ in expected]
-    for mine, (_, theirs) in zip(search.targets, expected):
-        assert mine.labels == theirs.labels
-        assert [op.tobytes() for op in mine.operators] == [op.tobytes() for op in theirs.operators]
+    for mine, (_, theirs) in zip(search.problems, expected):
+        assert [op.tobytes() for op in mine] == [op.tobytes() for op in theirs]
 
 
 def test_assignment_search_on_nine_qutrit_rows_builds_one_problem_per_multiset():
     target = merged_row_targets(random_postinfo(6, 3, 2))
     assert (len(target.operators), target.dim) == (9, 3)
     # C(9 + 9 - 1, 9) multisets of 9 rows over 9 outcomes, not the 9^9 assignments
-    assert len(AssignmentSearch([target]).targets) == math.comb(17, 9) == 24_310
+    assert len(AssignmentSearch([target]).problems) == math.comb(17, 9) == 24_310
 
 
 def test_a_product_with_a_shared_right_factor_has_the_bits_of_one_product_per_row():
@@ -620,25 +626,15 @@ def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
         assert abs(value - result.value) <= result.certificate.gap + 1e-8
 
 
-def test_stacked_targets_must_share_a_shape():
-    targets = mixed_stack()
-    with pytest.raises(ValueError):
-        streamed([targets[0], merged_row_targets(gallery("minimal-qutrit"))])
-    with pytest.raises(ValueError):
-        streamed([targets[0], targets[0].select((0, 1))])
-    assert streamed([]) == []
-
-
 def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch):
     stream = reproduce.solve_stream
 
-    def loose_first_dual(targets, settings):
+    def loose_first_dual(m, settings):
         # member 0 is the first row-merged target; the search's members follow the merged ones
-        for i, result in stream(targets, settings):
+        for i, (primal, y, p, gap, iterations) in stream(m, settings):
             if i == 0:
-                bad = result.certificate.matrix - 1e-3 * np.eye(targets[0].dim)
-                result = dataclasses.replace(result, certificate=dataclasses.replace(result.certificate, matrix=bad))
-            yield i, result
+                y = y - 1e-3 * np.eye(m.shape[-1])
+            yield i, (primal, y, p, gap, iterations)
 
     monkeypatch.setattr(reproduce, "solve_stream", loose_first_dual)
     with pytest.raises(InternalInconsistency, match="not feasible"):
@@ -806,9 +802,9 @@ def every_row_barrier(m, st):
 
 
 def full_solve(target):
-    """The solve that iterates on every row: a stream of one."""
-    [(_, result)] = solve_stream([target])
-    return result
+    """The solve that iterates on every row, a stream of one, as a result object."""
+    [(_, (primal, y, p, gap, iterations))] = solve_stream(stacked([target]), DEFAULT_SETTINGS)
+    return DiscriminationResult(primal, Povm(effects=tuple(p)), DualCertificate(y, primal, gap), target.labels, iterations)
 
 
 def above_d_squared_instances():
@@ -837,7 +833,7 @@ def test_postinfo_at_most_d_squared_rows_is_the_full_solve_bit_for_bit():
         target = merged_row_targets(ens)
         assert len(target.operators) <= target.dim**2
         full = full_solve(target)
-        assert_same_result(p_postinfo(ens), full)
+        assert_same_member(member(p_postinfo(ens)), member(full))
 
 
 def test_barrier_and_fixed_point_agree_within_both_gaps_at_most_d_squared_rows():
@@ -1067,7 +1063,7 @@ def reference_barrier_solve(m, st):
     if stalled is not None and steps < st.max_iterations:
         try:
             rest = dataclasses.replace(st, max_iterations=st.max_iterations - steps)
-            [(_, (primal, y, p, gap, fixed))] = discrimination._solve_stack(m[None], [rest], p[None])
+            [(_, (primal, y, p, gap, fixed))] = solve_stream(m[None], rest, p[None])
             return primal, y, p, gap, steps + fixed
         except SolverFailure as polish:
             final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
@@ -1142,14 +1138,14 @@ def test_the_central_path_predictor_cuts_the_newton_steps():
 def test_a_growth_factor_of_ten_certifies_without_the_fixed_point_finish(monkeypatch):
     # predicting at every increase sends six of these eight into the finish at this factor; the fallback sends none
     finishes = []
-    solve_stack = discrimination._solve_stack
+    stream = discrimination.solve_stream
 
     def counted(m, *args):
         finishes.append(m.shape[1])  # the rows of the target the map finishes
-        return solve_stack(m, *args)
+        return stream(m, *args)
 
     monkeypatch.setattr(discrimination, "GROWTH", 10.0)
-    monkeypatch.setattr(discrimination, "_solve_stack", counted)
+    monkeypatch.setattr(discrimination, "solve_stream", counted)
     for ens in newton_instances():
         target = merged_row_targets(ens)
         mine = p_postinfo(ens)
