@@ -24,7 +24,9 @@ eigenvalue-shift dual of the pretty-good measurement to start (every row when
 there are at most 2 d^2), and the least covered of the rows the dual misses
 after each round, until one Y is feasible for every row.  Each round starts
 from the last certified dual, and ends at the first certification whose dual
-misses a row off the working set.
+misses a row off the working set.  Those checks decompose only the rows that
+Weyl's inequality, applied to the slacks of the last dual checked, does not
+already prove covered (``_RowScreen``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +50,8 @@ STACK_OPERATORS = 1024
 RANK_TOL = 1e-12
 # the barrier multiplies t by this at each certification that misses gap_tol
 GROWTH = 30.0
+# a row whose slack bound clears validate's rounding floor by this many floors skips its eigendecomposition
+SCREEN_FLOORS = 1024.0
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,33 @@ def _cover(y0: np.ndarray, m: np.ndarray, primal: float) -> tuple[float, np.ndar
     return primal, y, max(gap, 0.0)
 
 
-def _uncovered(y: np.ndarray, m: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_row_slack`` of Y over the rows of ``m``, and which fall below ``DualCertificate.validate``'s floor at ``scale``."""
-    slack = _row_slack(y, m)
-    return slack, slack < -rounding_floor(0.0, max(np.abs(y).max(), scale))
+class _RowScreen:
+    """A lower bound on the slack lambda_min(Y - M_r) of every row of ``m`` (n, d, d), exact at the dual ``y`` to start.
+
+    From the last dual checked, Y_ref, to the next, Y, Weyl's inequality gives
+    lambda_min(Y - M_r) >= lambda_min(Y_ref - M_r) + lambda_min(Y - Y_ref),
+    so one d x d ``eigvalsh`` raises every bound, less one rounding floor of
+    ``DualCertificate.validate`` for the rounding of both terms.  Only a row
+    whose bound does not clear that floor by ``SCREEN_FLOORS`` floors gets its
+    exact ``_row_slack``; every other row is covered far above the floor.
+    """
+
+    def __init__(self, m: np.ndarray, y: np.ndarray):
+        self.m, self.y, self.scale = m, y, np.abs(m).max()
+        self.bound = _row_slack(y, m)
+
+    def uncovered(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The ``rows`` (ascending indices) on which Y falls below ``validate``'s floor, each with its exact slack in ``bound``.
+
+        Every row that could fall below the floor gets its ``_row_slack`` at Y,
+        so the result is that of the check on every row, bit for bit.
+        """
+        floor = rounding_floor(0.0, max(np.abs(y).max(), self.scale))
+        self.bound += float(np.linalg.eigvalsh(y - self.y)[0]) - floor
+        self.y = y
+        check = rows[self.bound[rows] < SCREEN_FLOORS * floor]
+        self.bound[check] = _row_slack(y, self.m[check])
+        return rows[self.bound[rows] < -floor]
 
 
 def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -380,7 +407,7 @@ def _step_length(l_inv: np.ndarray, dy: np.ndarray, dec: float) -> float:
 
 
 def _barrier_solve(
-    m: np.ndarray, st: SolverSettings, start: tuple[np.ndarray, float], off: np.ndarray
+    m: np.ndarray, st: SolverSettings, start: tuple[np.ndarray, float], uncovered: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[float, np.ndarray, np.ndarray, float, int]:
     """Certified optimum of one target ``m`` (n, d, d) by Newton's method on the dual log barrier.
 
@@ -410,17 +437,20 @@ def _barrier_solve(
     POVM with the rest of ``st.max_iterations``; a failure reports the
     better certificate.
 
-    ``off`` (k, d, d), the rows a working set leaves out (k = 0 for none),
-    ends the solve early: a certification that misses ``gap_tol`` returns
-    its own certificate when its Y falls below ``DualCertificate.validate``'s
-    floor on any of them (``_uncovered``).
+    ``uncovered`` ends the solve early: a certification that misses
+    ``gap_tol`` returns its own certificate when ``uncovered(Y)``, the rows a
+    working set leaves out on which Y falls below
+    ``DualCertificate.validate``'s floor, is not empty.  A working set asks
+    its ``_RowScreen``, which decomposes only the rows that a Weyl bound from
+    the last checked dual does not already prove covered.
     """
     n, d = m.shape[0], m.shape[-1]
     f = _hermitian_basis(d)
     trace_f = f[:, :: d + 1].real.sum(axis=1)
+    rhs = np.empty((d * d, 2))  # the Newton solve's right-hand side, [Tr F, pull]
+    rhs[:, 0] = trace_f
     y0, gap0 = start[0], max(start[1], st.gap_tol)
     y, t = _cover(y0, m, 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
-    scale = max(np.abs(m).max(), np.abs(off).max(initial=0.0))
     best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
     predict, last = True, math.inf  # whether t's increases still take the predictor, and the last certified gap
     try:
@@ -433,12 +463,13 @@ def _barrier_solve(
             hess = (f @ outer @ f.T).real
             pull = (f @ s_inv.sum(axis=0).conj().ravel()).real
             # the gradient is t Tr F - pull, so the step is linear in t
-            u, v = np.linalg.solve(hess, np.stack([trace_f, pull], axis=1)).T
+            rhs[:, 1] = pull
+            u, v = np.linalg.solve(hess, rhs).T
             if float((pull - t * trace_f) @ (v - t * u)) < 2:
                 p = _pretty_good(s_inv[None])[0]
                 primal = float(np.einsum("rij,rji->", p, m).real)
                 gap = float(np.trace(y).real) - primal
-                if gap <= st.gap_tol or _uncovered(y, off, scale)[1].any():
+                if gap <= st.gap_tol or uncovered(y).size:
                     return primal, y, p, gap, steps
                 if gap < best[2]:
                     best = (primal, y, gap, p)
@@ -487,7 +518,12 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     certification whose Y misses one of the other rows, or once it meets
     ``gap_tol``.  Then, of the other rows whose Y - M_r falls below the
     rounding floor of ``DualCertificate.validate``, it adds the 2 d^2 least
-    covered.  A round that meets ``gap_tol`` and finds none returns its
+    covered.  Both checks of the other rows, at each certification and after
+    each round, go through one ``_RowScreen`` started from the first
+    ranking's slacks: Weyl's inequality carries every row's bound from one
+    checked dual to the next, and only a row whose bound does not clear the
+    floor widely is decomposed, so each check finds the rows, and ranks them
+    by the slacks, that decomposing every row would.  A round that meets ``gap_tol`` and finds none returns its
     certificate, with zero effects off the working set and the steps of every
     round.  A target of at most 2 d^2 rows is one round on all of them, with
     no row off the working set.  A failure reports, after
@@ -497,22 +533,20 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     """
     n, d = m.shape[0], m.shape[-1]
     size = 2 * d * d
-    scale = np.abs(m).max()
     _, y, gap = _certify(m, _pretty_good(m[None])[0])
-    slack, missed = _row_slack(y, m), np.arange(n)
+    screen, missed = _RowScreen(m, y), np.arange(n)
     inside, p, steps, stalled = np.zeros(n, dtype=bool), np.zeros_like(m), 0, None
     while True:
-        inside[missed[np.argsort(slack[missed], kind="stable")[:size]]] = True
-        rows, off = np.flatnonzero(inside), m[~inside]
+        inside[missed[np.argsort(screen.bound[missed], kind="stable")[:size]]] = True
+        rows, off = np.flatnonzero(inside), np.flatnonzero(~inside)
         rest = replace(st, max_iterations=st.max_iterations - steps)
         try:
-            primal, y, p[rows], gap, used = _barrier_solve(m[rows], rest, (y, gap), off)
+            primal, y, p[rows], gap, used = _barrier_solve(m[rows], rest, (y, gap), functools.partial(screen.uncovered, rows=off))
         except SolverFailure as exc:
             primal, y, p[rows], stalled = exc.primal, exc.dual, exc.povm, exc.__cause__
             break
         steps += used
-        slack, below = _uncovered(y, m, scale)
-        missed = np.flatnonzero(~inside & below)
+        missed = screen.uncovered(y, off)
         if not missed.size and gap <= st.gap_tol:
             return primal, y, p, gap, steps
         if steps == st.max_iterations:

@@ -6,7 +6,8 @@ audits parse both trees with ``ast``.  A public function or method counts as
 reached when some code in either tree names it, as a bare name or as an
 attribute, by its identifier; the package's re-exports in ``__init__.py`` are
 not a use, and neither is an attribute of a module imported from outside the
-package, such as ``json.dumps``.  A parameter counts as set when some call passes it by keyword,
+package, such as ``json.dumps``, nor a name that is assigned, or read where the
+enclosing function binds it.  A parameter counts as set when some call passes it by keyword,
 by position, through ``dataclasses.replace`` (for a dataclass field), or,
 for a constructor, through a call by the class name.  Passing the default's
 own literal, as in ``f(side="a")`` where the default is ``"a"``, does not
@@ -188,24 +189,70 @@ def _foreign_modules(tree: ast.Module) -> set[str]:
     }
 
 
+def _local_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """The identifiers ``fn`` binds itself: its parameters and the names it assigns, not those of a nested function."""
+    args = fn.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+    pending = list(fn.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+class _Uses(ast.NodeVisitor):
+    """The identifiers a module names that could reach a package function.
+
+    A bare name counts only when it is read and no enclosing function binds
+    it; an attribute counts unless it belongs to a module imported from
+    outside the package (``foreign``).
+    """
+
+    def __init__(self, foreign: set[str]):
+        self.foreign, self.names, self._scopes = foreign, set(), []
+
+    def visit_FunctionDef(self, node):
+        # decorators and defaults are read in the enclosing scope, the body in the function's own
+        args = node.args
+        for outer in node.decorator_list + args.defaults + [d for d in args.kw_defaults if d is not None]:
+            self.visit(outer)
+        self._scopes.append(_local_names(node))
+        for inner in node.body:
+            self.visit(inner)
+        self._scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in scope for scope in self._scopes):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if not (isinstance(node.value, ast.Name) and node.value.id in self.foreign):
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
 def unreached(package: Path = PACKAGE, trees=CALLER_TREES) -> list[str]:
     """Every public function or method of ``package`` whose identifier no code in ``trees`` names.
 
     An attribute of a name that ``import`` binds to a module outside
     ``obcast``, such as ``json.dumps``, names that module's function, so it is
-    not a use.
+    not a use.  Neither is a name that is assigned or deleted, nor a read of a
+    name that the enclosing function binds as a parameter or an assignment
+    target, such as a local variable ``outcomes``.
     """
     public = [f for path in sorted(package.glob("*.py")) for f in _public_functions(ast.parse(path.read_text()), path.stem)]
     paths = [path for tree in trees for path in sorted(tree.glob("*.py")) if path != package / "__init__.py"]
     names = set()
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
-        foreign = _foreign_modules(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in foreign):
-                names.add(node.attr)
+        uses = _Uses(_foreign_modules(tree))
+        uses.visit(tree)
+        names |= uses.names
     return sorted(qualified for qualified, name in public if name not in names)
 
 
@@ -226,6 +273,19 @@ def test_an_attribute_of_a_foreign_module_is_not_a_use(tmp_path):
     # ``dumps`` is reached only as ``json.dumps``, ``loads`` through the package's own module
     (package / "report.py").write_text("import json\n\nfrom . import codec\n\njson.dumps(codec.loads(1))\n")
     assert unreached(package, (package,)) == ["codec.dumps"]
+
+
+def test_a_local_variable_of_the_same_name_is_not_a_use(tmp_path):
+    package = tmp_path / "obcast"
+    package.mkdir()
+    (package / "report.py").write_text("def outcomes(rows):\n    return rows\n\n\ndef tally(rows):\n    return len(rows)\n")
+    # ``outcomes`` is named only as a parameter, a local assignment and their reads; ``tally`` is called
+    (package / "run.py").write_text(
+        "from . import report\n\n\n"
+        "def _count(outcomes):\n    return len(outcomes)\n\n\n"
+        "def _main(rows):\n    outcomes = report.tally(rows)\n    return [outcomes for _ in rows]\n"
+    )
+    assert unreached(package, (package,)) == ["report.outcomes"]
 
 
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():

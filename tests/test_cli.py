@@ -211,6 +211,28 @@ def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_
     assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
 
 
+QUQUART = Path(__file__).parent / "data" / "ququart-five-settings.json"  # 1,024 answer rows on d = 4
+
+
+def test_a_file_of_a_thousand_rows_validates_at_both_gaps(capsys):
+    # five Haar-random orthonormal bases of C^4 (numpy default_rng(23)) at a uniform prior
+    ens = from_json_dict(json.loads(QUQUART.read_text()))
+    target = discrimination.merged_row_targets(ens)
+    assert len(target.operators) == 1024 and target.dim == 4
+    records = []
+    for tol in ("1e-7", "1e-10"):
+        code, out, err = run(capsys, "bound", "--file", str(QUQUART), "--method", "postinfo", "--tol-gap", tol)
+        assert (code, err) == (0, "")
+        records.append(json.loads(out))
+        assert records[-1]["certificate"] == "dual-certified" and records[-1]["gap"] <= float(tol)
+        result = discrimination.p_postinfo(ens, discrimination.SolverSettings(gap_tol=float(tol)))
+        result.certificate.validate(target, result.povm, gap_tol=float(tol))
+        assert (result.value, result.certificate.gap) == (records[-1]["computed"], records[-1]["gap"])
+    loose, tight = records
+    assert tight["computed"] <= loose["computed"] + loose["gap"] + 1e-12
+    assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
+
+
 SIXTY_FOUR = Path(__file__).parent / "data" / "qubit-64-settings.json"  # 2^64 answer rows on a qubit
 
 

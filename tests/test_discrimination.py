@@ -34,7 +34,7 @@ from obcast.ensembles import (
     induced_postinfo,
 )
 from obcast.errors import InternalInconsistency, SolverFailure
-from obcast.linalg import dagger, dyad, ket
+from obcast.linalg import dagger, dyad, ket, rounding_floor
 from obcast.oracles import _ORACLE_SETTINGS, AssignmentSearch
 from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
@@ -798,7 +798,7 @@ def pretty_good_start(m):
 
 def every_row_barrier(m, st):
     """``_barrier_solve`` on every row of ``m`` from the pretty-good start, with no row off the working set."""
-    return _barrier_solve(m, st, pretty_good_start(m), m[:0])
+    return _barrier_solve(m, st, pretty_good_start(m), lambda y: m[:0])
 
 
 def full_solve(target):
@@ -1162,3 +1162,78 @@ def test_random_post_information_targets_certify_every_row(gap_tol):
         mine = p_postinfo(ens, st)
         assert len(mine.povm) == len(target.operators) == dim**n_settings
         mine.certificate.validate(target, mine.povm, gap_tol=gap_tol)
+
+
+class ExactRows:
+    """The check the row screen replaces: ``_row_slack`` of every row at every dual, the slacks kept in ``bound``."""
+
+    def __init__(self, m, y):
+        self.m, self.scale = m, np.abs(m).max()
+        self.bound = discrimination._row_slack(y, m)
+
+    def uncovered(self, y, rows):
+        self.bound = discrimination._row_slack(y, self.m)
+        return rows[self.bound[rows] < -rounding_floor(0.0, max(np.abs(y).max(), self.scale))]
+
+
+@pytest.fixture
+def slack_rows(monkeypatch):
+    """The rows passed to ``_row_slack``, summed over every call."""
+    rows = [0]
+    row_slack = discrimination._row_slack
+
+    def counted(y, m):
+        rows[0] += len(m)
+        return row_slack(y, m)
+
+    monkeypatch.setattr(discrimination, "_row_slack", counted)
+    return rows
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + dagger(a)) / 2
+
+
+def test_the_row_screen_finds_the_rows_the_check_on_every_row_finds(slack_rows):
+    rng = np.random.default_rng(23)
+    screened = checked = 0
+    for trial in range(200):
+        n, d = int(rng.integers(1, 60)), int(rng.integers(2, 6))
+        kets = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        m = rng.uniform(0.0, 1.0, size=(n, 1, 1)) * dyad(kets / np.linalg.norm(kets, axis=1, keepdims=True))
+        # a dual whose slacks straddle zero, then a chain of duals moved up and down by steps from 1e-12 to 1
+        y = random_hermitian(rng, d) * 0.1 + rng.uniform(0.5, 1.0) * np.eye(d)
+        screen = discrimination._RowScreen(m, y)
+        for step in range(6):
+            y = y + 10.0 ** rng.uniform(-12, 0) * random_hermitian(rng, d) - 10.0 ** rng.uniform(-12, -1) * rng.normal() * np.eye(d)
+            rows = np.flatnonzero(rng.uniform(size=n) < 0.7)
+            floor = rounding_floor(0.0, max(np.abs(y).max(), np.abs(m).max()))
+            exact = np.linalg.eigvalsh(y[None] - m[rows]).min(axis=1)  # not counted: called from here
+            before = slack_rows[0]
+            found = screen.uncovered(y, rows)
+            checked += slack_rows[0] - before
+            screened += rows.size - (slack_rows[0] - before)
+            assert found.tobytes() == rows[exact < -floor].tobytes(), (trial, step)
+            assert (exact >= screen.bound[rows] - floor).all(), (trial, step)
+            assert screen.bound[found].tobytes() == exact[np.isin(rows, found)].tobytes()
+    # the screen spared some rows their eigendecomposition and handed others to it
+    assert screened > 0 and checked > 0
+
+
+@pytest.mark.parametrize("gap_tol", [1e-7, 1e-10, 1e-13])
+def test_the_row_screen_gives_the_bits_of_the_check_on_every_row(monkeypatch, gap_tol):
+    st = SolverSettings(gap_tol=gap_tol)
+    # the obb and cq views are among newton_instances(); the last two have 729 and 1,024 rows
+    instances = newton_instances() + [random_postinfo(7, 3, 6), random_postinfo(7, 4, 5)]
+    screened = [member(p_postinfo(ens, st)) for ens in instances]
+    monkeypatch.setattr(discrimination, "_RowScreen", ExactRows)
+    for ens, mine in zip(instances, screened):
+        assert_same_member(mine, member(p_postinfo(ens, st)))
+
+
+def test_the_row_screen_cuts_the_row_eigendecompositions(slack_rows):
+    # 2,336 when every row off the working set was decomposed at every certification, and every row after each round
+    for ens in newton_instances():
+        p_postinfo(ens)
+    assert slack_rows[0] == 1214
