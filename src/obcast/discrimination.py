@@ -273,7 +273,9 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The gap ``_certify`` would give, for the whole stack (B, n, d, d) at once.
 
     Summation order differs from ``_certify``, so these agree with it only to
-    rounding; they decide which members get the exact check, nothing more.
+    rounding; they decide which members get the exact check, and, held
+    against that rounding by a margin, which problems of
+    ``oracles.AssignmentSearch`` are kept.
     """
     primal = np.einsum("brij,brji->b", p, m).real
     ymp = np.einsum("brij,brjk->bik", m, p)

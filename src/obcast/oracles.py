@@ -15,6 +15,10 @@ streams them (``solve_stream``) with any other targets of the same shape,
 and folds each primal + gap, Tr Y of a dual raised above every row, into
 its target's optimum as it certifies: no POVM is needed, so no result
 object is built, and the search's POVMs and duals are never held at once.
+Before any problem enters the stream, the search bounds every one of them
+from one undamped map step off the pretty-good measurement, and keeps only
+those whose certified optimum could still reach its target's maximum
+(branch and bound; Land and Doig, Econometrica 28, 497, 1960).
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .discrimination import EffectTarget, SolverSettings
+from .discrimination import EffectTarget, SolverSettings, _pretty_good, _screened_gaps
 from .discrimination import min_error_discrimination  # noqa: F401  (bound here for perfbench's span tracer)
+from .linalg import rounding_floor
 
 # Undamped iterations converge in fewer steps; every inner solve still
 # carries its own dual certificate, so speed does not trade against rigor.
 _ORACLE_SETTINGS = SolverSettings(gap_tol=1e-8, damping=1.0, check_interval=5)
+# rounding floors that hold the search's bounds on each problem's optimum against the rounding of both
+_MARGIN_FLOORS = 4.0
 
 
 class AssignmentSearch:
@@ -38,22 +45,48 @@ class AssignmentSearch:
 
     ``row_targets`` are ``merged_row_targets`` of the ensembles, all of one
     dimension.  ``problems`` (B, d^2, d, d) are the distinct assignment
-    problems, to be solved at ``settings``; ``fold(k, primal, gap)`` takes
-    the certified primal and gap of ``problems[k]`` and keeps its row
-    target's running optimum in ``values``.
+    problems that can still reach their row target's optimum, to be solved at
+    ``settings``; ``kept`` marks them among every sorted multiset of rows, in
+    enumeration order.  ``fold(k, primal, gap)`` takes the certified primal
+    and gap of ``problems[k]`` and keeps its row target's running optimum in
+    ``values``.
+
+    A multiset is dropped by a bound on its target's stack of problems, all
+    at once.  From one undamped map step off the pretty-good measurement,
+    P = PGM(M PGM(M) M), the eigenvalue-shift certificate gives an upper
+    bound U_k = primal + gap + margin on the optimum OPT_k of each problem,
+    and the largest primal of the target's problems a lower bound L_e =
+    primal_j - margin on the target's optimum; the margin, a few of
+    ``DualCertificate.validate``'s rounding floors at the problem's own
+    scale, holds both against rounding.  A problem is kept when U_k +
+    ``gap_tol`` >= L_e of its target.  The bound runs one target at a time,
+    so it never holds more than one target's problems.  A dropped problem's
+    certified result would be primal + gap <= OPT_k + ``gap_tol`` <= U_k +
+    ``gap_tol`` < L_e, while L_e <= Tr Y_j for the problem j that gave L_e,
+    which is always kept (U_j exceeds L_e by its gap and twice the margin).
+    So every dropped result lies strictly below a kept one, and each of
+    ``values``, a float maximum, keeps its bits.
     """
 
     settings = _ORACLE_SETTINGS
 
     def __init__(self, row_targets: Sequence[EffectTarget]):
-        problems, self._owner = [], []
+        problems, kept, self._owner = [], [], []
         for e, row_target in enumerate(row_targets):
             rows = range(len(row_target.operators))
             # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
             keys = list(itertools.combinations_with_replacement(rows, row_target.dim**2))
-            problems.append(np.array(row_target.operators)[np.array(keys)])
-            self._owner += [e] * len(keys)
-        self.problems = np.concatenate(problems)
+            m = np.array(row_target.operators)[np.array(keys)]
+            p = _pretty_good(m)
+            p = _pretty_good(m @ p @ m)
+            primal = np.einsum("brij,brji->b", p, m).real
+            upper = primal + _screened_gaps(m, p)
+            # Tr Y bounds every entry of Y >= M_r >= 0, so it is the scale of validate's rounding floor
+            margin = _MARGIN_FLOORS * rounding_floor(0.0, row_target.dim * upper)
+            kept.append(upper + margin + self.settings.gap_tol >= (primal - margin).max())
+            problems.append(m[kept[-1]])
+            self._owner += [e] * len(problems[-1])
+        self.kept, self.problems = np.concatenate(kept), np.concatenate(problems)
         self.values = [-math.inf] * len(row_targets)
 
     def fold(self, k: int, primal: float, gap: float) -> None:

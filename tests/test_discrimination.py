@@ -517,11 +517,14 @@ def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
         list(solve_stream(stacked(targets[:2]), settings[:1]))
 
 
-def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(counted_bruteforce_run):
+def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(counted_bruteforce_run, monkeypatch):
     report, counts, _ = counted_bruteforce_run
     assert report.computed == 8.822147157250271e-08
-    # 50 row-merged and 1,750 assignment solves, each with the iterations it takes alone
-    assert counts == {"steps": 9301, "member_steps": 193360, "certified": 1800}
+    # the search's bound keeps 602 of the 1,750 assignment problems
+    search = AssignmentSearch(bruteforce_row_targets(monkeypatch, seed=42))
+    assert (search.kept.size, len(search.problems)) == (1750, 602)
+    # 50 row-merged and 602 assignment solves, each with the iterations it takes alone
+    assert counts == {"steps": 9276, "member_steps": 128889, "certified": 652}
 
 
 def test_the_bruteforce_case_builds_a_povm_only_for_the_results_it_validates(counted_bruteforce_run):
@@ -546,16 +549,20 @@ def test_solve_stream_yields_each_index_once(monkeypatch, narrow):
     assert list(solve_stream(m[:0], _ORACLE_SETTINGS)) == list(solve_stream(m[:0], [])) == []
 
 
-def searched_values(ensembles):
-    """Each ensemble's post-information value by the exhaustive search alone, as one stream."""
-    search = AssignmentSearch([merged_row_targets(ens) for ens in ensembles])
+def searched_values_of(search):
+    """The values of ``search`` once its problems have streamed through the solver."""
     for k, (primal, _, _, gap, _) in solve_stream(search.problems, search.settings):
         search.fold(k, primal, gap)
     return search.values
 
 
-def seed42_row_targets(monkeypatch):
-    """The 50 row targets of the seed-42 brute-force case, built as the case builds them."""
+def searched_values(ensembles):
+    """Each ensemble's post-information value by the exhaustive search alone, as one stream."""
+    return searched_values_of(AssignmentSearch([merged_row_targets(ens) for ens in ensembles]))
+
+
+def bruteforce_row_targets(monkeypatch, seed, trials=None):
+    """The row targets of the brute-force case at ``seed``, built as the case builds them."""
     targets = []
 
     def stop(row_targets):
@@ -564,30 +571,71 @@ def seed42_row_targets(monkeypatch):
 
     monkeypatch.setattr(reproduce, "AssignmentSearch", stop)
     with pytest.raises(Built):
-        run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+        run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=trials)
     return targets
 
 
-def test_assignment_search_keeps_each_sorted_multiset_of_rows_in_first_occurrence_order(monkeypatch):
-    row_targets = seed42_row_targets(monkeypatch)
-    assert len(row_targets) == 50
-    search = AssignmentSearch(row_targets)
-    expected = []
+def every_multiset(row_targets):
+    """(owner, problem) for every sorted multiset of each target's rows, in first-occurrence order."""
+    out = []
     for e, target in enumerate(row_targets):
         # every assignment of a row to each of the d^2 outcomes, kept once per sorted multiset
         assignments = itertools.product(range(len(target.operators)), repeat=target.dim**2)
-        expected += [(e, [target.operators[r] for r in k]) for k in dict.fromkeys(tuple(sorted(a)) for a in assignments)]
-    assert search.problems.shape == (len(expected), 4, 2, 2) == (50 * 35, 4, 2, 2)
-    assert search._owner == [e for e, _ in expected]
-    for mine, (_, theirs) in zip(search.problems, expected):
-        assert [op.tobytes() for op in mine] == [op.tobytes() for op in theirs]
+        out += [(e, np.array([target.operators[r] for r in k])) for k in dict.fromkeys(tuple(sorted(a)) for a in assignments)]
+    return out
+
+
+def test_assignment_search_keeps_each_sorted_multiset_of_rows_in_first_occurrence_order(monkeypatch):
+    row_targets = bruteforce_row_targets(monkeypatch, seed=42)
+    assert len(row_targets) == 50
+    search = AssignmentSearch(row_targets)
+    expected = every_multiset(row_targets)
+    # kept and dropped together are every multiset; the kept ones are the enumeration's in-order subsequence
+    assert search.kept.shape == (len(expected),) == (50 * 35,)
+    kept = [expected[i] for i in np.flatnonzero(search.kept)]
+    assert search.problems.shape == (len(kept), 4, 2, 2)
+    assert search._owner == [e for e, _ in kept]
+    for mine, (_, theirs) in zip(search.problems, kept):
+        assert mine.tobytes() == theirs.tobytes()
 
 
 def test_assignment_search_on_nine_qutrit_rows_builds_one_problem_per_multiset():
     target = merged_row_targets(random_postinfo(6, 3, 2))
     assert (len(target.operators), target.dim) == (9, 3)
+    search = AssignmentSearch([target])
     # C(9 + 9 - 1, 9) multisets of 9 rows over 9 outcomes, not the 9^9 assignments
-    assert len(AssignmentSearch([target]).problems) == math.comb(17, 9) == 24_310
+    assert search.kept.size == math.comb(17, 9) == 24_310
+    assert len(search.problems) == search.kept.sum() > 0
+
+
+def test_assignment_search_drops_only_problems_that_cannot_reach_their_targets_value(monkeypatch):
+    row_targets = [t for seed in (1, 7) for t in bruteforce_row_targets(monkeypatch, seed=seed, trials=10)]
+    # a search holds targets of one dimension; one qutrit setting gives 3 rows and 55 multisets
+    cases = [row_targets, [merged_row_targets(random_postinfo(2, 3, 1))]]
+    for targets in cases:
+        search = AssignmentSearch(targets)
+        everything = every_multiset(targets)
+        results = dict(solve_stream(np.array([problem for _, problem in everything]), _ORACLE_SETTINGS))
+        full = [-math.inf] * len(targets)
+        for k, (e, _) in enumerate(everything):
+            primal, _, _, gap, _ = results[k]
+            full[e] = max(full[e], primal + gap)
+        assert searched_values_of(search) == full
+        dropped = np.flatnonzero(~search.kept)
+        assert dropped.size > 0
+        for k in dropped:
+            primal, _, _, gap, _ = results[k]
+            assert primal + gap < full[everything[k][0]]
+
+
+def test_assignment_search_keeps_every_tied_problem_and_every_full_set(monkeypatch):
+    rho = random_density(np.random.default_rng(4), 2) / 4
+    search = AssignmentSearch([EffectTarget(operators=(rho,) * 4)])
+    assert search.kept.all() and search.kept.size == 35
+    # the multiset of every row once is the row-merged problem, whose optimum no other multiset beats
+    full = list(itertools.combinations_with_replacement(range(4), 4)).index((0, 1, 2, 3))
+    kept = AssignmentSearch(bruteforce_row_targets(monkeypatch, seed=42)).kept.reshape(50, 35)
+    assert kept[:, full].all()
 
 
 def test_a_product_with_a_shared_right_factor_has_the_bits_of_one_product_per_row():
