@@ -150,7 +150,8 @@ def perfect_classical_broadcast_decision(
     window does, Tr Y >= 1 within rounding, and the witness may then confuse
     two states with probability up to ten times the gap in force.  The
     kill-pattern certificate provides an independent exact cross-check on the
-    infeasible side.
+    infeasible side; it runs first, so an input it rejects fails before any
+    solve.
     """
     st = settings or DEFAULT_SETTINGS
     counts = ensemble.index_sets
@@ -161,8 +162,8 @@ def perfect_classical_broadcast_decision(
         prior=tuple(tuple(1.0 / total for _ in range(n)) for n in counts),
         orthogonal=ensemble.orthogonal,
     )
-    result: PostInfoResult = p_postinfo(uniform, st)
     certificate = kill_pattern_certificate(ensemble)
+    result: PostInfoResult = p_postinfo(uniform, st)
     feasible = result.value + result.certificate.gap >= 1.0 - 1e-12
     if feasible and certificate.certified_infeasible:
         raise InternalInconsistency(

@@ -24,16 +24,15 @@ from . import broadcast, moe, qpv
 from .discrimination import DEFAULT_SETTINGS, SolverSettings, p_postinfo
 from .ensembles import (
     GopEnsemble,
+    NotGloballyOrthogonal,
     PostInfoEnsemble,
     from_json_dict,
     gallery,
     gallery_names,
     gen_bb84_angle,
-    global_orthogonality_check,
     induced_postinfo,
     qubit_qudit_form_check,
     to_json_dict,
-    _gop_factors,
 )
 from .errors import InternalInconsistency, SolverFailure
 from .reporting import reports_to_csv, reports_to_json
@@ -106,15 +105,10 @@ def _settings(args) -> SolverSettings:
 
 
 def _load_source(args):
-    """(name, parsed object or raw dict) for --gallery / --file inputs."""
+    """(name, object) for --gallery / --file inputs: the gallery object, or the ensemble of the file's document."""
     if args.gallery_name:
         return args.gallery_name, gallery(args.gallery_name)
-    raw = json.loads(args.file.read_text())
-    return str(args.file), raw
-
-
-def _as_object(payload):
-    return from_json_dict(payload) if isinstance(payload, dict) else payload
+    return str(args.file), from_json_dict(json.loads(args.file.read_text()))
 
 
 def _print_record(record: dict) -> None:
@@ -146,10 +140,11 @@ def _cmd_reproduce(args) -> int:
 
 
 def _postinfo_view(obj):
+    """The post-information ensemble of ``obj``: itself, or a product set reduced on its first classical factor."""
     if isinstance(obj, PostInfoEnsemble):
         return obj
     if isinstance(obj, GopEnsemble):
-        for side in ("b", "a"):
+        for side in ("a", "b"):  # the gallery's classical-quantum sets are classical on a
             try:
                 return induced_postinfo(obj, classical_side=side)
             except ValueError:
@@ -164,7 +159,7 @@ _DISK_PROGRAMS = {
 }
 
 
-def _bound_record(method: str, entry: str | None, name: str, payload, settings: SolverSettings) -> dict:
+def _bound_record(method: str, entry: str | None, name: str, obj, settings: SolverSettings) -> dict:
     """The ``bound`` record of ``method`` on the input ``name``; a pair with no route is a ``ValueError``.
 
     Every method but ``postinfo`` is routed by ``entry``, the gallery name,
@@ -173,7 +168,7 @@ def _bound_record(method: str, entry: str | None, name: str, payload, settings: 
     # the angle when the entry is the rotated family, bb84 included; a post-information view needs no name
     theta = None if method == "postinfo" or entry is None else gen_bb84_angle(entry)
     if method == "postinfo":
-        result = p_postinfo(_postinfo_view(_as_object(payload)), settings)
+        result = p_postinfo(_postinfo_view(obj), settings)
         record = {"computed": result.value, "certificate": "dual-certified", "gap": result.certificate.gap}
     elif method == "thm4" and (theta is not None or entry == "shifts"):
         inst = qpv.shifts_instance() if theta is None else qpv.bb84_family_instance(theta)
@@ -194,8 +189,8 @@ def _bound_record(method: str, entry: str | None, name: str, payload, settings: 
 
 
 def _cmd_bound(args) -> int:
-    name, payload = _load_source(args)
-    _print_record(_bound_record(args.method, args.gallery_name, name, payload, _settings(args)))
+    name, obj = _load_source(args)
+    _print_record(_bound_record(args.method, args.gallery_name, name, obj, _settings(args)))
     return EXIT_OK
 
 
@@ -204,45 +199,34 @@ _PROTOCOLS = {"thm1-pairs": "thm1-isometry", "thm2-eight": "thm2-isometry", "cor
 
 
 def _cmd_check(args) -> int:
-    _, payload = _load_source(args)
-    settings = _settings(args)
-    if isinstance(payload, GopEnsemble):
-        factors = payload.a_states, payload.b_states
-    elif isinstance(payload, dict) and payload.get("kind") == "gop":
-        factors = _gop_factors(payload)  # building the set would reject the violation this reports
-    else:
-        factors = None
-    if factors is not None:
-        ortho = global_orthogonality_check(*factors)
-        if not ortho.ok:
-            print(f"orthogonality: VIOLATED at pair {ortho.worst_pair} (deviation {ortho.max_violation:.3e})")
-            return EXIT_FAILED
-        print(f"orthogonality: ok (max deviation {ortho.max_violation:.3e})")
-    obj = _as_object(payload)
+    try:
+        _, obj = _load_source(args)
+    except NotGloballyOrthogonal as exc:
+        print(f"orthogonality: VIOLATED at pair {exc.report.worst_pair} (deviation {exc.report.max_violation:.3e})")
+        return EXIT_FAILED
     if isinstance(obj, GopEnsemble):
+        print(f"orthogonality: ok (max deviation {obj.orthogonality.max_violation:.3e})")
         form = qubit_qudit_form_check(obj)
         print(f"qubit-qudit form: {'fits' if form.fits else form.reason}")
-        try:
-            ens = induced_postinfo(obj, classical_side="a")
-        except ValueError:
-            print("classical reduction: no classical side; stopping at the form check")
-            return EXIT_OK
-    elif isinstance(obj, PostInfoEnsemble):
-        ens = obj
-    else:
+    elif not isinstance(obj, PostInfoEnsemble):
         raise ValueError("check expects a post-information or product ensemble")
+    try:
+        ens = _postinfo_view(obj)
+    except ValueError:
+        print("classical reduction: no classical side; stopping at the form check")
+        return EXIT_OK
     iso_name = _PROTOCOLS.get(args.gallery_name)
     if iso_name:
         report = broadcast.verify_orthogonality_broadcast(gallery(iso_name), ens)
         verdict = "verified" if report.ok else f"FAILED (overlap {report.max_overlap:.3e})"
         print(f"quantum-communication protocol ({iso_name}): {verdict}")
-    cert = broadcast.kill_pattern_certificate(ens)
+    decision = broadcast.perfect_classical_broadcast_decision(ens, _settings(args))
+    cert = decision.certificate
     if cert.certified_infeasible:
         print(f"kill-pattern certificate: infeasible ({len(cert.kernel_dims)} patterns, all kernels trivial)")
     else:
         alive = sum(1 for v in cert.kernel_dims.values() if v > 0)
         print(f"kill-pattern certificate: inconclusive ({alive} patterns with nontrivial kernels)")
-    decision = broadcast.perfect_classical_broadcast_decision(ens, settings)
     if decision.feasible:
         print(
             f"classical broadcast: feasible (value {decision.value:.9f}, "

@@ -76,6 +76,10 @@ class PostInfoEnsemble:
     def __post_init__(self):
         if len(self.states) != len(self.settings) or len(self.prior) != len(self.settings):
             raise ValueError("settings, states, and prior must align")
+        if not self.settings:
+            raise ValueError("post-information ensemble has no settings")
+        if empty := [t for t, group in zip(self.settings, self.states) if len(group) == 0]:
+            raise ValueError(f"setting {empty[0]!r} has no states")
         states = tuple(tuple(_unit_ket(s) for s in group) for group in self.states)
         object.__setattr__(self, "states", states)
         dims = {s.shape[0] for group in states for s in group}
@@ -104,7 +108,12 @@ class PostInfoEnsemble:
 
 @dataclass(frozen=True)
 class GopEnsemble:
-    """Globally orthogonal product states {|a_k>|b_k>} with priors p_k."""
+    """Globally orthogonal product states {|a_k>|b_k>} with priors p_k.
+
+    Any other set raises ``NotGloballyOrthogonal``, once kets, shapes and
+    prior pass; an accepted set keeps the report as ``orthogonality``, an
+    attribute outside the fields.
+    """
 
     a_states: tuple[np.ndarray, ...]
     b_states: tuple[np.ndarray, ...]
@@ -117,14 +126,15 @@ class GopEnsemble:
         object.__setattr__(self, "b_states", b)
         if not (len(a) == len(b) == len(self.prior)):
             raise ValueError("a_states, b_states, prior must have equal length")
+        if not a:
+            raise ValueError("product ensemble has no states")
         if len({s.shape[0] for s in a}) != 1 or len({s.shape[0] for s in b}) != 1:
             raise ValueError("per-side dimensions must agree")
         _check_prior(self.prior)
         report = global_orthogonality_check(a, b)
         if not report.ok:
-            raise ValueError(
-                f"not globally orthogonal: pair {report.worst_pair} deviates by {report.max_violation:.3e}"
-            )
+            raise NotGloballyOrthogonal(report)
+        object.__setattr__(self, "orthogonality", report)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -195,6 +205,14 @@ class GlobalOrthogonalityReport:
     ok: bool
     max_violation: float
     worst_pair: tuple[int, int] | None
+
+
+class NotGloballyOrthogonal(ValueError):
+    """A product set that is not globally orthogonal; ``report`` says where it fails."""
+
+    def __init__(self, report: GlobalOrthogonalityReport):
+        super().__init__(f"not globally orthogonal: pair {report.worst_pair} deviates by {report.max_violation:.3e}")
+        self.report = report
 
 
 def global_orthogonality_check(a_states, b_states) -> GlobalOrthogonalityReport:
@@ -722,22 +740,10 @@ def _boolean(value) -> bool:
     return value
 
 
-def _gop_factors(data: dict) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The first and second factors of a ``gop`` document's states, decoded, each factor of one ket length."""
-
-    def decode(rows):
-        factors = [_decode_vector(a) for a, _ in rows], [_decode_vector(b) for _, b in rows]
-        for side, kets in zip(("first", "second"), factors):
-            sizes = sorted({k.size for k in kets})
-            if len(sizes) > 1:
-                raise ValueError(f"{side} factor kets differ in length: {sizes}")
-        return factors
-
-    return _field(data, "states", decode)
-
-
-def from_json_dict(data: dict):
+def from_json_dict(data):
     """The ensemble of a ``postinfo`` or ``gop`` document, as ``to_json_dict`` writes it."""
+    if not isinstance(data, dict):
+        raise ValueError("an ensemble document must be a JSON object")
     kind = data.get("kind")
     if kind == "postinfo":
         return PostInfoEnsemble(
@@ -747,7 +753,13 @@ def from_json_dict(data: dict):
             orthogonal=_field(data, "orthogonal", _boolean) if "orthogonal" in data else False,
         )
     if kind == "gop":
-        a, b = _gop_factors(data)
-        prior = _field(data, "prior", lambda g: tuple(float(p) for p in g))
-        return GopEnsemble(a_states=tuple(a), b_states=tuple(b), prior=prior)
+        def factors(rows):  # the first and second factors, each of one ket length
+            decoded = tuple(_decode_vector(a) for a, _ in rows), tuple(_decode_vector(b) for _, b in rows)
+            for side, kets in zip(("first", "second"), decoded):
+                if len(sizes := sorted({k.size for k in kets})) > 1:
+                    raise ValueError(f"{side} factor kets differ in length: {sizes}")
+            return decoded
+
+        a, b = _field(data, "states", factors)
+        return GopEnsemble(a_states=a, b_states=b, prior=_field(data, "prior", lambda g: tuple(float(p) for p in g)))
     raise ValueError(f"unknown ensemble kind {kind!r}; expected 'postinfo' or 'gop'")

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .discrimination import EffectTarget, SolverSettings, _pretty_good, _screened_gaps
+from .discrimination import STACK_OPERATORS, EffectTarget, SolverSettings, _pretty_good, _screened_gaps
 from .discrimination import min_error_discrimination  # noqa: F401  (bound here for perfbench's span tracer)
 from .linalg import rounding_floor
 
@@ -38,6 +38,14 @@ from .linalg import rounding_floor
 _ORACLE_SETTINGS = SolverSettings(gap_tol=1e-8, damping=1.0, check_interval=5)
 # rounding floors that hold the search's bounds on each problem's optimum against the rounding of both
 _MARGIN_FLOORS = 4.0
+
+
+def _bounds(m: np.ndarray) -> np.ndarray:
+    """The primal and certified upper bound of each problem of ``m`` (B, n, d, d), from one map step off the PGM."""
+    p = _pretty_good(m)
+    p = _pretty_good(m @ p @ m)
+    primal = np.einsum("brij,brji->b", p, m).real
+    return np.stack([primal, primal + _screened_gaps(m, p)])
 
 
 class AssignmentSearch:
@@ -51,16 +59,17 @@ class AssignmentSearch:
     and gap of ``problems[k]`` and keeps its row target's running optimum in
     ``values``.
 
-    A multiset is dropped by a bound on its target's stack of problems, all
-    at once.  From one undamped map step off the pretty-good measurement,
-    P = PGM(M PGM(M) M), the eigenvalue-shift certificate gives an upper
-    bound U_k = primal + gap + margin on the optimum OPT_k of each problem,
-    and the largest primal of the target's problems a lower bound L_e =
-    primal_j - margin on the target's optimum; the margin, a few of
-    ``DualCertificate.validate``'s rounding floors at the problem's own
-    scale, holds both against rounding.  A problem is kept when U_k +
-    ``gap_tol`` >= L_e of its target.  The bound runs one target at a time,
-    so it never holds more than one target's problems.  A dropped problem's
+    A multiset is dropped by a bound on its target's problems.  From one
+    undamped map step off the pretty-good measurement, P = PGM(M PGM(M) M),
+    the eigenvalue-shift certificate gives an upper bound U_k = primal + gap
+    + margin on the optimum OPT_k of each problem, and the largest primal of
+    the target's problems a lower bound L_e = primal_j - margin on the
+    target's optimum; the margin, a few of ``DualCertificate.validate``'s
+    rounding floors at the problem's own scale, holds both against rounding.
+    A problem is kept when U_k + ``gap_tol`` >= L_e of its target.  The
+    bound runs one target at a time, in windows of at most
+    ``STACK_OPERATORS`` operators as the stream does, and keeps two floats
+    per multiset; only the kept problems are built.  A dropped problem's
     certified result would be primal + gap <= OPT_k + ``gap_tol`` <= U_k +
     ``gap_tol`` < L_e, while L_e <= Tr Y_j for the problem j that gave L_e,
     which is always kept (U_j exceeds L_e by its gap and twice the margin).
@@ -73,18 +82,16 @@ class AssignmentSearch:
     def __init__(self, row_targets: Sequence[EffectTarget]):
         problems, kept, self._owner = [], [], []
         for e, row_target in enumerate(row_targets):
-            rows = range(len(row_target.operators))
+            ops, n = np.array(row_target.operators), row_target.dim**2
             # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
-            keys = list(itertools.combinations_with_replacement(rows, row_target.dim**2))
-            m = np.array(row_target.operators)[np.array(keys)]
-            p = _pretty_good(m)
-            p = _pretty_good(m @ p @ m)
-            primal = np.einsum("brij,brji->b", p, m).real
-            upper = primal + _screened_gaps(m, p)
+            keys = np.array(list(itertools.combinations_with_replacement(range(len(ops)), n)))
+            width = max(1, STACK_OPERATORS // n)
+            windows = [_bounds(ops[keys[i : i + width]]) for i in range(0, len(keys), width)]
+            primal, upper = np.concatenate(windows, axis=1)
             # Tr Y bounds every entry of Y >= M_r >= 0, so it is the scale of validate's rounding floor
             margin = _MARGIN_FLOORS * rounding_floor(0.0, row_target.dim * upper)
             kept.append(upper + margin + self.settings.gap_tol >= (primal - margin).max())
-            problems.append(m[kept[-1]])
+            problems.append(ops[keys[kept[-1]]])
             self._owner += [e] * len(problems[-1])
         self.kept, self.problems = np.concatenate(kept), np.concatenate(problems)
         self.values = [-math.inf] * len(row_targets)

@@ -234,6 +234,7 @@ def test_a_file_of_a_thousand_rows_validates_at_both_gaps(capsys):
 
 
 SIXTY_FOUR = Path(__file__).parent / "data" / "qubit-64-settings.json"  # 2^64 answer rows on a qubit
+CQ_SWAPPED = Path(__file__).parent / "data" / "cq-swapped.json"  # the gallery's cq set with its factors swapped
 
 
 def first_settings(count: int) -> dict:
@@ -297,21 +298,120 @@ def test_check_three_setting_pairs(capsys):
     assert "kill-pattern certificate: infeasible" in out
 
 
+# two product states on the same first factor whose second factors overlap by 1/sqrt(2)
+VIOLATING = {
+    "kind": "gop",
+    "dims": [2, 2],
+    "prior": [0.5, 0.5],
+    "states": [
+        [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]],
+    ],
+}
+
+
 def test_check_flags_orthogonality_violation(tmp_path, capsys):
-    payload = {
-        "kind": "gop",
-        "dims": [2, 2],
-        "prior": [0.5, 0.5],
-        "states": [
-            [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
-            [[[1.0, 0.0], [0.0, 0.0]], [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]],
-        ],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(VIOLATING))
     code, out, _ = run(capsys, "check", "--file", str(path))
     assert code == 3
     assert out == "orthogonality: VIOLATED at pair (0, 1) (deviation 7.071e-01)\n"
+
+
+def test_a_document_with_several_faults_reports_the_first_the_constructor_finds(tmp_path, capsys):
+    # bound reports the violation as an input error; check reports it as a failed check
+    path = _write(tmp_path, VIOLATING)
+    message = "error: not globally orthogonal: pair (0, 1) deviates by 7.071e-01\n"
+    assert run(capsys, "bound", "--file", path, "--method", "postinfo") == (1, "", message)
+    # the prior is checked before orthogonality, so a bad prior is an input error under both commands
+    path = _write(tmp_path, {**VIOLATING, "prior": [0.5, 0.6]})
+    for argv in (("check", "--file", path), ("bound", "--file", path, "--method", "postinfo")):
+        assert run(capsys, *argv) == (1, "", "error: prior sums to 1.1, not 1\n")
+
+
+# the gallery product sets with exactly one classical factor
+ONE_CLASSICAL_FACTOR = ("thm2-eight", "cor4-six", "obb", "cq", "gen-bb84(0.1)", "gen-bb84(pi/2)")
+
+
+def swapped(name: str) -> dict:
+    """The document of the gallery product set ``name`` with the two factors of every state swapped."""
+    payload = to_json_dict(gallery(name))
+    return {**payload, "dims": payload["dims"][::-1], "states": [[b, a] for a, b in payload["states"]]}
+
+
+@pytest.mark.parametrize("name", ONE_CLASSICAL_FACTOR)
+def test_check_and_bound_reduce_a_swapped_set_on_its_classical_factor(tmp_path, capsys, name):
+    path = _write(tmp_path, swapped(name))
+
+    def factor_free(text):
+        # the form line reads the first factor, and a protocol is routed by gallery name, which a file has not
+        return [line for line in text.splitlines() if not line.startswith(("qubit-qudit form:", "quantum-communication"))]
+
+    code, out, err = run(capsys, "check", "--file", path)
+    assert (code, err) == (0, "")
+    assert factor_free(out) == factor_free(CHECK_OUTPUT[name]) and len(factor_free(out)) == 3
+    code, out, err = run(capsys, "bound", "--file", path, "--method", "postinfo")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(BOUND_RECORDS["postinfo", name]), "id": f"postinfo:{path}"}
+
+
+def test_the_checked_in_swapped_cq_file_checks_as_the_gallery_set(capsys):
+    code, out, err = run(capsys, "check", "--file", str(CQ_SWAPPED))
+    assert (code, out, err) == (0, CHECK_OUTPUT["cq"], "")
+    assert json.loads(run(capsys, "bound", "--file", str(CQ_SWAPPED), "--method", "postinfo")[1]) == {
+        **json.loads(BOUND_RECORDS["postinfo", "cq"]),
+        "id": f"postinfo:{CQ_SWAPPED}",
+    }
+    assert json.loads(CQ_SWAPPED.read_text()) == swapped("cq")
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "3", '"gop"', "null"])
+def test_a_document_that_is_not_a_json_object_is_an_input_error(tmp_path, capsys, document):
+    path = tmp_path / "ensemble.json"
+    path.write_text(document)
+    for argv in (("check", "--file", str(path)), ("bound", "--file", str(path), "--method", "postinfo")):
+        assert run(capsys, *argv) == (1, "", "error: an ensemble document must be a JSON object\n")
+
+
+def test_check_builds_the_kill_pattern_certificate_once(monkeypatch, capsys):
+    calls = []
+    certificate = broadcast.kill_pattern_certificate
+
+    def counted(ensemble):
+        calls.append(ensemble)
+        return certificate(ensemble)
+
+    monkeypatch.setattr(broadcast, "kill_pattern_certificate", counted)
+    for name in ("cq", "gen-bb84(0.1)", "thm2-eight"):
+        calls.clear()
+        assert run(capsys, "check", "--gallery", name) == (0, CHECK_OUTPUT[name], "")
+        assert len(calls) == 1, name
+
+
+def _second_setting_emptied() -> dict:
+    """``bb84`` without the states of its second setting, its whole prior on the first."""
+    payload = to_json_dict(gallery("bb84"))
+    payload["states"][1] = []
+    payload["prior"] = [[0.5, 0.5], []]
+    return payload
+
+
+EMPTY = {
+    "postinfo-without-settings": (
+        {"kind": "postinfo", "dims": [2], "settings": [], "prior": [], "states": []},
+        "post-information ensemble has no settings",
+    ),
+    "postinfo-setting-without-states": (_second_setting_emptied(), "setting '1' has no states"),
+    "gop-without-states": ({"kind": "gop", "dims": [2, 2], "prior": [], "states": []}, "product ensemble has no states"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY))
+def test_an_empty_ensemble_is_an_input_error_that_names_what_is_empty(tmp_path, capsys, case):
+    payload, message = EMPTY[case]
+    path = _write(tmp_path, payload)
+    for argv in (("check", "--file", path), ("bound", "--file", path, "--method", "postinfo")):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 
@@ -425,8 +525,8 @@ def test_files_with_kets_that_are_not_unit_vectors_are_input_errors(tmp_path, ca
     gop = to_json_dict(gallery("obb"))
     for k, factor in ((0, 2.0), (1, 0.5)):
         gop["states"][0][k] = [[factor * re, factor * im] for re, im in gop["states"][0][k]]
-    code, _, err = run(capsys, "check", "--file", _write(tmp_path, gop))
-    assert code == 1 and "squared norm 4.0" in err
+    code, out, err = run(capsys, "check", "--file", _write(tmp_path, gop))
+    assert (code, out) == (1, "") and "squared norm 4.0" in err
 
 
 @pytest.mark.parametrize("kind", ["postinfo", "gop"])

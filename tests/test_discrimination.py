@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obcast import discrimination, reproduce
+from obcast import discrimination, oracles, reproduce
 from obcast.discrimination import (
     DEFAULT_SETTINGS,
     DiscriminationResult,
@@ -599,23 +600,67 @@ def test_assignment_search_keeps_each_sorted_multiset_of_rows_in_first_occurrenc
         assert mine.tobytes() == theirs.tobytes()
 
 
+def whole_stack_search(row_targets):
+    """``kept`` and ``problems`` of the assignment search's bound, taken on each target's whole stack at once."""
+    kept, problems = [], []
+    for target in row_targets:
+        keys = list(itertools.combinations_with_replacement(range(len(target.operators)), target.dim**2))
+        m = np.array(target.operators)[np.array(keys)]
+        p = discrimination._pretty_good(m)
+        p = discrimination._pretty_good(m @ p @ m)
+        primal = np.einsum("brij,brji->b", p, m).real
+        upper = primal + discrimination._screened_gaps(m, p)
+        margin = oracles._MARGIN_FLOORS * rounding_floor(0.0, target.dim * upper)
+        kept.append(upper + margin + _ORACLE_SETTINGS.gap_tol >= (primal - margin).max())
+        problems.append(m[kept[-1]])
+    return np.concatenate(kept), np.concatenate(problems)
+
+
 def test_assignment_search_on_nine_qutrit_rows_builds_one_problem_per_multiset():
     target = merged_row_targets(random_postinfo(6, 3, 2))
     assert (len(target.operators), target.dim) == (9, 3)
-    search = AssignmentSearch([target])
+    tracemalloc.start()
+    try:
+        search = AssignmentSearch([target])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     # C(9 + 9 - 1, 9) multisets of 9 rows over 9 outcomes, not the 9^9 assignments
     assert search.kept.size == math.comb(17, 9) == 24_310
-    assert len(search.problems) == search.kept.sum() > 0
+    assert len(search.problems) == search.kept.sum() == 9_960
+    # windows of 113 problems: about 29 MB, where the whole stack of 24,310 and its temporaries took about 196 MB
+    assert peak < 100e6
 
 
-def test_assignment_search_drops_only_problems_that_cannot_reach_their_targets_value(monkeypatch):
-    row_targets = [t for seed in (1, 7) for t in bruteforce_row_targets(monkeypatch, seed=seed, trials=10)]
+def test_the_bound_in_windows_has_the_bits_of_the_bound_on_the_whole_stack(monkeypatch):
+    nine = [merged_row_targets(random_postinfo(6, 3, 2))]
+    seed42 = bruteforce_row_targets(monkeypatch, seed=42)
+    # one seed-42 target (35 problems of 4 rows) fits one window; at 8 operators it takes 18
+    for targets, operators in ((nine, discrimination.STACK_OPERATORS), (seed42, discrimination.STACK_OPERATORS), (seed42, 8)):
+        monkeypatch.setattr(oracles, "STACK_OPERATORS", operators)
+        search = AssignmentSearch(targets)
+        kept, problems = whole_stack_search(targets)
+        assert search.kept.tobytes() == kept.tobytes()
+        assert search.problems.shape == problems.shape and search.problems.tobytes() == problems.tobytes()
+
+
+def sound_kept_counts(monkeypatch, gap_tol):
+    """Kept problems of the seed-1 and seed-7 ten-trial targets and of one qutrit target, searched at ``gap_tol``.
+
+    Asserts on the way that the pruned search's values equal the full
+    enumeration's bit for bit, every problem solved at the search's settings,
+    and that every dropped problem's certified primal + gap lies strictly
+    below its target's value.
+    """
+    monkeypatch.setattr(AssignmentSearch, "settings", dataclasses.replace(_ORACLE_SETTINGS, gap_tol=gap_tol))
+    cases = [bruteforce_row_targets(monkeypatch, seed=seed, trials=10) for seed in (1, 7)]
     # a search holds targets of one dimension; one qutrit setting gives 3 rows and 55 multisets
-    cases = [row_targets, [merged_row_targets(random_postinfo(2, 3, 1))]]
+    cases.append([merged_row_targets(random_postinfo(2, 3, 1))])
+    counts = []
     for targets in cases:
         search = AssignmentSearch(targets)
         everything = every_multiset(targets)
-        results = dict(solve_stream(np.array([problem for _, problem in everything]), _ORACLE_SETTINGS))
+        results = dict(solve_stream(np.array([problem for _, problem in everything]), search.settings))
         full = [-math.inf] * len(targets)
         for k, (e, _) in enumerate(everything):
             primal, _, _, gap, _ = results[k]
@@ -626,6 +671,18 @@ def test_assignment_search_drops_only_problems_that_cannot_reach_their_targets_v
         for k in dropped:
             primal, _, _, gap, _ = results[k]
             assert primal + gap < full[everything[k][0]]
+        counts.append(int(search.kept.sum()))
+    return counts
+
+
+def test_assignment_search_drops_only_problems_that_cannot_reach_their_targets_value(monkeypatch):
+    assert sound_kept_counts(monkeypatch, _ORACLE_SETTINGS.gap_tol) == [119, 132, 28]
+
+
+def test_the_keep_rules_gap_tol_term_keeps_what_a_loose_gap_may_certify(monkeypatch):
+    # a certified result may exceed its optimum by up to gap_tol, so a looser gap must keep more problems;
+    # without the term the rule would keep the 119 and 132 of the default gap here
+    assert sound_kept_counts(monkeypatch, 1e-2) == [141, 140, 28]
 
 
 def test_assignment_search_keeps_every_tied_problem_and_every_full_set(monkeypatch):
