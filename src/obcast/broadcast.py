@@ -9,7 +9,7 @@ outcomes never confuse two same-setting states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .errors import InternalInconsistency
 from .linalg import dyad, partial_trace
 
 BORN_ZERO_TOL = 1e-10
-RANK_TOL = 1e-10
+# singular values of a matrix of unit state vectors below this count as zero in the kill-pattern ranks
+STATE_RANK_TOL = 1e-10
 
 
 def output_marginals(iso: Isometry, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +116,7 @@ def kill_pattern_certificate(ensemble: PostInfoEnsemble) -> KillPatternCertifica
     if not ensemble.orthogonal:
         raise ValueError("ensemble must carry the orthogonality flag")
     all_states = [s for group in ensemble.states for s in group]
-    span_dim = int(np.linalg.matrix_rank(np.array(all_states), tol=RANK_TOL))
+    span_dim = int(np.linalg.matrix_rank(np.array(all_states), tol=STATE_RANK_TOL))
     dims = {}
     for pattern in answer_rows(ensemble):
         killed = [
@@ -124,18 +125,30 @@ def kill_pattern_certificate(ensemble: PostInfoEnsemble) -> KillPatternCertifica
             for j in range(ensemble.index_sets[t])
             if j != pattern[t]
         ]
-        rank = int(np.linalg.matrix_rank(np.array(killed), tol=RANK_TOL)) if killed else 0
+        rank = int(np.linalg.matrix_rank(np.array(killed), tol=STATE_RANK_TOL)) if killed else 0
         dims[pattern] = span_dim - rank
     return KillPatternCertificate(all(v == 0 for v in dims.values()), dims)
 
 
 @dataclass(frozen=True)
 class BroadcastFeasibility:
-    feasible: bool
+    """The certified window [value, value + gap] of the uniform post-information value, and what it decides."""
+
     value: float
+    gap: float
     witness: Povm | None
     witness_violation: float | None
     certificate: KillPatternCertificate
+
+    @property
+    def reaches_one(self) -> bool:
+        """The window reaches one: Tr Y >= 1 within rounding."""
+        return self.value + self.gap >= 1.0 - 1e-12
+
+    @property
+    def feasible(self) -> bool:
+        """The window reaches one and the exact kill-pattern certificate does not prove infeasibility."""
+        return self.reaches_one and not self.certificate.certified_infeasible
 
 
 def perfect_classical_broadcast_decision(
@@ -145,13 +158,12 @@ def perfect_classical_broadcast_decision(
 
     Feasibility is equivalent to unit post-information value under any
     full-support prior, so the decision runs one discrimination solve on a
-    uniform reweighting and, when the value reaches one, extracts the optimal
-    POVM as an explicit witness.  The value reaches one when its certified
-    window does, Tr Y >= 1 within rounding, and the witness may then confuse
-    two states with probability up to ten times the gap in force.  The
-    kill-pattern certificate provides an independent exact cross-check on the
-    infeasible side; it runs first, so an input it rejects fails before any
-    solve.
+    uniform reweighting and, when the set is feasible, extracts the optimal
+    POVM as an explicit witness, which may confuse two states with
+    probability up to ten times the gap in force.  The kill-pattern
+    certificate is exact and wins: a set it proves infeasible is infeasible,
+    even when the window of a nearly feasible set reaches one.  It runs
+    first, so an input it rejects fails before any solve.
     """
     st = settings or DEFAULT_SETTINGS
     counts = ensemble.index_sets
@@ -164,20 +176,13 @@ def perfect_classical_broadcast_decision(
     )
     certificate = kill_pattern_certificate(ensemble)
     result: PostInfoResult = p_postinfo(uniform, st)
-    feasible = result.value + result.certificate.gap >= 1.0 - 1e-12
-    if feasible and certificate.certified_infeasible:
+    decision = BroadcastFeasibility(result.value, result.certificate.gap, None, None, certificate)
+    if not decision.feasible:
+        return decision
+    violation = verify_classical_broadcast_povm(result.povm, uniform).max_violation
+    if violation > 10 * st.gap_tol:
         raise InternalInconsistency(
-            f"discrimination value {result.value!r} reaches one but the kill-pattern "
-            "certificate proves infeasibility"
+            f"feasible value {result.value!r} but witness POVM violates the "
+            f"classical-broadcast condition by {violation:.3e}"
         )
-    witness = None
-    violation = None
-    if feasible:
-        witness = result.povm
-        violation = verify_classical_broadcast_povm(witness, uniform).max_violation
-        if violation > 10 * st.gap_tol:
-            raise InternalInconsistency(
-                f"feasible value {result.value!r} but witness POVM violates the "
-                f"classical-broadcast condition by {violation:.3e}"
-            )
-    return BroadcastFeasibility(feasible, result.value, witness, violation, certificate)
+    return replace(decision, witness=result.povm, witness_violation=violation)

@@ -232,6 +232,12 @@ def _cmd_check(args) -> int:
             f"classical broadcast: feasible (value {decision.value:.9f}, "
             f"witness violation {decision.witness_violation:.2e})"
         )
+    elif decision.reaches_one:  # a nearly feasible set, which the exact certificate decides
+        top = decision.value + decision.gap
+        print(
+            f"classical broadcast: infeasible by the kill-pattern certificate "
+            f"(certified window [{decision.value:.12f}, {top:.12f}] reaches 1)"
+        )
     else:
         print(f"classical broadcast: infeasible (optimal value {decision.value:.9f} < 1)")
     return EXIT_OK

@@ -46,8 +46,9 @@ from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member, psd_stack, rou
 MAX_ROW_TARGETS = 4096
 # operators (members times outcomes) iterating in lockstep; a wider window costs memory and saves no time
 STACK_OPERATORS = 1024
-# eigenvalues below this fraction of the largest are outside the support in R^{-1/2}
-RANK_TOL = 1e-12
+# eigenvalues below this fraction of the largest are outside the support in the pseudo-inverse R^{-1/2};
+# it is tighter than broadcast.STATE_RANK_TOL, which judges ranks of unit state vectors, not of weighted sums
+PINV_RANK_TOL = 1e-12
 # the barrier multiplies t by this at each certification that misses gap_tol
 GROWTH = 30.0
 # a row whose slack bound clears validate's rounding floor by this many floors skips its eigendecomposition
@@ -208,7 +209,7 @@ def _pretty_good(a: np.ndarray) -> np.ndarray:
     one per member (``_right_product``), with the bits of one per row.
     """
     n, d = a.shape[1], a.shape[-1]
-    s = _psd_pinv_sqrt(a.sum(axis=1), RANK_TOL)
+    s = _psd_pinv_sqrt(a.sum(axis=1), PINV_RANK_TOL)
     p = _herm_stack(_right_product(s[:, None] @ a, s))
     p += ((_identity(d) - p.sum(axis=1)) / n)[:, None]
     return p
@@ -296,7 +297,8 @@ def solve_stream(
     check interval, so each is checked at the same local iterations as in its
     lone solve; a member leaves at the first of its checks where its own
     exact certificate meets its ``gap_tol``, and its place is refilled at the
-    next admission step.  Every stacked step computes each member exactly as
+    next admission step; a step at which no member is due checks nothing.
+    Every stacked step computes each member exactly as
     it would be computed alone, so the results do not depend on the window or
     on the other members, and a caller that folds each result and drops it
     never holds them all.  Yields (index, (primal, dual, POVM, gap,
@@ -344,25 +346,26 @@ def solve_stream(
             age = step - start
             final = age == last_by[live]
             due = np.flatnonzero((age % every_by[live] == 0) | final)
-            gaps = _screened_gaps(ms[due], ps[due])
-            improved = gaps < best_gap[due]
-            best_gap[due[improved]] = gaps[improved]
-            best_p[due[improved]] = ps[due[improved]]
-            stay = np.ones(live.size, dtype=bool)
-            for k in due[gaps <= screen_by[live[due]]]:
-                primal, y, gap = _certify(ms[k], ps[k])
-                if gap <= settings[live[k]].gap_tol:
-                    stay[k] = False
-                    yield int(live[k]), (primal, y, ps[k].copy(), gap, int(age[k]) + 1)
-            overrun = np.flatnonzero(final & stay)
-            if overrun.size:
-                k = overrun[0]
-                st = settings[live[k]]
-                raise _failure(st, *_certify(ms[k], best_p[k]), best_p[k], st.max_iterations)
-            if not stay.all():
-                live, start, ms, ps, best_gap, best_p = (a[stay] for a in (live, start, ms, ps, best_gap, best_p))
-                keep, damp = keep_by[live], damp_by[live]
-                next_final = int((start + last_by[live]).min()) if live.size else math.inf
+            if due.size:  # a final member is always due, so an empty check has no overrun to test
+                gaps = _screened_gaps(ms[due], ps[due])
+                improved = gaps < best_gap[due]
+                best_gap[due[improved]] = gaps[improved]
+                best_p[due[improved]] = ps[due[improved]]
+                stay = np.ones(live.size, dtype=bool)
+                for k in due[gaps <= screen_by[live[due]]]:
+                    primal, y, gap = _certify(ms[k], ps[k])
+                    if gap <= settings[live[k]].gap_tol:
+                        stay[k] = False
+                        yield int(live[k]), (primal, y, ps[k].copy(), gap, int(age[k]) + 1)
+                overrun = np.flatnonzero(final & stay)
+                if overrun.size:
+                    k = overrun[0]
+                    st = settings[live[k]]
+                    raise _failure(st, *_certify(ms[k], best_p[k]), best_p[k], st.max_iterations)
+                if not stay.all():
+                    live, start, ms, ps, best_gap, best_p = (a[stay] for a in (live, start, ms, ps, best_gap, best_p))
+                    keep, damp = keep_by[live], damp_by[live]
+                    next_final = int((start + last_by[live]).min()) if live.size else math.inf
         step += 1
 
 

@@ -740,15 +740,29 @@ def _boolean(value) -> bool:
     return value
 
 
+def _check_dims(data: dict, ket_dims) -> None:
+    """A ``dims`` field, when present, must be ``ket_dims``, the dimensions the kets have (None: nothing to hold it to)."""
+    if "dims" in data and ket_dims is not None and data["dims"] != list(ket_dims):
+        raise ValueError(
+            f"malformed 'dims' field of a {data['kind']} document: {data['dims']!r}, but the kets have dimensions {list(ket_dims)}"
+        )
+
+
 def from_json_dict(data):
-    """The ensemble of a ``postinfo`` or ``gop`` document, as ``to_json_dict`` writes it."""
+    """The ensemble of a ``postinfo`` or ``gop`` document, as ``to_json_dict`` writes it.
+
+    A missing ``dims`` field is read from the kets; a present one must match them.
+    """
     if not isinstance(data, dict):
         raise ValueError("an ensemble document must be a JSON object")
     kind = data.get("kind")
     if kind == "postinfo":
+        states = _field(data, "states", lambda g: tuple(tuple(_decode_vector(s) for s in row) for row in g))
+        sizes = {s.size for row in states for s in row}
+        _check_dims(data, sizes if len(sizes) == 1 else None)  # kets of several lengths are the constructor's error
         return PostInfoEnsemble(
             settings=_field(data, "settings", tuple),
-            states=_field(data, "states", lambda g: tuple(tuple(_decode_vector(s) for s in row) for row in g)),
+            states=states,
             prior=_field(data, "prior", lambda g: tuple(tuple(float(p) for p in row) for row in g)),
             orthogonal=_field(data, "orthogonal", _boolean) if "orthogonal" in data else False,
         )
@@ -761,5 +775,6 @@ def from_json_dict(data):
             return decoded
 
         a, b = _field(data, "states", factors)
+        _check_dims(data, (a[0].size, b[0].size) if a else None)
         return GopEnsemble(a_states=a, b_states=b, prior=_field(data, "prior", lambda g: tuple(float(p) for p in g)))
     raise ValueError(f"unknown ensemble kind {kind!r}; expected 'postinfo' or 'gop'")

@@ -35,10 +35,10 @@ from .oracles import AssignmentSearch
 from .reporting import BoundReport
 from .sampling import (
     case_rng,
-    random_density,
-    random_ket,
-    random_psd,
-    random_unitary,
+    density_from_normals,
+    ket_from_normals,
+    psd_from_normals,
+    unitary_from_normals,
 )
 from .uncertainty import (
     GeneralURInstance,
@@ -355,38 +355,40 @@ def _suite(case_id: str, paper_ref: str, tolerance: float, trials: int, draw):
     return wrap
 
 
+# Each draw makes one ``rng.normal`` call for all of a trial's Gaussians, in
+# the order one state at a time would draw them, and each evaluate builds
+# the states of its whole group from those normals (``sampling``).
+
+
 def _random_spec(rng) -> SuperpositionSpec:
-    return SuperpositionSpec(
-        theta=float(rng.uniform(0, 2 * math.pi)),
-        phi=float(rng.uniform(0, 2 * math.pi)),
-        omega=float(rng.uniform(0, 2 * math.pi)),
-        phi_prime=float(rng.uniform(0, 2 * math.pi)),
-    )
+    return SuperpositionSpec(*rng.uniform(0, 2 * math.pi, size=4).tolist())
 
 
 def _draw_unitary(rng, k):
-    return (2 + k % 2,), (random_unitary(rng, 2 + k % 2),)
+    d = 2 + k % 2
+    return (d,), (rng.normal(size=(2, d, d)),)
 
 
 @_suite("moe-transpose-marginal", "steering identity on random unitaries", 1e-12, 100, _draw_unitary)
-def _moe_transpose(key, u):
-    return (moe.steering_deviation(u),)
+def _moe_transpose(key, z):
+    return (moe.steering_deviation(unitary_from_normals(z)),)
 
 
 def _draw_ket_pair(rng, k):
     da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    a0, a1 = random_ket(rng, da * db), random_ket(rng, da * db)
-    return (da, db), (a0, a1, _random_spec(rng))
+    return (da, db), (rng.normal(size=(2, 2, da * db)), _random_spec(rng))
 
 
 @_suite("prop-ur-pair-soundness", "pair uncertainty relation on random bipartite vectors", 1e-9, 1000, _draw_ket_pair)
-def _prop_ur_pair(dims, a0, a1, specs):
+def _prop_ur_pair(dims, z, specs):
+    a0, a1 = np.moveaxis(ket_from_normals(z), 1, 0)
     lhs, rhs = ur_pair_bound(a0, a1, specs, dims)
     return (lhs - rhs,)
 
 
 @_suite("prop-ur-guess-soundness", "guessing form of the relation at exact optimal values", 1e-9, 1000, _draw_ket_pair)
-def _prop_ur_guess(dims, a0, a1, specs):
+def _prop_ur_guess(dims, z, specs):
+    a0, a1 = np.moveaxis(ket_from_normals(z), 1, 0)
     marg = lambda v, keep: partial_trace(dyad(v), dims, {keep})
     v_t, v_o = superpose(a0, a1, specs, "theta"), superpose(a0, a1, specs, "omega")
     lhs = 0.5 * (1.0 + trace_distance(marg(v_t, 1), marg(v_o, 1)))
@@ -397,24 +399,30 @@ def _prop_ur_guess(dims, a0, a1, specs):
 
 def _draw_general(rng, k):
     da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    gammas = tuple(random_ket(rng, da * db) for _ in range(3))
-    coeff = lambda: tuple((rng.normal() + 1j * rng.normal()) / 2 for _ in range(3))
-    return (da, db), (GeneralURInstance(gammas=gammas, alphas=coeff(), betas=coeff(), dims=(da, db)),)
+    # three kets, then the three alphas and the three betas, each real part then imaginary part
+    return (da, db), (rng.normal(size=6 * da * db + 12),)
 
 
 @_suite("prop-ur-general-soundness", "multi-vector relation on random three-vector instances", 1e-9, 500, _draw_general)
-def _prop_ur_general(dims, insts):
-    bounds = ur_general(insts)
+def _prop_ur_general(dims, z):
+    n = dims[0] * dims[1]
+    gammas = ket_from_normals(z[:, : 6 * n].reshape(-1, 3, 2, n))
+    c = z[:, 6 * n :].reshape(-1, 2, 3, 2)
+    alphas, betas = np.moveaxis((c[..., 0] + 1j * c[..., 1]) / 2, 1, 0)
+    bounds = ur_general(
+        [GeneralURInstance(gammas=tuple(g), alphas=tuple(a), betas=tuple(b), dims=dims) for g, a, b in zip(gammas, alphas, betas)]
+    )
     return [b.lhs - b.rhs_tight for b in bounds], [b.lhs - b.rhs_relaxed for b in bounds]
 
 
 def _draw_density_pair(rng, k):
     d = int(rng.integers(2, 5))
-    return (d,), (random_density(rng, d), random_density(rng, d))
+    return (d,), (rng.normal(size=(2, 2, d, d)),)
 
 
 @_suite("prop-fuchs-van-de-graaf", "trace distance vs fidelity envelope on random density pairs", 1e-9, 1000, _draw_density_pair)
-def _prop_fvdg(d, rho, sigma):
+def _prop_fvdg(d, z):
+    rho, sigma = np.moveaxis(density_from_normals(z), 1, 0)
     f = fidelity(rho, sigma)
     dist = trace_distance(rho, sigma)
     return (1.0 - f) - dist, dist - np.sqrt(np.maximum(0.0, 1.0 - f * f))
@@ -425,23 +433,26 @@ def _prop_fvdg(d, rho, sigma):
 # General contractions admit counterexamples, e.g. W = Y = I on a qubit.
 def _draw_product_pairs(rng, k):
     d1, d2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-    w, y = random_density(rng, d1), random_density(rng, d1)
-    x, z = random_density(rng, d2), random_density(rng, d2)
-    return (d1, d2), (w, y, x, z)
+    # the normals of W and Y on the first factor, then of X and Z on the second
+    return (d1, d2), (rng.normal(size=4 * (d1 * d1 + d2 * d2)),)
 
 
 @_suite("prop-product-norm", "tensor-splitting of the trace norm on random state pairs", 1e-9, 1000, _draw_product_pairs)
-def _prop_product_norm(dims, w, y, x, z):
-    return (trace_norm(kron(w, x) - kron(y, z)) - (trace_norm(w - y) + trace_norm(x - z)),)
+def _prop_product_norm(dims, z):
+    d1, d2 = dims
+    w, y = np.moveaxis(density_from_normals(z[:, : 4 * d1 * d1].reshape(-1, 2, 2, d1, d1)), 1, 0)
+    x, v = np.moveaxis(density_from_normals(z[:, 4 * d1 * d1 :].reshape(-1, 2, 2, d2, d2)), 1, 0)
+    return (trace_norm(kron(w, x) - kron(y, v)) - (trace_norm(w - y) + trace_norm(x - v)),)
 
 
 def _draw_psd_tuple(rng, k):
     n, d = int(rng.integers(3, 5)), int(rng.integers(2, 7))
-    return (n, d), tuple(random_psd(rng, d) for _ in range(n))
+    return (n, d), (rng.normal(size=(n, 2, d, d)),)
 
 
 @_suite("prop-lemma-a1", "permutation splitting of the operator norm on random PSD tuples", 1e-9, 500, _draw_psd_tuple)
-def _prop_lemma_a1(key, *ops):
+def _prop_lemma_a1(key, z):
+    ops = tuple(np.moveaxis(psd_from_normals(z), 1, 0))
     bound = lemma_a1_bound(ops, PermutationFamily.cyclic(len(ops)))
     return (np.linalg.eigvalsh(sum(ops)).max(axis=-1) - bound,)
 

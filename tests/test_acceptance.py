@@ -361,3 +361,49 @@ def test_suite_trials_at_other_seeds_are_pinned(seed):
         values = np.array(trial_values(draw, evaluate, case_rng(seed, case_id), trials), dtype=float)
         got[case_id] = hashlib.sha256(values.tobytes()).hexdigest()[:16]
     assert got == SUITE_TRIALS_SHA256[seed]
+
+
+# The next ``rng.normal()`` after 100 trials of each suite at seed 1, as the
+# draws one state at a time left the generator: a draw that consumes the
+# stream differently moves it, even where the pinned values survive.
+SUITE_NEXT_NORMAL = {
+    "moe-transpose-marginal": 1.4722647926393209,
+    "prop-fuchs-van-de-graaf": -1.2154928317619518,
+    "prop-lemma-a1": 0.5831102542508914,
+    "prop-product-norm": 0.7897268596583827,
+    "prop-ur-general-soundness": -0.1747304349992719,
+    "prop-ur-guess-soundness": 0.6147082895588029,
+    "prop-ur-pair-soundness": -0.6600352072100384,
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(SUITE_NEXT_NORMAL))
+def test_each_suite_leaves_the_generator_where_one_state_at_a_time_left_it(case_id):
+    _, draw, _ = SUITES[case_id]
+    rng = case_rng(1, case_id)
+    for k in range(100):
+        draw(rng, k)
+    assert rng.normal() == SUITE_NEXT_NORMAL[case_id]
+
+
+class _CountedNormals:
+    """A generator that counts its ``normal`` calls and passes every other attribute through."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("case_id", sorted(SUITES))
+def test_each_suite_trial_draws_its_normals_in_one_generator_call(case_id):
+    _, draw, _ = SUITES[case_id]
+    rng = _CountedNormals(case_rng(1, case_id))
+    for k in range(20):
+        draw(rng, k)
+        assert rng.calls == k + 1

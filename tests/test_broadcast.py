@@ -156,10 +156,13 @@ def test_dimension_mismatch_rejected():
         broadcast_outputs(gallery("thm1-isometry"), gallery("bb84"))
 
 
-def test_a_kill_pattern_proof_against_a_feasible_value_is_inconsistent(monkeypatch):
+def test_a_kill_pattern_proof_wins_over_a_window_that_reaches_one(monkeypatch):
+    feasible = perfect_classical_broadcast_decision(gallery("minimal-qutrit"))
     monkeypatch.setattr(broadcast, "kill_pattern_certificate", lambda ens: KillPatternCertificate(True, {}))
-    with pytest.raises(InternalInconsistency, match="reaches one but the kill-pattern certificate proves infeasibility"):
-        perfect_classical_broadcast_decision(gallery("minimal-qutrit"))
+    decision = perfect_classical_broadcast_decision(gallery("minimal-qutrit"))
+    assert decision.reaches_one and not decision.feasible
+    assert (decision.value, decision.gap) == (feasible.value, feasible.gap)
+    assert decision.witness is None and decision.witness_violation is None
 
 
 def test_a_witness_that_confuses_states_is_inconsistent(monkeypatch):

@@ -814,3 +814,60 @@ def test_feasibility_is_decided_at_the_gap_in_force(tmp_path, capsys):
     assert "PASS minimal-qutrit-feasible" in stdout
     [record] = json.loads(out.read_text())
     assert record["tolerance"] == pytest.approx(1e-5)
+
+
+@pytest.mark.parametrize(
+    "name, dims, kets",
+    [("cq", [7, 1], [3, 3]), ("bb84", [5], [2]), ("cq", [3], [3, 3]), ("bb84", 2, [2])],
+)
+def test_a_dims_field_that_disagrees_with_the_kets_is_an_input_error(tmp_path, capsys, name, dims, kets):
+    payload = {**to_json_dict(gallery(name)), "dims": dims}
+    path = _write(tmp_path, payload)
+    message = f"error: malformed 'dims' field of a {payload['kind']} document: {dims!r}, but the kets have dimensions {kets}\n"
+    for argv in (("check", "--file", path), ("bound", "--file", path, "--method", "postinfo")):
+        assert run(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("name", ["cq", "bb84"])
+def test_a_missing_dims_field_is_read_from_the_kets(tmp_path, capsys, name):
+    payload = to_json_dict(gallery(name))
+    del payload["dims"]
+    path = _write(tmp_path, payload)
+    assert run(capsys, "check", "--file", path) == (0, CHECK_OUTPUT[name], "")
+    code, out, err = run(capsys, "bound", "--file", path, "--method", "postinfo")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(BOUND_RECORDS["postinfo", name]), "id": f"postinfo:{path}"}
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.json")), ids=lambda p: p.name)
+def test_every_data_file_carries_the_dims_of_its_kets(path):
+    document = json.loads(path.read_text())
+    assert to_json_dict(from_json_dict(document))["dims"] == document["dims"]
+
+
+# gen-bb84 angles from nearly parallel states to clearly distinct ones: the kill-pattern certificate is
+# inconclusive at the first two, and proves infeasibility at the rest, where at 1e-9 to 1e-6 the
+# certified window of the value still reaches one
+NEAR_FEASIBLE_VERDICTS = {
+    "1e-11": "classical broadcast: feasible (value 0.999999999, witness violation 1.43e-09)",
+    "1e-10": "classical broadcast: feasible (value 0.999999999, witness violation 1.43e-09)",
+    "1e-9": "classical broadcast: infeasible by the kill-pattern certificate (certified window [0.999999998570, 1.000000000000] reaches 1)",
+    "1e-8": "classical broadcast: infeasible by the kill-pattern certificate (certified window [0.999999998570, 1.000000000000] reaches 1)",
+    "1e-6": "classical broadcast: infeasible by the kill-pattern certificate (certified window [0.999999998570, 1.000000000000] reaches 1)",
+    "1e-4": "classical broadcast: infeasible (optimal value 0.999999998 < 1)",
+    "5e-4": "classical broadcast: infeasible (optimal value 0.999999983 < 1)",
+    "1e-3": "classical broadcast: infeasible (optimal value 0.999999936 < 1)",
+    "2e-3": "classical broadcast: infeasible (optimal value 0.999999749 < 1)",
+    "1e-2": "classical broadcast: infeasible (optimal value 0.999993749 < 1)",
+}
+
+
+@pytest.mark.parametrize("theta", list(NEAR_FEASIBLE_VERDICTS))
+def test_a_near_feasible_set_gets_the_verdict_of_its_certificate_and_no_internal_error(capsys, theta):
+    code, out, err = run(capsys, "check", "--gallery", f"gen-bb84({theta})")
+    assert (code, err) == (0, "")
+    *_, certificate, verdict = out.splitlines()
+    assert verdict == NEAR_FEASIBLE_VERDICTS[theta]
+    proved = certificate.startswith("kill-pattern certificate: infeasible")
+    assert proved == (float(theta) >= 1e-9)
+    assert proved == verdict.startswith("classical broadcast: infeasible")

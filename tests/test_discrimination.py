@@ -39,7 +39,7 @@ from obcast.linalg import dagger, dyad, ket, rounding_floor
 from obcast.oracles import _ORACLE_SETTINGS, AssignmentSearch
 from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
-from obcast.sampling import random_density, random_orthonormal_pair, random_unitary
+from obcast.sampling import density_from_normals, random_orthonormal_pair, unitary_from_normals
 
 SQ2 = math.sqrt(2)
 BB84_VALUE = (2 + SQ2) / 4
@@ -93,7 +93,7 @@ def test_helstrom_examples():
     kp = (k0 + k1) / SQ2
     assert helstrom_binary(dyad(k0), dyad(k1)) == pytest.approx(1.0)
     assert helstrom_binary(dyad(k0), dyad(kp)) == pytest.approx(0.5 * (1 + 1 / SQ2), abs=1e-12)
-    rho = random_density(np.random.default_rng(0), 3)
+    rho = density_from_normals(np.random.default_rng(0).normal(size=(2, 3, 3)))
     assert helstrom_binary(rho, rho) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         helstrom_binary(rho, rho, p=1.5)
@@ -117,7 +117,7 @@ def test_binary_case_matches_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(40):
         d = int(rng.integers(2, 5))
-        rho, sigma = random_density(rng, d), random_density(rng, d)
+        rho, sigma = density_from_normals(rng.normal(size=(2, 2, d, d)))
         p = float(rng.uniform(0.1, 0.9))
         target = EffectTarget(operators=(p * rho, (1 - p) * sigma))
         result = min_error_discrimination(target, TIGHT)
@@ -151,7 +151,7 @@ def test_solver_matches_cvxpy():
         d = int(rng.integers(2, 4))
         n = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(n))
-        ops = tuple(w * random_density(rng, d) for w in weights)
+        ops = tuple(w * density_from_normals(rng.normal(size=(2, d, d))) for w in weights)
         target = EffectTarget(operators=ops)
         mine = min_error_discrimination(target, TIGHT).value
         povm = [cp.Variable((d, d), hermitian=True) for _ in range(n)]
@@ -406,7 +406,7 @@ def mixed_stack():
     targets = [EffectTarget(operators=tuple(rows[list(k)])) for k in ((0, 1, 2, 3), (0, 0, 1, 3), (2, 2, 2, 2), (1, 1, 3, 3))]
     for _ in range(4):
         w = rng.dirichlet(np.ones(4))
-        targets.append(EffectTarget(operators=tuple(x * random_density(rng, 2) for x in w)))
+        targets.append(EffectTarget(operators=tuple(x * density_from_normals(rng.normal(size=(2, 2, 2))) for x in w)))
     return targets
 
 
@@ -503,6 +503,31 @@ def test_members_at_mixed_settings_match_their_lone_solves_bit_for_bit(monkeypat
     assert all(k % 10 == 1 for k, st in zip(iterations, settings) if st is not _ORACLE_SETTINGS)
     if narrow:
         assert widest[0] == 2
+
+
+def test_the_stream_screens_only_at_steps_where_some_member_is_due(monkeypatch):
+    # check intervals 10 and 5: the stream stops every 5 steps, and once the last interval-5
+    # member has left, the odd multiples of 5 find no member due
+    targets = mixed_stack()
+    settings = [(DEFAULT_SETTINGS, _ORACLE_SETTINGS)[i % 2] for i in range(len(targets))]
+    lone = [member(min_error_discrimination(t, st)) for t, st in zip(targets, settings)]
+    sizes = []
+    screened = discrimination._screened_gaps
+
+    def counted(m, p):
+        sizes.append(len(m))
+        return screened(m, p)
+
+    monkeypatch.setattr(discrimination, "_screened_gaps", counted)
+    results = dict(solve_stream(stacked(targets), settings))
+    for i, alone in enumerate(lone):
+        assert_same_member(results[i], alone)
+    # every member enters at step 0 and is due at each multiple of its interval until it leaves
+    last = [alone[4] - 1 for alone in lone]
+    due = [sum(s % st.check_interval == 0 and s <= k for st, k in zip(settings, last)) for s in range(0, max(last) + 1, 5)]
+    assert due.count(0) == 2
+    assert sizes == [n for n in due if n]
+    assert len(sizes) == 13
 
 
 def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
@@ -686,7 +711,7 @@ def test_the_keep_rules_gap_tol_term_keeps_what_a_loose_gap_may_certify(monkeypa
 
 
 def test_assignment_search_keeps_every_tied_problem_and_every_full_set(monkeypatch):
-    rho = random_density(np.random.default_rng(4), 2) / 4
+    rho = density_from_normals(np.random.default_rng(4).normal(size=(2, 2, 2))) / 4
     search = AssignmentSearch([EffectTarget(operators=(rho,) * 4)])
     assert search.kept.all() and search.kept.size == 35
     # the multiset of every row once is the row-merged problem, whose optimum no other multiset beats
@@ -884,7 +909,7 @@ def random_postinfo(seed, dim, n_settings):
     """Orthonormal bases from Haar-random unitaries, with a random prior."""
     rng = np.random.default_rng(seed)
     states = tuple(
-        tuple(np.ascontiguousarray(c) for c in random_unitary(rng, dim).T) for _ in range(n_settings)
+        tuple(np.ascontiguousarray(c) for c in unitary_from_normals(rng.normal(size=(2, dim, dim))).T) for _ in range(n_settings)
     )
     w = rng.dirichlet(np.ones(dim * n_settings)).reshape(n_settings, dim)
     return PostInfoEnsemble(

@@ -24,7 +24,7 @@ from obcast.ensembles import (
 from obcast.ensembles import _gram, _largest_in_setting_overlap, _modulus, _ray_classes
 from obcast.discrimination import merged_row_targets
 from obcast.linalg import ket, pure_state_overlap
-from obcast.sampling import random_unitary
+from obcast.sampling import unitary_from_normals
 
 SQ2 = math.sqrt(2)
 
@@ -352,7 +352,7 @@ def povm_inputs():
     """The gallery POVMs and a pretty-good POVM on 256 answer rows (d = 4, four settings),
     each effect nudged off Hermitian below the tolerance so that symmetrizing changes its bytes."""
     rng = np.random.default_rng(11)
-    states = tuple(tuple(np.ascontiguousarray(c) for c in random_unitary(rng, 4).T) for _ in range(4))
+    states = tuple(tuple(np.ascontiguousarray(c) for c in unitary_from_normals(rng.normal(size=(2, 4, 4))).T) for _ in range(4))
     w = rng.dirichlet(np.ones(16)).reshape(4, 4)
     ens = PostInfoEnsemble(
         settings=("0", "1", "2", "3"),

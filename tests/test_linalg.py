@@ -16,7 +16,7 @@ from obcast.linalg import (
     trace_distance,
     trace_norm,
 )
-from obcast.sampling import random_density, random_ket
+from obcast.sampling import density_from_normals, random_ket
 
 K0 = np.array([1, 0], dtype=complex)
 K1 = np.array([0, 1], dtype=complex)
@@ -82,7 +82,7 @@ def test_non_contiguous_inputs_are_accepted():
 
 def test_trace_distance_examples():
     assert trace_distance(dyad(K0), dyad(K1)) == pytest.approx(1.0)
-    rho = random_density(np.random.default_rng(0), 3)
+    rho = density_from_normals(np.random.default_rng(0).normal(size=(2, 3, 3)))
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-14)
     assert trace_distance(dyad(K0), dyad(KPLUS)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
@@ -93,7 +93,7 @@ def test_trace_distance_dimension_mismatch():
 
 
 def test_fidelity_examples():
-    rho = random_density(np.random.default_rng(1), 3)
+    rho = density_from_normals(np.random.default_rng(1).normal(size=(2, 3, 3)))
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
     assert fidelity(dyad(K0), dyad(KPLUS)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert fidelity(np.eye(2) / 2, dyad(K0)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -103,7 +103,7 @@ def test_fidelity_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(50):
         d = int(rng.integers(2, 5))
-        a, b = random_density(rng, d), random_density(rng, d)
+        a, b = density_from_normals(rng.normal(size=(2, 2, d, d)))
         assert abs(fidelity(a, b) - fidelity(b, a)) <= 1e-9
 
 
@@ -132,7 +132,7 @@ def test_partial_trace_entangling_isometry_output():
 
 def test_partial_trace_preserves_trace_and_psd():
     rng = np.random.default_rng(3)
-    rho = random_density(rng, 12)
+    rho = density_from_normals(rng.normal(size=(2, 12, 12)))
     red = partial_trace(rho, (3, 4), {0})
     assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(red).min() >= -1e-12
@@ -153,7 +153,7 @@ def test_operator_norm_examples():
 def test_psd_sqrt():
     assert np.abs(psd_sqrt(4 * np.eye(2)) - 2 * np.eye(2)).max() <= 1e-12
     rng = np.random.default_rng(4)
-    rho = random_density(rng, 4)
+    rho = density_from_normals(rng.normal(size=(2, 4, 4)))
     root = psd_sqrt(rho)
     assert np.abs(root @ root - rho).max() <= 1e-9
     with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ def test_fuchs_van_de_graaf_envelope():
     rng = np.random.default_rng(5)
     for _ in range(200):
         d = int(rng.integers(2, 5))
-        rho, sigma = random_density(rng, d), random_density(rng, d)
+        rho, sigma = density_from_normals(rng.normal(size=(2, 2, d, d)))
         f, dist = fidelity(rho, sigma), trace_distance(rho, sigma)
         assert 1 - f <= dist + 1e-9
         assert dist <= np.sqrt(max(0.0, 1 - f * f)) + 1e-9
@@ -180,7 +180,7 @@ def test_holevo_helstrom_identity():
     rng = np.random.default_rng(6)
     for _ in range(100):
         d = int(rng.integers(2, 5))
-        rho, sigma = random_density(rng, d), random_density(rng, d)
+        rho, sigma = density_from_normals(rng.normal(size=(2, 2, d, d)))
         assert trace_distance(rho, sigma) == pytest.approx(
             2 * helstrom_binary(rho, sigma, 0.5) - 1, abs=1e-10
         )
@@ -190,8 +190,8 @@ def test_product_norm_splitting_on_states():
     rng = np.random.default_rng(7)
     for _ in range(200):
         d1, d2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        w, y = random_density(rng, d1), random_density(rng, d1)
-        x, z = random_density(rng, d2), random_density(rng, d2)
+        w, y = density_from_normals(rng.normal(size=(2, 2, d1, d1)))
+        x, z = density_from_normals(rng.normal(size=(2, 2, d2, d2)))
         lhs = trace_norm(kron(w, x) - kron(y, z))
         assert lhs <= trace_norm(w - y) + trace_norm(x - z) + 1e-9
 
@@ -200,7 +200,7 @@ def test_product_norm_splitting_fails_for_general_contractions():
     # W = Y = I doubles the left side, so the splitting needs trace-norm-one
     # factors; this pins why the property suite samples states.
     rng = np.random.default_rng(8)
-    x, z = random_density(rng, 2), random_density(rng, 2)
+    x, z = density_from_normals(rng.normal(size=(2, 2, 2, 2)))
     lhs = trace_norm(kron(np.eye(2), x) - kron(np.eye(2), z))
     rhs = trace_norm(x - z)
     assert lhs == pytest.approx(2 * rhs, abs=1e-12)
@@ -226,7 +226,7 @@ def _bits(x) -> bytes:
 def _mixed_operators(rng, d, count=8):
     """Densities of full and low rank, a projector, zero, a multiple of I and a non-PSD Hermitian."""
     g = rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1))
-    members = [random_density(rng, d) for _ in range(count - 5)]
+    members = list(density_from_normals(rng.normal(size=(count - 5, 2, d, d))))
     members += [g @ g.conj().T / np.vdot(g, g).real, np.zeros((d, d)), 0.5 * np.eye(d)]
     members += [np.diag(np.linspace(0.0, 1.0, d)), random_hermitian(rng, d)]
     return np.array(members, dtype=complex)
@@ -299,7 +299,7 @@ def test_kron_broadcasts_one_operator_against_a_stack_and_matches_numpy():
 
 
 def test_a_single_operator_gives_a_float_and_a_stack_an_array():
-    rho = random_density(np.random.default_rng(24), 3)
+    rho = density_from_normals(np.random.default_rng(24).normal(size=(2, 3, 3)))
     assert type(trace_distance(rho, rho)) is float and type(fidelity(rho, rho)) is float
     assert type(trace_norm(rho)) is float and type(operator_norm(rho)) is float
     assert trace_distance(rho[None], rho[None]).shape == (1,)

@@ -21,7 +21,7 @@ from obcast.moe import (
     steering_deviation,
     transpose_trick_game,
 )
-from obcast.sampling import random_psd, random_unitary
+from obcast.sampling import psd_from_normals, unitary_from_normals
 
 SQ2 = math.sqrt(2)
 
@@ -103,7 +103,7 @@ def test_overlap_constants():
 
 def test_lemma_bound_single_operator():
     rng = np.random.default_rng(0)
-    r = random_psd(rng, 4)
+    r = psd_from_normals(rng.normal(size=(2, 4, 4)))
     family = PermutationFamily(((0,),))
     assert lemma_a1_bound([r], family) == pytest.approx(
         float(np.linalg.eigvalsh(r).max()), abs=1e-12
@@ -130,7 +130,7 @@ def test_lemma_bound_randomized_soundness():
     for _ in range(100):
         n = int(rng.integers(3, 5))
         d = int(rng.integers(2, 7))
-        ops = [random_psd(rng, d) for _ in range(n)]
+        ops = list(psd_from_normals(rng.normal(size=(n, 2, d, d))))
         bound = lemma_a1_bound(ops, PermutationFamily.cyclic(n))
         assert float(np.linalg.eigvalsh(sum(ops)).max()) <= bound + 1e-9
 
@@ -172,7 +172,7 @@ def test_transpose_trick_identity_gives_computational_game():
 def test_transpose_trick_random_qutrit_pairs():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        u, v = random_unitary(rng, 3), random_unitary(rng, 3)
+        u, v = unitary_from_normals(rng.normal(size=(2, 2, 3, 3)))
         game = transpose_trick_game([u, v])
         assert len(game.measurements) == 2
         assert steering_deviation(u) <= 1e-12
