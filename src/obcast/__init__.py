@@ -32,8 +32,6 @@ from .ensembles import (
 from .errors import InternalInconsistency, SolverFailure
 from .moe import (
     MoeGame,
-    MoeStrategy,
-    PermutationFamily,
     lemma_a1_bound,
     overlap_constant,
     transpose_trick_game,
@@ -54,7 +52,6 @@ from .qpv import (
 from .reporting import BoundReport, reports_to_csv, reports_to_json
 from .reproduce import run_reproduce
 from .uncertainty import (
-    GeneralURInstance,
     SuperpositionSpec,
     no_go_bound,
     ur_general,

@@ -687,8 +687,21 @@ def _encode_matrix(m: np.ndarray) -> list:
     return [_encode_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
+def _number(value) -> float:
+    """A JSON number (int or float; not a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _decode_vector(rows) -> np.ndarray:
-    return np.array([complex(re_, im) for re_, im in rows], dtype=complex)
+    return np.array([complex(_number(re_), _number(im)) for re_, im in rows], dtype=complex)
+
+
+def _strings(values) -> tuple[str, ...]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
 
 
 def to_json_dict(obj) -> dict:
@@ -730,7 +743,7 @@ def _field(data: dict, key: str, decode):
         raise ValueError(f"{data.get('kind')} document has no {key!r} field")
     try:
         return decode(data[key])
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed {key!r} field of a {data.get('kind')} document: {exc}") from None
 
 
@@ -761,9 +774,9 @@ def from_json_dict(data):
         sizes = {s.size for row in states for s in row}
         _check_dims(data, sizes if len(sizes) == 1 else None)  # kets of several lengths are the constructor's error
         return PostInfoEnsemble(
-            settings=_field(data, "settings", tuple),
+            settings=_field(data, "settings", _strings),
             states=states,
-            prior=_field(data, "prior", lambda g: tuple(tuple(float(p) for p in row) for row in g)),
+            prior=_field(data, "prior", lambda g: tuple(tuple(_number(p) for p in row) for row in g)),
             orthogonal=_field(data, "orthogonal", _boolean) if "orthogonal" in data else False,
         )
     if kind == "gop":
@@ -776,5 +789,5 @@ def from_json_dict(data):
 
         a, b = _field(data, "states", factors)
         _check_dims(data, (a[0].size, b[0].size) if a else None)
-        return GopEnsemble(a_states=a, b_states=b, prior=_field(data, "prior", lambda g: tuple(float(p) for p in g)))
+        return GopEnsemble(a_states=a, b_states=b, prior=_field(data, "prior", lambda g: tuple(_number(p) for p in g)))
     raise ValueError(f"unknown ensemble kind {kind!r}; expected 'postinfo' or 'gop'")

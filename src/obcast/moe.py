@@ -4,7 +4,8 @@ One referee measurement per setting is applied to the first share of a
 three-party state; the other two parties must both reproduce the outcome
 after learning the setting.  The standard upper-bound tool replaces the
 optimization over states by the operator norm of the summed game operators
-and splits that norm along a clash-free permutation family.
+and splits that norm along the cyclic shifts of the settings.  The only
+strategy evaluated is copying: both responders reuse the referee's effects.
 """
 
 from __future__ import annotations
@@ -44,47 +45,13 @@ class MoeGame:
         return len(self.measurements[0])
 
 
-@dataclass(frozen=True)
-class MoeStrategy:
-    """Per-setting response POVMs for the two guessing parties."""
-
-    bob: tuple[Povm, ...]
-    charlie: tuple[Povm, ...]
-
-
-@dataclass(frozen=True)
-class PermutationFamily:
-    """Permutations that never agree pointwise (clash-free)."""
-
-    permutations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.permutations:
-            raise ValueError("need at least one permutation")
-        n = len(self.permutations[0])
-        for p in self.permutations:
-            if sorted(p) != list(range(n)):
-                raise ValueError(f"{p} is not a permutation of range({n})")
-        for p, q in itertools.combinations(self.permutations, 2):
-            if any(p[i] == q[i] for i in range(n)):
-                raise ValueError(f"permutations {p} and {q} clash")
-
-    @classmethod
-    def cyclic(cls, n: int) -> "PermutationFamily":
-        return cls(tuple(tuple((i + shift) % n for i in range(n)) for shift in range(n)))
-
-
-def game_operators(game: MoeGame, strategy: MoeStrategy) -> list[np.ndarray]:
-    """Per-setting operators sum_x F_x (x) P_x (x) Q_x."""
-    if len(strategy.bob) != len(game.measurements) or len(strategy.charlie) != len(game.measurements):
-        raise ValueError("strategy must respond to every setting")
+def game_operators(game: MoeGame) -> list[np.ndarray]:
+    """The copying strategy's per-setting operators sum_x F_x (x) F_x (x) F_x."""
     ops = []
-    for meas, p_povm, q_povm in zip(game.measurements, strategy.bob, strategy.charlie):
-        if len(p_povm) != len(meas) or len(q_povm) != len(meas):
-            raise ValueError("responses must share the referee outcome alphabet")
+    for meas in game.measurements:
         acc = None
-        for f, p, q in zip(meas.effects, p_povm.effects, q_povm.effects):
-            term = kron(kron(f, p), q)
+        for f in meas.effects:
+            term = kron(kron(f, f), f)
             acc = term if acc is None else acc + term
         ops.append(acc)
     return ops
@@ -103,16 +70,19 @@ def overlap_constant(game: MoeGame) -> float:
     )
 
 
-def lemma_a1_bound(operators, family: PermutationFamily):
-    """Permutation splitting of ||sum R_i||: sum_k max_i ||sqrt(R_i) sqrt(R_pi^k(i))||, per member of stacks."""
+def lemma_a1_bound(operators):
+    """Permutation splitting of ||sum R_i|| along the n cyclic shifts i -> (i + k) mod n.
+
+    The bound is sum_k max_i ||sqrt(R_i) sqrt(R_{(i+k) mod n})||, per member of stacks.
+    """
     ops = [hermitian(r, tol=PSD_TOL) for r in operators]
+    if not ops:
+        raise ValueError("need at least one operator")
     n = len(ops)
-    if any(len(p) != n for p in family.permutations):
-        raise ValueError("family size does not match the operator count")
     roots = [psd_sqrt(r) for r in ops]
     total = 0.0
-    for perm in family.permutations:
-        total += np.max([operator_norm(roots[i] @ roots[perm[i]]) for i in range(n)], axis=0)
+    for k in range(n):
+        total += np.max([operator_norm(roots[i] @ roots[(i + k) % n]) for i in range(n)], axis=0)
     return per_member(total)
 
 
@@ -175,11 +145,6 @@ def game_obb() -> MoeGame:
     return MoeGame(measurements=(m0, m1, m2))
 
 
-def copying_strategy(game: MoeGame) -> MoeStrategy:
-    """Both responders reuse the referee's effects on their own copies."""
-    return MoeStrategy(bob=game.measurements, charlie=game.measurements)
-
-
 def classical_copy_registers(game: MoeGame) -> list[np.ndarray]:
     """Game operators when both responders hold classical copies of the outcome.
 
@@ -197,7 +162,7 @@ def classical_copy_registers(game: MoeGame) -> list[np.ndarray]:
 def classical_copy_permutation_bound(game: MoeGame) -> float:
     """Permutation bound on the classical-copy registers, scaled by the uniform prior."""
     n = len(game.measurements)
-    return lemma_a1_bound(classical_copy_registers(game), PermutationFamily.cyclic(n)) / n
+    return lemma_a1_bound(classical_copy_registers(game)) / n
 
 
 @dataclass(frozen=True)
@@ -220,8 +185,6 @@ def example_go_trivial() -> GoTrivialityReport:
 
     game = game_obb()
     c = overlap_constant(game)
-    strategy = copying_strategy(game)
-    ops = game_operators(game, strategy)
-    bound = lemma_a1_bound(ops, PermutationFamily.cyclic(3)) / 3.0
+    bound = lemma_a1_bound(game_operators(game)) / 3.0
     contrast = disk_program_solve(obb_disk_program()).bound
     return GoTrivialityReport(overlap_constant=c, copy_strategy_bound=bound, contrast_bound=contrast)

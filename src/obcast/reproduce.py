@@ -30,7 +30,7 @@ from .discrimination import (
 from .ensembles import Povm, gallery, gen_bb84, induced_postinfo
 from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
-from .moe import PermutationFamily, lemma_a1_bound
+from .moe import lemma_a1_bound
 from .oracles import AssignmentSearch
 from .reporting import BoundReport
 from .sampling import (
@@ -41,7 +41,6 @@ from .sampling import (
     unitary_from_normals,
 )
 from .uncertainty import (
-    GeneralURInstance,
     SuperpositionSpec,
     superpose,
     ur_general,
@@ -409,10 +408,8 @@ def _prop_ur_general(dims, z):
     gammas = ket_from_normals(z[:, : 6 * n].reshape(-1, 3, 2, n))
     c = z[:, 6 * n :].reshape(-1, 2, 3, 2)
     alphas, betas = np.moveaxis((c[..., 0] + 1j * c[..., 1]) / 2, 1, 0)
-    bounds = ur_general(
-        [GeneralURInstance(gammas=tuple(g), alphas=tuple(a), betas=tuple(b), dims=dims) for g, a, b in zip(gammas, alphas, betas)]
-    )
-    return [b.lhs - b.rhs_tight for b in bounds], [b.lhs - b.rhs_relaxed for b in bounds]
+    lhs, tight, relaxed = ur_general(gammas, alphas, betas, dims)
+    return lhs - tight, lhs - relaxed
 
 
 def _draw_density_pair(rng, k):
@@ -453,7 +450,7 @@ def _draw_psd_tuple(rng, k):
 @_suite("prop-lemma-a1", "permutation splitting of the operator norm on random PSD tuples", 1e-9, 500, _draw_psd_tuple)
 def _prop_lemma_a1(key, z):
     ops = tuple(np.moveaxis(psd_from_normals(z), 1, 0))
-    bound = lemma_a1_bound(ops, PermutationFamily.cyclic(len(ops)))
+    bound = lemma_a1_bound(ops)
     return (np.linalg.eigvalsh(sum(ops)).max(axis=-1) - bound,)
 
 

@@ -4,7 +4,9 @@ The central trade-off: if two vectors are nearly distinguishable on one
 subsystem, superpositions of them lose their relative phase on the other
 subsystem.  Three forms are provided: trace-distance/fidelity for one pair
 of superpositions, the guessing-probability relaxation, and the general
-multi-vector form with a permutation-minimized classical term.
+multi-vector form with a permutation-minimized classical term.  Each takes
+stacks, one value per member: the pair forms one spec per member, the
+general form (members, vectors, length) kets and their coefficient arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dyad, fidelity, ket, partial_trace, per_member, trace_distance
+from .linalg import dyad, fidelity, partial_trace, per_member, trace_distance
 
 MAX_GENERAL_VECTORS = 8
 
@@ -110,75 +112,50 @@ def ur_guess_bound(pg_cross_a, pg_pair_b, spec):
     return per_member(0.5 * (z1 * np.sqrt(np.maximum(0.0, 1.0 - squares)) + z2 * (2 * pb - 1) + 1.0))
 
 
-@dataclass(frozen=True)
-class GeneralURInstance:
-    """Two linear combinations of shared (possibly unnormalized) vectors."""
+def ur_general(gammas, alphas, betas, dims: tuple[int, int]):
+    """Multi-vector uncertainty relation for each member of a stack.
 
-    gammas: tuple[np.ndarray, ...]
-    alphas: tuple[complex, ...]
-    betas: tuple[complex, ...]
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        gammas = tuple(ket(g) for g in self.gammas)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
-        object.__setattr__(self, "betas", tuple(complex(b) for b in self.betas))
-        if len({g.shape[0] for g in gammas}) != 1:
-            raise ValueError("vectors must share a dimension")
-        if not (len(self.alphas) == len(self.betas) == len(gammas)):
-            raise ValueError("coefficient lists must match the vector count")
-        if int(np.prod(self.dims)) != gammas[0].shape[0]:
-            raise ValueError(f"dims {self.dims} do not match vector length")
-
-
-@dataclass(frozen=True)
-class URGeneralBounds:
-    lhs: float
-    rhs_tight: float
-    rhs_relaxed: float
-    best_permutation: tuple[int, ...]
-
-
-def ur_general(inst):
-    """Multi-vector uncertainty relation.
-
-    The tight right-hand side minimizes the classical term over index
-    permutations (exhaustive; at most eight vectors).  The relaxed form
+    Member b combines its n shared (possibly unnormalized) vectors
+    ``gammas[b]``, of shape (n, N), with the coefficients ``alphas[b]`` and
+    ``betas[b]``.  The tight right-hand side minimizes the classical term over
+    index permutations (exhaustive; at most eight vectors).  The relaxed form
     replaces that term with the total-variation distance of the coefficient
     weight vectors.  The fidelity term runs over unordered vector pairs with
     z_ij = alpha_i alpha_j^* - beta_i beta_j^*, matching the pair form when
-    only two vectors are present.  A sequence of instances of one shape is
-    evaluated as one stack and gives a list of bounds, one per instance.
+    only two vectors are present.  Returns (lhs, tight, relaxed), each an
+    array of one value per member.
     """
-    insts = [inst] if isinstance(inst, GeneralURInstance) else list(inst)
-    n, dims = len(insts[0].gammas), insts[0].dims
-    if n > MAX_GENERAL_VECTORS:
-        raise ValueError(f"{n} vectors exceed the supported {MAX_GENERAL_VECTORS}")
-    if any(len(x.gammas) != n or x.dims != dims for x in insts):
-        raise ValueError("stacked instances must share the vector count and dims")
-    gammas = np.array([x.gammas for x in insts])
-    alphas, betas = np.array([x.alphas for x in insts]), np.array([x.betas for x in insts])
+    gammas = np.asarray(gammas, dtype=complex)
+    alphas, betas = np.asarray(alphas, dtype=complex), np.asarray(betas, dtype=complex)
+    if gammas.ndim != 3 or not gammas.shape[0]:
+        raise ValueError(f"expected kets of shape (members, vectors, length) with at least one member, got {gammas.shape}")
+    members, n, length = gammas.shape
+    if not 0 < n <= MAX_GENERAL_VECTORS:
+        raise ValueError(f"{n} vectors; supported are 1 to {MAX_GENERAL_VECTORS}")
+    if alphas.shape != (members, n) or betas.shape != (members, n):
+        raise ValueError(f"coefficients of shapes {alphas.shape} and {betas.shape} do not match kets of shape {gammas.shape}")
+    if int(np.prod(dims)) != length:
+        raise ValueError(f"dims {dims} do not match vector length {length}")
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError("state vector has non-finite amplitudes")
     v_alpha = sum(alphas[:, k, None] * gammas[:, k] for k in range(n))
     v_beta = sum(betas[:, k, None] * gammas[:, k] for k in range(n))
     marg_b = [_marginal(gammas[:, k], dims, 1) for k in range(n)]
     marg_a = [_marginal(gammas[:, k], dims, 0) for k in range(n)]
     lhs = trace_distance(_marginal(v_alpha, dims, 1), _marginal(v_beta, dims, 1))
-    # per-instance scalars by Python's abs and pow, as for one instance alone
-    p = np.array([[abs(a) ** 2 for a in x.alphas] for x in insts])
-    q = np.array([[abs(b) ** 2 for b in x.betas] for x in insts])
+    # per-member scalars by Python's abs, pow and complex product, as for one member alone
+    al, be = alphas.tolist(), betas.tolist()
+    p = np.array([[abs(a) ** 2 for a in row] for row in al])
+    q = np.array([[abs(b) ** 2 for b in row] for row in be])
     fid_term = 0.0
     for i, j in itertools.combinations(range(n), 2):
-        z_ij = [abs(x.alphas[i] * np.conj(x.alphas[j]) - x.betas[i] * np.conj(x.betas[j])) for x in insts]
+        z_ij = [abs(a[i] * np.conj(a[j]) - b[i] * np.conj(b[j])) for a, b in zip(al, be)]
         fid_term += np.array(z_ij) * fidelity(marg_a[i], marg_a[j])
     cost = [[trace_distance(p[:, i, None, None] * marg_b[i], q[:, j, None, None] * marg_b[j]) for j in range(n)] for i in range(n)]
-    perms = list(itertools.permutations(range(n)))
-    classical = np.array([sum(cost[i][perm[i]] for i in range(n)) for perm in perms])
-    best = np.argmin(classical, axis=0)  # the first of equal minima, as a scan with < keeps
-    tight = classical[best, np.arange(len(insts))] + fid_term
+    classical = np.array([sum(cost[i][perm[i]] for i in range(n)) for perm in itertools.permutations(range(n))])
+    tight = classical.min(axis=0) + fid_term
     relaxed = 0.5 * sum(np.abs(p[:, i] - q[:, i]) for i in range(n)) + fid_term
-    bounds = [URGeneralBounds(float(a), float(b), float(c), perms[k]) for a, b, c, k in zip(lhs, tight, relaxed, best)]
-    return bounds[0] if isinstance(inst, GeneralURInstance) else bounds
+    return lhs, tight, relaxed
 
 
 def no_go_bound(theta: float) -> float:

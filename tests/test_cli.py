@@ -562,6 +562,41 @@ def test_documents_with_a_malformed_field_are_input_errors(tmp_path, capsys):
     assert code == 1 and "malformed 'states' field" in err
 
 
+def _set(path, value):
+    """An edit of a gallery document that puts ``value`` at the key or index ``path``."""
+    def edit(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+# values that Python's float() and complex() would take, but that are not JSON numbers or a list of strings
+@pytest.mark.parametrize(
+    "name, field, edit, message",
+    [
+        ("bb84", "settings", _set(("settings",), "01"), "expected a list of strings, got '01'"),
+        ("bb84", "settings", _set(("settings", 1), 1), "expected a list of strings, got ['0', 1]"),
+        ("bb84", "prior", _set(("prior", 0, 0), "0.25"), "expected a number, got '0.25'"),
+        ("bb84", "prior", _set(("prior", 1, 1), True), "expected a number, got True"),
+        ("bb84", "prior", _set(("prior", 0, 1), 10**400), "int too large to convert to float"),
+        ("obb", "prior", _set(("prior", 2), "0.1"), "expected a number, got '0.1'"),
+        ("bb84", "states", _set(("states", 0, 0, 0, 0), True), "expected a number, got True"),
+        ("bb84", "states", _set(("states", 1, 0, 1, 1), "0"), "expected a number, got '0'"),
+        ("obb", "states", _set(("states", 0, 1, 0, 0), False), "expected a number, got False"),
+    ],
+    ids=["settings-string", "settings-number", "prior-string", "prior-bool", "prior-huge", "gop-prior-string", "ket-bool", "ket-string", "gop-ket-bool"],
+)
+def test_a_field_that_is_not_of_its_json_type_is_an_input_error(tmp_path, capsys, name, field, edit, message):
+    payload = to_json_dict(gallery(name))
+    edit(payload)
+    path = _write(tmp_path, payload)
+    for argv in (("check", "--file", path), ("bound", "--file", path, "--method", "postinfo")):
+        assert run(capsys, *argv) == (1, "", f"error: malformed {field!r} field of a {payload['kind']} document: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 1, 0, None])
 def test_an_orthogonal_flag_that_is_not_a_json_boolean_is_an_input_error(tmp_path, capsys, flag):
     payload = to_json_dict(gallery("bb84"))

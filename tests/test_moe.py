@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from obcast.ensembles import Povm
-from obcast.linalg import PSD_TOL, dyad, hermitian, kron
+from obcast.linalg import PSD_TOL, dyad, hermitian, operator_norm, psd_sqrt
 from obcast.moe import (
     MoeGame,
-    MoeStrategy,
-    PermutationFamily,
     classical_copy_permutation_bound,
     classical_copy_registers,
-    copying_strategy,
     example_go_trivial,
     game_bb84,
     game_obb,
@@ -37,8 +34,8 @@ def correlated_state(d):
     return sum(dyad(np.kron(np.kron(basis[i], basis[i]), basis[i])) for i in range(d)) / d
 
 
-def moe_win_prob(game, strategy, state, priors=None):
-    """Probability that both responders match the referee outcome on the shared ``state``."""
+def moe_win_prob(game, state, priors=None):
+    """Probability that both copying responders match the referee outcome on the shared ``state``."""
     rho = hermitian(state, tol=PSD_TOL)
     if abs(np.trace(rho).real - 1.0) > PSD_TOL or np.linalg.eigvalsh(rho).min() < -PSD_TOL:
         raise ValueError("shared state must be a density operator")
@@ -46,7 +43,7 @@ def moe_win_prob(game, strategy, state, priors=None):
     pr = np.full(n, 1.0 / n) if priors is None else np.asarray(priors, dtype=float)
     if pr.shape != (n,) or pr.min() < 0 or abs(pr.sum() - 1.0) > 1e-12:
         raise ValueError("priors must be a probability vector over the settings")
-    ops = game_operators(game, strategy)
+    ops = game_operators(game)
     if ops[0].shape != rho.shape:
         raise ValueError(f"state dimension {rho.shape[0]} does not match game operators {ops[0].shape[0]}")
     value = float(sum(w * np.trace(op @ rho).real for w, op in zip(pr, ops)))
@@ -57,38 +54,26 @@ def moe_win_prob(game, strategy, state, priors=None):
 
 def test_single_setting_copying_wins():
     game = computational_game()
-    assert moe_win_prob(game, copying_strategy(game), correlated_state(2)) == pytest.approx(1.0, abs=1e-12)
+    assert moe_win_prob(game, correlated_state(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_three_basis_copying_strategy_win_prob():
     # classically correlated input: full marks on the computational setting,
     # one quarter per superposition state elsewhere
     game = game_obb()
-    value = moe_win_prob(game, copying_strategy(game), correlated_state(3))
+    value = moe_win_prob(game, correlated_state(3))
     assert value == pytest.approx((1 + 0.5 + 0.5) / 3, abs=1e-12)
     assert value <= 1.0
 
 
-def test_uniform_responder_dilutes_to_outcome_count():
-    d = 2
-    basis = np.eye(d, dtype=complex)
-    game = computational_game(d)
-    correlated = sum(dyad(np.kron(basis[i], basis[i])) for i in range(d)) / d
-    state = kron(correlated, np.eye(d) / d)
-    uniform = Povm(effects=(np.eye(d) / d,) * d)
-    strategy = MoeStrategy(bob=game.measurements, charlie=(uniform,))
-    assert moe_win_prob(game, strategy, state) == pytest.approx(1.0 / d, abs=1e-12)
-
-
 def test_win_prob_validates_priors_and_dims():
     game = computational_game()
-    strategy = copying_strategy(game)
     with pytest.raises(ValueError, match="priors"):
-        moe_win_prob(game, strategy, correlated_state(2), priors=[0.7, 0.7])
+        moe_win_prob(game, correlated_state(2), priors=[0.7, 0.7])
     with pytest.raises(ValueError, match="state dimension"):
-        moe_win_prob(game, strategy, np.eye(2) / 2)
+        moe_win_prob(game, np.eye(2) / 2)
     with pytest.raises(ValueError, match="density operator"):
-        moe_win_prob(game, strategy, 2 * correlated_state(2))
+        moe_win_prob(game, 2 * correlated_state(2))
 
 
 def test_overlap_constants():
@@ -104,23 +89,21 @@ def test_overlap_constants():
 def test_lemma_bound_single_operator():
     rng = np.random.default_rng(0)
     r = psd_from_normals(rng.normal(size=(2, 4, 4)))
-    family = PermutationFamily(((0,),))
-    assert lemma_a1_bound([r], family) == pytest.approx(
+    assert lemma_a1_bound([r]) == pytest.approx(
         float(np.linalg.eigvalsh(r).max()), abs=1e-12
     )
 
 
 def test_lemma_bound_copying_strategy_is_trivial():
     game = game_obb()
-    ops = game_operators(game, copying_strategy(game))
-    bound = lemma_a1_bound(ops, PermutationFamily.cyclic(3)) / 3
+    bound = lemma_a1_bound(game_operators(game)) / 3
     assert bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lemma_bound_two_basis_registers():
     game = game_bb84()
     registers = classical_copy_registers(game)
-    bound = lemma_a1_bound(registers, PermutationFamily.cyclic(2)) / 2
+    bound = lemma_a1_bound(registers) / 2
     assert bound == pytest.approx(0.5 * (1 + 1 / SQ2), abs=1e-9)
     assert classical_copy_permutation_bound(game) == pytest.approx(bound, abs=1e-15)
 
@@ -131,26 +114,36 @@ def test_lemma_bound_randomized_soundness():
         n = int(rng.integers(3, 5))
         d = int(rng.integers(2, 7))
         ops = list(psd_from_normals(rng.normal(size=(n, 2, d, d))))
-        bound = lemma_a1_bound(ops, PermutationFamily.cyclic(n))
+        bound = lemma_a1_bound(ops)
         assert float(np.linalg.eigvalsh(sum(ops)).max()) <= bound + 1e-9
 
 
 def test_win_prob_never_exceeds_lemma_route():
     for game in (game_obb(), computational_game(3)):
-        strategy = copying_strategy(game)
         n = len(game.measurements)
-        ops = game_operators(game, strategy)
-        bound = lemma_a1_bound(ops, PermutationFamily.cyclic(n)) / n
-        assert moe_win_prob(game, strategy, correlated_state(3)) <= bound + 1e-9
+        bound = lemma_a1_bound(game_operators(game)) / n
+        assert moe_win_prob(game, correlated_state(3)) <= bound + 1e-9
 
 
-def test_permutation_family_validation():
-    with pytest.raises(ValueError):
-        PermutationFamily(((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        PermutationFamily(((0, 0),))
-    fam = PermutationFamily.cyclic(4)
-    assert len(fam.permutations) == 4
+def test_lemma_bound_is_the_sum_over_cyclic_shifts_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for n in range(1, 6):
+        d = int(rng.integers(2, 6))
+        ops = list(psd_from_normals(rng.normal(size=(n, 7, 2, d, d))))
+        roots = [psd_sqrt(hermitian(r, tol=PSD_TOL)) for r in ops]
+        want = sum(
+            np.max([operator_norm(roots[i] @ roots[(i + k) % n]) for i in range(n)], axis=0) for k in range(n)
+        )
+        assert lemma_a1_bound(ops).tobytes() == want.tobytes()
+        for m in range(7):
+            lone = [r[m] for r in ops]
+            want = sum(max(operator_norm(psd_sqrt(lone[i]) @ psd_sqrt(lone[(i + k) % n])) for i in range(n)) for k in range(n))
+            assert lemma_a1_bound(lone) == want
+
+
+def test_lemma_bound_needs_an_operator():
+    with pytest.raises(ValueError, match="at least one operator"):
+        lemma_a1_bound([])
 
 
 def test_transpose_trick_two_basis_game():

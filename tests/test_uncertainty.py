@@ -7,7 +7,6 @@ from obcast.linalg import dyad, ket, partial_trace, trace_distance
 from obcast.discrimination import helstrom_binary
 from obcast.sampling import random_ket
 from obcast.uncertainty import (
-    GeneralURInstance,
     SuperpositionSpec,
     no_go_bound,
     superpose,
@@ -134,11 +133,10 @@ def test_general_form_specializes_to_the_pair_form():
         assert abs(spec.z2) <= 1e-15
         alphas = (math.cos(spec.theta / 2), math.sin(spec.theta / 2) * np.exp(1j * spec.phi))
         betas = (math.cos(spec.omega / 2), math.sin(spec.omega / 2) * np.exp(1j * spec.phi_prime))
-        inst = GeneralURInstance(gammas=(a0, a1), alphas=alphas, betas=betas, dims=(da, db))
-        bounds = ur_general(inst)
+        (lhs_g,), (tight,), _ = ur_general([[a0, a1]], [alphas], [betas], (da, db))
         lhs, rhs = ur_pair_bound(a0, a1, spec, (da, db))
-        assert bounds.lhs == pytest.approx(lhs, abs=1e-10)
-        assert bounds.rhs_tight == pytest.approx(rhs, abs=1e-9)
+        assert lhs_g == pytest.approx(lhs, abs=1e-10)
+        assert tight == pytest.approx(rhs, abs=1e-9)
 
 
 def test_general_form_soundness_with_lemma_coefficients_any_angles():
@@ -149,40 +147,75 @@ def test_general_form_soundness_with_lemma_coefficients_any_angles():
         spec = random_spec(rng)
         alphas = (math.cos(spec.theta / 2), math.sin(spec.theta / 2) * np.exp(1j * spec.phi))
         betas = (math.cos(spec.omega / 2), math.sin(spec.omega / 2) * np.exp(1j * spec.phi_prime))
-        inst = GeneralURInstance(gammas=(a0, a1), alphas=alphas, betas=betas, dims=(da, db))
-        bounds = ur_general(inst)
-        assert bounds.lhs <= bounds.rhs_tight + 1e-9
-        assert bounds.lhs <= bounds.rhs_relaxed + 1e-9
+        (lhs,), (tight,), (relaxed,) = ur_general([[a0, a1]], [alphas], [betas], (da, db))
+        assert lhs <= tight + 1e-9
+        assert lhs <= relaxed + 1e-9
 
 
 def test_general_form_equal_coefficients_collapse():
     rng = np.random.default_rng(4)
-    gammas = tuple(random_ket(rng, 4) for _ in range(3))
-    coeffs = (0.3, 0.5 + 0.1j, -0.2)
-    inst = GeneralURInstance(gammas=gammas, alphas=coeffs, betas=coeffs, dims=(2, 2))
-    bounds = ur_general(inst)
-    assert bounds.lhs == pytest.approx(0.0, abs=1e-12)
-    assert bounds.rhs_tight == pytest.approx(0.0, abs=1e-12)
-    assert bounds.best_permutation == (0, 1, 2)
+    gammas = [random_ket(rng, 4) for _ in range(3)]
+    coeffs = [0.3, 0.5 + 0.1j, -0.2]
+    (lhs,), (tight,), _ = ur_general([gammas], [coeffs], [coeffs], (2, 2))
+    assert lhs == pytest.approx(0.0, abs=1e-12)
+    assert tight == pytest.approx(0.0, abs=1e-12)
 
 
 def test_general_form_randomized_soundness():
     rng = np.random.default_rng(5)
     for _ in range(100):
         da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        gammas = tuple(random_ket(rng, da * db) for _ in range(3))
-        draw = lambda: tuple((rng.normal() + 1j * rng.normal()) / 2 for _ in range(3))
-        bounds = ur_general(GeneralURInstance(gammas=gammas, alphas=draw(), betas=draw(), dims=(da, db)))
-        assert bounds.lhs <= bounds.rhs_tight + 1e-9
-        assert bounds.lhs <= bounds.rhs_relaxed + 1e-9
+        gammas = [random_ket(rng, da * db) for _ in range(3)]
+        draw = lambda: [(rng.normal() + 1j * rng.normal()) / 2 for _ in range(3)]
+        (lhs,), (tight,), (relaxed,) = ur_general([gammas], [draw()], [draw()], (da, db))
+        assert lhs <= tight + 1e-9
+        assert lhs <= relaxed + 1e-9
 
 
 def test_general_form_size_cap():
     rng = np.random.default_rng(6)
-    gammas = tuple(random_ket(rng, 4) for _ in range(9))
-    ones = (1.0,) * 9
+    gammas = [random_ket(rng, 4) for _ in range(9)]
+    ones = [1.0] * 9
     with pytest.raises(ValueError):
-        ur_general(GeneralURInstance(gammas=gammas, alphas=ones, betas=ones, dims=(2, 2)))
+        ur_general([gammas], [ones], [ones], (2, 2))
+
+
+def test_general_form_rejects_malformed_stacks():
+    rng = np.random.default_rng(10)
+    gammas = rng.normal(size=(4, 3, 6)) + 1j * rng.normal(size=(4, 3, 6))
+    coeffs = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    with pytest.raises(ValueError, match="supported are 1 to 8"):
+        ur_general(np.ones((4, 9, 6)), np.ones((4, 9)), np.ones((4, 9)), (2, 3))
+    with pytest.raises(ValueError, match="supported are 1 to 8"):
+        ur_general(np.ones((4, 0, 6)), np.ones((4, 0)), np.ones((4, 0)), (2, 3))
+    with pytest.raises(ValueError, match="expected kets of shape"):
+        ur_general(gammas[0], coeffs[0], coeffs[0], (2, 3))
+    with pytest.raises(ValueError, match="at least one member"):
+        ur_general(gammas[:0], coeffs[:0], coeffs[:0], (2, 3))
+    for alphas, betas in ((coeffs[:3], coeffs), (coeffs, coeffs[:, :2]), (coeffs[..., None], coeffs)):
+        with pytest.raises(ValueError, match="do not match kets"):
+            ur_general(gammas, alphas, betas, (2, 3))
+    with pytest.raises(ValueError, match="do not match vector length"):
+        ur_general(gammas, coeffs, coeffs, (2, 2))
+    for bad in (np.nan, np.inf):
+        broken = gammas.copy()
+        broken[2, 1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ur_general(broken, coeffs, coeffs, (2, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_every_stacked_general_member_gets_the_bits_of_a_stack_of_one(n, dims):
+    rng = np.random.default_rng(11)
+    length = dims[0] * dims[1]
+    for size in (1, 2, 5, 17, 64):
+        gammas = (rng.normal(size=(size, n, length)) + 1j * rng.normal(size=(size, n, length))) / 2
+        alphas, betas = (rng.normal(size=(2, size, n)) + 1j * rng.normal(size=(2, size, n))) / 2
+        stacked = ur_general(gammas, alphas, betas, dims)
+        for b in range(size):
+            alone = ur_general(gammas[b : b + 1], alphas[b : b + 1], betas[b : b + 1], dims)
+            assert [v[b : b + 1].tobytes() for v in stacked] == [v.tobytes() for v in alone]
 
 
 @pytest.mark.parametrize(
