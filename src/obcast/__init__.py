@@ -37,10 +37,9 @@ from .moe import (
     transpose_trick_game,
 )
 from .qpv import (
-    DiskProgram,
     Theorem4Instance,
     breidbart_lower,
-    cor5_epsilon_star,
+    cor5_printed_formula,
     cq_strategy_value,
     disk_program_solve,
     error_per_state,

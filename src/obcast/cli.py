@@ -37,7 +37,6 @@ from .ensembles import (
 from .errors import InternalInconsistency, SolverFailure
 from .reporting import reports_to_csv, reports_to_json
 from .reproduce import SUITES, run_reproduce
-from .uncertainty import SuperpositionSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,10 +151,11 @@ def _postinfo_view(obj):
     raise ValueError("no classical side to reduce on; provide a post-information ensemble")
 
 
+# gallery entry -> the constant shift of its coupled-disk program
 _DISK_PROGRAMS = {
-    "obb": qpv.obb_disk_program,
-    "qq-tilde": qpv.qq_tilde_disk_program,
-    "qq": qpv.qq_tilde_disk_program,  # via the certified one-sided unitary equivalence
+    "obb": qpv.OBB_DISK_SHIFT,
+    "qq-tilde": qpv.QQ_TILDE_DISK_SHIFT,
+    "qq": qpv.QQ_TILDE_DISK_SHIFT,  # via the certified one-sided unitary equivalence
 }
 
 
@@ -174,11 +174,10 @@ def _bound_record(method: str, entry: str | None, name: str, obj, settings: Solv
         inst = qpv.shifts_instance() if theta is None else qpv.bb84_family_instance(theta)
         record = {"computed": qpv.thm4_min_epsilon(inst), "certificate": "analytic"}
     elif method == "prop4" and theta is not None:
-        spec = SuperpositionSpec(theta, 0.0, theta - math.pi, 0.0)
-        record = {"computed": qpv.prop4_solve(0.5, 0.5, 0.5, spec).bound, "certificate": "heuristic"}
+        spec = qpv.bb84_family_instance(theta).spec
+        record = {"computed": qpv.prop4_solve(0.5, 0.5, 0.5, spec), "certificate": "heuristic"}
     elif method == "disk" and entry in _DISK_PROGRAMS:
-        solution = qpv.disk_program_solve(_DISK_PROGRAMS[entry]())
-        record = {"computed": solution.bound, "certificate": solution.certificate}
+        record = {"computed": qpv.disk_program_solve(_DISK_PROGRAMS[entry]), "certificate": "analytic"}
     elif method == "moe" and entry == "obb":
         record = {"computed": moe.example_go_trivial().copy_strategy_bound, "certificate": "exact"}
     elif method == "moe" and theta == math.pi / 2:  # the two-basis game is the family at pi/2 only

@@ -181,10 +181,10 @@ class GoTrivialityReport:
 
 
 def example_go_trivial() -> GoTrivialityReport:
-    from .qpv import disk_program_solve, obb_disk_program
+    from .qpv import OBB_DISK_SHIFT, disk_program_solve
 
     game = game_obb()
     c = overlap_constant(game)
     bound = lemma_a1_bound(game_operators(game)) / 3.0
-    contrast = disk_program_solve(obb_disk_program()).bound
+    contrast = disk_program_solve(OBB_DISK_SHIFT)
     return GoTrivialityReport(overlap_constant=c, copy_strategy_bound=bound, contrast_bound=contrast)

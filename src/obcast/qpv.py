@@ -1,10 +1,13 @@
 """Attack bounds for position verification on globally orthogonal product states.
 
 Covers the closed-form four-state inequality and its minimal error, the
-rotated-pair family, the explicit intermediate-basis attack, the guessing
-probability program over uncertainty-relation constraints, the coupled-disk
-convex programs with analytic certificates, per-state error, and the
-classical-quantum versus quantum-quantum separation assembly.
+rotated-pair family and Corollary 5's printed threshold, the explicit
+intermediate-basis attack, the guessing-probability bound over
+uncertainty-relation constraints, the coupled-disk bound of the seven-state
+sets with its analytic certificate, per-state error, and the
+classical-quantum versus quantum-quantum separation assembly.  Each route
+returns the number its callers read; its consistency checks raise
+``InternalInconsistency`` instead of being reported.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .linalg import pure_state_overlap
 from .uncertainty import SuperpositionSpec
 
 DISK_FIXED_POINT = (2.0 + math.sqrt(2.0)) / 4.0
+# the constant shifts of the two seven-state disk programs: the overlapping-bases
+# set, and the fully quantum primed set, whose two data-processed pairs add 1/sqrt(2)
+OBB_DISK_SHIFT = -2.0
+QQ_TILDE_DISK_SHIFT = 1.0 / math.sqrt(2.0) - 2.0
 # final bracket width of the Theorem 4 threshold
 BISECTION_WIDTH = 1e-10
 
@@ -108,26 +115,17 @@ def thm4_min_epsilon(inst: Theorem4Instance) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class Cor5Result:
-    bisection_root: float
-    printed_formula: float
+def cor5_printed_formula(theta: float) -> float:
+    """Corollary 5's minimal-error threshold for the rotated family, as the closed form is published.
 
-
-def cor5_epsilon_star(theta: float) -> Cor5Result:
-    """Minimal-error threshold for the rotated family, both readings.
-
-    ``bisection_root`` solves the inequality numerically; ``printed_formula``
-    evaluates the closed form as published.  The two disagree (at theta=pi/2
-    the closed form equals the success probability, the root the error), so
-    both are reported and neither is silently preferred.
+    It disagrees with the root that ``thm4_min_epsilon`` finds by bisection:
+    at theta=pi/2 the closed form equals the success probability, the root
+    the error.  The report carries both readings and prefers neither.
     """
     if not 0.0 <= theta <= math.pi / 2 + 1e-12:
         raise ValueError(f"theta={theta!r} outside [0, pi/2]")
-    root = thm4_min_epsilon(bb84_family_instance(theta))
     s2 = math.sin(theta) ** 2
-    printed = (1.0 - math.cos(theta) + (1.0 + math.sqrt(2.0)) * s2) / (2.0 * (1.0 + s2))
-    return Cor5Result(bisection_root=root, printed_formula=printed)
+    return (1.0 - math.cos(theta) + (1.0 + math.sqrt(2.0)) * s2) / (2.0 * (1.0 + s2))
 
 
 def breidbart_lower(theta: float) -> float:
@@ -157,15 +155,6 @@ def _disk_cap(t: float) -> float:
     return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - (2.0 * t - 1.0) ** 2))
 
 
-@dataclass(frozen=True)
-class Prop4Result:
-    bound: float
-    raw_value: float
-    r: tuple[float, float]
-    s: tuple[float, float]
-    unity_condition_printed: bool
-
-
 def _prop4_grid(p: float, pg_a01: float, pg_a23: float, z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
     """``prop4_solve``'s seed grid and its objective, value [i, j] at (r0, s0) = (grid[i], grid[j]).
 
@@ -190,8 +179,8 @@ def _prop4_grid(p: float, pg_a01: float, pg_a23: float, z1: float, z2: float) ->
     return grid, np.minimum(f_r, f_r.T)
 
 
-def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec) -> Prop4Result:
-    """Guessing-probability program over uncertainty-relation constraints.
+def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec) -> float:
+    """Bound of the guessing-probability program over uncertainty-relation constraints.
 
     Maximizes min over the two parties of
     p (pg_a01 + x0) + (1-p) (pg_a23 + x1) - 1/2, where each party's second
@@ -200,9 +189,8 @@ def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec)
     by grid seeding plus pattern ascent.  The 201 x 201 seed grid is one
     array expression (``_prop4_grid``) with the scalar objective's bits; the
     ascent starts at its first maximum in r0-major order and is scalar.  The
-    derivation fixes the constant at -1/2; the reported bound is additionally
-    clipped at one, since it bounds a probability.  The published unity
-    condition cos(theta) = 1 + cos(omega) is evaluated and reported as a flag.
+    derivation fixes the constant at -1/2; the returned bound is the program's
+    value clipped at one, since it bounds a probability.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p!r} outside [0, 1]")
@@ -211,13 +199,10 @@ def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec)
             raise ValueError(f"{name}={x!r} outside [1/2, 1]")
     z1, z2 = abs(spec.z1), abs(spec.z2)
 
-    def caps(r0: float, s0: float) -> tuple[float, float]:
-        r1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * s0 - 1) ** 2)) + z2 * (2 * r0 - 1) + 1.0)
-        s1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * r0 - 1) ** 2)) + z2 * (2 * s0 - 1) + 1.0)
-        return min(1.0, r1), min(1.0, s1)
-
     def objective(r0: float, s0: float) -> float:
-        r1, s1 = caps(r0, s0)
+        # each party's second slot at its cap
+        r1 = min(1.0, 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * s0 - 1) ** 2)) + z2 * (2 * r0 - 1) + 1.0))
+        s1 = min(1.0, 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * r0 - 1) ** 2)) + z2 * (2 * s0 - 1) + 1.0))
         f_r = p * (pg_a01 + r0) + (1 - p) * (pg_a23 + r1) - 0.5
         f_s = p * (pg_a01 + s0) + (1 - p) * (pg_a23 + s1) - 0.5
         return min(f_r, f_s)
@@ -237,57 +222,18 @@ def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec)
                 break
         else:
             step /= 2.0
-    r1, s1 = caps(r0, s0)
-    unity = abs(math.cos(spec.theta) - (1.0 + math.cos(spec.omega))) <= 1e-9
-    return Prop4Result(
-        bound=min(1.0, value),
-        raw_value=value,
-        r=(r0, r1),
-        s=(s0, s1),
-        unity_condition_printed=unity,
-    )
+    return min(1.0, value)
 
 
-@dataclass(frozen=True)
-class DiskProgram:
-    """Coupled-disk program: maximize min(sum a, sum b) under per-pair caps.
+def disk_program_solve(shift: float) -> float:
+    """Bound of a seven-state coupled-disk program, with a zero-gap analytic certificate.
 
-    Each coupling (i, j) constrains a_i <= cap(b_j) and b_j <= cap(a_i), with
-    cap(t) = 1/2 + sqrt(1 - (2t-1)^2)/2, i.e. the rescaled variables of a
-    coupled pair live in a quarter disk.  The final bound is assembled as
-    base + scale * (opt + shift).
-    """
-
-    couplings: tuple[tuple[int, int], ...]
-    shift: float
-    base: float
-    scale: float
-
-    def __post_init__(self):
-        n = len(self.couplings)
-        a_side = sorted(i for i, _ in self.couplings)
-        b_side = sorted(j for _, j in self.couplings)
-        if a_side != list(range(n)) or b_side != list(range(n)):
-            raise ValueError("couplings must form a perfect matching")
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.couplings)
-
-
-@dataclass(frozen=True)
-class DiskSolution:
-    opt: float
-    bound: float
-    feasible_a: tuple[float, ...]
-    feasible_b: tuple[float, ...]
-    certificate_value: float
-    certificate: str
-    min_constraint_slack: float
-
-
-def disk_program_solve(program: DiskProgram) -> DiskSolution:
-    """Solve the matched disk program with a zero-gap analytic certificate.
+    Both seven-state sets give the same program over four matched pairs
+    (a_i, b_j): maximize min(sum a, sum b) subject to a_i <= cap(b_j) and
+    b_j <= cap(a_i), where cap(t) = 1/2 + sqrt(1 - (2t-1)^2)/2, so the
+    rescaled variables of a coupled pair live in a quarter disk.  The sets
+    differ only in the constant ``shift`` (``OBB_DISK_SHIFT``,
+    ``QQ_TILDE_DISK_SHIFT``), and the bound is 1/4 + (opt + shift)/4.
 
     The symmetric point with every variable at the disk fixed point
     (2+sqrt(2))/4 is feasible; on the other side, a coupled pair obeys
@@ -295,51 +241,18 @@ def disk_program_solve(program: DiskProgram) -> DiskSolution:
     the party sums is at most their average.  Both sides meet, so the value
     is certified exactly.
     """
-    n = program.pair_count
+    pairs = 4
     t = DISK_FIXED_POINT
-    a = (t,) * n
-    b = (t,) * n
-    slack = min(
-        (min(_disk_cap(b[j]) - a[i], _disk_cap(a[i]) - b[j]) for i, j in program.couplings),
-        default=0.0,
-    )
+    slack = _disk_cap(t) - t  # every coupling's two constraints read the same at the symmetric point
     if slack < -1e-12:
         raise InternalInconsistency(f"symmetric point infeasible (slack {slack:.3e})")
-    feasible_value = n * t
-    certificate_value = n * (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
+    feasible_value = pairs * t
+    certificate_value = pairs * (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
     if abs(feasible_value - certificate_value) > 1e-9:
         raise InternalInconsistency(
             f"feasible value {feasible_value!r} and certificate {certificate_value!r} disagree"
         )
-    opt = feasible_value
-    return DiskSolution(
-        opt=opt,
-        bound=program.base + program.scale * (opt + program.shift),
-        feasible_a=a,
-        feasible_b=b,
-        certificate_value=certificate_value,
-        certificate="analytic",
-        min_constraint_slack=slack,
-    )
-
-
-_SEVEN_STATE_COUPLINGS = ((0, 1), (1, 0), (2, 3), (3, 2))
-
-
-def obb_disk_program() -> DiskProgram:
-    """Program bounding the overlapping-bases qutrit set (four coupled pairs)."""
-    return DiskProgram(couplings=_SEVEN_STATE_COUPLINGS, shift=-2.0, base=0.25, scale=0.25)
-
-
-def qq_tilde_disk_program() -> DiskProgram:
-    """Program for the fully quantum seven-state set; two pairs are data-processed
-    into the constant 1/sqrt(2) - 2 shift."""
-    return DiskProgram(
-        couplings=_SEVEN_STATE_COUPLINGS,
-        shift=1.0 / math.sqrt(2.0) - 2.0,
-        base=0.25,
-        scale=0.25,
-    )
+    return 0.25 + 0.25 * (feasible_value + shift)
 
 
 def error_per_state(ensemble: GopEnsemble, pr_honest: float, pr_attack_bound: float) -> float:
@@ -370,21 +283,15 @@ _CQ_GUESS_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class CqStrategyResult:
-    value: float
-    per_state_success: tuple[float, ...]
-    identity_residual: float
-
-
-def cq_strategy_value() -> CqStrategyResult:
+def cq_strategy_value() -> float:
     """Exact value of the explicit attack on the classical-quantum seven-state set.
 
     One party reads the classical trit x; the other measures the
     intermediate-basis four-outcome POVM to get y; both guess by table
     lookup.  Every per-state success equals cos^2(pi/8) via the identity
     (cos t + sin t)^2 / 2 = cos^2(t) at t = pi/8, so the total is
-    prior-independent.
+    prior-independent.  A row off that value means a mistranscribed guess
+    table, and raises ``InternalInconsistency``.
     """
     povm: Povm = gallery("thm6-breidbart-povm")
     ens: GopEnsemble = gallery("cq")
@@ -403,8 +310,7 @@ def cq_strategy_value() -> CqStrategyResult:
         raise InternalInconsistency(
             f"strategy table transcription broken: row deviation {worst:.3e}, identity residual {residual:.3e}"
         )
-    value = float(sum(p * x for p, x in zip(ens.prior, per_state)))
-    return CqStrategyResult(value=value, per_state_success=tuple(per_state), identity_residual=residual)
+    return float(sum(p * x for p, x in zip(ens.prior, per_state)))
 
 
 @dataclass(frozen=True)
@@ -412,7 +318,6 @@ class Thm6Separation:
     upper: float
     lower: float
     gap: float
-    equivalence_deviation: float
 
 
 def thm6_separation() -> Thm6Separation:
@@ -428,6 +333,6 @@ def thm6_separation() -> Thm6Separation:
     deviation = local_unitary_equivalence_deviation(u, gallery("qq"), gallery("qq-tilde"))
     if deviation > 1e-12:
         raise InternalInconsistency(f"local-unitary equivalence fails by {deviation:.3e}")
-    upper = disk_program_solve(qq_tilde_disk_program()).bound
-    lower = cq_strategy_value().value
-    return Thm6Separation(upper=upper, lower=lower, gap=lower - upper, equivalence_deviation=deviation)
+    upper = disk_program_solve(QQ_TILDE_DISK_SHIFT)
+    lower = cq_strategy_value()
+    return Thm6Separation(upper=upper, lower=lower, gap=lower - upper)

@@ -128,7 +128,7 @@ def _bb84_gap(case, opts):
 
 @_case("bb84-prop4", "prop4 program at the symmetric parameters", BB84_VALUE, 1e-6, "heuristic")
 def _bb84_prop4(case, opts):
-    return qpv.prop4_solve(0.5, 0.5, 0.5, SuperpositionSpec(math.pi / 2, 0.0, -math.pi / 2, 0.0)).bound
+    return qpv.prop4_solve(0.5, 0.5, 0.5, qpv.bb84_family_instance(math.pi / 2).spec)
 
 
 @_case("bb84-breidbart", "intermediate-basis attack at theta=pi/2", BB84_VALUE, 1e-9, "exact")
@@ -138,12 +138,12 @@ def _bb84_breidbart(case, opts):
 
 @_case("bb84-min-epsilon", "cor5 threshold by bisection at theta=pi/2", (2.0 - SQ2) / 4.0, 1e-9, "analytic")
 def _bb84_min_epsilon(case, opts):
-    return qpv.cor5_epsilon_star(math.pi / 2).bisection_root
+    return qpv.thm4_min_epsilon(qpv.bb84_family_instance(math.pi / 2))
 
 
 @_case("bb84-cor5-printed", "cor5 closed form as published (equals the success value, not the error; discrepancy logged, not asserted)", BB84_VALUE, 1e-12, "exact")
 def _bb84_cor5_printed(case, opts):
-    return qpv.cor5_epsilon_star(math.pi / 2).printed_formula
+    return qpv.cor5_printed_formula(math.pi / 2)
 
 
 @_case("bb84-losscc", "classical-communication value with the classical side forwarded", BB84_VALUE, 1e-6, "dual-certified")
@@ -236,7 +236,7 @@ def _cor4_classical(case, opts):
 
 @_case("obb-disk-bound", "coupled-disk program for the overlapping-bases set (printed 0.603554)", 0.603554, 1e-6, "analytic")
 def _obb_disk(case, opts):
-    bound = qpv.disk_program_solve(qpv.obb_disk_program()).bound
+    bound = qpv.disk_program_solve(qpv.OBB_DISK_SHIFT)
     return bound, bound <= 0.603554 + 1e-12
 
 
@@ -254,7 +254,7 @@ def _delta_obb(case, opts):
 
 @_case("qq-tilde-disk", "coupled-disk program for the primed fully quantum set", 0.78033, 1e-6, "analytic")
 def _qq_tilde_disk(case, opts):
-    return qpv.disk_program_solve(qpv.qq_tilde_disk_program()).bound
+    return qpv.disk_program_solve(qpv.QQ_TILDE_DISK_SHIFT)
 
 
 @_case("thm6-qq-upper", "upper bound on the fully quantum set via certified unitary equivalence", 0.7805, 2e-4, "analytic")

@@ -1,7 +1,8 @@
-"""API audits: every public function of ``src/obcast`` has a caller, and every defaulted parameter one that sets it.
+"""API audits: every public function of ``src/obcast`` has a caller, every defaulted parameter one that sets it, and every dataclass field a reader.
 
-A function that only tests call, or a default that no call in the package or
-in the benchmark ever overrides, is code or a constant in disguise.  The
+A function that only tests call, a default that no call in the package or
+in the benchmark ever overrides, or a result field that nothing reads, is
+code or a constant in disguise.  The
 audits parse both trees with ``ast``.  A public function or method counts as
 reached when some code in either tree names it, as a bare name or as an
 attribute, by its identifier; the package's re-exports in ``__init__.py`` are
@@ -11,7 +12,8 @@ enclosing function binds it.  A parameter counts as set when some call passes it
 by position, through ``dataclasses.replace`` (for a dataclass field), or,
 for a constructor, through a call by the class name.  Passing the default's
 own literal, as in ``f(side="a")`` where the default is ``"a"``, does not
-set it.
+set it.  A dataclass field counts as read when some code in either tree loads
+an attribute of its name, whatever the object.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ ALLOWED = {
 # public functions that nothing in either tree reaches yet, each with the reason it stays
 UNREACHED = {
     "uncertainty.no_go_bound": "the qubit-basis no-go bound awaits its report row, which decides whether it stays",
+}
+# dataclass fields that no code in either tree reads, each with the reason it stays
+UNREAD_FIELDS = {
+    "FormDecomposition.induced": "the form check's two-setting ensemble, part of the decomposition the tests verify",
+    "FormDecomposition.removable": "the form check's locally removable states, part of the decomposition the tests verify",
+    "BroadcastFeasibility.witness": "the POVM that certifies a feasible broadcast, kept as the decision's certificate",
 }
 
 _NO_LITERAL = object()
@@ -256,6 +264,26 @@ def unreached(package: Path = PACKAGE, trees=CALLER_TREES) -> list[str]:
     return sorted(qualified for qualified, name in public if name not in names)
 
 
+def unread_fields(package: Path = PACKAGE, trees=CALLER_TREES) -> list[str]:
+    """Every ``Class.field`` of a dataclass in ``package`` whose name no attribute load in ``trees`` reads."""
+    fields = [
+        f"{node.name}.{item.target.id}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    reads = {
+        node.attr
+        for tree in trees
+        for path in sorted(tree.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f for f in fields if f.split(".")[1] not in reads)
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
     orphans = [f for f in unreached() if f not in UNREACHED]
     assert orphans == [], f"public functions that no code in src/obcast or perfbench reaches: {orphans}"
@@ -286,6 +314,30 @@ def test_a_local_variable_of_the_same_name_is_not_a_use(tmp_path):
         "def _main(rows):\n    outcomes = report.tally(rows)\n    return [outcomes for _ in rows]\n"
     )
     assert unreached(package, (package,)) == ["report.outcomes"]
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    unread = [f for f in unread_fields() if f not in UNREAD_FIELDS]
+    assert unread == [], f"dataclass fields that no code in src/obcast or perfbench reads: {unread}"
+
+
+def test_the_unread_field_allowlist_names_only_fields_that_exist_and_are_unread():
+    assert sorted(UNREAD_FIELDS) == [f for f in unread_fields() if f in UNREAD_FIELDS]
+
+
+def test_a_field_is_read_only_by_an_attribute_load(tmp_path):
+    package = tmp_path / "obcast"
+    package.mkdir()
+    (package / "result.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Result:\n    value: float\n    residual: float\n    spare: float\n"
+    )
+    # ``value`` is loaded; ``residual`` is only stored and named as a keyword, ``spare`` only as a bare name
+    (package / "run.py").write_text(
+        "from .result import Result\n\n\n"
+        "def _main(obj, spare):\n    obj.residual = Result(value=1.0, residual=0.0, spare=spare).value\n"
+    )
+    assert unread_fields(package, (package,)) == ["Result.residual", "Result.spare"]
 
 
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():

@@ -6,18 +6,16 @@ import pytest
 from obcast import ensembles, qpv
 from obcast.ensembles import gallery, gen_bb84
 from obcast.qpv import (
-    DiskProgram,
-    DiskSolution,
+    OBB_DISK_SHIFT,
+    QQ_TILDE_DISK_SHIFT,
     Theorem4Instance,
     bb84_family_instance,
     breidbart_lower,
-    cor5_epsilon_star,
+    cor5_printed_formula,
     cq_strategy_value,
     disk_program_solve,
     error_per_state,
-    obb_disk_program,
     prop4_solve,
-    qq_tilde_disk_program,
     shifts_instance,
     thm4_min_epsilon,
     thm4_rhs,
@@ -29,6 +27,8 @@ from obcast.uncertainty import SuperpositionSpec
 SQ2 = math.sqrt(2)
 BB84_VALUE = (2 + SQ2) / 4
 CONJUGATE = SuperpositionSpec(math.pi / 2, 0.0, -math.pi / 2, 0.0)
+# the four matched pairs (a_i, b_j) of both seven-state disk programs, the numeric cross-checks' reference
+SEVEN_STATE_COUPLINGS = ((0, 1), (1, 0), (2, 3), (3, 2))
 
 
 def test_instance_validation():
@@ -84,11 +84,13 @@ def test_shifts_instance_threshold():
     assert eps == pytest.approx(2.782088e-4, abs=1e-9)
 
 
-def test_cor5_reports_both_readings():
-    result = cor5_epsilon_star(math.pi / 2)
-    assert result.printed_formula == pytest.approx(BB84_VALUE, abs=1e-12)
-    assert result.bisection_root == pytest.approx((2 - SQ2) / 4, abs=1e-9)
-    assert cor5_epsilon_star(0.0).bisection_root == 0.0
+def test_cor5_printed_formula_disagrees_with_the_bisection_root():
+    assert cor5_printed_formula(math.pi / 2) == pytest.approx(BB84_VALUE, abs=1e-12)
+    assert thm4_min_epsilon(bb84_family_instance(math.pi / 2)) == pytest.approx((2 - SQ2) / 4, abs=1e-9)
+    assert cor5_printed_formula(0.0) == 0.0
+    assert thm4_min_epsilon(bb84_family_instance(0.0)) == 0.0
+    with pytest.raises(ValueError):
+        cor5_printed_formula(2.0)
 
 
 @pytest.mark.parametrize(
@@ -100,26 +102,22 @@ def test_breidbart_strategy_value(theta, expected):
 
 
 def test_prop4_symmetric_parameters():
-    result = prop4_solve(0.5, 0.5, 0.5, CONJUGATE)
-    assert result.bound == pytest.approx(BB84_VALUE, abs=1e-6)
-    assert not result.unity_condition_printed
+    assert prop4_solve(0.5, 0.5, 0.5, CONJUGATE) == pytest.approx(BB84_VALUE, abs=1e-6)
+    assert bb84_family_instance(math.pi / 2).spec == CONJUGATE
 
 
 def test_prop4_unconstrained_first_slot():
     # with both coefficients zero the capped slots sit at one half
     spec = SuperpositionSpec(0.4, 0.0, 0.4, 0.0)
     assert abs(spec.z1) == pytest.approx(0.0, abs=1e-15)
-    result = prop4_solve(0.5, 0.6, 0.6, spec)
     expected = 0.5 * (0.6 + 1.0) + 0.5 * (0.6 + 0.5) - 0.5
-    assert result.raw_value == pytest.approx(expected, abs=1e-6)
+    assert prop4_solve(0.5, 0.6, 0.6, spec) == pytest.approx(expected, abs=1e-6)
 
 
 def test_prop4_orthogonal_case_saturates():
+    # the program's value reaches one here, so the bound is clipped to exactly one
     spec = SuperpositionSpec(0.0, 0.0, -math.pi / 2, 0.0)
-    result = prop4_solve(0.5, 1.0, 1.0, spec)
-    assert result.unity_condition_printed
-    assert result.bound == pytest.approx(1.0, abs=1e-9)
-    assert result.raw_value >= 1.0
+    assert prop4_solve(0.5, 1.0, 1.0, spec) == 1.0
 
 
 def reference_prop4_objective(p, pg_a01, pg_a23, z1, z2):
@@ -165,10 +163,8 @@ def test_prop4_seeds_at_the_first_maximum_in_r0_major_order():
     # the seed the scalar grid took: the first of its maxima, r0 before s0
     _, r0, s0 = max(((objective(float(a), float(b)), float(a), float(b)) for a in grid for b in grid), key=lambda t: t[0])
     assert (r0, s0) == (0.5, 0.5)
-    # no move improves on a tie, so the pattern ascent ends where it was seeded, not at another maximum
-    result = prop4_solve(0.0, 0.6, 0.7, spec)
-    assert (result.r[0], result.s[0]) == (r0, s0)
-    assert result.raw_value == values[0, 0]
+    # no move improves on a tie, so the pattern ascent returns the seed's value
+    assert prop4_solve(0.0, 0.6, 0.7, spec) == values[0, 0]
 
 
 def test_prop4_input_validation():
@@ -179,41 +175,31 @@ def test_prop4_input_validation():
 
 
 def test_disk_program_seven_state_bound():
-    solution = disk_program_solve(obb_disk_program())
-    assert solution.bound == pytest.approx(0.25 + SQ2 / 4, abs=1e-12)
-    assert solution.bound <= 0.603554
-    assert abs(solution.opt - solution.certificate_value) <= 1e-9
-    assert solution.min_constraint_slack >= -1e-12
+    bound = disk_program_solve(OBB_DISK_SHIFT)
+    assert bound == pytest.approx(0.25 + SQ2 / 4, abs=1e-12)
+    assert bound <= 0.603554
 
 
 def test_disk_program_primed_quantum_bound():
-    solution = disk_program_solve(qq_tilde_disk_program())
-    assert solution.bound == pytest.approx(0.25 + 3 / (4 * SQ2), abs=1e-12)
-    assert solution.bound == pytest.approx(0.78033, abs=1e-6)
+    bound = disk_program_solve(QQ_TILDE_DISK_SHIFT)
+    assert bound == pytest.approx(0.25 + 3 / (4 * SQ2), abs=1e-12)
+    assert bound == pytest.approx(0.78033, abs=1e-6)
 
 
-def test_disk_program_empty_and_invalid():
-    empty = DiskProgram(couplings=(), shift=0.0, base=0.25, scale=0.25)
-    solution = disk_program_solve(empty)
-    assert solution.opt == 0.0 and solution.bound == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        DiskProgram(couplings=((0, 0), (1, 0)), shift=0.0, base=0.0, scale=1.0)
-
-
-def disk_program_ascent(program: DiskProgram, iterations: int = 200) -> DiskSolution:
+def disk_program_ascent(iterations: int = 200) -> float:
     """Pattern ascent on pair angles: the uncertified numeric route that checks the analytic one.
 
     Each coupled pair is kept on the disk boundary and parametrized by one
     angle; the min of the party sums is maximized by coordinate pattern
-    search.  Results carry the heuristic label.
+    search.  Returns the program's optimum, before any shift.
     """
-    n = program.pair_count
+    n = len(SEVEN_STATE_COUPLINGS)
     phi = np.full(n, math.pi / 4)
 
     def point(angles):
         a = np.empty(n)
         b = np.empty(n)
-        for k, (i, j) in enumerate(program.couplings):
+        for k, (i, j) in enumerate(SEVEN_STATE_COUPLINGS):
             a[i] = 0.5 * (1.0 + math.cos(angles[k]))
             b[j] = 0.5 * (1.0 + math.sin(angles[k]))
         return a, b
@@ -238,40 +224,31 @@ def disk_program_ascent(program: DiskProgram, iterations: int = 200) -> DiskSolu
             step /= 2.0
             if step < 1e-10:
                 break
-    a, b = point(phi)
-    return DiskSolution(
-        opt=best,
-        bound=program.base + program.scale * (best + program.shift),
-        feasible_a=tuple(a),
-        feasible_b=tuple(b),
-        certificate_value=math.nan,
-        certificate="heuristic",
-        min_constraint_slack=0.0,
-    )
+    return best
 
 
-def test_disk_ascent_agrees_with_analytic_route():
-    analytic = disk_program_solve(obb_disk_program())
-    numeric = disk_program_ascent(obb_disk_program())
-    assert numeric.certificate == "heuristic"
-    assert numeric.opt <= analytic.opt + 1e-9
-    assert numeric.opt >= analytic.opt - 1e-6
+@pytest.mark.parametrize("shift", [OBB_DISK_SHIFT, QQ_TILDE_DISK_SHIFT])
+def test_disk_ascent_agrees_with_analytic_route(shift):
+    analytic = disk_program_solve(shift)
+    numeric = 0.25 + 0.25 * (disk_program_ascent() + shift)
+    assert numeric <= analytic + 1e-9
+    assert numeric >= analytic - 1e-6
 
 
-def test_disk_program_agrees_with_convex_solver():
+@pytest.mark.parametrize("shift", [OBB_DISK_SHIFT, QQ_TILDE_DISK_SHIFT])
+def test_disk_program_agrees_with_convex_solver(shift):
     cp = pytest.importorskip("cvxpy")
-    program = obb_disk_program()
-    n = program.pair_count
+    n = len(SEVEN_STATE_COUPLINGS)
     a = cp.Variable(n)
     b = cp.Variable(n)
     t = cp.Variable()
     constraints = [t <= cp.sum(a), t <= cp.sum(b), a >= 0, a <= 1, b >= 0, b <= 1]
-    for i, j in program.couplings:
+    for i, j in SEVEN_STATE_COUPLINGS:
         constraints.append(a[i] <= 0.5 + 0.5 * cp.sqrt(1 - cp.square(2 * b[j] - 1)))
         constraints.append(b[j] <= 0.5 + 0.5 * cp.sqrt(1 - cp.square(2 * a[i] - 1)))
     problem = cp.Problem(cp.Maximize(t), constraints)
     problem.solve(solver=cp.CLARABEL)
-    assert disk_program_solve(program).opt == pytest.approx(problem.value, abs=1e-6)
+    assert disk_program_solve(shift) == pytest.approx(0.25 + 0.25 * (problem.value + shift), abs=1e-6)
 
 
 def test_prop4_agrees_with_convex_solver():
@@ -290,7 +267,9 @@ def test_prop4_agrees_with_convex_solver():
     ]
     problem = cp.Problem(cp.Maximize(t), constraints)
     problem.solve(solver=cp.CLARABEL)
-    assert prop4_solve(p, pg01, pg23, CONJUGATE).raw_value == pytest.approx(problem.value, abs=1e-6)
+    # the program's value is below one here, so the clip at one leaves it as it is
+    assert problem.value < 1.0
+    assert prop4_solve(p, pg01, pg23, CONJUGATE) == pytest.approx(problem.value, abs=1e-6)
 
 
 def test_error_per_state():
@@ -304,17 +283,19 @@ def test_error_per_state():
         error_per_state(gallery("obb"), 0.5, 0.7)
 
 
-def test_cq_strategy_rows_and_total():
-    result = cq_strategy_value()
-    target = math.cos(math.pi / 8) ** 2
-    assert result.value == pytest.approx(target, abs=1e-12)
-    assert all(abs(x - target) <= 1e-12 for x in result.per_state_success)
-    assert result.identity_residual <= 1e-12
+def test_cq_strategy_total():
+    assert cq_strategy_value() == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-12)
 
 
 def test_cq_strategy_is_prior_independent():
     # every row succeeds with the same probability, so reweighting is inert
-    rows = cq_strategy_value().per_state_success
+    povm, ens = gallery("thm6-breidbart-povm"), gallery("cq")
+    trits = [int(np.argmax(np.abs(a))) for a in ens.a_states]
+    rows = []
+    for k, b_state in enumerate(ens.b_states):
+        probs = povm.outcome_probabilities(b_state)
+        rows.append(float(sum(probs[y] for y in range(len(povm)) if qpv._CQ_GUESS_TABLE[(trits[k], y)] == k)))
+    assert all(abs(x - math.cos(math.pi / 8) ** 2) <= 1e-12 for x in rows)
     rng = np.random.default_rng(0)
     totals = []
     for _ in range(20):
@@ -325,7 +306,6 @@ def test_cq_strategy_is_prior_independent():
 
 def test_separation_assembly():
     sep = thm6_separation()
-    assert sep.equivalence_deviation <= 1e-12
     assert sep.upper == pytest.approx(0.780330, abs=1e-6)
     assert sep.upper <= 0.7805
     assert sep.lower == pytest.approx(BB84_VALUE, abs=1e-12)
@@ -339,7 +319,7 @@ def test_attack_bounds_dominate_their_strategies():
     # and inequality threshold all meet at the same number
     success_bound = 1 - thm4_min_epsilon(bb84_family_instance(math.pi / 2))
     strategy = breidbart_lower(math.pi / 2)
-    program = prop4_solve(0.5, 0.5, 0.5, CONJUGATE).bound
+    program = prop4_solve(0.5, 0.5, 0.5, CONJUGATE)
     assert success_bound >= strategy - 1e-9
     assert program >= strategy - 1e-6
 
@@ -356,7 +336,7 @@ def test_a_disk_point_below_the_fixed_point_misses_the_certificate(monkeypatch):
     # the centre of the disk is feasible, but its value is not the certified one
     monkeypatch.setattr(qpv, "DISK_FIXED_POINT", 0.5)
     with pytest.raises(InternalInconsistency, match="feasible value 2.0 and certificate .* disagree"):
-        disk_program_solve(obb_disk_program())
+        disk_program_solve(OBB_DISK_SHIFT)
 
 
 def test_a_broken_guess_table_is_inconsistent(monkeypatch):
