@@ -11,7 +11,8 @@ one (B, n, d, d) array, through one lockstep window of at most
 entering at steps that are multiples of every member's check interval and
 leaving as each certifies, so every member's arrays are bit for bit its lone
 solve's; result objects are built only where read, and a single solve of at
-most d^2 operators is a stream of one.  The exact certificate of a member
+most d^2 operators is a stream of one, which the barrier below finishes if
+it runs out uncertified.  The exact certificate of a member
 runs only once its screened gap, which agrees with it to rounding, is within
 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
@@ -568,10 +569,20 @@ def min_error_discrimination(
     With at most d^2 targets this is a stream of one (``solve_stream``), and
     with more a barrier solve on a working set of rows
     (``_working_set_solve``); the certificate covers every target either way.
+    A stream of one that runs out of ``st.max_iterations`` uncertified, as a
+    slowly converging map can, is finished by the barrier with a budget of
+    its own; only if that fails too does the better failure of the two raise.
     """
     st, m = settings or DEFAULT_SETTINGS, np.array(target.operators)
     if len(m) <= target.dim**2:
-        [(_, (primal, y, p, gap, iterations))] = solve_stream(m[None], st)
+        try:
+            [(_, (primal, y, p, gap, iterations))] = solve_stream(m[None], st)
+        except SolverFailure as stream:
+            try:
+                primal, y, p, gap, steps = _working_set_solve(m, st)
+            except SolverFailure as barrier:
+                raise min(stream, barrier, key=lambda exc: exc.gap) from None
+            iterations = stream.iterations + steps
     else:
         primal, y, p, gap, iterations = _working_set_solve(m, st)
     return DiscriminationResult(primal, Povm(effects=tuple(p)), DualCertificate(y, primal, gap), target.labels, iterations)

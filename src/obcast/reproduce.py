@@ -5,8 +5,10 @@ certificate kind, and computes its value as a pure function of (seed,
 solver settings); one pass rule in ``_case`` turns the two into a
 ``BoundReport``.  Randomized cases derive their generator from the seed and
 their own id, so reports are identical regardless of which cases run and
-in what order.  Cases run one after another: they are small numpy calls
-that hold the interpreter lock, so worker threads would only add overhead.
+in what order.  Cases that read parts of one result share it through
+``ReproduceOptions.shared``, computed once per run.  Cases run one after
+another: they are small numpy calls that hold the interpreter lock, so
+worker threads would only add overhead.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ class ReproduceOptions:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        object.__setattr__(self, "_shared", {})
+
+    def shared(self, fn):
+        """``fn()``, computed once per run for the cases that read parts of one result."""
+        if fn not in self._shared:
+            self._shared[fn] = fn()
+        return self._shared[fn]
 
     def n_trials(self, default: int) -> int:
         return self.trials if self.trials is not None else default
@@ -259,18 +268,18 @@ def _qq_tilde_disk(case, opts):
 
 @_case("thm6-qq-upper", "upper bound on the fully quantum set via certified unitary equivalence", 0.7805, 2e-4, "analytic")
 def _thm6_upper(case, opts):
-    upper = qpv.thm6_separation().upper
+    upper = opts.shared(qpv.thm6_separation).upper
     return upper, upper <= 0.7805 + 1e-12
 
 
 @_case("thm6-cq-lower", "explicit strategy value on the classical-quantum set", math.cos(math.pi / 8) ** 2, 1e-12, "exact")
 def _thm6_lower(case, opts):
-    return qpv.thm6_separation().lower
+    return opts.shared(qpv.thm6_separation).lower
 
 
 @_case("thm6-gap", "strict separation between the two seven-state sets", math.cos(math.pi / 8) ** 2 - (0.25 + 3.0 / (4.0 * SQ2)), 1e-9, "analytic")
 def _thm6_gap(case, opts):
-    gap = qpv.thm6_separation().gap
+    gap = opts.shared(qpv.thm6_separation).gap
     return gap, gap > 0.07
 
 
@@ -295,12 +304,12 @@ def _moe_go_c(case, opts):
 
 @_case("moe-go-copy-bound", "permutation bound on the copying strategy stays trivial", 1.0, 1e-12, "exact")
 def _moe_go_copy(case, opts):
-    return moe.example_go_trivial().copy_strategy_bound
+    return opts.shared(moe.example_go_trivial).copy_strategy_bound
 
 
 @_case("moe-go-contrast", "broadcast-side program certifies what the game route cannot", 0.603554, 1e-6, "analytic")
 def _moe_go_contrast(case, opts):
-    bound = moe.example_go_trivial().contrast_bound
+    bound = opts.shared(moe.example_go_trivial).contrast_bound
     return bound, bound < 1.0
 
 
@@ -312,29 +321,35 @@ def _moe_bb84(case, opts):
 # --- randomized property suites --------------------------------------------------
 
 SUITES: dict[str, tuple] = {}  # case id -> (default trial count, draw, evaluate)
-HELD_TRIALS = 128  # drawn trials held at once, so memory does not grow with the trial count
+HELD_TRIALS = 128  # drawn trials held per key, so memory does not grow with the trial count
 
 
 def trial_values(draw, evaluate, rng, count: int) -> list[tuple]:
     """The values of ``count`` trials, drawn in order by ``draw(rng, k) -> (key, parts)``.
 
-    Drawn trials wait by key (their dimensions).  Once ``HELD_TRIALS`` wait,
-    and after the last draw, the key with the most waiting trials goes to
-    ``evaluate(key, *stacks)`` in one call, each part stacked (arrays along
-    a new first axis, anything else as a list); it returns a tuple of
-    arrays, one value per trial.
+    Drawn trials wait by key (their dimensions).  A key's group goes to
+    ``evaluate(key, *stacks)`` in one call once ``HELD_TRIALS`` of its trials
+    wait, and every group left goes after the last draw; each part is
+    stacked (arrays along a new first axis, anything else as a list), and
+    ``evaluate`` returns a tuple of arrays, one value per trial.
     """
     values: list = [None] * count
     waiting: dict = {}
+
+    def flush(key):
+        members, parts = zip(*waiting.pop(key))
+        stacks = [np.stack(part) if isinstance(part[0], np.ndarray) else list(part) for part in zip(*parts)]
+        for m, row in zip(members, zip(*evaluate(key, *stacks))):
+            values[m] = row
+
     for k in range(count):
         key, parts = draw(rng, k)
-        waiting.setdefault(key, []).append((k, parts))
-        while waiting and (k == count - 1 or sum(map(len, waiting.values())) == HELD_TRIALS):
-            key = max(waiting, key=lambda q: len(waiting[q]))
-            members, parts = zip(*waiting.pop(key))
-            stacks = [np.stack(part) if isinstance(part[0], np.ndarray) else list(part) for part in zip(*parts)]
-            for m, row in zip(members, zip(*evaluate(key, *stacks))):
-                values[m] = row
+        group = waiting.setdefault(key, [])
+        group.append((k, parts))
+        if len(group) == HELD_TRIALS:
+            flush(key)
+    for key in list(waiting):
+        flush(key)
     return values
 
 

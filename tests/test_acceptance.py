@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from obcast import moe, qpv, reproduce
 from obcast.qpv import bb84_family_instance, cor5_printed_formula, thm4_min_epsilon, thm6_separation
 from obcast.reporting import reports_to_csv, reports_to_json
 from obcast.reproduce import SUITES, case_ids, run_reproduce, trial_values
@@ -261,6 +262,39 @@ def test_seed_42_report_bytes_are_pinned(reports):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
+def test_each_run_computes_the_shared_separation_and_game_report_once(monkeypatch):
+    counts = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((qpv, "thm6_separation"), (moe, "example_go_trivial"), (qpv, "disk_program_solve")):
+        counted(module, name)
+    rows = {r.id: r for only in ("thm6", "moe-go", "disk") for r in run_reproduce(only=only)}
+    assert sorted(rows) == [
+        "moe-go-contrast",
+        "moe-go-copy-bound",
+        "moe-go-overlap-constant",
+        "obb-disk-bound",
+        "qq-tilde-disk",
+        "thm6-cq-lower",
+        "thm6-gap",
+        "thm6-qq-upper",
+    ]
+    assert all(r.passed for r in rows.values())
+    # one separation, one game report and their two disk programs, then the two disk rows of their own
+    assert counts == {"thm6_separation": 1, "example_go_trivial": 1, "disk_program_solve": 4}
+    # the results are held by the run, not the process: a second run computes them again
+    run_reproduce(only="thm6")
+    assert counts["thm6_separation"] == 2
+
+
 # --- the stacked property suites ---------------------------------------------------
 
 
@@ -297,6 +331,63 @@ def test_each_suite_gives_every_trial_the_bits_it_gets_alone(case_id, seed, tria
     alone = _one_at_a_time(case_id, seed, count)
     assert len(stacked) == count
     assert np.array(stacked, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
+
+
+def _grouped_trial_values(case_id: str, seed: int, count: int):
+    """A suite's per-trial values, each draw's key, each ``evaluate`` call's (key, members), and the most trials held."""
+    _, draw, evaluate = SUITES[case_id]
+    keys, calls, held = [], [], [0, 0]  # held: now, most
+
+    def counted_draw(rng, k):
+        key, parts = draw(rng, k)
+        keys.append(key)
+        held[0] += 1
+        held[1] = max(held)
+        return key, parts
+
+    def counted_evaluate(key, *stacks):
+        calls.append((key, len(stacks[0])))
+        held[0] -= len(stacks[0])
+        return evaluate(key, *stacks)
+
+    values = trial_values(counted_draw, counted_evaluate, case_rng(seed, case_id), count)
+    return values, keys, calls, held[1]
+
+
+def _assert_grouped_by_key(keys, calls, cap):
+    """One call per ``cap`` trials of a key, every call full but each key's last, and every trial in one call."""
+    for key in set(keys):
+        sizes = [members for k, members in calls if k == key]
+        assert sum(sizes) == keys.count(key)
+        assert len(sizes) == math.ceil(keys.count(key) / cap)
+        assert all(size == cap for size in sizes[:-1]) and 0 < sizes[-1] <= cap
+    assert len(calls) == sum(math.ceil(keys.count(key) / cap) for key in set(keys))
+
+
+@pytest.mark.parametrize("seed, trials", [(1, None), (42, None), (42, 2000)])
+@pytest.mark.parametrize("case_id", sorted(SUITES))
+def test_each_suite_evaluates_each_key_once_per_held_trials_of_it(case_id, seed, trials):
+    count = SUITES[case_id][0] if trials is None else trials
+    values, keys, calls, most = _grouped_trial_values(case_id, seed, count)
+    assert len(values) == len(keys) == count
+    _assert_grouped_by_key(keys, calls, reproduce.HELD_TRIALS)
+    assert most <= len(set(keys)) * reproduce.HELD_TRIALS
+
+
+def test_the_seed_42_suites_make_53_evaluate_calls():
+    calls = {case_id: len(_grouped_trial_values(case_id, 42, SUITES[case_id][0])[2]) for case_id in SUITES}
+    assert sum(calls.values()) == 53
+
+
+@pytest.mark.parametrize("case_id", sorted(SUITES))
+def test_a_smaller_per_key_cap_gives_every_trial_its_bits_and_holds_fewer(case_id, monkeypatch):
+    count = SUITES[case_id][0]
+    default = _grouped_trial_values(case_id, 42, count)[0]
+    monkeypatch.setattr(reproduce, "HELD_TRIALS", 4)
+    values, keys, calls, most = _grouped_trial_values(case_id, 42, count)
+    assert np.array(values, dtype=float).tobytes() == np.array(default, dtype=float).tobytes()
+    _assert_grouped_by_key(keys, calls, 4)
+    assert most <= len(set(keys)) * 4
 
 
 # The seven suite rows at seeds 1 and 7, and the sha256 prefix of all their

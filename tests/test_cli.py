@@ -233,6 +233,19 @@ def test_a_file_of_a_thousand_rows_validates_at_both_gaps(capsys):
     assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
 
 
+SLOW_FIXED_POINT = Path(__file__).parent / "data" / "qubit-slow-fixed-point.json"  # four rows on a qubit
+
+
+def test_a_small_file_whose_fixed_point_map_runs_out_is_certified_by_the_barrier(barrier_rounds, capsys):
+    # trial 1554 of the seed-42 brute-force draws: the map alone ends at a gap of 4.7e-7 after 100,000 iterations
+    code, out, err = run(capsys, "bound", "--file", str(SLOW_FIXED_POINT), "--method", "postinfo")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["certificate"] == "dual-certified" and record["gap"] <= 1e-7
+    assert record["computed"] == 0.9956300372336082
+    assert barrier_rounds == [4]
+
+
 SIXTY_FOUR = Path(__file__).parent / "data" / "qubit-64-settings.json"  # 2^64 answer rows on a qubit
 CQ_SWAPPED = Path(__file__).parent / "data" / "cq-swapped.json"  # the gallery's cq set with its factors swapped
 

@@ -45,6 +45,8 @@ SQ2 = math.sqrt(2)
 BB84_VALUE = (2 + SQ2) / 4
 TIGHT = SolverSettings(gap_tol=1e-9)
 SIX_BASES = Path(__file__).parent / "data" / "qubit-six-bases.json"  # 64 answer rows on a qubit
+# trial 1554 of the seed-42 brute-force draws: four rows on a qubit whose fixed-point map converges slowly
+SLOW_FIXED_POINT = Path(__file__).parent / "data" / "qubit-slow-fixed-point.json"
 
 
 def swap_sides(g):
@@ -437,7 +439,7 @@ def test_a_failing_member_raises_what_it_raises_alone():
     st = SolverSettings(max_iterations=3)
     # the (2, 2, 2, 2) member certifies at the first check; the others cannot
     with pytest.raises(SolverFailure) as alone:
-        min_error_discrimination(targets[1], st)
+        streamed([targets[1]], st)
     with pytest.raises(SolverFailure) as failure:
         streamed(targets[1:], st)
     assert_same_failure(failure.value, alone.value, 3)
@@ -471,7 +473,7 @@ def test_a_failing_member_admitted_late_raises_what_it_raises_alone(monkeypatch)
     targets = mixed_stack()
     st = SolverSettings(max_iterations=3)
     with pytest.raises(SolverFailure) as alone:
-        min_error_discrimination(targets[1], st)
+        streamed([targets[1]], st)
     two_member_window(monkeypatch)
     # the (2, 2, 2, 2) members certify at their first check; the last enters the window at step 10
     stream = solve_stream(stacked([targets[2], targets[2], targets[2], targets[1]]), st)
@@ -535,12 +537,47 @@ def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
     # neither certifies within its cap; the one admitted second runs out first
     settings = [SolverSettings(max_iterations=40), dataclasses.replace(_ORACLE_SETTINGS, max_iterations=12)]
     with pytest.raises(SolverFailure) as alone:
-        min_error_discrimination(targets[1], settings[1])
+        streamed([targets[1]], settings[1])
     with pytest.raises(SolverFailure) as failure:
         list(solve_stream(stacked(targets[:2]), settings))
     assert_same_failure(failure.value, alone.value, 12)
     with pytest.raises(ValueError, match="1 settings for 2 targets"):
         list(solve_stream(stacked(targets[:2]), settings[:1]))
+
+
+def slow_fixed_point_target() -> EffectTarget:
+    target = merged_row_targets(from_json_dict(json.loads(SLOW_FIXED_POINT.read_text())))
+    assert len(target.operators) == target.dim**2 == 4  # a stream of one comes first
+    return target
+
+
+@pytest.mark.parametrize("cap", [100, 1000])
+def test_a_small_target_whose_stream_runs_out_is_finished_by_the_barrier(barrier_rounds, cap):
+    target = slow_fixed_point_target()
+    st = SolverSettings(max_iterations=cap)
+    with pytest.raises(SolverFailure) as stream:
+        streamed([target], st)
+    result = min_error_discrimination(target, st)
+    assert barrier_rounds == [4]
+    primal, y, p, gap, steps = discrimination._working_set_solve(np.array(target.operators), st)
+    assert_same_member(member(result), (primal, y, p, gap, stream.value.iterations + steps))
+    assert (result.value, gap, steps) == (0.9956300372336082, 2.10182615756338e-08, 12)
+    result.certificate.validate(target, result.povm)
+
+
+@pytest.mark.parametrize("cap, better", [(3, "stream"), (5, "barrier")])
+def test_a_small_target_that_neither_route_certifies_raises_the_better_failure(cap, better):
+    target = slow_fixed_point_target()
+    st = SolverSettings(max_iterations=cap)
+    alone = {}
+    with pytest.raises(SolverFailure) as alone["stream"]:
+        streamed([target], st)
+    with pytest.raises(SolverFailure) as alone["barrier"]:
+        discrimination._working_set_solve(np.array(target.operators), st)
+    assert min(alone, key=lambda route: alone[route].value.gap) == better
+    with pytest.raises(SolverFailure) as failure:
+        min_error_discrimination(target, st)
+    assert_same_failure(failure.value, alone[better].value, cap)
 
 
 def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(counted_bruteforce_run, monkeypatch):
