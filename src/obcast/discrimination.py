@@ -380,36 +380,23 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return f.reshape(d * d, d * d)
 
 
-@functools.cache
-def _lower_weights(d: int) -> np.ndarray:
-    """1 on the diagonal and 2 below it: the weight of each |c_ij|^2 in the Frobenius norm of what eigvalsh reads."""
-    weights = np.tril(np.full((d, d), 2.0), -1) + np.eye(d)
-    weights.flags.writeable = False
-    return weights
+def _guarded_step(y: np.ndarray, dy: np.ndarray, alpha: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y' = Y + alpha (dY + dY^H) / 2 and the Cholesky factors of every S_r = Y' - M_r, alpha halved until they exist.
 
-
-def _step_length(l_inv: np.ndarray, dy: np.ndarray, dec: float) -> float:
-    """The damped Newton step, held to 0.99 of the boundary of every S_r > 0.
-
-    That is min(alpha_N, 0.99 / -low), with alpha_N = 1 / (1 + sqrt(dec)) for
-    a squared decrement above 1 (1 otherwise) and low the least eigenvalue of
-    C_r = L_r^-1 dY L_r^-H over every row (no bound when low >= 0).
-    ``eigvalsh`` reads the lower triangle of each C_r and is backward
-    stable, so no eigenvalue it returns exceeds the Frobenius norm F_r of that
-    Hermitian matrix by more than a rounding of order eps F_r.  When
-    alpha_N max_r F_r <= 0.98 the guard therefore cannot bind in floating
-    point, and alpha_N is returned without the eigendecomposition: the same
-    bits either way.  C_r is formed as (L_r^-1 dY) L_r^-H: the first product
-    shares its right factor dY across rows, so it is one BLAS call
-    (``_right_product``) with the bits of one call per row.
+    ``np.linalg.cholesky`` raises unless every S_r is positive definite in
+    floating point, so the factorization the next Newton step needs anyway
+    is the test that Y' is strictly feasible.  A candidate equal to Y raises
+    ``LinAlgError``: the step is below rounding.
     """
-    newton = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0
-    c = _right_product(l_inv, dy) @ dagger(l_inv)
-    frobenius = math.sqrt(float(((c.real**2 + c.imag**2) * _lower_weights(c.shape[-1])).sum(axis=(1, 2)).max()))
-    if newton * frobenius <= 0.98:  # False for a non-finite C, which goes to eigvalsh as before
-        return newton
-    low = float(np.linalg.eigvalsh(c).min())
-    return min(newton, 0.99 / -low if low < 0 else math.inf)
+    twice = dy + dagger(dy)
+    while True:
+        candidate = y + alpha * twice / 2
+        if np.array_equal(candidate, y):
+            raise np.linalg.LinAlgError("Newton step is below rounding")
+        try:
+            return candidate, np.linalg.cholesky(candidate - m)
+        except np.linalg.LinAlgError:
+            alpha /= 2
 
 
 def _barrier_solve(
@@ -422,21 +409,23 @@ def _barrier_solve(
     1996), from ``start`` = (Y0, gap0): Y0 raised by the least multiple of I
     that covers every row (``_cover``), plus 0.1 gap0 / d I, at t = n d /
     gap0, the barrier parameter whose central gap is gap0 (gap0 floored at
-    ``gap_tol``).  Its damped steps are held to 0.99 of the boundary of
-    every S_r > 0 (``_step_length``); the guard's eigendecomposition runs
-    only at steps where a Frobenius-norm bound does not already prove it
-    slack, which leaves every iterate's bits as they are with the
-    eigendecomposition at every step.  When the squared Newton
-    decrement is below 2, the central POVM, the square-root measurement of
-    the S_r^-1 (``_pretty_good``), is certified against Y (Eldar, Megretski
-    and Verghese, IEEE TIT 49, 1007, 2003): the solve returns
-    (primal, dual, POVM, gap, iterations) if the gap meets ``gap_tol``, and
-    otherwise multiplies t by ``GROWTH``.  The step that follows is a
-    predictor along the central path, which near its end is Y_opt + A / t
-    with A = t^2 U, U the Hermitian matrix of H^-1 Tr F that the step's own
-    solve holds (Fiacco and McCormick, 1968): Y moves by -(1 - 1 / GROWTH) t U,
+    ``gap_tol``).  Its steps are damped, alpha_N = 1 / (1 + sqrt(dec)) for a
+    squared Newton decrement dec above 1 and 1 otherwise, which keeps them
+    inside the Dikin ellipsoid and so strictly feasible in exact
+    arithmetic.  The Cholesky factorization of every S_r at the new point,
+    which the next step inverts, checks that in floating point, and alpha
+    is halved until it succeeds (``_guarded_step``; a halving is not an
+    iteration).  When the squared Newton decrement is below 2, the central
+    POVM, the square-root measurement of the S_r^-1 (``_pretty_good``), is
+    certified against Y (Eldar, Megretski and Verghese, IEEE TIT 49, 1007,
+    2003): the solve returns (primal, dual, POVM, gap, iterations) if the
+    gap meets ``gap_tol``, and otherwise multiplies t by ``GROWTH``.  The
+    step that follows is a predictor along the central path, which near its
+    end is Y_opt + A / t with A = t^2 U, U the Hermitian matrix of H^-1 Tr F
+    that the step's own solve holds (Fiacco and McCormick, 1968): Y moves by -(1 - 1 / GROWTH) t U,
     to that model's point at the new t, held to 0.9 of the boundary of every
-    S_r > 0.  It counts as a Newton step.  From the first certification
+    S_r > 0 by one ``eigvalsh`` over the rows, and factored the same way.
+    It counts as a Newton step.  From the first certification
     whose gap is not below half the previous one's, where the model no
     longer holds, t grows with no predictor.  Once t outgrows the rounding
     of Y, the fixed-point map on every row finishes from the best certified
@@ -459,9 +448,10 @@ def _barrier_solve(
     y, t = _cover(y0, m, 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
     best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
     predict, last = True, math.inf  # whether t's increases still take the predictor, and the last certified gap
+    factor = np.linalg.cholesky(y - m)
     try:
         for steps in range(1, st.max_iterations + 1):
-            l_inv = np.linalg.inv(np.linalg.cholesky(y - m))
+            l_inv = np.linalg.inv(factor)
             s_inv = dagger(l_inv) @ l_inv
             # Hessian sum_r Tr(S_r^-1 F_j S_r^-1 F_k) from one product of the flattened inverses
             flat = s_inv.reshape(n, d * d)
@@ -485,18 +475,15 @@ def _barrier_solve(
                 if predict:
                     dy = (1.0 / GROWTH - 1.0) * t * (u @ f).reshape(d, d)
                     low = float(np.linalg.eigvalsh(_right_product(l_inv, dy) @ dagger(l_inv)).min())
-                    y, t = y + min(1.0, 0.9 / -low if low < 0 else math.inf) * (dy + dagger(dy)) / 2, GROWTH * t
+                    y, factor = _guarded_step(y, dy, min(1.0, 0.9 / -low if low < 0 else math.inf), m)
+                    t *= GROWTH
                     continue
                 t *= GROWTH
             dx = v - t * u
             dec = float((pull - t * trace_f) @ dx)
             if not math.isfinite(dec):
                 raise np.linalg.LinAlgError("Newton decrement is not finite")
-            dy = (dx @ f).reshape(d, d)
-            alpha = _step_length(l_inv, dy, dec)
-            y, previous = y + alpha * (dy + dagger(dy)) / 2, y
-            if np.array_equal(y, previous):
-                raise np.linalg.LinAlgError("Newton step is below rounding")
+            y, factor = _guarded_step(y, (dx @ f).reshape(d, d), 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, m)
     except np.linalg.LinAlgError as exc:
         stalled = exc
     p = _pretty_good(s_inv[None])[0] if best[3] is None else best[3]

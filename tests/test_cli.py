@@ -194,15 +194,38 @@ def test_bound_from_file(tmp_path, capsys):
     assert json.loads(out)["computed"] == pytest.approx((2 + math.sqrt(2)) / 4, abs=1e-6)
 
 
-SIX_BASES = Path(__file__).parent / "data" / "qubit-six-bases.json"  # 64 answer rows on a qubit
+REPOSITORY = Path(__file__).parent.parent
+SIX_BASES = Path("tests/data/qubit-six-bases.json")  # 64 answer rows on a qubit, from the repository root
+QUQUART = Path("tests/data/ququart-five-settings.json")  # 1,024 answer rows on d = 4, from the repository root
+
+# the record ``bound --method postinfo`` prints for each file of more than 2 d^2 rows, run from the repository root
+FILE_RECORDS = {
+    (SIX_BASES, "1e-7"): (
+        '{"certificate": "dual-certified", "computed": 0.8219752636831192, "gap": 2.1295955887623563e-08, '
+        '"id": "postinfo:tests/data/qubit-six-bases.json"}'
+    ),
+    (SIX_BASES, "1e-12"): (
+        '{"certificate": "dual-certified", "computed": 0.8219752754296895, "gap": 6.359357485052897e-13, '
+        '"id": "postinfo:tests/data/qubit-six-bases.json"}'
+    ),
+    (QUQUART, "1e-7"): (
+        '{"certificate": "dual-certified", "computed": 0.7132679742242215, "gap": 1.8634100262815423e-08, '
+        '"id": "postinfo:tests/data/ququart-five-settings.json"}'
+    ),
+    (QUQUART, "1e-10"): (
+        '{"certificate": "dual-certified", "computed": 0.7132679919853463, "gap": 9.303280368300193e-11, '
+        '"id": "postinfo:tests/data/ququart-five-settings.json"}'
+    ),
+}
 
 
-def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_set(barrier_rounds, capsys):
+def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_set(barrier_rounds, monkeypatch, capsys):
+    monkeypatch.chdir(REPOSITORY)
     records = []
     for tol in ("1e-7", "1e-12"):
         barrier_rounds.clear()
         code, out, err = run(capsys, "bound", "--file", str(SIX_BASES), "--method", "postinfo", "--tol-gap", tol)
-        assert (code, err) == (0, "")
+        assert (code, out, err) == (0, FILE_RECORDS[SIX_BASES, tol] + "\n", "")
         records.append(json.loads(out))
         assert records[-1]["certificate"] == "dual-certified" and records[-1]["gap"] <= float(tol)
         assert barrier_rounds == [8, 12]  # the first working set misses rows, so a second round runs
@@ -211,18 +234,16 @@ def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_
     assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
 
 
-QUQUART = Path(__file__).parent / "data" / "ququart-five-settings.json"  # 1,024 answer rows on d = 4
-
-
-def test_a_file_of_a_thousand_rows_validates_at_both_gaps(capsys):
+def test_a_file_of_a_thousand_rows_validates_at_both_gaps(monkeypatch, capsys):
     # five Haar-random orthonormal bases of C^4 (numpy default_rng(23)) at a uniform prior
+    monkeypatch.chdir(REPOSITORY)
     ens = from_json_dict(json.loads(QUQUART.read_text()))
     target = discrimination.merged_row_targets(ens)
     assert len(target.operators) == 1024 and target.dim == 4
     records = []
     for tol in ("1e-7", "1e-10"):
         code, out, err = run(capsys, "bound", "--file", str(QUQUART), "--method", "postinfo", "--tol-gap", tol)
-        assert (code, err) == (0, "")
+        assert (code, out, err) == (0, FILE_RECORDS[QUQUART, tol] + "\n", "")
         records.append(json.loads(out))
         assert records[-1]["certificate"] == "dual-certified" and records[-1]["gap"] <= float(tol)
         result = discrimination.p_postinfo(ens, discrimination.SolverSettings(gap_tol=float(tol)))

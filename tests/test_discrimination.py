@@ -1237,38 +1237,25 @@ def reference_barrier_solve(m, st):
     raise discrimination._failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
 
 
-@pytest.fixture
-def guard_eigensolves(monkeypatch):
-    """Counts the ``eigvalsh`` calls made by ``_step_length``, the boundary guard, and by nothing else."""
-    calls = [0]
-    eigvalsh = np.linalg.eigvalsh
+def rejected_candidates(monkeypatch, forced):
+    """Counts the Cholesky factorizations that raise in ``_guarded_step``, the first ``forced`` of them made to raise."""
+    rejected = [0]
+    cholesky = np.linalg.cholesky
 
     def counted(a, *args, **kwargs):
-        calls[0] += sys._getframe(1).f_code is discrimination._step_length.__code__
-        return eigvalsh(a, *args, **kwargs)
+        if sys._getframe(1).f_code is not discrimination._guarded_step.__code__:
+            return cholesky(a, *args, **kwargs)
+        if rejected[0] < forced:
+            rejected[0] += 1
+            raise np.linalg.LinAlgError("candidate rejected")
+        try:
+            return cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            rejected[0] += 1
+            raise
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
-
-
-def test_the_step_length_is_the_guarded_newton_step_bit_for_bit(guard_eigensolves):
-    rng = np.random.default_rng(13)
-    bound = 0
-    for trial in range(400):
-        n, d = int(rng.integers(1, 30)), int(rng.integers(2, 5))
-        a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
-        s = a @ dagger(a) + 10.0 ** rng.uniform(-6, 1) * np.eye(d)
-        l_inv = np.linalg.inv(np.linalg.cholesky(s))
-        dy = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        dy = 10.0 ** rng.uniform(-8, 2) * (dy + dagger(dy))
-        dec = float(10.0 ** rng.uniform(-3, 6))
-        low = float(np.linalg.eigvalsh(l_inv @ dy @ dagger(l_inv)).min())  # not counted: called from here
-        newton = 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0
-        expected = min(newton, 0.99 / -low if low < 0 else math.inf)
-        assert discrimination._step_length(l_inv, dy, dec) == expected, trial
-        bound += expected < newton
-    # the guard bound on some inputs, so the eigendecomposition ran, and was skipped on others
-    assert 0 < bound <= guard_eigensolves[0] < 400
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return rejected
 
 
 def newton_instances():
@@ -1277,8 +1264,9 @@ def newton_instances():
 
 
 @pytest.mark.parametrize("gap_tol", [1e-7, 1e-13])
-def test_the_barrier_gives_the_bits_of_the_guard_at_every_step(guard_eigensolves, gap_tol):
+def test_the_barrier_gives_the_bits_of_the_guard_at_every_step(monkeypatch, gap_tol):
     st = SolverSettings(gap_tol=gap_tol)
+    rejected = rejected_candidates(monkeypatch, 0)
     for ens in newton_instances():
         m = np.array(merged_row_targets(ens).operators)
         primal, y, p, gap, steps = every_row_barrier(m, st)
@@ -1286,8 +1274,35 @@ def test_the_barrier_gives_the_bits_of_the_guard_at_every_step(guard_eigensolves
         assert (primal, gap, steps) == (ref_primal, ref_gap, ref_steps)
         assert y.tobytes() == ref_y.tobytes() and p.tobytes() == ref_p.tobytes()
     if gap_tol == DEFAULT_SETTINGS.gap_tol:
-        # alpha_N max_r ||C_r||_F stayed below 0.98 at every step, so the guard never needed its eigenvalues
-        assert guard_eigensolves[0] == 0
+        # every damped step factored at its first candidate, so no step was halved
+        assert rejected == [0]
+
+
+def test_a_rejected_candidate_is_halved_and_the_solve_still_certifies(monkeypatch):
+    ens = random_postinfo(2, 3, 3)
+    target = merged_row_targets(ens)
+    first = p_postinfo(ens)
+    rejected = rejected_candidates(monkeypatch, 1)
+    mine = p_postinfo(ens)
+    assert rejected == [1]
+    mine.certificate.validate(target, mine.povm)
+    # the halved first step took the solve elsewhere
+    assert mine.certificate.matrix.tobytes() != first.certificate.matrix.tobytes()
+
+
+def test_a_candidate_that_never_factors_stalls_below_rounding_with_its_best_certificate(monkeypatch):
+    ens = random_postinfo(2, 3, 3)
+    m = np.array(merged_row_targets(ens).operators)
+    rejected = rejected_candidates(monkeypatch, math.inf)
+    # the first step stalls; the fixed-point finish gets the one iteration left and cannot certify
+    with pytest.raises(SolverFailure) as failure:
+        p_postinfo(ens, SolverSettings(max_iterations=2))
+    exc = failure.value
+    assert rejected[0] > 1  # halved until the candidate rounded to Y
+    assert isinstance(exc.__cause__, np.linalg.LinAlgError) and "below rounding" in str(exc.__cause__)
+    assert exc.iterations == 2
+    assert_reported_certificate(exc, m)
+    assert exc.gap > DEFAULT_SETTINGS.gap_tol
 
 
 def test_a_working_set_takes_no_more_newton_steps_than_every_row():
@@ -1329,6 +1344,40 @@ def test_random_post_information_targets_certify_every_row(gap_tol):
         mine = p_postinfo(ens, st)
         assert len(mine.povm) == len(target.operators) == dim**n_settings
         mine.certificate.validate(target, mine.povm, gap_tol=gap_tol)
+
+
+def mub_postinfo(d, k):
+    """k Wootters-Fields mutually unbiased bases of prime dimension d, the computational basis first, at a uniform prior.
+
+    Basis a >= 1 has the kets sum_x w^((a - 1) x^2 + j x) |x> / sqrt(d), w = exp(2 pi i / d), with i^((a - 1) x^2) in
+    place of w^((a - 1) x^2) for d = 2.
+    """
+    x = np.arange(d)
+    bases = [np.eye(d)]
+    for a in range(k - 1):
+        chirp = 1j ** (a * x * x) if d == 2 else np.exp(2j * np.pi * a * x * x / d)
+        bases.append(chirp[:, None] * np.exp(2j * np.pi * np.outer(x, x) / d) / math.sqrt(d))
+    return PostInfoEnsemble(
+        settings=tuple(str(a) for a in range(k)),
+        states=tuple(tuple(np.ascontiguousarray(b[:, j]) for j in range(d)) for b in bases),
+        prior=tuple((1 / (k * d),) * d for _ in range(k)),
+        orthogonal=True,
+    )
+
+
+@pytest.mark.parametrize("gap_tol", [1e-7, 1e-12])
+def test_the_barrier_window_holds_the_closed_form_optimum_of_mutually_unbiased_bases(gap_tol):
+    # Y = max_r lambda_max(M_r) I covers every row; the orbit of the best row's top eigenvector under the d^2
+    # displacements X^a Z^b, each weighted 1/d, is a POVM on rows that attains d max_r lambda_max(M_r)
+    st = SolverSettings(gap_tol=gap_tol)
+    for d, k in [(2, 3), (3, 3), (3, 4), (5, 3)]:
+        ens = mub_postinfo(d, k)
+        m = np.array(merged_row_targets(ens).operators)
+        assert d**2 < len(m) == d**k
+        optimum = d * float(np.linalg.eigvalsh(m)[:, -1].max())
+        mine = p_postinfo(ens, st)
+        ulps = 4 * np.spacing(optimum)
+        assert mine.value - ulps <= optimum <= mine.value + mine.certificate.gap + ulps, (d, k)
 
 
 class ExactRows:
