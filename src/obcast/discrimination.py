@@ -6,13 +6,12 @@ P_r <- R^{-1/2} M_r P_r M_r R^{-1/2}, damped and Hermitian-projected each
 step.  A dual certificate Y >= M_r is built from the iterate by an
 eigenvalue shift; the reported value is optimal within the certified gap,
 independently of how the iteration behaved.  Same-shape targets stream, as
-one (B, n, d, d) array, through one lockstep window of at most
-``STACK_OPERATORS`` operators (``solve_stream``), each at its own settings,
-entering at steps that are multiples of every member's check interval and
-leaving as each certifies, so every member's arrays are bit for bit its lone
-solve's; result objects are built only where read, and a single solve of at
-most d^2 operators is a stream of one, which the barrier below finishes if
-it runs out uncertified.  The exact certificate of a member
+one (B, n, d, d) array, in lockstep (``solve_stream``), each at its own
+settings, all starting at step 0 and leaving as each certifies, so every
+member's arrays are bit for bit its lone solve's; result objects are built
+only where read, and a single solve of at most d^2 operators is a stream of
+one, which the barrier below finishes if it is uncertified after
+``STREAM_BUDGET`` iterations.  The exact certificate of a member
 runs only once its screened gap, which agrees with it to rounding, is within
 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
@@ -45,13 +44,13 @@ from .errors import InternalInconsistency, SolverFailure
 from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member, psd_stack, rounding_floor
 
 MAX_ROW_TARGETS = 4096
-# operators (members times outcomes) iterating in lockstep; a wider window costs memory and saves no time
-STACK_OPERATORS = 1024
 # eigenvalues below this fraction of the largest are outside the support in the pseudo-inverse R^{-1/2};
 # it is tighter than broadcast.STATE_RANK_TOL, which judges ranks of unit state vectors, not of weighted sums
 PINV_RANK_TOL = 1e-12
 # the barrier multiplies t by this at each certification that misses gap_tol
 GROWTH = 30.0
+# fixed-point iterations a lone target of at most d^2 operators takes before the barrier finishes it
+STREAM_BUDGET = 1000
 # a row whose slack bound clears validate's rounding floor by this many floors skips its eigendecomposition
 SCREEN_FLOORS = 1024.0
 
@@ -268,7 +267,7 @@ def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
 def _failure(st: SolverSettings, primal, y, gap, p, iterations) -> SolverFailure:
     """The error for a solve whose best certified iterate ``p``, with dual ``y``, missed ``gap_tol``."""
     message = f"no certificate below {st.gap_tol:.1e} within {iterations} iterations (best gap {gap:.3e})"
-    return SolverFailure(message, primal=primal, gap=gap, povm=tuple(p), dual=y, iterations=iterations)
+    return SolverFailure(message, primal=primal, gap=gap, povm=p, dual=y, iterations=iterations)
 
 
 def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -291,30 +290,28 @@ def solve_stream(
 ) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
     """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), at one ``settings`` or one per member.
 
-    A window of at most ``STACK_OPERATORS`` operators (always at least one
-    member) iterates in lockstep, each member with its own damping.  Members
-    enter it in input order, from ``p`` (default: the pretty-good
-    measurement), and only at steps that are multiples of every member's
-    check interval, so each is checked at the same local iterations as in its
-    lone solve; a member leaves at the first of its checks where its own
-    exact certificate meets its ``gap_tol``, and its place is refilled at the
-    next admission step; a step at which no member is due checks nothing.
-    Every stacked step computes each member exactly as
-    it would be computed alone, so the results do not depend on the window or
-    on the other members, and a caller that folds each result and drops it
-    never holds them all.  Yields (index, (primal, dual, POVM, gap,
-    iterations)) as each member certifies, or raises ``SolverFailure`` for
-    the member whose own ``max_iterations`` run out first uncertified (the
-    earliest admitted among those that run out at the same step).
+    Every member starts at step 0 from ``p`` (default: the pretty-good
+    measurement) and iterates in lockstep with the others, each with its own
+    damping, so a member's age is the step.  Each member is checked every
+    ``check_interval`` steps and at its last iteration, the iterations of its
+    lone solve; a step at which no member is due checks nothing.  A member
+    leaves at the first of its checks where its own exact certificate meets
+    its ``gap_tol``.  Every stacked step computes each member exactly as it
+    would be computed alone, so the results do not depend on the other
+    members, and a caller that folds each result and drops it never holds
+    them all.  Yields (index, (primal, dual, POVM, gap, iterations)) as each
+    member certifies, or raises ``SolverFailure`` for the member whose own
+    ``max_iterations`` run out first uncertified (the first in input order
+    among those that run out at the same step).
     """
     if isinstance(settings, SolverSettings):
         settings = [settings] * len(m)
     elif len(settings) != len(m):
         raise ValueError(f"{len(settings)} settings for {len(m)} targets")
-    count, n = m.shape[:2]
-    width = max(1, STACK_OPERATORS // n)
+    if not len(m):
+        return
     intervals = [st.check_interval for st in settings]
-    admit_every, check_every = math.lcm(*intervals), math.gcd(*intervals)
+    check_every = math.gcd(*intervals)
     # per-member constants in input order; the update factors are complex, as numpy casts a float factor
     keep_by = np.array([1.0 - st.damping for st in settings], dtype=complex)[:, None, None, None]
     damp_by = np.array([st.damping for st in settings], dtype=complex)[:, None, None, None]
@@ -322,31 +319,20 @@ def solve_stream(
     last_by = np.array([st.max_iterations - 1 for st in settings])
     # screened gaps are within rounding of the exact ones, far inside this margin
     screen_by = np.array([st.gap_tol for st in settings]) + 1e-12
-    # the live window, in admission order: input index, admission step, targets, iterates, best check
-    live, start, ms, ps, best_gap, best_p = np.arange(0), np.arange(0), m[:0], m[:0], np.zeros(0), m[:0]
-    step = admitted = 0
-    next_final = math.inf  # the first step at which a live member reaches its last iteration
-    while admitted < count or live.size:
-        if not live.size:
-            step = -(-step // admit_every) * admit_every  # an empty window idles to the next admission step
-        if step % admit_every == 0 and admitted < count and live.size < width:
-            new = np.arange(admitted, min(count, admitted + width - live.size))
-            admitted = int(new[-1]) + 1
-            entry = _pretty_good(m[new]) if p is None else p[new]
-            live, start = np.concatenate([live, new]), np.concatenate([start, np.full(new.size, step)])
-            ms, ps, best_p = np.concatenate([ms, m[new]]), np.concatenate([ps, entry]), np.concatenate([best_p, entry])
-            best_gap = np.concatenate([best_gap, np.full(new.size, np.inf)])
-            keep, damp = keep_by[live], damp_by[live]
-            next_final = min(next_final, step + int(last_by[new].min()))
+    # the live members, in input order: input index, targets, iterates, best check
+    live, ms, ps = np.arange(len(m)), m, _pretty_good(m) if p is None else p.copy()  # the loop updates ps in place
+    best_gap, best_p, keep, damp = np.full(len(m), np.inf), ps.copy(), keep_by, damp_by
+    next_final = int(last_by.min())  # the first step at which a live member reaches its last iteration
+    step = 0
+    while live.size:
         # (1 - damping) P + damping PGM(M P M), the operands in the order of a scalar update
         pretty_good = _pretty_good(ms @ ps @ ms)
         np.multiply(keep, ps, out=ps)
         np.multiply(damp, pretty_good, out=pretty_good)
         ps += pretty_good
         if step % check_every == 0 or step == next_final:
-            age = step - start
-            final = age == last_by[live]
-            due = np.flatnonzero((age % every_by[live] == 0) | final)
+            final = step == last_by[live]
+            due = np.flatnonzero((step % every_by[live] == 0) | final)
             if due.size:  # a final member is always due, so an empty check has no overrun to test
                 gaps = _screened_gaps(ms[due], ps[due])
                 improved = gaps < best_gap[due]
@@ -357,16 +343,16 @@ def solve_stream(
                     primal, y, gap = _certify(ms[k], ps[k])
                     if gap <= settings[live[k]].gap_tol:
                         stay[k] = False
-                        yield int(live[k]), (primal, y, ps[k].copy(), gap, int(age[k]) + 1)
+                        yield int(live[k]), (primal, y, ps[k].copy(), gap, step + 1)
                 overrun = np.flatnonzero(final & stay)
                 if overrun.size:
                     k = overrun[0]
                     st = settings[live[k]]
                     raise _failure(st, *_certify(ms[k], best_p[k]), best_p[k], st.max_iterations)
                 if not stay.all():
-                    live, start, ms, ps, best_gap, best_p = (a[stay] for a in (live, start, ms, ps, best_gap, best_p))
+                    live, ms, ps, best_gap, best_p = (a[stay] for a in (live, ms, ps, best_gap, best_p))
                     keep, damp = keep_by[live], damp_by[live]
-                    next_final = int((start + last_by[live]).min()) if live.size else math.inf
+                    next_final = int(last_by[live].min()) if live.size else math.inf
         step += 1
 
 
@@ -494,7 +480,7 @@ def _barrier_solve(
             [(_, (primal, y, p, gap, fixed))] = solve_stream(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
             return primal, y, p, gap, steps + fixed
         except SolverFailure as polish:
-            final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
+            final, steps = (polish.primal, polish.dual, polish.gap, polish.povm), st.max_iterations
     raise _failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
 
 
@@ -556,14 +542,16 @@ def min_error_discrimination(
     With at most d^2 targets this is a stream of one (``solve_stream``), and
     with more a barrier solve on a working set of rows
     (``_working_set_solve``); the certificate covers every target either way.
-    A stream of one that runs out of ``st.max_iterations`` uncertified, as a
-    slowly converging map can, is finished by the barrier with a budget of
-    its own; only if that fails too does the better failure of the two raise.
+    A stream of one that is uncertified after ``STREAM_BUDGET`` iterations (or
+    ``st.max_iterations``, if fewer), as a slowly converging map can be, is
+    finished by the barrier with a budget of its own; only if that fails too
+    does the better failure of the two raise.
     """
     st, m = settings or DEFAULT_SETTINGS, np.array(target.operators)
     if len(m) <= target.dim**2:
         try:
-            [(_, (primal, y, p, gap, iterations))] = solve_stream(m[None], st)
+            budget = replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET))
+            [(_, (primal, y, p, gap, iterations))] = solve_stream(m[None], budget)
         except SolverFailure as stream:
             try:
                 primal, y, p, gap, steps = _working_set_solve(m, st)

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .discrimination import STACK_OPERATORS, EffectTarget, SolverSettings, _pretty_good, _screened_gaps
+from .discrimination import EffectTarget, SolverSettings, _pretty_good, _screened_gaps
 from .discrimination import min_error_discrimination  # noqa: F401  (bound here for perfbench's span tracer)
 from .linalg import rounding_floor
 
@@ -38,6 +38,8 @@ from .linalg import rounding_floor
 _ORACLE_SETTINGS = SolverSettings(gap_tol=1e-8, damping=1.0, check_interval=5)
 # rounding floors that hold the search's bounds on each problem's optimum against the rounding of both
 _MARGIN_FLOORS = 4.0
+# operators (problems times rows) per window of the bound; a wider window costs memory and saves no time
+STACK_OPERATORS = 1024
 
 
 def _bounds(m: np.ndarray) -> np.ndarray:
@@ -68,9 +70,9 @@ class AssignmentSearch:
     rounding floors at the problem's own scale, holds both against rounding.
     A problem is kept when U_k + ``gap_tol`` >= L_e of its target.  The
     bound runs one target at a time, in windows of at most
-    ``STACK_OPERATORS`` operators as the stream does, and keeps two floats
-    per multiset; only the kept problems are built.  A dropped problem's
-    certified result would be primal + gap <= OPT_k + ``gap_tol`` <= U_k +
+    ``STACK_OPERATORS`` operators, and keeps two floats per multiset; only
+    the kept problems are built.  A dropped problem's certified result
+    would be primal + gap <= OPT_k + ``gap_tol`` <= U_k +
     ``gap_tol`` < L_e, while L_e <= Tr Y_j for the problem j that gave L_e,
     which is always kept (U_j exceeds L_e by its gap and twice the margin).
     So every dropped result lies strictly below a kept one, and each of
