@@ -445,6 +445,21 @@ def test_a_failing_member_raises_what_it_raises_alone():
     assert_same_failure(failure.value, alone.value, 3)
 
 
+def test_a_stream_failure_carries_its_best_iterate_as_one_array():
+    target = mixed_stack()[1]
+    with pytest.raises(SolverFailure) as failure:
+        streamed([target], SolverSettings(max_iterations=3))
+    povm = failure.value.povm
+    assert isinstance(povm, np.ndarray) and povm.shape == np.array(target.operators).shape
+    assert np.allclose(povm.sum(axis=0), np.eye(target.dim))
+
+
+def test_an_empty_stream_yields_nothing():
+    m = stacked(mixed_stack())[:0]
+    assert list(solve_stream(m, DEFAULT_SETTINGS)) == []
+    assert list(solve_stream(m, [])) == []
+
+
 def test_a_failing_member_behind_members_that_certify_raises_what_it_raises_alone():
     targets = mixed_stack()
     st = SolverSettings(max_iterations=3)
