@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrimination import DEFAULT_SETTINGS, PostInfoResult, SolverSettings, answer_rows, p_postinfo
+from .discrimination import DEFAULT_SETTINGS, SolverSettings, answer_rows, p_postinfo
 from .ensembles import Isometry, PostInfoEnsemble, Povm
 from .errors import InternalInconsistency
 from .linalg import dyad, partial_trace
@@ -175,7 +175,7 @@ def perfect_classical_broadcast_decision(
         orthogonal=ensemble.orthogonal,
     )
     certificate = kill_pattern_certificate(ensemble)
-    result: PostInfoResult = p_postinfo(uniform, st)
+    result = p_postinfo(uniform, st)
     decision = BroadcastFeasibility(result.value, result.certificate.gap, None, None, certificate)
     if not decision.feasible:
         return decision

@@ -7,11 +7,11 @@ step.  A dual certificate Y >= M_r is built from the iterate by an
 eigenvalue shift; the reported value is optimal within the certified gap,
 independently of how the iteration behaved.  Same-shape targets stream, as
 one (B, n, d, d) array, in lockstep (``solve_stream``), each at its own
-settings, all starting at step 0 and leaving as each certifies, so every
-member's arrays are bit for bit its lone solve's; result objects are built
-only where read, and a single solve of at most d^2 operators is a stream of
-one, which the barrier below finishes if it is uncertified after
-``STREAM_BUDGET`` iterations.  The exact certificate of a member
+settings, all starting at step 0 and leaving as each certifies or runs out,
+so every member's arrays are bit for bit its lone solve's.  The barrier below
+finishes every member that runs out (``finish_member``); a single solve of
+at most d^2 operators is a stream of one with ``STREAM_BUDGET`` iterations,
+and result objects are built only where read.  The exact certificate of a member
 runs only once its screened gap, which agrees with it to rounding, is within
 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
@@ -84,13 +84,14 @@ DEFAULT_SETTINGS = SolverSettings()
 class EffectTarget:
     """Weighted PSD operators to be told apart, priors absorbed, each checked by ``linalg.psd_stack`` at ``psd_tol``."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray  # (n, d, d), read-only
     labels: tuple = ()
     psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         stack = psd_stack(self.operators, self.psd_tol, "target")
-        object.__setattr__(self, "operators", tuple(stack))
+        stack.flags.writeable = False
+        object.__setattr__(self, "operators", stack)
         labels = tuple(self.labels) if len(self.labels) else tuple(range(len(stack)))
         if len(labels) != len(stack):
             raise ValueError("labels must match targets")
@@ -98,7 +99,7 @@ class EffectTarget:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class DualCertificate:
         whichever is larger.
         """
         y = hermitian(self.matrix, tol=rounding_floor(0.0, np.abs(self.matrix).max(initial=0.0)))
-        ops = np.array(target.operators)
+        ops = target.operators
         scale = max(np.abs(y).max(), np.abs(ops).max())
         low = _row_slack(y, ops).min()
         if low < -rounding_floor(0.0, scale):
@@ -138,7 +139,7 @@ class DualCertificate:
             return
         if len(povm) != len(target.operators):
             raise ValueError(f"{len(povm)} effects for {len(target.operators)} targets")
-        effects = np.array(povm.effects)
+        effects = povm.effects
         floor = rounding_floor(target.psd_tol, target.dim)
         low = np.linalg.eigvalsh(effects).min()
         if low < -floor:
@@ -150,10 +151,12 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class DiscriminationResult:
+    """A certified optimum, its POVM and dual, the labels of its targets (answer rows, for ``p_postinfo``) and iterations."""
+
     value: float
     povm: Povm
     certificate: DualCertificate
-    labels: tuple
+    assignment: tuple
     iterations: int = 0
 
 
@@ -287,7 +290,7 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def solve_stream(
     m: np.ndarray, settings: SolverSettings | Sequence[SolverSettings], p: np.ndarray | None = None
-) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
+) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int] | SolverFailure]]:
     """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), at one ``settings`` or one per member.
 
     Every member starts at step 0 from ``p`` (default: the pretty-good
@@ -300,9 +303,10 @@ def solve_stream(
     would be computed alone, so the results do not depend on the other
     members, and a caller that folds each result and drops it never holds
     them all.  Yields (index, (primal, dual, POVM, gap, iterations)) as each
-    member certifies, or raises ``SolverFailure`` for the member whose own
-    ``max_iterations`` run out first uncertified (the first in input order
-    among those that run out at the same step).
+    member certifies, and (index, ``SolverFailure``) for a member whose own
+    ``max_iterations`` run out uncertified, the failure its lone solve
+    yields, with its best checked iterate; the others carry on.
+    ``finish_member`` turns either into a certificate.
     """
     if isinstance(settings, SolverSettings):
         settings = [settings] * len(m)
@@ -344,11 +348,9 @@ def solve_stream(
                     if gap <= settings[live[k]].gap_tol:
                         stay[k] = False
                         yield int(live[k]), (primal, y, ps[k].copy(), gap, step + 1)
-                overrun = np.flatnonzero(final & stay)
-                if overrun.size:
-                    k = overrun[0]
-                    st = settings[live[k]]
-                    raise _failure(st, *_certify(ms[k], best_p[k]), best_p[k], st.max_iterations)
+                for k in np.flatnonzero(final & stay):
+                    st, stay[k] = settings[live[k]], False
+                    yield int(live[k]), _failure(st, *_certify(ms[k], best_p[k]), best_p[k].copy(), st.max_iterations)
                 if not stay.all():
                     live, ms, ps, best_gap, best_p = (a[stay] for a in (live, ms, ps, best_gap, best_p))
                     keep, damp = keep_by[live], damp_by[live]
@@ -476,11 +478,10 @@ def _barrier_solve(
     final = (*_certify(m, p), p)
     if stalled is not None and steps < st.max_iterations:
         # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
-        try:
-            [(_, (primal, y, p, gap, fixed))] = solve_stream(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
-            return primal, y, p, gap, steps + fixed
-        except SolverFailure as polish:
-            final, steps = (polish.primal, polish.dual, polish.gap, polish.povm), st.max_iterations
+        [(_, polish)] = solve_stream(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
+        if not isinstance(polish, SolverFailure):
+            return (*polish[:4], steps + polish[4])
+        final, steps = (polish.primal, polish.dual, polish.gap, polish.povm), st.max_iterations
     raise _failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
 
 
@@ -534,6 +535,24 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     raise _failure(st, *min(candidates, key=lambda c: c[2]), st.max_iterations) from stalled
 
 
+def finish_member(m: np.ndarray, st: SolverSettings, out: tuple | SolverFailure) -> tuple[float, np.ndarray, np.ndarray, float, int]:
+    """(primal, dual, POVM, gap, iterations) of the stream member ``m`` (n, d, d) whose ``solve_stream`` output is ``out``.
+
+    A member that certified is returned as it is.  A member that ran out, a
+    ``SolverFailure``, is finished by the barrier (``_working_set_solve``)
+    at ``st`` with a budget of its own, its iterations the stream's plus the
+    barrier's; only if that fails too does the better failure of the two
+    raise.
+    """
+    if not isinstance(out, SolverFailure):
+        return out
+    try:
+        primal, y, p, gap, steps = _working_set_solve(m, st)
+    except SolverFailure as barrier:
+        raise min(out, barrier, key=lambda exc: exc.gap) from None
+    return primal, y, p, gap, out.iterations + steps
+
+
 def min_error_discrimination(
     target: EffectTarget, settings: SolverSettings | None = None
 ) -> DiscriminationResult:
@@ -544,23 +563,15 @@ def min_error_discrimination(
     (``_working_set_solve``); the certificate covers every target either way.
     A stream of one that is uncertified after ``STREAM_BUDGET`` iterations (or
     ``st.max_iterations``, if fewer), as a slowly converging map can be, is
-    finished by the barrier with a budget of its own; only if that fails too
-    does the better failure of the two raise.
+    finished by the barrier (``finish_member``).
     """
-    st, m = settings or DEFAULT_SETTINGS, np.array(target.operators)
+    st, m = settings or DEFAULT_SETTINGS, target.operators
     if len(m) <= target.dim**2:
-        try:
-            budget = replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET))
-            [(_, (primal, y, p, gap, iterations))] = solve_stream(m[None], budget)
-        except SolverFailure as stream:
-            try:
-                primal, y, p, gap, steps = _working_set_solve(m, st)
-            except SolverFailure as barrier:
-                raise min(stream, barrier, key=lambda exc: exc.gap) from None
-            iterations = stream.iterations + steps
+        [(_, out)] = solve_stream(m[None], replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)))
+        primal, y, p, gap, iterations = finish_member(m, st, out)
     else:
         primal, y, p, gap, iterations = _working_set_solve(m, st)
-    return DiscriminationResult(primal, Povm(effects=tuple(p)), DualCertificate(y, primal, gap), target.labels, iterations)
+    return DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), target.labels, iterations)
 
 
 def answer_rows(ensemble: PostInfoEnsemble) -> list[tuple[int, ...]]:
@@ -587,37 +598,25 @@ def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = PSD_TOL) -> 
     for t, group in enumerate(ensemble.states):  # one indexed add per setting, in the order a row sums them
         weighted = np.array([ensemble.prior[t][i] * dyad(s) for i, s in enumerate(group)])
         acc += weighted[index[:, t]]
-    return EffectTarget(operators=tuple(acc), labels=tuple(rows), psd_tol=psd_tol)
+    return EffectTarget(operators=acc, labels=tuple(rows), psd_tol=psd_tol)
 
 
-@dataclass(frozen=True)
-class PostInfoResult:
-    """Measure-first value with its optimal POVM and answer rows."""
-
-    value: float
-    povm: Povm
-    assignment: tuple[tuple[int, ...], ...]
-    certificate: DualCertificate
-    iterations: int = 0
+def validated(target: EffectTarget, result: DiscriminationResult, gap_tol: float) -> DiscriminationResult:
+    """``result`` once its certificate and POVM hold against every row of ``target`` at ``gap_tol``, else ``InternalInconsistency``."""
+    try:
+        result.certificate.validate(target, result.povm, gap_tol=gap_tol)
+    except ValueError as exc:
+        raise InternalInconsistency(f"post-information certificate rejected: {exc}") from None
+    return result
 
 
-def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = None) -> PostInfoResult:
+def p_postinfo(ensemble: PostInfoEnsemble, settings: SolverSettings | None = None) -> DiscriminationResult:
     """Optimal guessing probability when the setting arrives after measurement.
 
-    The certificate and the POVM of ``min_error_discrimination`` are checked
-    against every row before the result is returned.
+    The ``min_error_discrimination`` result on the answer rows, whose
+    ``assignment`` labels them, is checked against every row (``validated``)
+    before it is returned.
     """
     st = settings or DEFAULT_SETTINGS
     target = merged_row_targets(ensemble, psd_tol=st.psd_tol)
-    result = min_error_discrimination(target, st)
-    try:
-        result.certificate.validate(target, result.povm, gap_tol=st.gap_tol)
-    except ValueError as exc:
-        raise InternalInconsistency(f"post-information certificate rejected: {exc}") from None
-    return PostInfoResult(
-        value=result.value,
-        povm=result.povm,
-        assignment=result.labels,
-        certificate=result.certificate,
-        iterations=result.iterations,
-    )
+    return validated(target, min_error_discrimination(target, st), st.gap_tol)

@@ -148,21 +148,21 @@ class GopEnsemble:
 class Povm:
     """Effects summing to the identity, each checked by ``linalg.psd_stack`` at ``PSD_TOL``."""
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray  # (n, d, d), read-only
 
     def __post_init__(self):
         if len(self.effects) == 0:
             raise ValueError("a POVM needs at least one effect")
         effects = psd_stack(self.effects, PSD_TOL, "effect")
         effects.flags.writeable = False
-        object.__setattr__(self, "effects", tuple(effects))
+        object.__setattr__(self, "effects", effects)
         residual = np.abs(effects.sum(axis=0) - np.eye(effects.shape[-1])).max()
         if residual > PSD_TOL:
             raise ValueError(f"effects sum to identity only within {residual:.3e}")
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
     def __len__(self) -> int:
         return len(self.effects)

@@ -12,9 +12,10 @@ the row-merging shortcut that ``p_postinfo`` relies on; agreement between the
 two is what the test asserts.  ``AssignmentSearch`` holds the assignment
 problems of a set of row targets as one (B, d^2, d, d) array; its caller
 streams them (``solve_stream``) with any other targets of the same shape,
-and folds each primal + gap, Tr Y of a dual raised above every row, into
-its target's optimum as it certifies: no POVM is needed, so no result
-object is built, and the search's POVMs and duals are never held at once.
+finishes each (``finish_member``, the barrier for one that runs out), and
+folds its primal + gap, Tr Y of a dual raised above every row, into its
+target's optimum: no POVM is needed, so no result object is built, and the
+search's POVMs and duals are never held at once.
 Before any problem enters the stream, the search bounds every one of them
 from one undamped map step off the pretty-good measurement, and keeps only
 those whose certified optimum could still reach its target's maximum
@@ -84,7 +85,7 @@ class AssignmentSearch:
     def __init__(self, row_targets: Sequence[EffectTarget]):
         problems, kept, self._owner = [], [], []
         for e, row_target in enumerate(row_targets):
-            ops, n = np.array(row_target.operators), row_target.dim**2
+            ops, n = row_target.operators, row_target.dim**2
             # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
             keys = np.array(list(itertools.combinations_with_replacement(range(len(ops)), n)))
             width = max(1, STACK_OPERATORS // n)

@@ -22,15 +22,17 @@ import numpy as np
 from . import broadcast, moe, qpv
 from .discrimination import (
     DEFAULT_SETTINGS,
+    DiscriminationResult,
     DualCertificate,
     SolverSettings,
+    finish_member,
     helstrom_binary,
     merged_row_targets,
     p_postinfo,
     solve_stream,
+    validated,
 )
 from .ensembles import Povm, gallery, gen_bb84, induced_postinfo
-from .errors import InternalInconsistency
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import lemma_a1_bound
 from .oracles import AssignmentSearch
@@ -491,21 +493,17 @@ def _prop_bruteforce(case, opts):
     targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
     search = AssignmentSearch(targets)
     # one stream: the row-merged targets at the settings in force, then the search's problems at its own
-    members = np.concatenate([np.array([t.operators for t in targets]), search.problems])
+    members = np.concatenate([np.stack([t.operators for t in targets]), search.problems])
     settings = [opts.settings] * len(targets) + [search.settings] * len(search.problems)
     merged: list = [None] * len(targets)
-    for i, (primal, y, p, gap, _) in solve_stream(members, settings):
-        if i < len(targets):
-            merged[i] = primal, y, p, gap
+    for i, out in solve_stream(members, settings):
+        primal, y, p, gap, iterations = finish_member(members[i], settings[i], out)
+        if i < len(targets):  # result objects only for the merged solves, the ones validated here
+            result = DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), targets[i].labels, iterations)
+            merged[i] = validated(targets[i], result, opts.settings.gap_tol)
         else:
             search.fold(i - len(targets), primal, gap)
-    # result objects only for the merged solves, the ones validated here
-    for target, (primal, y, p, gap) in zip(targets, merged):
-        try:
-            DualCertificate(y, primal, gap).validate(target, Povm(effects=tuple(p)), gap_tol=opts.settings.gap_tol)
-        except ValueError as exc:
-            raise InternalInconsistency(f"brute-force certificate rejected: {exc}") from None
-    return max(abs(primal - value) for (primal, *_), value in zip(merged, search.values))
+    return max(abs(result.value - value) for result, value in zip(merged, search.values))
 
 
 # --- runner ----------------------------------------------------------------------

@@ -55,11 +55,11 @@ def swap_sides(g):
 
 def stacked(targets):
     """The operators of same-shape targets as one (B, n, d, d) stream."""
-    return np.array([t.operators for t in targets])
+    return np.stack([t.operators for t in targets])
 
 
 def streamed(targets, settings=DEFAULT_SETTINGS):
-    """The members ``solve_stream`` yields for ``targets``, (primal, dual, POVM, gap, iterations) each, in input order."""
+    """What ``solve_stream`` yields for each of ``targets``, in input order: (primal, dual, POVM, gap, iterations) or a ``SolverFailure``."""
     results = dict(solve_stream(stacked(targets), settings))
     return [results[i] for i in range(len(targets))]
 
@@ -67,7 +67,7 @@ def streamed(targets, settings=DEFAULT_SETTINGS):
 def member(result):
     """A result object as the stream yields its member: (primal, dual, POVM, gap, iterations)."""
     certificate = result.certificate
-    return result.value, certificate.matrix, np.array(result.povm.effects), certificate.gap, result.iterations
+    return result.value, certificate.matrix, result.povm.effects, certificate.gap, result.iterations
 
 
 def assert_same_member(mine, alone):
@@ -82,6 +82,7 @@ def assert_same_member(mine, alone):
 
 def assert_same_failure(mine, alone, iterations):
     """The ``SolverFailure`` ``mine`` is ``alone`` bit for bit, after ``iterations`` iterations."""
+    assert isinstance(mine, SolverFailure) and isinstance(alone, SolverFailure)
     assert str(mine) == str(alone)
     assert mine.primal == alone.primal
     assert mine.gap == alone.gap
@@ -434,24 +435,31 @@ def test_stacked_certificates_validate_under_the_settings_in_force():
         loose.certificate.validate(targets[0])
 
 
-def test_a_failing_member_raises_what_it_raises_alone():
+def test_a_failing_member_yields_the_failure_it_yields_alone():
     targets = mixed_stack()
     st = SolverSettings(max_iterations=3)
-    # the (2, 2, 2, 2) member certifies at the first check; the others cannot
-    with pytest.raises(SolverFailure) as alone:
-        streamed([targets[1]], st)
-    with pytest.raises(SolverFailure) as failure:
-        streamed(targets[1:], st)
-    assert_same_failure(failure.value, alone.value, 3)
+    # the (2, 2, 2, 2) member certifies at the first check; the others cannot, and the stream carries on past each
+    mine = streamed(targets[1:], st)
+    assert sum(isinstance(out, SolverFailure) for out in mine) == len(mine) - 1
+    for target, out in zip(targets[1:], mine):
+        [alone] = streamed([target], st)
+        if isinstance(alone, SolverFailure):
+            assert_same_failure(out, alone, 3)
+        else:
+            assert_same_member(out, alone)
 
 
 def test_a_stream_failure_carries_its_best_iterate_as_one_array():
     target = mixed_stack()[1]
-    with pytest.raises(SolverFailure) as failure:
-        streamed([target], SolverSettings(max_iterations=3))
-    povm = failure.value.povm
-    assert isinstance(povm, np.ndarray) and povm.shape == np.array(target.operators).shape
+    # the first member runs out at its third iteration; the second iterates on after it has left
+    stream = solve_stream(stacked([target, target]), [SolverSettings(max_iterations=3), SolverSettings(max_iterations=40)])
+    index, failure = next(stream)
+    assert index == 0 and isinstance(failure, SolverFailure)
+    povm, left = failure.povm, failure.povm.tobytes()
+    assert isinstance(povm, np.ndarray) and povm.shape == target.operators.shape
     assert np.allclose(povm.sum(axis=0), np.eye(target.dim))
+    assert [i for i, _ in stream] == [1]
+    assert povm.tobytes() == left
 
 
 def test_an_empty_stream_yields_nothing():
@@ -460,20 +468,18 @@ def test_an_empty_stream_yields_nothing():
     assert list(solve_stream(m, [])) == []
 
 
-def test_a_failing_member_behind_members_that_certify_raises_what_it_raises_alone():
+def test_a_failing_member_behind_members_that_certify_yields_the_failure_it_yields_alone():
     targets = mixed_stack()
     st = SolverSettings(max_iterations=3)
-    with pytest.raises(SolverFailure) as alone:
-        streamed([targets[1]], st)
+    [alone] = streamed([targets[1]], st)
     # the (2, 2, 2, 2) members certify at their first check; the last runs out at its third iteration
-    stream = solve_stream(stacked([targets[2], targets[2], targets[2], targets[1]]), st)
-    done = []
-    with pytest.raises(SolverFailure) as behind:
-        for i, (*_, iterations) in stream:
-            done.append(i)
-            assert iterations == 1
-    assert done == [0, 1, 2]
-    assert_same_failure(behind.value, alone.value, 3)
+    out = list(solve_stream(stacked([targets[2], targets[2], targets[2], targets[1]]), st))
+    assert [i for i, _ in out] == [0, 1, 2, 3]
+    assert [iterations for _, (*_, iterations) in out[:3]] == [1, 1, 1]
+    assert_same_failure(out[3][1], alone, 3)
+    # a yielded failure is no member: unpacking it as one fails
+    with pytest.raises(TypeError):
+        primal, y, p, gap, iterations = out[3][1]
 
 
 def test_members_at_mixed_settings_match_their_lone_solves_bit_for_bit():
@@ -530,15 +536,15 @@ def test_the_stream_screens_only_at_steps_where_some_member_is_due(monkeypatch):
     assert len(sizes) == 13
 
 
-def test_the_member_that_runs_out_first_raises_what_it_raises_alone():
+def test_members_that_run_out_yield_the_failures_they_yield_alone():
     targets = mixed_stack()
-    # neither certifies within its cap; the second in input order runs out first
+    # neither certifies within its cap; the second in input order runs out first, the first after it
     settings = [SolverSettings(max_iterations=40), dataclasses.replace(_ORACLE_SETTINGS, max_iterations=12)]
-    with pytest.raises(SolverFailure) as alone:
-        streamed([targets[1]], settings[1])
-    with pytest.raises(SolverFailure) as failure:
-        list(solve_stream(stacked(targets[:2]), settings))
-    assert_same_failure(failure.value, alone.value, 12)
+    out = list(solve_stream(stacked(targets[:2]), settings))
+    assert [i for i, _ in out] == [1, 0]
+    for i, failure in out:
+        [alone] = streamed([targets[i]], settings[i])
+        assert_same_failure(failure, alone, settings[i].max_iterations)
     with pytest.raises(ValueError, match="1 settings for 2 targets"):
         list(solve_stream(stacked(targets[:2]), settings[:1]))
 
@@ -553,12 +559,12 @@ def slow_fixed_point_target() -> EffectTarget:
 def test_a_small_target_whose_stream_runs_out_is_finished_by_the_barrier(barrier_rounds, cap):
     target = slow_fixed_point_target()
     st = SolverSettings(max_iterations=cap)
-    with pytest.raises(SolverFailure) as stream:
-        streamed([target], st)
+    [stream] = streamed([target], st)
+    assert isinstance(stream, SolverFailure) and stream.iterations == cap
     result = min_error_discrimination(target, st)
     assert barrier_rounds == [4]
-    primal, y, p, gap, steps = discrimination._working_set_solve(np.array(target.operators), st)
-    assert_same_member(member(result), (primal, y, p, gap, stream.value.iterations + steps))
+    primal, y, p, gap, steps = discrimination._working_set_solve(target.operators, st)
+    assert_same_member(member(result), (primal, y, p, gap, stream.iterations + steps))
     assert (result.value, gap, steps) == (0.9956300372336082, 2.10182615756338e-08, 12)
     result.certificate.validate(target, result.povm)
 
@@ -577,15 +583,15 @@ def test_a_small_target_uncertified_after_the_stream_budget_is_finished_by_the_b
 def test_a_small_target_that_neither_route_certifies_raises_the_better_failure(cap, better):
     target = slow_fixed_point_target()
     st = SolverSettings(max_iterations=cap)
-    alone = {}
-    with pytest.raises(SolverFailure) as alone["stream"]:
-        streamed([target], st)
-    with pytest.raises(SolverFailure) as alone["barrier"]:
-        discrimination._working_set_solve(np.array(target.operators), st)
-    assert min(alone, key=lambda route: alone[route].value.gap) == better
+    [stream] = streamed([target], st)
+    alone = {"stream": stream}
+    with pytest.raises(SolverFailure) as barrier:
+        discrimination._working_set_solve(target.operators, st)
+    alone["barrier"] = barrier.value
+    assert min(alone, key=lambda route: alone[route].gap) == better
     with pytest.raises(SolverFailure) as failure:
         min_error_discrimination(target, st)
-    assert_same_failure(failure.value, alone[better].value, cap)
+    assert_same_failure(failure.value, alone[better], cap)
 
 
 def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member(counted_bruteforce_run, monkeypatch):
@@ -601,6 +607,52 @@ def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member
 def test_the_bruteforce_case_builds_a_povm_only_for_the_results_it_validates(counted_bruteforce_run):
     # the 50 row-merged results; the 1,750 assignment results are folded as arrays
     assert counted_bruteforce_run[2] == 50
+
+
+def recorded_barrier(monkeypatch):
+    """(settings, gap) of every ``_working_set_solve`` that certifies, in call order."""
+    finished = []
+    solve = discrimination._working_set_solve
+
+    def recorded(m, st):
+        out = solve(m, st)
+        finished.append((st, out[3]))
+        return out
+
+    monkeypatch.setattr(discrimination, "_working_set_solve", recorded)
+    return finished
+
+
+def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch):
+    finished = recorded_barrier(monkeypatch)
+    st = SolverSettings(max_iterations=2000)
+    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce", settings=st)
+    # three of the 50 row-merged targets need more than 2,000 map iterations; no assignment problem runs out
+    assert [settings for settings, _ in finished] == [st] * 3
+    assert all(gap <= st.gap_tol for _, gap in finished)
+    assert report.passed and report.computed == 8.822147157250271e-08
+
+
+def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificate(monkeypatch):
+    finished = recorded_barrier(monkeypatch)
+    capped = dataclasses.replace(_ORACLE_SETTINGS, max_iterations=1000)
+    monkeypatch.setattr(AssignmentSearch, "settings", capped)
+    folded = []
+    fold = AssignmentSearch.fold
+
+    def recorded_fold(search, k, primal, gap):
+        folded.append(gap)
+        fold(search, k, primal, gap)
+
+    monkeypatch.setattr(AssignmentSearch, "fold", recorded_fold)
+    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    assert report.passed
+    # 12 of the 602 kept problems need more than 1,000 iterations; each is folded with the barrier's certificate
+    assert len(folded) == 602
+    assert [settings for settings, _ in finished] == [capped] * 12
+    gaps = [gap for _, gap in finished]
+    assert max(gaps) <= 1e-8
+    assert all(folded.count(gap) >= gaps.count(gap) for gap in gaps)
 
 
 @pytest.mark.parametrize("seed, computed", [(1, 6.288832898881935e-08), (7, 5.690133486613291e-08)])
@@ -853,7 +905,7 @@ def test_solver_settings_in_use_are_valid():
 def unchecked_povm(effects):
     """A Povm without its own checks, to reach the ones in ``validate``."""
     povm = object.__new__(discrimination.Povm)
-    object.__setattr__(povm, "effects", tuple(effects))
+    object.__setattr__(povm, "effects", np.array(effects))
     return povm
 
 
@@ -976,7 +1028,7 @@ def every_row_barrier(m, st):
 def full_solve(target):
     """The solve that iterates on every row, a stream of one, as a result object."""
     [(_, (primal, y, p, gap, iterations))] = solve_stream(stacked([target]), DEFAULT_SETTINGS)
-    return DiscriminationResult(primal, Povm(effects=tuple(p)), DualCertificate(y, primal, gap), target.labels, iterations)
+    return DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), target.labels, iterations)
 
 
 def above_d_squared_instances():
@@ -1233,12 +1285,12 @@ def reference_barrier_solve(m, st):
     p = discrimination._pretty_good(s_inv[None])[0] if best[3] is None else best[3]
     final = (*discrimination._certify(m, p), p)
     if stalled is not None and steps < st.max_iterations:
-        try:
-            rest = dataclasses.replace(st, max_iterations=st.max_iterations - steps)
-            [(_, (primal, y, p, gap, fixed))] = solve_stream(m[None], rest, p[None])
+        rest = dataclasses.replace(st, max_iterations=st.max_iterations - steps)
+        [(_, polish)] = solve_stream(m[None], rest, p[None])
+        if not isinstance(polish, SolverFailure):
+            primal, y, p, gap, fixed = polish
             return primal, y, p, gap, steps + fixed
-        except SolverFailure as polish:
-            final, steps = (polish.primal, polish.dual, polish.gap, np.array(polish.povm)), st.max_iterations
+        final, steps = (polish.primal, polish.dual, polish.gap, polish.povm), st.max_iterations
     raise discrimination._failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from obcast.linalg import dyad, ket, partial_trace, trace_distance
 from obcast.discrimination import helstrom_binary
-from obcast.sampling import random_ket
+from obcast.sampling import ket_from_normals, random_ket, unitary_from_normals
 from obcast.uncertainty import (
     SuperpositionSpec,
     no_go_bound,
@@ -224,3 +224,28 @@ def test_every_stacked_general_member_gets_the_bits_of_a_stack_of_one(n, dims):
 )
 def test_no_go_bound(theta, expected):
     assert no_go_bound(theta) == pytest.approx(expected, abs=1e-9)
+
+
+def test_no_go_bound_is_the_b_side_distance_of_a_rotated_pair_under_a_perfectly_distinguishing_isometry():
+    # V|i> lies in A_i (x) B with A_0 orthogonal to A_1, so rho_B(c) = |c_0|^2 sigma_0 + |c_1|^2 sigma_1 and the
+    # rotated pair's B-side trace distance is |cos theta| times the unrotated pair's
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        da, db = (int(x) for x in rng.integers(2, 5, size=2))
+        split = int(rng.integers(1, da))
+        basis = unitary_from_normals(rng.normal(size=(2, da, da)))
+        v = np.zeros((da * db, 2), dtype=complex)
+        for i, cols in enumerate((basis[:, :split], basis[:, split:])):
+            coeffs = ket_from_normals(rng.normal(size=(2, cols.shape[1] * db))).reshape(cols.shape[1], db)
+            v[:, i] = (cols @ coeffs).reshape(-1)  # a unit vector of A_i (x) B
+        theta, phase = rng.uniform(0, 2 * math.pi, size=2)
+        c, s = math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phase)
+        rotated = np.array([[c, s], [np.conj(s), -c]]).T  # the columns are the rotated orthonormal pair
+
+        def b_side(kets):
+            out = v @ kets
+            return [partial_trace(dyad(out[:, k]), (da, db), keep={1}) for k in range(2)]
+
+        before = trace_distance(*b_side(np.eye(2)))
+        after = trace_distance(*b_side(rotated))
+        assert after == pytest.approx(no_go_bound(theta) * before, abs=1e-12)
