@@ -16,12 +16,14 @@ runs only once its screened gap, which agrees with it to rounding, is within
 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
 Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
-coordinates of Y in 15 to 130 steps, each increase of the barrier parameter
-starting with a predictor step along the central path; below its rounding
-floor, near 1e-10, the map finishes from its POVM.  The barrier runs on a
-working set of rows (``_working_set_solve``): the 2 d^2 least covered by the
-eigenvalue-shift dual of the pretty-good measurement to start (every row when
-there are at most 2 d^2), and the least covered of the rows the dual misses
+coordinates of Y in 15 to 130 steps, each with one LU inverse per row, and
+each increase of the barrier parameter starting with a predictor step along
+the central path; below its rounding floor, near 1e-10, the map finishes
+from its POVM.  The barrier runs on a working set of rows
+(``_working_set_solve``): the 2 d^2 least covered by the dual of the
+pretty-good measurement to start (every row when there are at most 2 d^2),
+ranked by the slacks that also give its eigenvalue shift, and the least
+covered of the rows the dual misses
 after each round, until one Y is feasible for every row.  Each round starts
 from the last certified dual, and ends at the first certification whose dual
 misses a row off the working set.  Those checks decompose only the rows that
@@ -41,7 +43,7 @@ import numpy as np
 
 from .ensembles import PostInfoEnsemble, Povm
 from .errors import InternalInconsistency, SolverFailure
-from .linalg import PSD_TOL, dagger, dyad, hermitian, per_member, psd_stack, rounding_floor
+from .linalg import PSD_TOL, dagger, dyad, hermitian, least_eigenvalues, per_member, psd_stack, rounding_floor
 
 MAX_ROW_TARGETS = 4096
 # eigenvalues below this fraction of the largest are outside the support in the pseudo-inverse R^{-1/2};
@@ -141,7 +143,7 @@ class DualCertificate:
             raise ValueError(f"{len(povm)} effects for {len(target.operators)} targets")
         effects = povm.effects
         floor = rounding_floor(target.psd_tol, target.dim)
-        low = np.linalg.eigvalsh(effects).min()
+        low = least_eigenvalues(effects).min()
         if low < -floor:
             raise ValueError(f"POVM effect has eigenvalue {low:.3e}")
         residual = np.abs(effects.sum(axis=0) - np.eye(target.dim)).max()
@@ -223,16 +225,16 @@ def _row_slack(y: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(y[None] - m).min(axis=1)
 
 
-def _cover(y0: np.ndarray, m: np.ndarray, primal: float) -> tuple[float, np.ndarray, float]:
-    """Primal, Y0 raised by the least multiple of I that puts it above every row of ``m`` (n, d, d), and gap."""
-    shift = max(float(-_row_slack(y0, m).min()), 0.0)
-    y = y0 + shift * _identity(m.shape[1])
+def _cover(y0: np.ndarray, slack: np.ndarray, primal: float) -> tuple[float, np.ndarray, float]:
+    """Primal, Y0 raised by the least multiple of I that puts it above every row, whose ``_row_slack`` at Y0 is ``slack``, and gap."""
+    shift = max(float(-slack.min()), 0.0)
+    y = y0 + shift * _identity(len(y0))
     gap = float(np.trace(y).real - primal)
     return primal, y, max(gap, 0.0)
 
 
 class _RowScreen:
-    """A lower bound on the slack lambda_min(Y - M_r) of every row of ``m`` (n, d, d), exact at the dual ``y`` to start.
+    """A lower bound on the slack lambda_min(Y - M_r) of every row of ``m`` (n, d, d), the exact ``bound`` at the dual ``y`` to start.
 
     From the last dual checked, Y_ref, to the next, Y, Weyl's inequality gives
     lambda_min(Y - M_r) >= lambda_min(Y_ref - M_r) + lambda_min(Y - Y_ref),
@@ -242,9 +244,8 @@ class _RowScreen:
     exact ``_row_slack``; every other row is covered far above the floor.
     """
 
-    def __init__(self, m: np.ndarray, y: np.ndarray):
-        self.m, self.y, self.scale = m, y, np.abs(m).max()
-        self.bound = _row_slack(y, m)
+    def __init__(self, m: np.ndarray, y: np.ndarray, bound: np.ndarray):
+        self.m, self.y, self.scale, self.bound = m, y, np.abs(m).max(), bound
 
     def uncovered(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The ``rows`` (ascending indices) on which Y falls below ``validate``'s floor, each with its exact slack in ``bound``.
@@ -260,11 +261,17 @@ class _RowScreen:
         return rows[self.bound[rows] < -floor]
 
 
-def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Exact certificate of one member (n, d, d): primal, dual Y >= M_r, and gap."""
+def _unshifted(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
+    """The primal value of the POVM ``p`` on one member (n, d, d), and the Hermitian part of sum_r M_r P_r."""
     primal = float(np.einsum("rij,rji->", p, m).real)
     ymp = np.einsum("rij,rjk->ik", m, p)
-    return _cover((ymp + dagger(ymp)) / 2, m, primal)
+    return primal, (ymp + dagger(ymp)) / 2
+
+
+def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Exact certificate of one member (n, d, d): primal, dual Y >= M_r, and gap."""
+    primal, y0 = _unshifted(m, p)
+    return _cover(y0, _row_slack(y0, m), primal)
 
 
 def _failure(st: SolverSettings, primal, y, gap, p, iterations) -> SolverFailure:
@@ -358,31 +365,36 @@ def solve_stream(
         step += 1
 
 
+@functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the d x d Hermitian matrices under Tr(A B), one flattened element per row."""
+    """Orthonormal basis of the d x d Hermitian matrices under Tr(A B), one flattened element per row, built once and read-only."""
     f = np.zeros((d * d, d, d), dtype=complex)
     f[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     for k, (i, j) in enumerate(itertools.combinations(range(d), 2)):
         f[d + 2 * k, i, j] = f[d + 2 * k, j, i] = 1 / math.sqrt(2)
         f[d + 2 * k + 1, i, j], f[d + 2 * k + 1, j, i] = 1j / math.sqrt(2), -1j / math.sqrt(2)
-    return f.reshape(d * d, d * d)
+    f = f.reshape(d * d, d * d)
+    f.flags.writeable = False
+    return f
 
 
-def _guarded_step(y: np.ndarray, dy: np.ndarray, alpha: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Y' = Y + alpha (dY + dY^H) / 2 and the Cholesky factors of every S_r = Y' - M_r, alpha halved until they exist.
+def _guarded_step(y: np.ndarray, dy: np.ndarray, alpha: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y' = Y + alpha (dY + dY^H) / 2, the stack of every S_r = Y' - M_r, and its Cholesky factors, alpha halved until they exist.
 
     ``np.linalg.cholesky`` raises unless every S_r is positive definite in
-    floating point, so the factorization the next Newton step needs anyway
-    is the test that Y' is strictly feasible.  A candidate equal to Y raises
-    ``LinAlgError``: the step is below rounding.
+    floating point, so it is the test that Y' is strictly feasible.  The
+    next Newton step inverts the stack S_r itself; only a predictor step
+    reads the factors.  A candidate equal to Y raises ``LinAlgError``: the
+    step is below rounding.
     """
     twice = dy + dagger(dy)
     while True:
         candidate = y + alpha * twice / 2
-        if np.array_equal(candidate, y):
+        if (candidate == y).all():
             raise np.linalg.LinAlgError("Newton step is below rounding")
+        s = candidate - m
         try:
-            return candidate, np.linalg.cholesky(candidate - m)
+            return candidate, s, np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
             alpha /= 2
 
@@ -400,10 +412,13 @@ def _barrier_solve(
     ``gap_tol``).  Its steps are damped, alpha_N = 1 / (1 + sqrt(dec)) for a
     squared Newton decrement dec above 1 and 1 otherwise, which keeps them
     inside the Dikin ellipsoid and so strictly feasible in exact
-    arithmetic.  The Cholesky factorization of every S_r at the new point,
-    which the next step inverts, checks that in floating point, and alpha
-    is halved until it succeeds (``_guarded_step``; a halving is not an
-    iteration).  When the squared Newton decrement is below 2, the central
+    arithmetic.  The Cholesky factorization of every S_r at the new point
+    checks that in floating point, and alpha is halved until it succeeds
+    (``_guarded_step``; a halving is not an iteration).  Each step then
+    takes S_r^-1 as the Hermitian part of one LU inverse of S_r per row, and
+    forms its Newton direction and decrement once; a certification that
+    raises t with no predictor forms them again at the new t.  When the
+    squared Newton decrement is below 2, the central
     POVM, the square-root measurement of the S_r^-1 (``_pretty_good``), is
     certified against Y (Eldar, Megretski and Verghese, IEEE TIT 49, 1007,
     2003): the solve returns (primal, dual, POVM, gap, iterations) if the
@@ -412,7 +427,8 @@ def _barrier_solve(
     end is Y_opt + A / t with A = t^2 U, U the Hermitian matrix of H^-1 Tr F
     that the step's own solve holds (Fiacco and McCormick, 1968): Y moves by -(1 - 1 / GROWTH) t U,
     to that model's point at the new t, held to 0.9 of the boundary of every
-    S_r > 0 by one ``eigvalsh`` over the rows, and factored the same way.
+    S_r > 0 by one ``eigvalsh`` over the rows of L_r^-1 dY L_r^-H, from the
+    inverse of the accepted Cholesky factor L_r, and factored the same way.
     It counts as a Newton step.  From the first certification
     whose gap is not below half the previous one's, where the model no
     longer holds, t grows with no predictor.  Once t outgrows the rounding
@@ -433,14 +449,15 @@ def _barrier_solve(
     rhs = np.empty((d * d, 2))  # the Newton solve's right-hand side, [Tr F, pull]
     rhs[:, 0] = trace_f
     y0, gap0 = start[0], max(start[1], st.gap_tol)
-    y, t = _cover(y0, m, 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
+    y, t = _cover(y0, _row_slack(y0, m), 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
     best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
     predict, last = True, math.inf  # whether t's increases still take the predictor, and the last certified gap
-    factor = np.linalg.cholesky(y - m)
+    s = y - m
+    factor = np.linalg.cholesky(s)
     try:
         for steps in range(1, st.max_iterations + 1):
-            l_inv = np.linalg.inv(factor)
-            s_inv = dagger(l_inv) @ l_inv
+            # S_r^-1 as the Hermitian part of one LU inverse per row; without that part, rounding stalls tight gaps sooner
+            s_inv = _herm_stack(np.linalg.inv(s))
             # Hessian sum_r Tr(S_r^-1 F_j S_r^-1 F_k) from one product of the flattened inverses
             flat = s_inv.reshape(n, d * d)
             outer = (flat.T @ flat).reshape(d, d, d, d).transpose(1, 2, 3, 0).reshape(d * d, d * d)
@@ -449,7 +466,9 @@ def _barrier_solve(
             # the gradient is t Tr F - pull, so the step is linear in t
             rhs[:, 1] = pull
             u, v = np.linalg.solve(hess, rhs).T
-            if float((pull - t * trace_f) @ (v - t * u)) < 2:
+            dx = v - t * u
+            dec = float((pull - t * trace_f) @ dx)
+            if dec < 2:
                 p = _pretty_good(s_inv[None])[0]
                 primal = float(np.einsum("rij,rji->", p, m).real)
                 gap = float(np.trace(y).real) - primal
@@ -461,17 +480,18 @@ def _barrier_solve(
                     raise np.linalg.LinAlgError(f"barrier parameter {GROWTH * t:.1e} is beyond rounding")
                 predict, last = predict and gap < last / 2, gap
                 if predict:
+                    l_inv = np.linalg.inv(factor)
                     dy = (1.0 / GROWTH - 1.0) * t * (u @ f).reshape(d, d)
                     low = float(np.linalg.eigvalsh(_right_product(l_inv, dy) @ dagger(l_inv)).min())
-                    y, factor = _guarded_step(y, dy, min(1.0, 0.9 / -low if low < 0 else math.inf), m)
+                    y, s, factor = _guarded_step(y, dy, min(1.0, 0.9 / -low if low < 0 else math.inf), m)
                     t *= GROWTH
                     continue
                 t *= GROWTH
-            dx = v - t * u
-            dec = float((pull - t * trace_f) @ dx)
+                dx = v - t * u
+                dec = float((pull - t * trace_f) @ dx)
             if not math.isfinite(dec):
                 raise np.linalg.LinAlgError("Newton decrement is not finite")
-            y, factor = _guarded_step(y, (dx @ f).reshape(d, d), 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, m)
+            y, s, factor = _guarded_step(y, (dx @ f).reshape(d, d), 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, m)
     except np.linalg.LinAlgError as exc:
         stalled = exc
     p = _pretty_good(s_inv[None])[0] if best[3] is None else best[3]
@@ -490,8 +510,11 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
 
     An extremal optimal POVM has at most d^2 nonzero effects (Davies, IEEE TIT
     24, 596, 1978).  So the solve starts from the 2 d^2 rows least covered
-    by the eigenvalue-shift dual of the pretty-good measurement of all rows
-    (``_certify``), that is with the least eigenvalue of Y - M_r.  Each round solves the working set, in input
+    by the pretty-good measurement's dual Y0, the Hermitian part of
+    sum_r M_r P_r, that is with the least slack lambda_min(Y0 - M_r): the
+    one all-row ``eigvalsh`` that also raises Y0 to its eigenvalue-shift
+    certificate (``_cover``), whose ranking is that of the shifted dual's
+    slacks in exact arithmetic.  Each round solves the working set, in input
     order, with what is left of ``st.max_iterations``, warm-started from the
     last certified (Y, gap): that eigenvalue-shift certificate for the first
     round, the previous round's for the others.  A round ends at its first
@@ -499,7 +522,7 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     ``gap_tol``.  Then, of the other rows whose Y - M_r falls below the
     rounding floor of ``DualCertificate.validate``, it adds the 2 d^2 least
     covered.  Both checks of the other rows, at each certification and after
-    each round, go through one ``_RowScreen`` started from the first
+    each round, go through one ``_RowScreen`` started at Y0 from the first
     ranking's slacks: Weyl's inequality carries every row's bound from one
     checked dual to the next, and only a row whose bound does not clear the
     floor widely is decomposed, so each check finds the rows, and ranks them
@@ -513,8 +536,10 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     """
     n, d = m.shape[0], m.shape[-1]
     size = 2 * d * d
-    _, y, gap = _certify(m, _pretty_good(m[None])[0])
-    screen, missed = _RowScreen(m, y), np.arange(n)
+    primal, y0 = _unshifted(m, _pretty_good(m[None])[0])
+    slack = _row_slack(y0, m)
+    _, y, gap = _cover(y0, slack, primal)
+    screen, missed = _RowScreen(m, y0, slack), np.arange(n)
     inside, p, steps, stalled = np.zeros(n, dtype=bool), np.zeros_like(m), 0, None
     while True:
         inside[missed[np.argsort(screen.bound[missed], kind="stable")[:size]]] = True
@@ -531,7 +556,7 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
             return primal, y, p, gap, steps
         if steps == st.max_iterations:
             break
-    candidates = (*_cover(y, m, primal), p), (*_certify(m, p), p)
+    candidates = (*_cover(y, _row_slack(y, m), primal), p), (*_certify(m, p), p)
     raise _failure(st, *min(candidates, key=lambda c: c[2]), st.max_iterations) from stalled
 
 
@@ -593,11 +618,11 @@ def merged_row_targets(ensemble: PostInfoEnsemble, psd_tol: float = PSD_TOL) -> 
     over sum_theta p(theta, r_theta) rho_{r_theta|theta}.
     """
     rows = answer_rows(ensemble)
-    index = np.array(rows).reshape(len(rows), len(ensemble.settings))
+    index = np.indices(ensemble.index_sets).reshape(len(ensemble.settings), len(rows))  # index[t][r], rows in order
     acc = np.zeros((len(rows), ensemble.dim, ensemble.dim), dtype=complex)
     for t, group in enumerate(ensemble.states):  # one indexed add per setting, in the order a row sums them
-        weighted = np.array([ensemble.prior[t][i] * dyad(s) for i, s in enumerate(group)])
-        acc += weighted[index[:, t]]
+        weighted = np.array(ensemble.prior[t])[:, None, None] * dyad(np.array(group))
+        acc += weighted[index[t]]
     return EffectTarget(operators=acc, labels=tuple(rows), psd_tol=psd_tol)
 
 

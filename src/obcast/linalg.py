@@ -10,7 +10,8 @@ The primitives take stacks, ``(..., d, d)`` operators or ``(..., n)`` vectors,
 and give each member the bits it gets alone (a float for one operator, an
 array for a stack): every member runs through the same LAPACK, BLAS,
 elementwise and reduction kernels as it would alone.  A rejected stack names
-its first bad member as that member would alone.
+its first bad member as that member would alone.  PSD checks decompose
+only operators with a nonzero entry (``least_eigenvalues``).
 Callers stack per-member scalars computed one at a time: numpy's array
 ``np.abs`` of complex128 and array powers can differ in the last bit from
 Python's ``abs()`` and ``**``.
@@ -87,6 +88,17 @@ def hermitian(m, tol: float | np.ndarray = HERMITICITY_TOL) -> np.ndarray:
     return np.add(a, flipped, order="C") / 2
 
 
+def least_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of each Hermitian operator of ``stack`` (n, d, d), decomposing only those with a nonzero entry.
+
+    A zero operator's eigenvalues are all exactly 0, so it gets 0 with no decomposition.
+    """
+    lows = np.zeros(len(stack))
+    nonzero = np.flatnonzero(stack.any(axis=(1, 2)))
+    lows[nonzero] = np.linalg.eigvalsh(stack[nonzero]).min(axis=1)
+    return lows
+
+
 def psd_stack(operators, tol: float, name: str) -> np.ndarray:
     """The Hermitian parts of ``operators`` as one (n, d, d) stack, each checked PSD at its own floor.
 
@@ -108,7 +120,7 @@ def psd_stack(operators, tol: float, name: str) -> np.ndarray:
         raise ValueError(f"{name}s must share a dimension" if len(operators) else f"need at least one {name}")
     floors = rounding_floor(tol, np.abs(stack).max(axis=(1, 2), initial=0.0))
     stack = hermitian(stack, tol=floors)
-    lows = np.linalg.eigvalsh(stack).min(axis=1)
+    lows = least_eigenvalues(stack)
     bad = np.flatnonzero(lows < -floors)
     if bad.size:
         raise ValueError(f"{name} has negative eigenvalue {lows[bad[0]]:.3e}")

@@ -98,7 +98,7 @@ BOUND_RECORDS = {
         '"id": "postinfo:cor4-six"}'
     ),
     ("postinfo", "cq"): (
-        '{"certificate": "dual-certified", "computed": 0.8535533804107329, "gap": 1.3091637551809754e-08, '
+        '{"certificate": "dual-certified", "computed": 0.8535533804107354, "gap": 1.30916351093191e-08, '
         '"id": "postinfo:cq"}'
     ),
     ("postinfo", "gen-bb84(0.1)"): (
@@ -122,7 +122,7 @@ BOUND_RECORDS = {
         '"id": "postinfo:minimal-qutrit"}'
     ),
     ("postinfo", "obb"): (
-        '{"certificate": "dual-certified", "computed": 0.8342793169550937, "gap": 1.4725098251844315e-08, '
+        '{"certificate": "dual-certified", "computed": 0.8342793169550935, "gap": 1.472509847388892e-08, '
         '"id": "postinfo:obb"}'
     ),
     ("postinfo", "thm1-pairs"): (
@@ -201,19 +201,19 @@ QUQUART = Path("tests/data/ququart-five-settings.json")  # 1,024 answer rows on 
 # the record ``bound --method postinfo`` prints for each file of more than 2 d^2 rows, run from the repository root
 FILE_RECORDS = {
     (SIX_BASES, "1e-7"): (
-        '{"certificate": "dual-certified", "computed": 0.8219752636831192, "gap": 2.1295955887623563e-08, '
+        '{"certificate": "dual-certified", "computed": 0.8219752636831233, "gap": 2.1295952001842977e-08, '
         '"id": "postinfo:tests/data/qubit-six-bases.json"}'
     ),
     (SIX_BASES, "1e-12"): (
-        '{"certificate": "dual-certified", "computed": 0.8219752754296895, "gap": 6.359357485052897e-13, '
+        '{"certificate": "dual-certified", "computed": 0.8219752754296895, "gap": 6.227240945122503e-13, '
         '"id": "postinfo:tests/data/qubit-six-bases.json"}'
     ),
     (QUQUART, "1e-7"): (
-        '{"certificate": "dual-certified", "computed": 0.7132679742242215, "gap": 1.8634100262815423e-08, '
+        '{"certificate": "dual-certified", "computed": 0.7132679742241844, "gap": 1.8634137233242143e-08, '
         '"id": "postinfo:tests/data/ququart-five-settings.json"}'
     ),
     (QUQUART, "1e-10"): (
-        '{"certificate": "dual-certified", "computed": 0.7132679919853463, "gap": 9.303280368300193e-11, '
+        '{"certificate": "dual-certified", "computed": 0.7132679919591364, "gap": 2.7830182602883724e-11, '
         '"id": "postinfo:tests/data/ququart-five-settings.json"}'
     ),
 }
@@ -263,8 +263,8 @@ def test_a_small_file_whose_fixed_point_map_runs_out_is_certified_by_the_barrier
     code, out, err = run(capsys, "bound", "--file", str(SLOW_FIXED_POINT), "--method", "postinfo")
     assert (code, err) == (0, "")
     record = json.loads(out)
-    assert record["certificate"] == "dual-certified" and record["gap"] == 2.10182615756338e-08 <= 1e-7
-    assert record["computed"] == 0.9956300372336082
+    assert record["certificate"] == "dual-certified" and record["gap"] == 2.1018260909499986e-08 <= 1e-7
+    assert record["computed"] == 0.9956300372336087
     assert barrier_rounds == [4]
 
 

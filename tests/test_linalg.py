@@ -13,6 +13,8 @@ from obcast.linalg import (
     operator_norm,
     partial_trace,
     psd_sqrt,
+    psd_stack,
+    rounding_floor,
     trace_distance,
     trace_norm,
 )
@@ -373,3 +375,55 @@ def test_a_rejected_member_raises_what_it_raises_alone():
     assert _message(psd_sqrt, negative) == _message(psd_sqrt, negative[3])
     assert "min eigenvalue -1.000e-06" in _message(psd_sqrt, negative)
     assert _message(fidelity, good, negative) == _message(fidelity, good[3], negative[3])
+
+
+def reference_psd_stack(operators, tol, name):
+    """``psd_stack`` on an (n, d, d) stack with every operator decomposed, zero or not, in one ``eigvalsh``."""
+    stack = np.array(operators, dtype=complex)
+    floors = rounding_floor(tol, np.abs(stack).max(axis=(1, 2), initial=0.0))
+    stack = hermitian(stack, tol=floors)
+    lows = np.linalg.eigvalsh(stack).min(axis=1)
+    bad = np.flatnonzero(lows < -floors)
+    if bad.size:
+        raise ValueError(f"{name} has negative eigenvalue {lows[bad[0]]:.3e}")
+    return stack
+
+
+def _verdict(fn, *args):
+    """What ``fn`` returns, as bytes, or the message of the ``ValueError`` it raises."""
+    try:
+        return fn(*args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def zero_member_stacks():
+    """Stacks with exact-zero members: around one bad member, all but one zero (good or bad), and all zero."""
+    rng = np.random.default_rng(31)
+    good = density_from_normals(rng.normal(size=(2, 3, 3)))
+    bad = np.diag([0.5, 0.25, -1e-3]).astype(complex)
+    zero = np.zeros((3, 3), dtype=complex)
+    return {
+        "zeros around a bad member": np.array([zero, zero, bad, zero, zero]),
+        "one good member": np.array([zero, good, zero, zero]),
+        "one bad member": np.array([zero, zero, zero, bad]),
+        "every member zero": np.zeros((4, 3, 3), dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+def test_psd_stack_decomposes_only_nonzero_operators_with_the_verdict_of_every_operator(monkeypatch, tol):
+    eigvalsh = np.linalg.eigvalsh
+    for label, stack in zero_member_stacks().items():
+        expected = _verdict(reference_psd_stack, stack, tol, "effect")
+        decomposed = []
+
+        def counted(a, *args, **kwargs):
+            decomposed.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert _verdict(psd_stack, stack, tol, "effect") == expected, label
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert decomposed == [int(stack.any(axis=(1, 2)).sum())], label
+    assert "effect has negative eigenvalue -1.000e-03" in _verdict(psd_stack, zero_member_stacks()["one bad member"], 0.0, "effect")
