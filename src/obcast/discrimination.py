@@ -2,33 +2,30 @@
 
 The solver iterates the standard optimality map for discriminating weighted
 operators: given a POVM P, form R = sum_r M_r P_r M_r and update
-P_r <- R^{-1/2} M_r P_r M_r R^{-1/2}, damped and Hermitian-projected each
-step.  A dual certificate Y >= M_r is built from the iterate by an
-eigenvalue shift; the reported value is optimal within the certified gap,
-independently of how the iteration behaved.  Same-shape targets stream, as
-one (B, n, d, d) array, in lockstep (``solve_stream``), each at its own
-settings, all starting at step 0 and leaving as each certifies or runs out,
-so every member's arrays are bit for bit its lone solve's.  The barrier below
-finishes every member that runs out (``finish_member``); a single solve of
-at most d^2 operators is a stream of one with ``STREAM_BUDGET`` iterations,
-and result objects are built only where read.  The exact certificate of a member
-runs only once its screened gap, which agrees with it to rounding, is within
-1e-12 of its ``gap_tol``.  A single target with more
+P_r <- R^{-1/2} M_r P_r M_r R^{-1/2}, damped and Hermitian-projected each step.
+A dual certificate Y >= M_r is built from the iterate by an eigenvalue shift;
+the reported value is optimal within the certified gap, independently of how
+the iteration behaved.  Same-shape targets stream, as one (B, n, d, d) array,
+in lockstep (``solve_stream``), each at its own settings, all starting at step
+0 and leaving as each certifies or runs out, so every member's arrays are bit
+for bit its lone solve's.  Every caller, a lone solve of at most d^2 operators
+too, streams each member for at most ``STREAM_BUDGET`` iterations and has the
+barrier below finish one that runs out (``finished_stream``).  The exact
+certificate of a member runs only once its screened gap, which agrees with it
+to rounding, is within 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
 Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
-coordinates of Y in 15 to 130 steps, each with one LU inverse per row, and
-each increase of the barrier parameter starting with a predictor step along
-the central path; below its rounding floor, near 1e-10, the map finishes
-from its POVM.  The barrier runs on a working set of rows
-(``_working_set_solve``): the 2 d^2 least covered by the dual of the
-pretty-good measurement to start (every row when there are at most 2 d^2),
-ranked by the slacks that also give its eigenvalue shift, and the least
-covered of the rows the dual misses
-after each round, until one Y is feasible for every row.  Each round starts
-from the last certified dual, and ends at the first certification whose dual
-misses a row off the working set.  Those checks decompose only the rows that
-Weyl's inequality, applied to the slacks of the last dual checked, does not
-already prove covered (``_RowScreen``).
+coordinates of Y in 15 to 130 steps, each with one LU inverse per row, and each
+increase of the barrier parameter starting with a predictor step along the
+central path; below its rounding floor, near 1e-10, the map finishes from its
+POVM.  The barrier runs on a working set of rows (``_working_set_solve``): the
+2 d^2 least covered by the dual of the pretty-good measurement to start (every
+row when there are at most 2 d^2), ranked by the slacks that also give its
+eigenvalue shift, and the least covered of the rows the dual misses after each
+round, until one Y is feasible for every row.  Each round starts from the last
+certified dual, and ends at the first certification whose dual misses a row off
+the working set.  Those checks decompose only the rows that Weyl's inequality
+on the slacks of the last dual checked does not prove covered (``_RowScreen``).
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -51,7 +49,7 @@ MAX_ROW_TARGETS = 4096
 PINV_RANK_TOL = 1e-12
 # the barrier multiplies t by this at each certification that misses gap_tol
 GROWTH = 30.0
-# fixed-point iterations a lone target of at most d^2 operators takes before the barrier finishes it
+# fixed-point iterations each stream member takes before the barrier finishes it (``finished_stream``)
 STREAM_BUDGET = 1000
 # a row whose slack bound clears validate's rounding floor by this many floors skips its eigendecomposition
 SCREEN_FLOORS = 1024.0
@@ -73,8 +71,14 @@ class SolverSettings:
         if not (math.isfinite(self.psd_tol) and self.psd_tol >= 0):
             raise ValueError(f"psd_tol must be finite and non-negative, got {self.psd_tol!r}")
         for name in ("max_iterations", "check_interval"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            try:  # an int or a numpy integer, stored as an int; a float or a bool is no count
+                count = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or count < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            object.__setattr__(self, name, count)
         if not 0 < self.damping <= 1:
             raise ValueError(f"damping must be in (0, 1], got {self.damping!r}")
 
@@ -311,9 +315,8 @@ def solve_stream(
     members, and a caller that folds each result and drops it never holds
     them all.  Yields (index, (primal, dual, POVM, gap, iterations)) as each
     member certifies, and (index, ``SolverFailure``) for a member whose own
-    ``max_iterations`` run out uncertified, the failure its lone solve
-    yields, with its best checked iterate; the others carry on.
-    ``finish_member`` turns either into a certificate.
+    ``max_iterations`` run out uncertified, with its best checked iterate;
+    the others carry on.  ``finished_stream`` budgets and finishes each.
     """
     if isinstance(settings, SolverSettings):
         settings = [settings] * len(m)
@@ -407,34 +410,34 @@ def _barrier_solve(
     Minimises t Tr Y - sum_r log det S_r, S_r = Y - M_r, over Y in an
     orthonormal Hermitian basis F (Vandenberghe and Boyd, SIAM Rev. 38, 49,
     1996), from ``start`` = (Y0, gap0): Y0 raised by the least multiple of I
-    that covers every row (``_cover``), plus 0.1 gap0 / d I, at t = n d /
-    gap0, the barrier parameter whose central gap is gap0 (gap0 floored at
+    that covers every row (``_cover``), plus 0.1 gap0 / d I, at t = n d / gap0,
+    the barrier parameter whose central gap is gap0 (gap0 floored at
     ``gap_tol``).  Its steps are damped, alpha_N = 1 / (1 + sqrt(dec)) for a
     squared Newton decrement dec above 1 and 1 otherwise, which keeps them
-    inside the Dikin ellipsoid and so strictly feasible in exact
-    arithmetic.  The Cholesky factorization of every S_r at the new point
-    checks that in floating point, and alpha is halved until it succeeds
-    (``_guarded_step``; a halving is not an iteration).  Each step then
-    takes S_r^-1 as the Hermitian part of one LU inverse of S_r per row, and
-    forms its Newton direction and decrement once; a certification that
-    raises t with no predictor forms them again at the new t.  When the
-    squared Newton decrement is below 2, the central
-    POVM, the square-root measurement of the S_r^-1 (``_pretty_good``), is
-    certified against Y (Eldar, Megretski and Verghese, IEEE TIT 49, 1007,
-    2003): the solve returns (primal, dual, POVM, gap, iterations) if the
-    gap meets ``gap_tol``, and otherwise multiplies t by ``GROWTH``.  The
-    step that follows is a predictor along the central path, which near its
-    end is Y_opt + A / t with A = t^2 U, U the Hermitian matrix of H^-1 Tr F
-    that the step's own solve holds (Fiacco and McCormick, 1968): Y moves by -(1 - 1 / GROWTH) t U,
-    to that model's point at the new t, held to 0.9 of the boundary of every
-    S_r > 0 by one ``eigvalsh`` over the rows of L_r^-1 dY L_r^-H, from the
-    inverse of the accepted Cholesky factor L_r, and factored the same way.
-    It counts as a Newton step.  From the first certification
-    whose gap is not below half the previous one's, where the model no
-    longer holds, t grows with no predictor.  Once t outgrows the rounding
-    of Y, the fixed-point map on every row finishes from the best certified
-    POVM with the rest of ``st.max_iterations``; a failure reports the
-    better certificate.
+    inside the Dikin ellipsoid and so strictly feasible in exact arithmetic.
+    The Cholesky factorization of every S_r at the new point checks that in
+    floating point, and alpha is halved until it succeeds (``_guarded_step``; a
+    halving is not an iteration).  Each step then takes S_r^-1 as the Hermitian
+    part of one LU inverse of S_r per row, and forms its Newton direction and
+    decrement once; a certification that raises t with no predictor forms them
+    again at the new t.  When the squared Newton decrement is below 2, the
+    central POVM, the square-root measurement of the S_r^-1 (``_pretty_good``),
+    is certified against Y (Eldar, Megretski and Verghese, IEEE TIT 49, 1007,
+    2003): the solve returns (primal, dual, POVM, gap, iterations) if the gap
+    meets ``gap_tol``, and otherwise multiplies t by ``GROWTH``.  The step that
+    follows is a predictor along the central path, which near its end is
+    Y_opt + A / t with A = t^2 U, U the Hermitian matrix of H^-1 Tr F that the
+    step's own solve holds (Fiacco and McCormick, 1968): Y moves by
+    -(1 - 1 / GROWTH) t U, to that model's point at the new t, held to 0.9 of
+    the boundary of every S_r > 0 by one ``eigvalsh`` over the rows of
+    L_r^-1 dY L_r^-H, from the inverse of the accepted Cholesky factor L_r, and
+    factored the same way.  It counts as a Newton step.  From the first
+    certification whose gap is not below half the previous one's, where the
+    model no longer holds, t grows with no predictor.  Once t outgrows the
+    rounding of Y, the fixed-point map on every row finishes from the best
+    certified POVM with the rest of ``st.max_iterations``, uncapped by
+    ``STREAM_BUDGET`` (near 1e-13 it can take over 15,000); a failure reports
+    the better certificate.
 
     ``uncovered`` ends the solve early: a certification that misses
     ``gap_tol`` returns its own certificate when ``uncovered(Y)``, the rows a
@@ -508,11 +511,11 @@ def _barrier_solve(
 def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray, np.ndarray, float, int]:
     """``_barrier_solve`` on a working set of the rows of ``m`` (n, d, d), grown until its dual covers every row.
 
-    An extremal optimal POVM has at most d^2 nonzero effects (Davies, IEEE TIT
-    24, 596, 1978).  So the solve starts from the 2 d^2 rows least covered
-    by the pretty-good measurement's dual Y0, the Hermitian part of
-    sum_r M_r P_r, that is with the least slack lambda_min(Y0 - M_r): the
-    one all-row ``eigvalsh`` that also raises Y0 to its eigenvalue-shift
+    An extremal optimal POVM has at most d^2 nonzero effects (Davies,
+    IEEE TIT 24, 596, 1978).  So the solve starts from the 2 d^2 rows least
+    covered by the pretty-good measurement's dual Y0, the Hermitian part of
+    sum_r M_r P_r, that is with the least slack lambda_min(Y0 - M_r): the one
+    all-row ``eigvalsh`` that also raises Y0 to its eigenvalue-shift
     certificate (``_cover``), whose ranking is that of the shifted dual's
     slacks in exact arithmetic.  Each round solves the working set, in input
     order, with what is left of ``st.max_iterations``, warm-started from the
@@ -525,14 +528,14 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     each round, go through one ``_RowScreen`` started at Y0 from the first
     ranking's slacks: Weyl's inequality carries every row's bound from one
     checked dual to the next, and only a row whose bound does not clear the
-    floor widely is decomposed, so each check finds the rows, and ranks them
-    by the slacks, that decomposing every row would.  A round that meets ``gap_tol`` and finds none returns its
-    certificate, with zero effects off the working set and the steps of every
-    round.  A target of at most 2 d^2 rows is one round on all of them, with
-    no row off the working set.  A failure reports, after
-    ``st.max_iterations``, the better of the last round's certified dual,
-    raised to cover every row (``_cover``), and the eigenvalue-shift
-    certificate of its POVM.
+    floor widely is decomposed, so each check finds the rows, and ranks them by
+    the slacks, that decomposing every row would.  A round that meets
+    ``gap_tol`` and finds none returns its certificate, with zero effects off
+    the working set and the steps of every round.  A target of at most 2 d^2
+    rows is one round on all of them, with no row off the working set.  A
+    failure reports, after ``st.max_iterations``, the better of the last
+    round's certified dual, raised to cover every row (``_cover``), and the
+    eigenvalue-shift certificate of its POVM.
     """
     n, d = m.shape[0], m.shape[-1]
     size = 2 * d * d
@@ -563,11 +566,10 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
 def finish_member(m: np.ndarray, st: SolverSettings, out: tuple | SolverFailure) -> tuple[float, np.ndarray, np.ndarray, float, int]:
     """(primal, dual, POVM, gap, iterations) of the stream member ``m`` (n, d, d) whose ``solve_stream`` output is ``out``.
 
-    A member that certified is returned as it is.  A member that ran out, a
-    ``SolverFailure``, is finished by the barrier (``_working_set_solve``)
-    at ``st`` with a budget of its own, its iterations the stream's plus the
-    barrier's; only if that fails too does the better failure of the two
-    raise.
+    A member that ran out, a ``SolverFailure``, is finished by the barrier
+    (``_working_set_solve``) at its full settings ``st``, whatever budget it
+    streamed with, its iterations the stream's plus the barrier's; only if
+    that fails too does the better failure of the two raise.
     """
     if not isinstance(out, SolverFailure):
         return out
@@ -578,22 +580,28 @@ def finish_member(m: np.ndarray, st: SolverSettings, out: tuple | SolverFailure)
     return primal, y, p, gap, out.iterations + steps
 
 
-def min_error_discrimination(
-    target: EffectTarget, settings: SolverSettings | None = None
-) -> DiscriminationResult:
-    """Certified optimum of max_POVM sum_r Tr[P_r M_r].
+def finished_stream(m: np.ndarray, settings: Sequence[SolverSettings]) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
+    """(index, (primal, dual, POVM, gap, iterations)) of each member of ``m`` (B, n, d, d), at its own ``settings``.
 
-    With at most d^2 targets this is a stream of one (``solve_stream``), and
-    with more a barrier solve on a working set of rows
-    (``_working_set_solve``); the certificate covers every target either way.
-    A stream of one that is uncertified after ``STREAM_BUDGET`` iterations (or
-    ``st.max_iterations``, if fewer), as a slowly converging map can be, is
-    finished by the barrier (``finish_member``).
+    The one budget rule of every stream caller: a member streams for at most
+    ``STREAM_BUDGET`` iterations, or its ``max_iterations`` if fewer, and
+    leaves through ``finish_member`` at its full settings, as it would alone.
+    """
+    for i, out in solve_stream(m, [replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)) for st in settings]):
+        yield i, finish_member(m[i], settings[i], out)
+
+
+def min_error_discrimination(target: EffectTarget, settings: SolverSettings | None = None) -> DiscriminationResult:
+    """Certified optimum of max_POVM sum_r Tr[P_r M_r], with a certificate that covers every target.
+
+    With at most d^2 targets a stream of one (``finished_stream``), which the
+    barrier finishes if it is uncertified after ``STREAM_BUDGET`` iterations,
+    as a slowly converging map can be; with more, a barrier solve on a
+    working set of rows (``_working_set_solve``).
     """
     st, m = settings or DEFAULT_SETTINGS, target.operators
     if len(m) <= target.dim**2:
-        [(_, out)] = solve_stream(m[None], replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)))
-        primal, y, p, gap, iterations = finish_member(m, st, out)
+        [(_, (primal, y, p, gap, iterations))] = finished_stream(m[None], [st])
     else:
         primal, y, p, gap, iterations = _working_set_solve(m, st)
     return DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), target.labels, iterations)

@@ -11,8 +11,8 @@ rows are built once; the closed-form cases (``bb84-postinfo``,
 the row-merging shortcut that ``p_postinfo`` relies on; agreement between the
 two is what the test asserts.  ``AssignmentSearch`` holds the assignment
 problems of a set of row targets as one (B, d^2, d, d) array; its caller
-streams them (``solve_stream``) with any other targets of the same shape,
-finishes each (``finish_member``, the barrier for one that runs out), and
+streams them with any other targets of the same shape (``finished_stream``:
+the barrier finishes one still uncertified after ``STREAM_BUDGET``), and
 folds its primal + gap, Tr Y of a dual raised above every row, into its
 target's optimum: no POVM is needed, so no result object is built, and the
 search's POVMs and duals are never held at once.

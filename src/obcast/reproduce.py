@@ -25,11 +25,10 @@ from .discrimination import (
     DiscriminationResult,
     DualCertificate,
     SolverSettings,
-    finish_member,
+    finished_stream,
     helstrom_binary,
     merged_row_targets,
     p_postinfo,
-    solve_stream,
     validated,
 )
 from .ensembles import Povm, gallery, gen_bb84, induced_postinfo
@@ -496,8 +495,7 @@ def _prop_bruteforce(case, opts):
     members = np.concatenate([np.stack([t.operators for t in targets]), search.problems])
     settings = [opts.settings] * len(targets) + [search.settings] * len(search.problems)
     merged: list = [None] * len(targets)
-    for i, out in solve_stream(members, settings):
-        primal, y, p, gap, iterations = finish_member(members[i], settings[i], out)
+    for i, (primal, y, p, gap, iterations) in finished_stream(members, settings):
         if i < len(targets):  # result objects only for the merged solves, the ones validated here
             result = DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), targets[i].labels, iterations)
             merged[i] = validated(targets[i], result, opts.settings.gap_tol)

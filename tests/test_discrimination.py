@@ -600,8 +600,23 @@ def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member
     # the search's bound keeps 602 of the 1,750 assignment problems
     search = AssignmentSearch(bruteforce_row_targets(monkeypatch, seed=42))
     assert (search.kept.size, len(search.problems)) == (1750, 602)
-    # 50 row-merged and 602 assignment solves, each with the iterations it takes alone
-    assert counts == {"steps": 9262, "member_steps": 128889, "certified": 652}
+    # 50 row-merged and 602 assignment solves, each with the iterations it takes alone: the stream's 1,000 steps of
+    # STREAM_BUDGET, then the barrier's pretty-good measurements for the 18 it hands over (9,262 steps with no budget)
+    assert counts == {"steps": 1131, "member_steps": 82290, "certified": 652}
+
+
+def test_a_lone_and_a_streamed_solve_follow_one_budget_rule(barrier_rounds):
+    slow = slow_fixed_point_target()
+    rotated = [merged_row_targets(induced_postinfo(gallery(f"gen-bb84({theta})"), "a")) for theta in ("pi/3", "pi/5")]
+    targets = [merged_row_targets(gallery("bb84")), rotated[0], slow, rotated[1]]
+    settings = [DEFAULT_SETTINGS, TIGHT, DEFAULT_SETTINGS, _ORACLE_SETTINGS]
+    finished = dict(discrimination.finished_stream(stacked(targets), settings))
+    assert sorted(finished) == list(range(len(targets)))
+    for i, target in enumerate(targets):
+        assert_same_member(finished[i], member(min_error_discrimination(target, settings[i])))
+    # the slow target runs out of the stream's budget alongside the others and the barrier finishes it, as alone
+    assert finished[2][4] == discrimination.STREAM_BUDGET + 12
+    assert barrier_rounds == [4, 4]
 
 
 def test_the_bruteforce_case_builds_a_povm_only_for_the_results_it_validates(counted_bruteforce_run):
@@ -625,18 +640,16 @@ def recorded_barrier(monkeypatch):
 
 def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch):
     finished = recorded_barrier(monkeypatch)
-    st = SolverSettings(max_iterations=2000)
-    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce", settings=st)
-    # three of the 50 row-merged targets need more than 2,000 map iterations; no assignment problem runs out
-    assert [settings for settings, _ in finished] == [st] * 3
-    assert all(gap <= st.gap_tol for _, gap in finished)
+    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    # 6 of the 50 row-merged targets and 12 of the 602 kept problems are uncertified after STREAM_BUDGET iterations;
+    # all run out at the same step, so they leave in stream order, and each is finished at its own full settings
+    assert [settings for settings, _ in finished] == [DEFAULT_SETTINGS] * 6 + [_ORACLE_SETTINGS] * 12
+    assert all(gap <= settings.gap_tol for settings, gap in finished)
     assert report.passed and report.computed == 8.822147157250271e-08
 
 
 def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificate(monkeypatch):
     finished = recorded_barrier(monkeypatch)
-    capped = dataclasses.replace(_ORACLE_SETTINGS, max_iterations=1000)
-    monkeypatch.setattr(AssignmentSearch, "settings", capped)
     folded = []
     fold = AssignmentSearch.fold
 
@@ -647,15 +660,14 @@ def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificat
     monkeypatch.setattr(AssignmentSearch, "fold", recorded_fold)
     [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     assert report.passed
-    # 12 of the 602 kept problems need more than 1,000 iterations; each is folded with the barrier's certificate
+    # 12 of the 602 kept problems need more than STREAM_BUDGET iterations; each is folded with the barrier's certificate
     assert len(folded) == 602
-    assert [settings for settings, _ in finished] == [capped] * 12
-    gaps = [gap for _, gap in finished]
-    assert max(gaps) <= 1e-8
+    gaps = [gap for settings, gap in finished if settings == _ORACLE_SETTINGS]
+    assert len(gaps) == 12 and max(gaps) <= _ORACLE_SETTINGS.gap_tol
     assert all(folded.count(gap) >= gaps.count(gap) for gap in gaps)
 
 
-@pytest.mark.parametrize("seed, computed", [(1, 6.288832898881935e-08), (7, 5.690133486613291e-08)])
+@pytest.mark.parametrize("seed, computed", [(1, 5.594569008060546e-08), (7, 5.690133486613291e-08)])
 def test_bruteforce_case_at_other_seeds_is_pinned(seed, computed):
     [report] = run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=10)
     assert report.computed == computed
@@ -851,7 +863,7 @@ def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
 
 
 def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch):
-    stream = reproduce.solve_stream
+    stream = reproduce.finished_stream
 
     def loose_first_dual(m, settings):
         # member 0 is the first row-merged target; the search's members follow the merged ones
@@ -860,7 +872,7 @@ def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch
                 y = y - 1e-3 * np.eye(m.shape[-1])
             yield i, (primal, y, p, gap, iterations)
 
-    monkeypatch.setattr(reproduce, "solve_stream", loose_first_dual)
+    monkeypatch.setattr(reproduce, "finished_stream", loose_first_dual)
     with pytest.raises(InternalInconsistency, match="not feasible"):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
 
@@ -894,6 +906,29 @@ def test_postinfo_cases_pass_at_a_looser_gap_with_windows_that_follow_it():
 def test_solver_settings_reject_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
         SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iterations", 1.5),
+        ("max_iterations", 2.0),
+        ("max_iterations", True),
+        ("max_iterations", np.True_),
+        ("check_interval", 2.5),
+        ("check_interval", np.float64(5)),
+        ("check_interval", False),
+    ],
+)
+def test_solver_settings_take_only_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
+        SolverSettings(**{field: value})
+
+
+def test_solver_settings_store_a_numpy_integer_count_as_an_int():
+    st = SolverSettings(max_iterations=np.int64(7), check_interval=np.uint8(2))
+    assert (st.max_iterations, st.check_interval) == (7, 2)
+    assert type(st.max_iterations) is type(st.check_interval) is int
 
 
 def test_solver_settings_in_use_are_valid():
