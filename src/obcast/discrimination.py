@@ -10,7 +10,8 @@ in lockstep (``solve_stream``), each at its own settings, all starting at step
 0 and leaving as each certifies or runs out, so every member's arrays are bit
 for bit its lone solve's.  Every caller, a lone solve of at most d^2 operators
 too, streams each member for at most ``STREAM_BUDGET`` iterations and has the
-barrier below finish one that runs out (``finished_stream``).  The exact
+barrier below finish one that runs out (``finished_stream``), and may pass a
+rule that drops, at any check, members it no longer needs.  The exact
 certificate of a member runs only once its screened gap, which agrees with it
 to rounding, is within 1e-12 of its ``gap_tol``.  A single target with more
 operators, such as the answer rows of a post-information value, is solved by
@@ -33,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -66,10 +68,17 @@ class SolverSettings:
     check_interval: int = 10
 
     def __post_init__(self):
-        if not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
-            raise ValueError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
-        if not (math.isfinite(self.psd_tol) and self.psd_tol >= 0):
-            raise ValueError(f"psd_tol must be finite and non-negative, got {self.psd_tol!r}")
+        for name, what, valid in (
+            ("gap_tol", "a finite positive real number", lambda x: math.isfinite(x) and x > 0),
+            ("psd_tol", "a finite non-negative real number", lambda x: math.isfinite(x) and x >= 0),
+            ("damping", "a real number in (0, 1]", lambda x: 0 < x <= 1),
+        ):
+            value = getattr(self, name)
+            # a real number, numpy's too, stored as a float; a bool or a string is no tolerance (nan fails every test)
+            number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+            if not valid(number):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, number)
         for name in ("max_iterations", "check_interval"):
             value = getattr(self, name)
             try:  # an int or a numpy integer, stored as an int; a float or a bool is no count
@@ -79,8 +88,6 @@ class SolverSettings:
             if count is None or count < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
             object.__setattr__(self, name, count)
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping!r}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -284,23 +291,31 @@ def _failure(st: SolverSettings, primal, y, gap, p, iterations) -> SolverFailure
     return SolverFailure(message, primal=primal, gap=gap, povm=p, dual=y, iterations=iterations)
 
 
-def _screened_gaps(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The gap ``_certify`` would give, for the whole stack (B, n, d, d) at once.
+def _screened_gaps(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The primal and the gap ``_certify`` would give, for the whole stack (B, n, d, d) at once.
 
-    Summation order differs from ``_certify``, so these agree with it only to
-    rounding; they decide which members get the exact check, and, held
-    against that rounding by a margin, which problems of
-    ``oracles.AssignmentSearch`` are kept.
+    sum_r M_r P_r is one (d x n d)(n d x d) product per member, the rows of
+    M side by side times those of P stacked.  Summation order differs from
+    ``_certify``, so the gaps agree with it only to rounding
+    (``tests/test_discrimination.py`` holds them within a few of
+    ``DualCertificate.validate``'s rounding floors); they decide nothing
+    beyond that rounding: which members get the exact check, within 1e-12 of
+    their ``gap_tol``, and, held by a margin of a few floors, which problems
+    of ``oracles.AssignmentSearch`` are kept.
     """
+    b, n, d = m.shape[:2] + m.shape[-1:]
     primal = np.einsum("brij,brji->b", p, m).real
-    ymp = np.einsum("brij,brjk->bik", m, p)
+    ymp = m.transpose(0, 2, 1, 3).reshape(b, d, n * d) @ p.reshape(b, n * d, d)
     y0 = (ymp + dagger(ymp)) / 2
     low = np.linalg.eigvalsh(y0[:, None] - m).min(axis=(1, 2))
-    return np.trace(y0, axis1=1, axis2=2).real + m.shape[-1] * np.maximum(-low, 0.0) - primal
+    return primal, np.trace(y0, axis1=1, axis2=2).real + d * np.maximum(-low, 0.0) - primal
 
 
 def solve_stream(
-    m: np.ndarray, settings: SolverSettings | Sequence[SolverSettings], p: np.ndarray | None = None
+    m: np.ndarray,
+    settings: SolverSettings | Sequence[SolverSettings],
+    p: np.ndarray | None = None,
+    keep: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int] | SolverFailure]]:
     """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), at one ``settings`` or one per member.
 
@@ -317,6 +332,14 @@ def solve_stream(
     member certifies, and (index, ``SolverFailure``) for a member whose own
     ``max_iterations`` run out uncertified, with its best checked iterate;
     the others carry on.  ``finished_stream`` budgets and finishes each.
+
+    ``keep``, when given, is asked at every check which due members to keep,
+    as ``keep(indices, primal, upper)`` with their input indices and their
+    screened primal and primal + gap, before any exact certificate; a member
+    it drops leaves there and is never yielded.  A kept member is untouched,
+    so its yield keeps its lone bits.  ``oracles.AssignmentSearch.keep`` is
+    such a rule: it drops the problems that can no longer reach their target's
+    value.
     """
     if isinstance(settings, SolverSettings):
         settings = [settings] * len(m)
@@ -327,7 +350,7 @@ def solve_stream(
     intervals = [st.check_interval for st in settings]
     check_every = math.gcd(*intervals)
     # per-member constants in input order; the update factors are complex, as numpy casts a float factor
-    keep_by = np.array([1.0 - st.damping for st in settings], dtype=complex)[:, None, None, None]
+    retain_by = np.array([1.0 - st.damping for st in settings], dtype=complex)[:, None, None, None]
     damp_by = np.array([st.damping for st in settings], dtype=complex)[:, None, None, None]
     every_by = np.array(intervals)
     last_by = np.array([st.max_iterations - 1 for st in settings])
@@ -335,24 +358,27 @@ def solve_stream(
     screen_by = np.array([st.gap_tol for st in settings]) + 1e-12
     # the live members, in input order: input index, targets, iterates, best check
     live, ms, ps = np.arange(len(m)), m, _pretty_good(m) if p is None else p.copy()  # the loop updates ps in place
-    best_gap, best_p, keep, damp = np.full(len(m), np.inf), ps.copy(), keep_by, damp_by
+    best_gap, best_p, retain, damp = np.full(len(m), np.inf), ps.copy(), retain_by, damp_by
     next_final = int(last_by.min())  # the first step at which a live member reaches its last iteration
     step = 0
     while live.size:
         # (1 - damping) P + damping PGM(M P M), the operands in the order of a scalar update
         pretty_good = _pretty_good(ms @ ps @ ms)
-        np.multiply(keep, ps, out=ps)
+        np.multiply(retain, ps, out=ps)
         np.multiply(damp, pretty_good, out=pretty_good)
         ps += pretty_good
         if step % check_every == 0 or step == next_final:
             final = step == last_by[live]
             due = np.flatnonzero((step % every_by[live] == 0) | final)
             if due.size:  # a final member is always due, so an empty check has no overrun to test
-                gaps = _screened_gaps(ms[due], ps[due])
+                primal, gaps = _screened_gaps(ms[due], ps[due])
+                stay = np.ones(live.size, dtype=bool)
+                if keep is not None:  # a member the caller's rule drops leaves here, unyielded
+                    stay[due] = kept = keep(live[due], primal, primal + gaps)
+                    due, gaps = due[kept], gaps[kept]
                 improved = gaps < best_gap[due]
                 best_gap[due[improved]] = gaps[improved]
                 best_p[due[improved]] = ps[due[improved]]
-                stay = np.ones(live.size, dtype=bool)
                 for k in due[gaps <= screen_by[live[due]]]:
                     primal, y, gap = _certify(ms[k], ps[k])
                     if gap <= settings[live[k]].gap_tol:
@@ -363,7 +389,7 @@ def solve_stream(
                     yield int(live[k]), _failure(st, *_certify(ms[k], best_p[k]), best_p[k].copy(), st.max_iterations)
                 if not stay.all():
                     live, ms, ps, best_gap, best_p = (a[stay] for a in (live, ms, ps, best_gap, best_p))
-                    keep, damp = keep_by[live], damp_by[live]
+                    retain, damp = retain_by[live], damp_by[live]
                     next_final = int(last_by[live].min()) if live.size else math.inf
         step += 1
 
@@ -580,14 +606,21 @@ def finish_member(m: np.ndarray, st: SolverSettings, out: tuple | SolverFailure)
     return primal, y, p, gap, out.iterations + steps
 
 
-def finished_stream(m: np.ndarray, settings: Sequence[SolverSettings]) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
+def finished_stream(
+    m: np.ndarray,
+    settings: Sequence[SolverSettings],
+    keep: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int]]]:
     """(index, (primal, dual, POVM, gap, iterations)) of each member of ``m`` (B, n, d, d), at its own ``settings``.
 
     The one budget rule of every stream caller: a member streams for at most
     ``STREAM_BUDGET`` iterations, or its ``max_iterations`` if fewer, and
     leaves through ``finish_member`` at its full settings, as it would alone.
+    ``keep`` goes to ``solve_stream``: a member it drops is never yielded and
+    never reaches ``finish_member``.
     """
-    for i, out in solve_stream(m, [replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)) for st in settings]):
+    budgeted = [replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)) for st in settings]
+    for i, out in solve_stream(m, budgeted, keep=keep):
         yield i, finish_member(m[i], settings[i], out)
 
 

@@ -16,10 +16,14 @@ the barrier finishes one still uncertified after ``STREAM_BUDGET``), and
 folds its primal + gap, Tr Y of a dual raised above every row, into its
 target's optimum: no POVM is needed, so no result object is built, and the
 search's POVMs and duals are never held at once.
-Before any problem enters the stream, the search bounds every one of them
-from one undamped map step off the pretty-good measurement, and keeps only
-those whose certified optimum could still reach its target's maximum
-(branch and bound; Land and Doig, Econometrica 28, 497, 1960).
+One keep rule prunes the search by branch and bound (Land and Doig,
+Econometrica 28, 497, 1960): a problem stays only while its certified
+optimum could still reach its target's maximum.  Before any problem enters
+the stream, the rule bounds every one of them from one undamped map step off
+the pretty-good measurement; at every check of the stream it bounds each due
+problem again from the screen the check computes (``AssignmentSearch.keep``,
+the ``solve_stream`` hook that ``finished_stream`` passes on), and a problem
+it drops there leaves uncertified and unfolded.
 """
 
 from __future__ import annotations
@@ -46,58 +50,75 @@ STACK_OPERATORS = 1024
 def _bounds(m: np.ndarray) -> np.ndarray:
     """The primal and certified upper bound of each problem of ``m`` (B, n, d, d), from one map step off the PGM."""
     p = _pretty_good(m)
-    p = _pretty_good(m @ p @ m)
-    primal = np.einsum("brij,brji->b", p, m).real
-    return np.stack([primal, primal + _screened_gaps(m, p)])
+    primal, gap = _screened_gaps(m, _pretty_good(m @ p @ m))
+    return np.stack([primal, primal + gap])
 
 
 class AssignmentSearch:
     """Exhaustive deterministic-assignment search for the post-information value behind each row target.
 
-    ``row_targets`` are ``merged_row_targets`` of the ensembles, all of one
-    dimension.  ``problems`` (B, d^2, d, d) are the distinct assignment
-    problems that can still reach their row target's optimum, to be solved at
-    ``settings``; ``kept`` marks them among every sorted multiset of rows, in
-    enumeration order.  ``fold(k, primal, gap)`` takes the certified primal
-    and gap of ``problems[k]`` and keeps its row target's running optimum in
-    ``values``.
+    ``row_targets`` are ``merged_row_targets`` of the ensembles, at least one,
+    all of one dimension.  ``problems`` (B, d^2, d, d) are the distinct
+    assignment problems that can still reach their row target's optimum, to
+    be solved at ``settings``; ``kept`` marks them among every sorted multiset
+    of rows, in enumeration order.  ``fold(k, primal, gap)`` takes the
+    certified primal and gap of ``problems[k]`` and keeps its row target's
+    running optimum in ``values``.
 
-    A multiset is dropped by a bound on its target's problems.  From one
+    A problem is dropped by the keep rule, from a primal and an upper bound on
+    its optimum.  Its upper bound U_k = primal + gap + margin comes from the
+    eigenvalue-shift certificate of a POVM of the problem (``_screened_gaps``);
+    the target's lower bound L_e, the largest primal - margin any of its
+    problems has shown, only rises; the margin, a few of
+    ``DualCertificate.validate``'s rounding floors at the problem's own scale,
+    holds both against rounding.  A problem is kept while U_k + ``gap_tol`` >=
+    L_e of its target.  The rule runs once before the stream, from one
     undamped map step off the pretty-good measurement, P = PGM(M PGM(M) M),
-    the eigenvalue-shift certificate gives an upper bound U_k = primal + gap
-    + margin on the optimum OPT_k of each problem, and the largest primal of
-    the target's problems a lower bound L_e = primal_j - margin on the
-    target's optimum; the margin, a few of ``DualCertificate.validate``'s
-    rounding floors at the problem's own scale, holds both against rounding.
-    A problem is kept when U_k + ``gap_tol`` >= L_e of its target.  The
-    bound runs one target at a time, in windows of at most
-    ``STACK_OPERATORS`` operators, and keeps two floats per multiset; only
-    the kept problems are built.  A dropped problem's certified result
-    would be primal + gap <= OPT_k + ``gap_tol`` <= U_k +
-    ``gap_tol`` < L_e, while L_e <= Tr Y_j for the problem j that gave L_e,
-    which is always kept (U_j exceeds L_e by its gap and twice the margin).
-    So every dropped result lies strictly below a kept one, and each of
-    ``values``, a float maximum, keeps its bits.
+    on every multiset: one target at a time, in windows of at most
+    ``STACK_OPERATORS`` operators, two floats per multiset, and only the kept
+    problems are built.  It runs again at every check of the stream, through
+    ``keep``, the ``solve_stream`` hook, from the screen the check already
+    computes, so a problem dropped there is never certified or folded.  A
+    dropped problem's certified result would be primal + gap <= OPT_k +
+    ``gap_tol`` <= U_k + ``gap_tol`` < L_e, while L_e, a primal of one of the
+    target's problems, is at most the largest optimum OPT_j of them; that
+    problem is never dropped (U_j is at least OPT_j, within the margin) and
+    its result Tr Y_j is at least OPT_j.  So every dropped result lies
+    strictly below a kept one, and each of ``values``, a float maximum, keeps
+    its bits.
     """
 
     settings = _ORACLE_SETTINGS
 
     def __init__(self, row_targets: Sequence[EffectTarget]):
-        problems, kept, self._owner = [], [], []
+        if not row_targets:
+            raise ValueError("an assignment search needs at least one row target")
+        if len(dims := sorted({t.dim for t in row_targets})) > 1:
+            raise ValueError(f"an assignment search takes row targets of one dimension, got dimensions {dims}")
+        self._dim, self._lower = dims[0], np.full(len(row_targets), -math.inf)
+        problems, kept, owner = [], [], []
         for e, row_target in enumerate(row_targets):
-            ops, n = row_target.operators, row_target.dim**2
+            ops, n = row_target.operators, self._dim**2
             # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
             keys = np.array(list(itertools.combinations_with_replacement(range(len(ops)), n)))
             width = max(1, STACK_OPERATORS // n)
             windows = [_bounds(ops[keys[i : i + width]]) for i in range(0, len(keys), width)]
-            primal, upper = np.concatenate(windows, axis=1)
-            # Tr Y bounds every entry of Y >= M_r >= 0, so it is the scale of validate's rounding floor
-            margin = _MARGIN_FLOORS * rounding_floor(0.0, row_target.dim * upper)
-            kept.append(upper + margin + self.settings.gap_tol >= (primal - margin).max())
+            kept.append(self._rule(np.full(len(keys), e), *np.concatenate(windows, axis=1)))
             problems.append(ops[keys[kept[-1]]])
-            self._owner += [e] * len(problems[-1])
-        self.kept, self.problems = np.concatenate(kept), np.concatenate(problems)
+            owner += [e] * len(problems[-1])
+        self.kept, self.problems, self._owner = np.concatenate(kept), np.concatenate(problems), np.array(owner)
         self.values = [-math.inf] * len(row_targets)
+
+    def _rule(self, owner: np.ndarray, primal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The keep rule for problems of the targets ``owner``, with their primals and upper bounds; raises each L_e first."""
+        # Tr Y bounds every entry of Y >= M_r >= 0, so it is the scale of validate's rounding floor
+        margin = _MARGIN_FLOORS * rounding_floor(0.0, self._dim * upper)
+        np.maximum.at(self._lower, owner, primal - margin)
+        return upper + margin + self.settings.gap_tol >= self._lower[owner]
+
+    def keep(self, k: np.ndarray, primal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Which of ``problems[k]``, at the screened ``primal`` and ``upper`` of a stream check, can still reach their target's value."""
+        return self._rule(self._owner[k], primal, upper)
 
     def fold(self, k: int, primal: float, gap: float) -> None:
         # certified window: the optimum lies within gap above the primal

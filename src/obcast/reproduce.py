@@ -495,7 +495,13 @@ def _prop_bruteforce(case, opts):
     members = np.concatenate([np.stack([t.operators for t in targets]), search.problems])
     settings = [opts.settings] * len(targets) + [search.settings] * len(search.problems)
     merged: list = [None] * len(targets)
-    for i, (primal, y, p, gap, iterations) in finished_stream(members, settings):
+
+    def keep(i, primal, upper):  # the search's rule at every check; the row-merged targets are never offered to it
+        kept, ours = np.ones(len(i), dtype=bool), i >= len(targets)
+        kept[ours] = search.keep(i[ours] - len(targets), primal[ours], upper[ours])
+        return kept
+
+    for i, (primal, y, p, gap, iterations) in finished_stream(members, settings, keep):
         if i < len(targets):  # result objects only for the merged solves, the ones validated here
             result = DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), targets[i].labels, iterations)
             merged[i] = validated(targets[i], result, opts.settings.gap_tol)

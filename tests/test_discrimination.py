@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -601,8 +602,10 @@ def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member
     search = AssignmentSearch(bruteforce_row_targets(monkeypatch, seed=42))
     assert (search.kept.size, len(search.problems)) == (1750, 602)
     # 50 row-merged and 602 assignment solves, each with the iterations it takes alone: the stream's 1,000 steps of
-    # STREAM_BUDGET, then the barrier's pretty-good measurements for the 18 it hands over (9,262 steps with no budget)
-    assert counts == {"steps": 1131, "member_steps": 82290, "certified": 652}
+    # STREAM_BUDGET, then the barrier's pretty-good measurements for the 18 it hands over (9,262 steps with no budget);
+    # 171 of the 602 leave at a stream check whose screen proves them below their target's value, uncertified
+    # (82,290 member-steps and 652 certificates when the rule ran only before the stream)
+    assert counts == {"steps": 1131, "member_steps": 74875, "certified": 481}
 
 
 def test_a_lone_and_a_streamed_solve_follow_one_budget_rule(barrier_rounds):
@@ -617,6 +620,106 @@ def test_a_lone_and_a_streamed_solve_follow_one_budget_rule(barrier_rounds):
     # the slow target runs out of the stream's budget alongside the others and the barrier finishes it, as alone
     assert finished[2][4] == discrimination.STREAM_BUDGET + 12
     assert barrier_rounds == [4, 4]
+
+
+def dropping(indices, at=1):
+    """A stream rule that drops each of the members ``indices`` at its ``at``-th offer, and the offers it got."""
+    offers, seen = [], collections.Counter()
+
+    def keep(i, primal, upper):
+        offers.append((i.copy(), primal.copy(), upper.copy()))
+        seen.update(i.tolist())
+        return np.array([not (j in indices and seen[j] == at) for j in i.tolist()], dtype=bool)
+
+    return keep, offers
+
+
+def test_a_stream_rule_drops_members_unyielded_and_leaves_the_others_their_lone_bits():
+    targets = mixed_stack()
+    keep, offers = dropping({1, 4})
+    out = list(solve_stream(stacked(targets), _ORACLE_SETTINGS, keep=keep))
+    assert sorted(i for i, _ in out) == [0, 2, 3, 5, 6, 7]
+    for i, mine in out:
+        assert_same_member(mine, streamed([targets[i]], _ORACLE_SETTINGS)[0])
+    # every member is due at step 0, where the two leave; none is offered again, and no upper bound is below its primal
+    assert offers[0][0].tolist() == list(range(len(targets)))
+    assert not any(np.isin(i, (1, 4)).any() for i, _, _ in offers[1:])
+    assert all((upper >= primal).all() for _, primal, upper in offers)
+
+
+def test_a_stream_rule_that_drops_nothing_changes_no_yield():
+    m, settings = stacked(mixed_stack()), [DEFAULT_SETTINGS, _ORACLE_SETTINGS] * 4
+    plain = list(solve_stream(m, settings))
+    ruled = list(solve_stream(m, settings, keep=lambda i, primal, upper: np.ones(len(i), dtype=bool)))
+    assert [i for i, _ in ruled] == [i for i, _ in plain]
+    for (_, mine), (_, theirs) in zip(ruled, plain):
+        assert_same_member(mine, theirs)
+
+
+def test_a_member_the_rule_drops_at_its_last_check_never_reaches_the_barrier(barrier_rounds, monkeypatch):
+    slow = slow_fixed_point_target()
+    targets = [merged_row_targets(gallery("bb84")), slow, mixed_stack()[0]]
+    finished_members = []
+    finish = discrimination.finish_member
+
+    def recorded(m, st, out):
+        finished_members.append(m.tobytes())
+        return finish(m, st, out)
+
+    monkeypatch.setattr(discrimination, "finish_member", recorded)
+    # the slow target is due every 10 iterations and at its last budgeted one, which it would leave for the barrier
+    checks = len(set(range(0, discrimination.STREAM_BUDGET, 10)) | {discrimination.STREAM_BUDGET - 1})
+    keep, offers = dropping({1}, at=checks)
+    finished = dict(discrimination.finished_stream(stacked(targets), [DEFAULT_SETTINGS] * 3, keep))
+    assert sorted(finished) == [0, 2]
+    assert sum(np.count_nonzero(i == 1) for i, _, _ in offers) == checks
+    assert sorted(finished_members) == sorted(targets[i].operators.tobytes() for i in (0, 2))
+    assert barrier_rounds == []
+    for i in (0, 2):
+        assert_same_member(finished[i], member(min_error_discrimination(targets[i])))
+
+
+def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatch):
+    offered, dropped = [], []
+    rule = AssignmentSearch.keep
+
+    def recorded(search, k, primal, upper):
+        kept = rule(search, k, primal, upper)
+        offered.append(k.copy())
+        dropped.extend(k[~kept].tolist())
+        return kept
+
+    monkeypatch.setattr(AssignmentSearch, "keep", recorded)
+    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    assert report.passed and report.computed == 8.822147157250271e-08
+    # problem indices of the 602 kept before the stream: no row-merged target reaches the rule
+    offered = np.concatenate(offered)
+    assert offered.min() == 0 and offered.max() == 601
+    assert len(dropped) == len(set(dropped)) == 171
+
+
+def test_screened_gaps_agree_with_the_exact_certificate_within_a_rounding_floor(monkeypatch):
+    # the prefilter margin of 1e-12 and the search's margin of _MARGIN_FLOORS floors rest on this agreement
+    worst, checks = [0.0, 0.0], [0]
+    screened = discrimination._screened_gaps
+
+    def compared(m, p):
+        primal, gaps = screened(m, p)
+        for k in range(len(m)):
+            exact, y, gap = discrimination._certify(m[k], p[k])
+            floor = rounding_floor(0.0, m.shape[-1] * np.trace(y).real)  # the search's margin is 4 of these
+            worst[0] = max(worst[0], abs(primal[k] - exact) / floor)
+            worst[1] = max(worst[1], abs(max(gaps[k], 0.0) - gap) / floor)
+        checks[0] += len(m)
+        return primal, gaps
+
+    monkeypatch.setattr(discrimination, "_screened_gaps", compared)
+    # every check of the seed-42 case's stream, its row-merged targets and its kept problems alike
+    [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
+    assert report.computed == 8.822147157250271e-08
+    assert checks[0] == 13_510
+    # measured: at most 0.033 floors, 8.9e-16 at these scales
+    assert max(worst) <= 1.0
 
 
 def test_the_bruteforce_case_builds_a_povm_only_for_the_results_it_validates(counted_bruteforce_run):
@@ -660,8 +763,9 @@ def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificat
     monkeypatch.setattr(AssignmentSearch, "fold", recorded_fold)
     [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     assert report.passed
-    # 12 of the 602 kept problems need more than STREAM_BUDGET iterations; each is folded with the barrier's certificate
-    assert len(folded) == 602
+    # 12 of the 602 kept problems need more than STREAM_BUDGET iterations; each is folded with the barrier's certificate.
+    # The 171 that a stream check drops are never folded (602 folds when the rule ran only before the stream)
+    assert len(folded) == 431
     gaps = [gap for settings, gap in finished if settings == _ORACLE_SETTINGS]
     assert len(gaps) == 12 and max(gaps) <= _ORACLE_SETTINGS.gap_tol
     assert all(folded.count(gap) >= gaps.count(gap) for gap in gaps)
@@ -682,10 +786,23 @@ def test_solve_stream_yields_each_index_once():
 
 
 def searched_values_of(search):
-    """The values of ``search`` once its problems have streamed through the solver."""
-    for k, (primal, _, _, gap, _) in solve_stream(search.problems, search.settings):
+    """The values of ``search`` once its problems have streamed through the solver, its rule asked at every check."""
+    for k, (primal, _, _, gap, _) in solve_stream(search.problems, search.settings, keep=search.keep):
         search.fold(k, primal, gap)
     return search.values
+
+
+def dropped_in_stream(search):
+    """The problems of ``search`` that its stream checks drop, in the order they leave, recorded from here on."""
+    dropped, rule = [], search.keep
+
+    def keep(k, primal, upper):
+        kept = rule(k, primal, upper)
+        dropped.extend(k[~kept].tolist())
+        return kept
+
+    search.keep = keep
+    return dropped
 
 
 def searched_values(ensembles):
@@ -726,7 +843,7 @@ def test_assignment_search_keeps_each_sorted_multiset_of_rows_in_first_occurrenc
     assert search.kept.shape == (len(expected),) == (50 * 35,)
     kept = [expected[i] for i in np.flatnonzero(search.kept)]
     assert search.problems.shape == (len(kept), 4, 2, 2)
-    assert search._owner == [e for e, _ in kept]
+    assert search._owner.tolist() == [e for e, _ in kept]
     for mine, (_, theirs) in zip(search.problems, kept):
         assert mine.tobytes() == theirs.tobytes()
 
@@ -738,9 +855,8 @@ def whole_stack_search(row_targets):
         keys = list(itertools.combinations_with_replacement(range(len(target.operators)), target.dim**2))
         m = np.array(target.operators)[np.array(keys)]
         p = discrimination._pretty_good(m)
-        p = discrimination._pretty_good(m @ p @ m)
-        primal = np.einsum("brij,brji->b", p, m).real
-        upper = primal + discrimination._screened_gaps(m, p)
+        primal, gap = discrimination._screened_gaps(m, discrimination._pretty_good(m @ p @ m))
+        upper = primal + gap
         margin = oracles._MARGIN_FLOORS * rounding_floor(0.0, target.dim * upper)
         kept.append(upper + margin + _ORACLE_SETTINGS.gap_tol >= (primal - margin).max())
         problems.append(m[kept[-1]])
@@ -776,12 +892,13 @@ def test_the_bound_in_windows_has_the_bits_of_the_bound_on_the_whole_stack(monke
 
 
 def sound_kept_counts(monkeypatch, gap_tol):
-    """Kept problems of the seed-1 and seed-7 ten-trial targets and of one qutrit target, searched at ``gap_tol``.
+    """(kept, dropped in the stream) problems of the seed-1 and seed-7 ten-trial targets and of one qutrit target, at ``gap_tol``.
 
-    Asserts on the way that the pruned search's values equal the full
-    enumeration's bit for bit, every problem solved at the search's settings,
-    and that every dropped problem's certified primal + gap lies strictly
-    below its target's value.
+    Asserts on the way that the pruned search's values, with its rule asked
+    at every stream check, equal the full enumeration's bit for bit, every
+    problem solved at the search's settings, and that every problem dropped
+    before or in the stream has a certified primal + gap strictly below its
+    target's value.
     """
     monkeypatch.setattr(AssignmentSearch, "settings", dataclasses.replace(_ORACLE_SETTINGS, gap_tol=gap_tol))
     cases = [bruteforce_row_targets(monkeypatch, seed=seed, trials=10) for seed in (1, 7)]
@@ -790,6 +907,7 @@ def sound_kept_counts(monkeypatch, gap_tol):
     counts = []
     for targets in cases:
         search = AssignmentSearch(targets)
+        dropped = dropped_in_stream(search)
         everything = every_multiset(targets)
         results = dict(solve_stream(np.array([problem for _, problem in everything]), search.settings))
         full = [-math.inf] * len(targets)
@@ -797,23 +915,39 @@ def sound_kept_counts(monkeypatch, gap_tol):
             primal, _, _, gap, _ = results[k]
             full[e] = max(full[e], primal + gap)
         assert searched_values_of(search) == full
-        dropped = np.flatnonzero(~search.kept)
-        assert dropped.size > 0
-        for k in dropped:
+        # a problem leaves the stream once; the stream's drops index the kept problems, mapped here to every multiset
+        assert len(set(dropped)) == len(dropped)
+        in_stream = np.flatnonzero(search.kept)[dropped]
+        assert np.flatnonzero(~search.kept).size > 0
+        for k in np.concatenate([np.flatnonzero(~search.kept), in_stream]):
             primal, _, _, gap, _ = results[k]
             assert primal + gap < full[everything[k][0]]
-        counts.append(int(search.kept.sum()))
+        counts.append((int(search.kept.sum()), len(dropped)))
     return counts
 
 
 def test_assignment_search_drops_only_problems_that_cannot_reach_their_targets_value(monkeypatch):
-    assert sound_kept_counts(monkeypatch, _ORACLE_SETTINGS.gap_tol) == [119, 132, 28]
+    # kept before the stream, then dropped at its checks; the qutrit target's 28 all stay to the end
+    assert sound_kept_counts(monkeypatch, _ORACLE_SETTINGS.gap_tol) == [(119, 37), (132, 53), (28, 0)]
 
 
 def test_the_keep_rules_gap_tol_term_keeps_what_a_loose_gap_may_certify(monkeypatch):
     # a certified result may exceed its optimum by up to gap_tol, so a looser gap must keep more problems;
-    # without the term the rule would keep the 119 and 132 of the default gap here
-    assert sound_kept_counts(monkeypatch, 1e-2) == [141, 140, 28]
+    # without the term the rule would keep the 119 and 132 of the default gap here; fewer leave at the stream's checks
+    assert sound_kept_counts(monkeypatch, 1e-2) == [(141, 21), (140, 25), (28, 0)]
+
+
+def test_assignment_search_rejects_no_targets_and_mixed_dimensions_before_any_bound(monkeypatch):
+    def no_bound(m):
+        raise AssertionError("bound run before the targets were checked")
+
+    monkeypatch.setattr(oracles, "_bounds", no_bound)
+    with pytest.raises(ValueError, match="at least one row target"):
+        AssignmentSearch([])
+    mixed = [merged_row_targets(gallery("bb84")), merged_row_targets(gallery("minimal-qutrit"))]
+    assert [t.dim for t in mixed] == [2, 3]
+    with pytest.raises(ValueError, match=r"one dimension, got dimensions \[2, 3\]"):
+        AssignmentSearch(mixed)
 
 
 def test_assignment_search_keeps_every_tied_problem_and_every_full_set(monkeypatch):
@@ -865,9 +999,9 @@ def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
 def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch):
     stream = reproduce.finished_stream
 
-    def loose_first_dual(m, settings):
+    def loose_first_dual(m, settings, keep):
         # member 0 is the first row-merged target; the search's members follow the merged ones
-        for i, (primal, y, p, gap, iterations) in stream(m, settings):
+        for i, (primal, y, p, gap, iterations) in stream(m, settings, keep):
             if i == 0:
                 y = y - 1e-3 * np.eye(m.shape[-1])
             yield i, (primal, y, p, gap, iterations)
@@ -923,6 +1057,19 @@ def test_solver_settings_reject_bad_fields(field, value):
 def test_solver_settings_take_only_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer of at least 1"):
         SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["gap_tol", "psd_tol", "damping"])
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1e-7", "0.5", None, 1j])
+def test_solver_settings_take_only_real_tolerances(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .*real number"):
+        SolverSettings(**{field: value})
+
+
+def test_solver_settings_store_a_numpy_or_integer_tolerance_as_a_float():
+    st = SolverSettings(gap_tol=np.float32(1e-6), psd_tol=0, damping=1)
+    assert (st.gap_tol, st.psd_tol, st.damping) == (float(np.float32(1e-6)), 0.0, 1.0)
+    assert type(st.gap_tol) is type(st.psd_tol) is type(st.damping) is float
 
 
 def test_solver_settings_store_a_numpy_integer_count_as_an_int():
