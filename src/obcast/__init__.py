@@ -52,7 +52,6 @@ from .reporting import BoundReport, reports_to_csv, reports_to_json
 from .reproduce import run_reproduce
 from .uncertainty import (
     SuperpositionSpec,
-    no_go_bound,
     ur_general,
     ur_guess_bound,
     ur_pair_bound,

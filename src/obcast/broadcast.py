@@ -136,7 +136,6 @@ class BroadcastFeasibility:
 
     value: float
     gap: float
-    witness: Povm | None
     witness_violation: float | None
     certificate: KillPatternCertificate
 
@@ -158,9 +157,9 @@ def perfect_classical_broadcast_decision(
 
     Feasibility is equivalent to unit post-information value under any
     full-support prior, so the decision runs one discrimination solve on a
-    uniform reweighting and, when the set is feasible, extracts the optimal
-    POVM as an explicit witness, which may confuse two states with
-    probability up to ten times the gap in force.  The kill-pattern
+    uniform reweighting and, when the set is feasible, checks the optimal
+    POVM as an explicit witness and returns how far it confuses two states,
+    which may be up to ten times the gap in force.  The kill-pattern
     certificate is exact and wins: a set it proves infeasible is infeasible,
     even when the window of a nearly feasible set reaches one.  It runs
     first, so an input it rejects fails before any solve.
@@ -176,7 +175,7 @@ def perfect_classical_broadcast_decision(
     )
     certificate = kill_pattern_certificate(ensemble)
     result = p_postinfo(uniform, st)
-    decision = BroadcastFeasibility(result.value, result.certificate.gap, None, None, certificate)
+    decision = BroadcastFeasibility(result.value, result.certificate.gap, None, certificate)
     if not decision.feasible:
         return decision
     violation = verify_classical_broadcast_povm(result.povm, uniform).max_violation
@@ -185,4 +184,4 @@ def perfect_classical_broadcast_decision(
             f"feasible value {result.value!r} but witness POVM violates the "
             f"classical-broadcast condition by {violation:.3e}"
         )
-    return replace(decision, witness=result.povm, witness_violation=violation)
+    return replace(decision, witness_violation=violation)

@@ -138,16 +138,22 @@ def _cmd_reproduce(args) -> int:
     return EXIT_FAILED if gate else EXIT_OK
 
 
+def _not_an_ensemble(obj) -> ValueError:
+    """The input error of ``bound --method postinfo`` and ``check`` on a gallery object that is no ensemble."""
+    return ValueError(f"{type(obj).__name__} is not an ensemble; provide a post-information or product ensemble")
+
+
 def _postinfo_view(obj):
     """The post-information ensemble of ``obj``: itself, or a product set reduced on its first classical factor."""
     if isinstance(obj, PostInfoEnsemble):
         return obj
-    if isinstance(obj, GopEnsemble):
-        for side in ("a", "b"):  # the gallery's classical-quantum sets are classical on a
-            try:
-                return induced_postinfo(obj, classical_side=side)
-            except ValueError:
-                continue
+    if not isinstance(obj, GopEnsemble):
+        raise _not_an_ensemble(obj)
+    for side in ("a", "b"):  # the gallery's classical-quantum sets are classical on a
+        try:
+            return induced_postinfo(obj, classical_side=side)
+        except ValueError:
+            continue
     raise ValueError("no classical side to reduce on; provide a post-information ensemble")
 
 
@@ -175,7 +181,7 @@ def _bound_record(method: str, entry: str | None, name: str, obj, settings: Solv
         record = {"computed": qpv.thm4_min_epsilon(inst), "certificate": "analytic"}
     elif method == "prop4" and theta is not None:
         spec = qpv.bb84_family_instance(theta).spec
-        record = {"computed": qpv.prop4_solve(0.5, 0.5, 0.5, spec), "certificate": "heuristic"}
+        record = {"computed": qpv.prop4_solve(spec), "certificate": "heuristic"}
     elif method == "disk" and entry in _DISK_PROGRAMS:
         record = {"computed": qpv.disk_program_solve(_DISK_PROGRAMS[entry]), "certificate": "analytic"}
     elif method == "moe" and entry == "obb":
@@ -208,7 +214,7 @@ def _cmd_check(args) -> int:
         form = qubit_qudit_form_check(obj)
         print(f"qubit-qudit form: {'fits' if form.fits else form.reason}")
     elif not isinstance(obj, PostInfoEnsemble):
-        raise ValueError("check expects a post-information or product ensemble")
+        raise _not_an_ensemble(obj)
     try:
         ens = _postinfo_view(obj)
     except ValueError:

@@ -173,13 +173,11 @@ class DiscriminationResult:
     iterations: int = 0
 
 
-def helstrom_binary(rho: np.ndarray, sigma: np.ndarray, p: float = 0.5):
-    """Optimal success probability for discriminating two states with prior (p, 1-p), member by member for stacks."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"prior {p} outside [0, 1]")
+def helstrom_binary(rho: np.ndarray, sigma: np.ndarray):
+    """Optimal success probability for discriminating two equiprobable states, member by member for stacks."""
     a = hermitian(rho)
     b = hermitian(sigma)
-    diff = p * a - (1 - p) * b
+    diff = 0.5 * a - 0.5 * b
     return per_member(0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)))
 
 

@@ -289,19 +289,15 @@ class FormDecomposition:
 
     fits: bool
     reason: str
-    induced: PostInfoEnsemble | None = None
-    removable: tuple[int, ...] = ()
 
 
 def qubit_qudit_form_check(gop: GopEnsemble) -> FormDecomposition:
-    """Split a 2 x d GOP set into a two-setting ensemble plus locally removable states.
+    """Whether a 2 x d GOP set splits into a two-setting ensemble plus locally removable states.
 
     The kept states' first factors must fall into at most two mutually
     orthogonal rays (the two settings); every other state must be locally
     removable, i.e. its second factor orthogonal to every other second
-    factor.  The largest consistent ray selection wins, so states are only
-    marked removable when they cannot join the two-setting part.  Failure to
-    fit is a diagnosable outcome, not an error.
+    factor.  Failure to fit is a diagnosable outcome, not an error.
     """
     d_a, _ = gop.dims
     if d_a != 2:
@@ -319,25 +315,10 @@ def qubit_qudit_form_check(gop: GopEnsemble) -> FormDecomposition:
         if a_overlaps[members[c1][0], members[c2][0]] <= ORTHOGONALITY_TOL  # orthogonal rays
     ]
     candidates += [(c,) for c in classes]
-    candidates.sort(key=lambda sel: -sum(len(members[c]) for c in sel))
     for selection in candidates:
-        kept = [k for c in selection for k in members[c]]
-        removable = sorted(set(range(n)) - set(kept))
-        if any(b_overlaps[k, j] > ORTHOGONALITY_TOL for k in removable for j in range(n) if j != k):
-            continue
-        weight = sum(gop.prior[k] for k in kept)
-        groups = []
-        prior = []
-        for c in selection:
-            groups.append(tuple(gop.b_states[k] for k in members[c]))
-            prior.append(tuple(gop.prior[k] / weight for k in members[c]))
-        induced = PostInfoEnsemble(
-            settings=tuple(str(t) for t in range(len(selection))),
-            states=tuple(groups),
-            prior=tuple(prior),
-            orthogonal=True,
-        )
-        return FormDecomposition(True, "fits", induced, tuple(removable))
+        removable = set(range(n)) - {k for c in selection for k in members[c]}
+        if not any(b_overlaps[k, j] > ORTHOGONALITY_TOL for k in removable for j in range(n) if j != k):
+            return FormDecomposition(True, "fits")
     return FormDecomposition(False, "no orthogonal ray selection covers the non-removable states")
 
 

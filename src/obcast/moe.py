@@ -37,10 +37,6 @@ class MoeGame:
             raise ValueError("all settings must share an outcome alphabet")
 
     @property
-    def dim(self) -> int:
-        return self.measurements[0].dim
-
-    @property
     def outcome_count(self) -> int:
         return len(self.measurements[0])
 

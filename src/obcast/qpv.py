@@ -155,7 +155,7 @@ def _disk_cap(t: float) -> float:
     return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - (2.0 * t - 1.0) ** 2))
 
 
-def _prop4_grid(p: float, pg_a01: float, pg_a23: float, z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
+def _prop4_grid(z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
     """``prop4_solve``'s seed grid and its objective, value [i, j] at (r0, s0) = (grid[i], grid[j]).
 
     The scalar objective's operations in its order (``+ - * sqrt``, ``** 2``,
@@ -172,42 +172,38 @@ def _prop4_grid(p: float, pg_a01: float, pg_a23: float, z1: float, z2: float) ->
     f_r += 1.0
     f_r *= 0.5
     np.minimum(1.0, f_r, out=f_r)  # r1
-    f_r += pg_a23
-    f_r *= 1 - p
-    f_r += (p * (pg_a01 + grid))[:, None]
+    f_r += 0.5
+    f_r *= 0.5
+    f_r += (0.5 * (0.5 + grid))[:, None]
     f_r -= 0.5
     return grid, np.minimum(f_r, f_r.T)
 
 
-def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec) -> float:
-    """Bound of the guessing-probability program over uncertainty-relation constraints.
+def prop4_solve(spec: SuperpositionSpec) -> float:
+    """Bound of the guessing-probability program over uncertainty-relation constraints, at the symmetric point.
 
     Maximizes min over the two parties of
-    p (pg_a01 + x0) + (1-p) (pg_a23 + x1) - 1/2, where each party's second
-    slot is capped by the cross-party relation.  The second slots sit at
-    their caps at any optimum, leaving a two-variable maximization handled
-    by grid seeding plus pattern ascent.  The 201 x 201 seed grid is one
-    array expression (``_prop4_grid``) with the scalar objective's bits; the
-    ascent starts at its first maximum in r0-major order and is scalar.  The
-    derivation fixes the constant at -1/2; the returned bound is the program's
-    value clipped at one, since it bounds a probability.
+    p (pg_a01 + x0) + (1-p) (pg_a23 + x1) - 1/2 at p = pg_a01 = pg_a23 = 1/2,
+    where each party's second slot is capped by the cross-party relation.
+    The second slots sit at their caps at any optimum, leaving a
+    two-variable maximization handled by grid seeding plus pattern ascent.
+    The 201 x 201 seed grid is one array expression (``_prop4_grid``) with
+    the scalar objective's bits; the ascent starts at its first maximum in
+    r0-major order and is scalar.  The derivation fixes the constant at
+    -1/2.  Every slot is at most one, so the value is at most one: it bounds
+    a probability as it is.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p!r} outside [0, 1]")
-    for name, x in (("pg_a01", pg_a01), ("pg_a23", pg_a23)):
-        if not 0.5 - 1e-12 <= x <= 1.0 + 1e-12:
-            raise ValueError(f"{name}={x!r} outside [1/2, 1]")
     z1, z2 = abs(spec.z1), abs(spec.z2)
 
     def objective(r0: float, s0: float) -> float:
         # each party's second slot at its cap
         r1 = min(1.0, 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * s0 - 1) ** 2)) + z2 * (2 * r0 - 1) + 1.0))
         s1 = min(1.0, 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * r0 - 1) ** 2)) + z2 * (2 * s0 - 1) + 1.0))
-        f_r = p * (pg_a01 + r0) + (1 - p) * (pg_a23 + r1) - 0.5
-        f_s = p * (pg_a01 + s0) + (1 - p) * (pg_a23 + s1) - 0.5
+        f_r = 0.5 * (0.5 + r0) + 0.5 * (0.5 + r1) - 0.5
+        f_s = 0.5 * (0.5 + s0) + 0.5 * (0.5 + s1) - 0.5
         return min(f_r, f_s)
 
-    grid, values = _prop4_grid(p, pg_a01, pg_a23, z1, z2)
+    grid, values = _prop4_grid(z1, z2)
     i, j = np.unravel_index(np.argmax(values), values.shape)  # the first maximum, r0-major
     value, r0, s0 = float(values[i, j]), float(grid[i]), float(grid[j])
     step = float(grid[1] - grid[0])
@@ -222,7 +218,7 @@ def prop4_solve(p: float, pg_a01: float, pg_a23: float, spec: SuperpositionSpec)
                 break
         else:
             step /= 2.0
-    return min(1.0, value)
+    return value
 
 
 def disk_program_solve(shift: float) -> float:
@@ -255,14 +251,11 @@ def disk_program_solve(shift: float) -> float:
     return 0.25 + 0.25 * (feasible_value + shift)
 
 
-def error_per_state(ensemble: GopEnsemble, pr_honest: float, pr_attack_bound: float) -> float:
-    """Honest-versus-attack advantage spread over the ensemble size."""
-    for name, x in (("pr_honest", pr_honest), ("pr_attack_bound", pr_attack_bound)):
-        if not 0.0 <= x <= 1.0 + 1e-12:
-            raise ValueError(f"{name}={x!r} outside [0, 1]")
-    if pr_honest < pr_attack_bound - 1e-12:
-        raise ValueError("honest value below the attack bound gives a negative delta")
-    return (pr_honest - pr_attack_bound) / len(ensemble)
+def error_per_state(ensemble: GopEnsemble, pr_attack_bound: float) -> float:
+    """Advantage of the perfectly succeeding honest parties over the attack bound, spread over the ensemble size."""
+    if not 0.0 <= pr_attack_bound <= 1.0 + 1e-12:
+        raise ValueError(f"pr_attack_bound={pr_attack_bound!r} outside [0, 1]")
+    return (1.0 - pr_attack_bound) / len(ensemble)
 
 
 # (x, y) -> guessed state index for the seven-state classical-quantum set;

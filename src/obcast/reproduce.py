@@ -138,7 +138,7 @@ def _bb84_gap(case, opts):
 
 @_case("bb84-prop4", "prop4 program at the symmetric parameters", BB84_VALUE, 1e-6, "heuristic")
 def _bb84_prop4(case, opts):
-    return qpv.prop4_solve(0.5, 0.5, 0.5, qpv.bb84_family_instance(math.pi / 2).spec)
+    return qpv.prop4_solve(qpv.bb84_family_instance(math.pi / 2).spec)
 
 
 @_case("bb84-breidbart", "intermediate-basis attack at theta=pi/2", BB84_VALUE, 1e-9, "exact")
@@ -252,13 +252,13 @@ def _obb_disk(case, opts):
 
 @_case("delta-bb84", "error per state of the four-state protocol (printed < 0.03662)", 0.03662, 1e-5, "analytic")
 def _delta_bb84(case, opts):
-    delta = qpv.error_per_state(gen_bb84(math.pi / 2), 1.0, BB84_VALUE)
+    delta = qpv.error_per_state(gen_bb84(math.pi / 2), BB84_VALUE)
     return delta, delta < 0.03662
 
 
 @_case("delta-obb", "error per state of the seven-state protocol (printed > 0.05663)", 0.05663, 1e-5, "analytic")
 def _delta_obb(case, opts):
-    delta = qpv.error_per_state(gallery("obb"), 1.0, 0.603554)
+    delta = qpv.error_per_state(gallery("obb"), 0.603554)
     return delta, delta > 0.05663
 
 
@@ -478,8 +478,8 @@ def _prop_bruteforce(case, opts):
     rng = case_rng(opts.seed, case.id)
     ensembles = []
     for _ in range(opts.n_trials(50)):
-        pair0 = random_orthonormal_pair(rng, 2)
-        pair1 = random_orthonormal_pair(rng, 2)
+        pair0 = random_orthonormal_pair(rng)
+        pair1 = random_orthonormal_pair(rng)
         weights = rng.dirichlet(np.ones(4))
         ensembles.append(
             PostInfoEnsemble(

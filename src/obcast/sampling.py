@@ -58,12 +58,9 @@ def psd_from_normals(z: np.ndarray) -> np.ndarray:
     return (g @ dagger(g)) / g.shape[-1]
 
 
-def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return ket_from_normals(rng.normal(size=(2, dim)))
-
-
-def random_orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    a = random_ket(rng, dim)
-    b = random_ket(rng, dim)
+def random_orthonormal_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two orthonormal qubit kets: a Haar ket, and a second one made orthogonal to it by Gram-Schmidt."""
+    a = ket_from_normals(rng.normal(size=(2, 2)))
+    b = ket_from_normals(rng.normal(size=(2, 2)))
     b = b - np.vdot(a, b) * a
     return a, b / np.linalg.norm(b)

@@ -157,12 +157,3 @@ def ur_general(gammas, alphas, betas, dims: tuple[int, int]):
     relaxed = 0.5 * sum(np.abs(p[:, i] - q[:, i]) for i in range(n)) + fid_term
     return lhs, tight, relaxed
 
-
-def no_go_bound(theta: float) -> float:
-    """Ceiling on the broadcast-side distinguishability of a rotated basis pair.
-
-    When the unrotated pair stays perfectly distinguishable on one side, the
-    rotated pair's other-side trace distance cannot exceed |cos theta|, which
-    sits strictly below one except at basis coincidence.
-    """
-    return abs(math.cos(theta))

@@ -1,8 +1,9 @@
-"""API audits: every public function of ``src/obcast`` has a caller, every defaulted parameter one that sets it, and every dataclass field a reader.
+"""API audits: every public function of ``src/obcast`` has a caller, every defaulted parameter one that sets it, every dataclass field a reader, and no parameter one fixed literal.
 
 A function that only tests call, a default that no call in the package or
-in the benchmark ever overrides, or a result field that nothing reads, is
-code or a constant in disguise.  The
+in the benchmark ever overrides, a parameter that every call passes the same
+literal, or a result field that nothing reads, is code or a constant in
+disguise.  The
 audits parse both trees with ``ast``.  A public function or method counts as
 reached when some code in either tree names it, as a bare name or as an
 attribute, by its identifier; the package's re-exports in ``__init__.py`` are
@@ -12,8 +13,10 @@ enclosing function binds it.  A parameter counts as set when some call passes it
 by position, through ``dataclasses.replace`` (for a dataclass field), or,
 for a constructor, through a call by the class name.  Passing the default's
 own literal, as in ``f(side="a")`` where the default is ``"a"``, does not
-set it.  A dataclass field counts as read when some code in either tree loads
-an attribute of its name, whatever the object.
+set it.  A parameter is a constant when at least one call names its function
+and every such call passes it, by position or keyword, as the same
+``ast.literal_eval`` literal.  A dataclass field counts as read when some code
+in either tree loads an attribute of its name, whatever the object.
 """
 
 from __future__ import annotations
@@ -30,19 +33,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "obcast"
 CALLER_TREES = (PACKAGE, ROOT / "perfbench")
 
-ALLOWED = {
-    "helstrom_binary.p": "the prior of the two states is an input of the Helstrom value, not a tuning knob",
-}
+# defaulted parameters that no call in either tree sets, each with the reason it stays
+ALLOWED: dict[str, str] = {}
 # public functions that nothing in either tree reaches yet, each with the reason it stays
-UNREACHED = {
-    "uncertainty.no_go_bound": "the qubit-basis no-go bound awaits its report row, which decides whether it stays",
-}
+UNREACHED: dict[str, str] = {}
 # dataclass fields that no code in either tree reads, each with the reason it stays
-UNREAD_FIELDS = {
-    "FormDecomposition.induced": "the form check's two-setting ensemble, part of the decomposition the tests verify",
-    "FormDecomposition.removable": "the form check's locally removable states, part of the decomposition the tests verify",
-    "BroadcastFeasibility.witness": "the POVM that certifies a feasible broadcast, kept as the decision's certificate",
-}
+UNREAD_FIELDS: dict[str, str] = {}
 
 _NO_LITERAL = object()
 
@@ -70,15 +66,14 @@ def _callee(call: ast.Call) -> str | None:
     return None
 
 
-def _function_parameters(fn: ast.FunctionDef, name: str, bound: bool):
-    """(name, parameter, position or None, literal default) for each default of ``fn``."""
-    positional = fn.args.posonlyargs + fn.args.args
-    first_default = len(positional) - len(fn.args.defaults)
-    for i, (arg, default) in enumerate(zip(positional[first_default:], fn.args.defaults)):
-        yield name, arg.arg, first_default + i - bound, _literal(default)
+def _function_parameters(fn: ast.FunctionDef, bound: bool):
+    """(parameter, position or None, default expression or None) for each named parameter of ``fn`` after ``self``."""
+    positional = (fn.args.posonlyargs + fn.args.args)[bound:]
+    defaults = [None] * (len(positional) - len(fn.args.defaults)) + fn.args.defaults
+    for i, (arg, default) in enumerate(zip(positional, defaults)):
+        yield arg.arg, i, default
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-        if default is not None:
-            yield name, arg.arg, None, _literal(default)
+        yield arg.arg, None, default
 
 
 class _Scan(ast.NodeVisitor):
@@ -90,6 +85,7 @@ class _Scan(ast.NodeVisitor):
 
     def __init__(self):
         self.parameters = []
+        self.signatures = []  # every named parameter, defaulted or not
         self.dataclasses = set()
         self.calls = []  # (call, name of the enclosing function or None)
         self._class = None
@@ -110,7 +106,10 @@ class _Scan(ast.NodeVisitor):
         cls = self._class
         static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         name = cls.name if cls is not None and node.name == "__init__" else node.name
-        self.parameters.extend(_function_parameters(node, name, cls is not None and not static))
+        for param, position, default in _function_parameters(node, cls is not None and not static):
+            self.signatures.append((name, param, position))
+            if default is not None:
+                self.parameters.append((name, param, position, _literal(default)))
         outer = (self._class, self._function)
         self._class, self._function = None, name
         self.generic_visit(node)
@@ -173,6 +172,36 @@ def never_set() -> list[str]:
                 is_set.add(key)
                 changed = True
     return sorted(defaulted - is_set)
+
+
+def _argument(call: ast.Call, param: str, position: int | None) -> ast.expr | None:
+    """The expression ``call`` passes for ``param``, or None when it passes none or spreads ``*args`` or ``**kwargs``."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(kw.arg is None for kw in call.keywords):
+        return None
+    if position is not None and position < len(call.args):
+        return call.args[position]
+    return next((kw.value for kw in call.keywords if kw.arg == param), None)
+
+
+def constant_arguments(package: Path = PACKAGE, trees=CALLER_TREES) -> list[str]:
+    """Every ``name.parameter`` of a function of ``package`` that every call in ``trees`` passes as one literal.
+
+    A function that no call names has no constant parameter here; the
+    unreached audit covers it.  A call that leaves the parameter at its
+    default, or spreads ``*args`` or ``**kwargs``, passes no literal.
+    """
+    calls = [call for call, _ in _scan(trees).calls]
+    constant = set()
+    for name, param, position in _scan([package]).signatures:
+        passed = set()
+        for call in calls:
+            if _callee(call) == name:
+                value = _argument(call, param, position)
+                literal = value is not None and _literal(value) is not _NO_LITERAL
+                passed.add(ast.dump(value) if literal else None)
+        if len(passed) == 1 and None not in passed:
+            constant.add(f"{name}.{param}")
+    return sorted(constant)
 
 
 def _public_functions(tree: ast.Module, module: str):
@@ -347,6 +376,31 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
 
 def test_the_allowlist_names_only_parameters_that_exist_and_are_unset():
     assert sorted(ALLOWED) == [p for p in never_set() if p in ALLOWED]
+
+
+def test_no_parameter_is_passed_one_literal_by_every_call():
+    constant = constant_arguments()
+    assert constant == [], f"parameters that every call in src/obcast and perfbench passes the same literal: {constant}"
+
+
+def test_a_parameter_is_constant_only_when_every_call_passes_the_same_literal(tmp_path):
+    package = tmp_path / "obcast"
+    package.mkdir()
+    (package / "qpv.py").write_text(
+        "def solve(spec, p, pg=0.5, *, scale):\n    return spec\n\n\n"
+        "def unused(q):\n    return q\n\n\n"
+        "class Game:\n    def value(self, prior, dim):\n        return prior\n"
+    )
+    # ``p`` and ``scale`` get 0.5 and 2 in every call, by position or keyword; ``pg`` is left at its default
+    # once, ``spec`` is no literal, ``prior`` takes two literals, ``dim`` one, and nothing calls ``unused``
+    (package / "run.py").write_text(
+        "from .qpv import Game, solve\n\n\n"
+        "def _main(spec, game):\n"
+        "    solve(spec, 0.5, 0.5, scale=2)\n"
+        "    solve(spec, p=0.5, scale=2)\n"
+        "    return game.value(0.25, 2), Game().value(prior=0.75, dim=2)\n"
+    )
+    assert constant_arguments(package, (package,)) == ["solve.p", "solve.scale", "value.dim"]
 
 
 def test_orthogonality_broadcast_rejects_a_one_factor_isometry():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from obcast.broadcast import (
 from obcast.ensembles import Isometry, PostInfoEnsemble, Povm, gallery, induced_postinfo
 from obcast.errors import InternalInconsistency
 from obcast.linalg import dyad, ket
-from obcast.sampling import random_ket
+
+from helpers import random_ket
 
 SQ2 = np.sqrt(2)
 
@@ -136,7 +138,7 @@ def test_single_basis_is_feasible():
         orthogonal=True,
     )
     decision = perfect_classical_broadcast_decision(ens)
-    assert decision.feasible and decision.witness is not None
+    assert decision.feasible and decision.witness_violation is not None
 
 
 def test_certificate_implies_decision_agrees():
@@ -162,7 +164,7 @@ def test_a_kill_pattern_proof_wins_over_a_window_that_reaches_one(monkeypatch):
     decision = perfect_classical_broadcast_decision(gallery("minimal-qutrit"))
     assert decision.reaches_one and not decision.feasible
     assert (decision.value, decision.gap) == (feasible.value, feasible.gap)
-    assert decision.witness is None and decision.witness_violation is None
+    assert decision.witness_violation is None
 
 
 def test_a_witness_that_confuses_states_is_inconsistent(monkeypatch):
@@ -174,3 +176,24 @@ def test_a_witness_that_confuses_states_is_inconsistent(monkeypatch):
     monkeypatch.setattr(broadcast, "verify_classical_broadcast_povm", confusing)
     with pytest.raises(InternalInconsistency, match="violates the classical-broadcast condition by 1.000e-03"):
         perfect_classical_broadcast_decision(gallery("minimal-qutrit"))
+
+
+_UNFLAGGED_QUTRIT = PostInfoEnsemble(
+    settings=("0",), states=((np.eye(3)[0], np.eye(3)[1]),), prior=((0.5, 0.5),)
+)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            lambda: verify_orthogonality_broadcast(gallery("thm1-isometry"), _UNFLAGGED_QUTRIT),
+            "ensemble must carry the orthogonality flag",
+        ),
+        (lambda: kill_pattern_certificate(_UNFLAGGED_QUTRIT), "ensemble must carry the orthogonality flag"),
+        (lambda: verify_classical_broadcast_povm(gallery("prop1-povm"), gallery("bb84")), "POVM dim 3 != ensemble dim 2"),
+    ],
+)
+def test_input_checks_name_what_is_wrong(check, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check()

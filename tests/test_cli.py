@@ -6,7 +6,15 @@ import pytest
 
 from obcast import broadcast, cli, discrimination, moe, qpv
 from obcast.cli import main
-from obcast.ensembles import from_json_dict, gallery, gallery_names, gen_bb84_angle, to_json_dict
+from obcast.ensembles import (
+    GopEnsemble,
+    PostInfoEnsemble,
+    from_json_dict,
+    gallery,
+    gallery_names,
+    gen_bb84_angle,
+    to_json_dict,
+)
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.reproduce import run_reproduce
 
@@ -164,7 +172,8 @@ def test_every_pair_bound_does_not_serve_is_an_input_error(capsys, method):
         code, out, err = run(capsys, "bound", "--gallery", name, "--method", method)
         assert (code, out) == (1, ""), name
         if method == "postinfo":  # every entry has the route; these have no post-information view
-            assert err == "error: no classical side to reduce on; provide a post-information ensemble\n"
+            no_classical_side = "error: no classical side to reduce on; provide a post-information ensemble\n"
+            assert err == _NOT_AN_ENSEMBLE.get(name, no_classical_side)
         else:
             assert err == f"error: no {method} bound is known for {name!r}\n"
 
@@ -467,6 +476,12 @@ _BB84_TAIL = (
     "classical broadcast: infeasible (optimal value 0.853553299 < 1)\n"
 )
 _NO_CLASSICAL_SIDE = "classical reduction: no classical side; stopping at the form check\n"
+# the input error of ``check`` and ``bound --method postinfo`` on each gallery entry that is no ensemble
+_NOT_AN_ENSEMBLE = {
+    name: f"error: {type(obj).__name__} is not an ensemble; provide a post-information or product ensemble\n"
+    for name in ENTRIES
+    if not isinstance(obj := gallery(name), (GopEnsemble, PostInfoEnsemble))
+}
 # the text ``check`` prints for each gallery entry it accepts
 CHECK_OUTPUT = {
     "bb84": (
@@ -522,11 +537,15 @@ def test_check_prints_the_reference_text_for_each_gallery_entry(capsys, name):
     if name in CHECK_OUTPUT:
         assert run(capsys, "check", "--gallery", name) == (0, CHECK_OUTPUT[name], "")
     else:
-        assert run(capsys, "check", "--gallery", name) == (
-            1,
-            "",
-            "error: check expects a post-information or product ensemble\n",
-        )
+        assert run(capsys, "check", "--gallery", name) == (1, "", _NOT_AN_ENSEMBLE[name])
+
+
+@pytest.mark.parametrize("name", ["thm1-isometry", "prop1-povm"])
+@pytest.mark.parametrize("command", [("bound", "--method", "postinfo"), ("check",)])
+def test_bound_and_check_give_one_error_for_an_object_that_is_no_ensemble(capsys, command, name):
+    kind = {"thm1-isometry": "Isometry", "prop1-povm": "Povm"}[name]
+    message = f"error: {kind} is not an ensemble; provide a post-information or product ensemble\n"
+    assert run(capsys, command[0], "--gallery", name, *command[1:]) == (1, "", message)
 
 
 def test_check_malformed_file(tmp_path, capsys):

@@ -99,8 +99,6 @@ def test_helstrom_examples():
     assert helstrom_binary(dyad(k0), dyad(kp)) == pytest.approx(0.5 * (1 + 1 / SQ2), abs=1e-12)
     rho = density_from_normals(np.random.default_rng(0).normal(size=(2, 3, 3)))
     assert helstrom_binary(rho, rho) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        helstrom_binary(rho, rho, p=1.5)
 
 
 def test_orthogonal_targets_discriminate_perfectly():
@@ -125,9 +123,9 @@ def test_binary_case_matches_closed_form():
         p = float(rng.uniform(0.1, 0.9))
         target = EffectTarget(operators=(p * rho, (1 - p) * sigma))
         result = min_error_discrimination(target, TIGHT)
-        # the closed form is the true optimum, so it sits inside the window
-        # [value, value + gap] that the certificate pins down
-        exact = helstrom_binary(rho, sigma, p)
+        # the Helstrom closed form is the true optimum, so it sits inside the
+        # window [value, value + gap] that the certificate pins down
+        exact = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(p * rho - (1 - p) * sigma)).sum())
         assert result.value - 1e-12 <= exact <= result.value + result.certificate.gap + 1e-12
         assert result.value == pytest.approx(exact, abs=1e-9)
 
@@ -248,8 +246,8 @@ def test_losscc_optimum_dominates_explicit_strategy():
 def test_coarse_graining_cannot_increase_the_value():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        pair0 = random_orthonormal_pair(rng, 2)
-        pair1 = random_orthonormal_pair(rng, 2)
+        pair0 = random_orthonormal_pair(rng)
+        pair1 = random_orthonormal_pair(rng)
         w = rng.dirichlet(np.ones(4))
         ens = PostInfoEnsemble(
             settings=("0", "1"),
@@ -267,8 +265,8 @@ def test_coarse_graining_cannot_increase_the_value():
 
 def test_relabeling_indices_leaves_the_value_unchanged():
     rng = np.random.default_rng(4)
-    pair0 = random_orthonormal_pair(rng, 2)
-    pair1 = random_orthonormal_pair(rng, 2)
+    pair0 = random_orthonormal_pair(rng)
+    pair1 = random_orthonormal_pair(rng)
     w = rng.dirichlet(np.ones(4))
     base = PostInfoEnsemble(
         settings=("0", "1"),
@@ -402,7 +400,7 @@ def mixed_stack():
     rng = np.random.default_rng(5)
     ens = PostInfoEnsemble(
         settings=("0", "1"),
-        states=(random_orthonormal_pair(rng, 2), random_orthonormal_pair(rng, 2)),
+        states=(random_orthonormal_pair(rng), random_orthonormal_pair(rng)),
         prior=((0.1, 0.2), (0.3, 0.4)),
         orthogonal=True,
     )
@@ -984,7 +982,7 @@ def test_oracle_stream_matches_one_ensemble_at_a_time_bit_for_bit():
         ensembles.append(
             PostInfoEnsemble(
                 settings=("0", "1"),
-                states=(random_orthonormal_pair(rng, 2), random_orthonormal_pair(rng, 2)),
+                states=(random_orthonormal_pair(rng), random_orthonormal_pair(rng)),
                 prior=((float(w[0]), float(w[1])), (float(w[2]), float(w[3]))),
                 orthogonal=True,
             )

@@ -147,13 +147,7 @@ def test_qq_equivalence_unitary_carries_qq_onto_primed_set():
 
 def test_form_check_on_rotated_family():
     form = qubit_qudit_form_check(gen_bb84(math.pi / 2))
-    assert form.fits and form.removable == ()
-    induced = form.induced
-    assert induced.index_sets == (2, 2)
-    bb84 = gallery("bb84")
-    for g_got, g_want in zip(induced.states, bb84.states):
-        for s_got, s_want in zip(g_got, g_want):
-            assert abs(pure_state_overlap(s_got, s_want)) == pytest.approx(1.0, abs=1e-12)
+    assert (form.fits, form.reason) == (True, "fits")
 
 
 def test_form_check_detects_removable_state():
@@ -163,9 +157,7 @@ def test_form_check_detects_removable_state():
         b_states=(e3[0], e3[1], e3[2]),
         prior=(1 / 3, 1 / 3, 1 / 3),
     )
-    form = qubit_qudit_form_check(gop)
-    assert form.fits and form.removable == (2,)
-    assert form.induced.index_sets == (1, 1)
+    assert qubit_qudit_form_check(gop).fits  # the |+> state is removable: its e2 is orthogonal to e0 and e1
 
 
 # (a side, b side) of every product-set gallery entry; None means not one basis
@@ -191,43 +183,43 @@ def test_classical_ray_labels_on_product_sets(name):
 
 
 _OTHER_FIRST_FACTOR = {3: "first factor has dimension 3, not 2", 4: "first factor has dimension 4, not 2"}
-_FITS = (True, "fits", (), (2, 2))
+_FITS = (True, "fits")
 # per product-set entry: ray classes of (a side, b side); the induced ensemble's
 # (index sets, orthogonal flag) on side a and on side b, None where the side is
 # not classical; global orthogonality's (ok, worst pair); and the form check's
-# (fits, reason, removable, induced index sets)
+# (fits, reason)
 _PRODUCT_STRUCTURE = {
     "cor4-six": (
         ([0, 1, 2, 0, 1, 2], [0, 1, 2, 3, 4, 5]),
         (((2, 2, 2), True), None),
         (True, (0, 0)),
-        (False, _OTHER_FIRST_FACTOR[3], (), None),
+        (False, _OTHER_FIRST_FACTOR[3]),
     ),
     "cq": (
         ([0, 0, 0, 1, 1, 2, 2], list(range(7))),
         (((3, 2, 2), True), None),
         (True, (1, 1)),
-        (False, _OTHER_FIRST_FACTOR[3], (), None),
+        (False, _OTHER_FIRST_FACTOR[3]),
     ),
     "obb": (
         ([0, 0, 1, 1, 0, 2, 2], list(range(7))),
         (((3, 2, 2), True), None),
         (True, (2, 2)),
-        (False, _OTHER_FIRST_FACTOR[3], (), None),
+        (False, _OTHER_FIRST_FACTOR[3]),
     ),
-    "qq": (([0, 1, 2, 2, 3, 3, 4], list(range(7))), (None, None), (True, (1, 1)), (False, _OTHER_FIRST_FACTOR[3], (), None)),
+    "qq": (([0, 1, 2, 2, 3, 3, 4], list(range(7))), (None, None), (True, (1, 1)), (False, _OTHER_FIRST_FACTOR[3])),
     "qq-tilde": (
         ([0, 1, 2, 2, 3, 4, 4], list(range(7))),
         (None, None),
         (True, (1, 1)),
-        (False, _OTHER_FIRST_FACTOR[3], (), None),
+        (False, _OTHER_FIRST_FACTOR[3]),
     ),
-    "shifts": (([0, 1, 2, 3], [0, 1, 2, 3]), (None, None), (True, (1, 1)), (False, _OTHER_FIRST_FACTOR[4], (), None)),
+    "shifts": (([0, 1, 2, 3], [0, 1, 2, 3]), (None, None), (True, (1, 1)), (False, _OTHER_FIRST_FACTOR[4])),
     "thm2-eight": (
         ([0, 0, 1, 1, 2, 2, 3, 3], list(range(8))),
         (((2, 2, 2, 2), True), None),
         (True, (2, 2)),
-        (False, "first factor has dimension 5, not 2", (), None),
+        (False, "first factor has dimension 5, not 2"),
     ),
     "gen-bb84(0.1)": (([0, 0, 1, 1], [0, 1, 2, 3]), (((2, 2), True), None), (True, (2, 3)), _FITS),
     "gen-bb84(pi/2)": (([0, 0, 1, 1], [0, 1, 2, 3]), (((2, 2), True), None), (True, (2, 3)), _FITS),
@@ -256,7 +248,7 @@ def test_product_entries_keep_their_rays_reductions_orthogonality_and_form(name)
         (_rays(gop.a_states), _rays(gop.b_states)),
         (_induced(gop, "a"), _induced(gop, "b")),
         (ortho.ok, ortho.worst_pair),
-        (form.fits, form.reason, form.removable, form.induced and form.induced.index_sets),
+        (form.fits, form.reason),
     )
     assert got == _PRODUCT_STRUCTURE[name]
 
@@ -296,8 +288,8 @@ def test_overlap_matrix_of_random_kets_has_the_bits_of_each_scalar_overlap():
 
 
 def test_form_check_falls_back_when_a_removable_state_overlaps_another():
-    # the largest ray class (the three |+> states) would leave |0>e0 and |1>e0 removable, whose
-    # second factors coincide, so the orthogonal pair {|0>, |1>} is kept and the |+> states go
+    # keeping the largest ray class (the three |+> states) would leave |0>e0 and |1>e0 removable, whose
+    # second factors coincide; keeping the orthogonal pair {|0>, |1>} leaves the |+> states removable
     e4 = np.eye(4, dtype=complex)
     plus = ket([1, 1]) / SQ2
     gop = GopEnsemble(
@@ -305,9 +297,19 @@ def test_form_check_falls_back_when_a_removable_state_overlaps_another():
         b_states=(e4[0], e4[0], e4[1], e4[2], e4[3]),
         prior=(0.2,) * 5,
     )
+    assert qubit_qudit_form_check(gop).fits
+
+
+def test_form_check_fails_when_every_selection_leaves_overlapping_states():
+    # the orthogonal pairs {|0>, |1>} and {|+>, |->} each leave two states whose second factors coincide
+    e2 = np.eye(2, dtype=complex)
+    gop = GopEnsemble(
+        a_states=(ket([1, 0]), ket([0, 1]), ket([1, 1]) / SQ2, ket([1, -1]) / SQ2),
+        b_states=(e2[0], e2[0], e2[1], e2[1]),
+        prior=(0.25,) * 4,
+    )
     form = qubit_qudit_form_check(gop)
-    assert form.fits and form.removable == (2, 3, 4)
-    assert form.induced.index_sets == (1, 1)
+    assert (form.fits, form.reason) == (False, "no orthogonal ray selection covers the non-removable states")
 
 
 def test_form_check_rejects_qutrit_first_factor():
@@ -394,3 +396,72 @@ def test_povm_stores_each_effect_as_its_hermitian_part_bit_for_bit():
 def test_povm_rejections_report_the_first_bad_effect(effects, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Povm(effects=effects)
+
+
+_K0, _K1, _PLUS = ket([1, 0]), ket([0, 1]), ket([1, 1]) / SQ2
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: PostInfoEnsemble(settings=("0", "1"), states=((_K0,),), prior=((1.0,),)),
+            ValueError,
+            "settings, states, and prior must align",
+        ),
+        (
+            lambda: PostInfoEnsemble(settings=("0", "1"), states=((_K0,), (ket([1, 0, 0]),)), prior=((0.5,), (0.5,))),
+            ValueError,
+            "states live on different dimensions: [2, 3]",
+        ),
+        (
+            lambda: PostInfoEnsemble(settings=("0",), states=((_K0, _K1),), prior=((1.0,),)),
+            ValueError,
+            "prior shape must match states",
+        ),
+        (
+            lambda: PostInfoEnsemble(settings=("0",), states=((_K0, _PLUS),), prior=((0.5, 0.5),), orthogonal=True),
+            ValueError,
+            "orthogonality flag set but max in-setting overlap is 7.071e-01",
+        ),
+        (
+            lambda: GopEnsemble(a_states=(_K0, _K1), b_states=(_K0,), prior=(0.5, 0.5)),
+            ValueError,
+            "a_states, b_states, prior must have equal length",
+        ),
+        (
+            lambda: GopEnsemble(a_states=(_K0, _K1), b_states=(_K0, ket([0, 1, 0])), prior=(0.5, 0.5)),
+            ValueError,
+            "per-side dimensions must agree",
+        ),
+        (
+            lambda: Isometry(matrix=np.ones((1, 2)), output_dims=(1,)),
+            ValueError,
+            "output dimension must be at least the input dimension",
+        ),
+        (lambda: Isometry(matrix=np.eye(4), output_dims=(2, 3)), ValueError, "output_dims (2, 3) do not multiply to 4"),
+        (
+            lambda: induced_postinfo(gen_bb84(math.pi / 2), classical_side="c"),
+            ValueError,
+            "classical_side must be 'a' or 'b'",
+        ),
+        (
+            lambda: local_unitary_equivalence_deviation(gallery("thm1-isometry"), gallery("qq"), gallery("qq-tilde")),
+            ValueError,
+            "equivalence map must be a square unitary",
+        ),
+        (lambda: to_json_dict(object()), TypeError, "cannot serialize object"),
+    ],
+)
+def test_input_checks_name_what_is_wrong(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [("qq", "gen-bb84(pi/2)"), ("qq", "qq-tilde")],  # a different state count; no state of the image matched
+)
+def test_local_unitary_equivalence_is_infinite_without_a_matching(source, target):
+    identity = Isometry(matrix=np.eye(3), output_dims=(3,))
+    assert local_unitary_equivalence_deviation(identity, gallery(source), gallery(target)) == math.inf

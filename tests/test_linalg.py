@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from obcast.linalg import (
     trace_distance,
     trace_norm,
 )
-from obcast.sampling import density_from_normals, random_ket
+from obcast.sampling import density_from_normals
+
+from helpers import random_ket
 
 K0 = np.array([1, 0], dtype=complex)
 K1 = np.array([0, 1], dtype=complex)
@@ -184,7 +188,7 @@ def test_holevo_helstrom_identity():
         d = int(rng.integers(2, 5))
         rho, sigma = density_from_normals(rng.normal(size=(2, 2, d, d)))
         assert trace_distance(rho, sigma) == pytest.approx(
-            2 * helstrom_binary(rho, sigma, 0.5) - 1, abs=1e-10
+            2 * helstrom_binary(rho, sigma) - 1, abs=1e-10
         )
 
 
@@ -427,3 +431,16 @@ def test_psd_stack_decomposes_only_nonzero_operators_with_the_verdict_of_every_o
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert decomposed == [int(stack.any(axis=(1, 2)).sum())], label
     assert "effect has negative eigenvalue -1.000e-03" in _verdict(psd_stack, zero_member_stacks()["one bad member"], 0.0, "effect")
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: trace_distance(np.eye(2), np.eye(3)), "dimension mismatch: (2, 2) vs (3, 3)"),
+        (lambda: partial_trace(np.ones((2, 3)), (2,), {0}), "expected a square matrix, got shape (2, 3)"),
+        (lambda: partial_trace(np.eye(4), (2, 2), {2}), "keep indices [2] out of range for 2 factors"),
+    ],
+)
+def test_input_checks_name_what_is_wrong(check, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,3 +181,19 @@ def test_go_triviality_report():
     assert report.copy_strategy_bound == pytest.approx(1.0, abs=1e-12)
     assert report.contrast_bound == pytest.approx(0.603554, abs=1e-6)
     assert report.contrast_bound < report.copy_strategy_bound
+
+
+_QUBIT_BASIS = Povm(effects=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+
+@pytest.mark.parametrize(
+    "measurements, message",
+    [
+        ((), "need at least one setting"),
+        ((_QUBIT_BASIS, Povm(effects=(np.eye(3),))), "measurements live on different dimensions: [2, 3]"),
+        ((_QUBIT_BASIS, Povm(effects=(np.eye(2),))), "all settings must share an outcome alphabet"),
+    ],
+)
+def test_game_checks_name_what_is_wrong(measurements, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MoeGame(measurements=measurements)

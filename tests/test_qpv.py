@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_breidbart_strategy_value(theta, expected):
 
 
 def test_prop4_symmetric_parameters():
-    assert prop4_solve(0.5, 0.5, 0.5, CONJUGATE) == pytest.approx(BB84_VALUE, abs=1e-6)
+    assert prop4_solve(CONJUGATE) == pytest.approx(BB84_VALUE, abs=1e-6)
     assert bb84_family_instance(math.pi / 2).spec == CONJUGATE
 
 
@@ -110,68 +111,46 @@ def test_prop4_unconstrained_first_slot():
     # with both coefficients zero the capped slots sit at one half
     spec = SuperpositionSpec(0.4, 0.0, 0.4, 0.0)
     assert abs(spec.z1) == pytest.approx(0.0, abs=1e-15)
-    expected = 0.5 * (0.6 + 1.0) + 0.5 * (0.6 + 0.5) - 0.5
-    assert prop4_solve(0.5, 0.6, 0.6, spec) == pytest.approx(expected, abs=1e-6)
+    expected = 0.5 * (0.5 + 1.0) + 0.5 * (0.5 + 0.5) - 0.5
+    assert prop4_solve(spec) == pytest.approx(expected, abs=1e-6)
 
 
 def test_prop4_orthogonal_case_saturates():
-    # the program's value reaches one here, so the bound is clipped to exactly one
-    spec = SuperpositionSpec(0.0, 0.0, -math.pi / 2, 0.0)
-    assert prop4_solve(0.5, 1.0, 1.0, spec) == 1.0
+    # |z2| = 1 lets each second slot reach one with the first, so the program's value is exactly one
+    spec = SuperpositionSpec(0.0, 0.0, math.pi, 0.0)
+    assert abs(spec.z2) == 1.0
+    assert prop4_solve(spec) == 1.0
 
 
-def reference_prop4_objective(p, pg_a01, pg_a23, z1, z2):
+def reference_prop4_objective(z1, z2):
     """``prop4_solve``'s objective at one (r0, s0), in Python floats, as its seed grid was once evaluated."""
 
     def objective(r0, s0):
         r1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * s0 - 1) ** 2)) + z2 * (2 * r0 - 1) + 1.0)
         s1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * r0 - 1) ** 2)) + z2 * (2 * s0 - 1) + 1.0)
-        f_r = p * (pg_a01 + r0) + (1 - p) * (pg_a23 + min(1.0, r1)) - 0.5
-        f_s = p * (pg_a01 + s0) + (1 - p) * (pg_a23 + min(1.0, s1)) - 0.5
+        f_r = 0.5 * (0.5 + r0) + 0.5 * (0.5 + min(1.0, r1)) - 0.5
+        f_s = 0.5 * (0.5 + s0) + 0.5 * (0.5 + min(1.0, s1)) - 0.5
         return min(f_r, f_s)
 
     return objective
 
 
 def prop4_instances():
-    """The ``bb84-prop4`` instance, then random ones."""
-    yield 0.5, 0.5, 0.5, CONJUGATE
+    """The ``bb84-prop4`` spec, then random ones: at p = pg = 1/2 a spec is the whole instance."""
+    yield CONJUGATE
     rng = np.random.default_rng(4)
     for _ in range(4):
-        p, pg_a01, pg_a23 = float(rng.uniform()), float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.5, 1.0))
-        yield p, pg_a01, pg_a23, SuperpositionSpec(*(float(x) for x in rng.uniform(-math.pi, math.pi, 4)))
+        yield SuperpositionSpec(*(float(x) for x in rng.uniform(-math.pi, math.pi, 4)))
 
 
 @pytest.mark.parametrize("instance", list(prop4_instances()))
 def test_prop4_grid_has_the_bits_of_the_scalar_objective(instance):
-    p, pg_a01, pg_a23, spec = instance
-    z1, z2 = abs(spec.z1), abs(spec.z2)
-    grid, values = qpv._prop4_grid(p, pg_a01, pg_a23, z1, z2)
-    objective = reference_prop4_objective(p, pg_a01, pg_a23, z1, z2)
+    z1, z2 = abs(instance.z1), abs(instance.z2)
+    grid, values = qpv._prop4_grid(z1, z2)
+    objective = reference_prop4_objective(z1, z2)
     expected = np.array([[objective(float(a), float(b)) for b in grid] for a in grid])
     assert values.shape == (201, 201)
     assert values.tobytes() == expected.tobytes()
-
-
-def test_prop4_seeds_at_the_first_maximum_in_r0_major_order():
-    # p = 0 and z1 = z2 = 0: both caps are 1/2 and the objective is pg_a23 on the whole grid, so every point ties
-    spec = SuperpositionSpec(0.4, 0.0, 0.4, 0.0)
-    z1, z2 = abs(spec.z1), abs(spec.z2)
-    grid, values = qpv._prop4_grid(0.0, 0.6, 0.7, z1, z2)
-    assert np.all(values == values[0, 0])
-    objective = reference_prop4_objective(0.0, 0.6, 0.7, z1, z2)
-    # the seed the scalar grid took: the first of its maxima, r0 before s0
-    _, r0, s0 = max(((objective(float(a), float(b)), float(a), float(b)) for a in grid for b in grid), key=lambda t: t[0])
-    assert (r0, s0) == (0.5, 0.5)
-    # no move improves on a tie, so the pattern ascent returns the seed's value
-    assert prop4_solve(0.0, 0.6, 0.7, spec) == values[0, 0]
-
-
-def test_prop4_input_validation():
-    with pytest.raises(ValueError):
-        prop4_solve(1.5, 0.5, 0.5, CONJUGATE)
-    with pytest.raises(ValueError):
-        prop4_solve(0.5, 0.2, 0.5, CONJUGATE)
 
 
 def test_disk_program_seven_state_bound():
@@ -253,7 +232,7 @@ def test_disk_program_agrees_with_convex_solver(shift):
 
 def test_prop4_agrees_with_convex_solver():
     cp = pytest.importorskip("cvxpy")
-    p, pg01, pg23 = 0.5, 0.5, 0.5
+    p, pg01, pg23 = 0.5, 0.5, 0.5  # the symmetric point, where prop4_solve poses the program
     z1, z2 = abs(CONJUGATE.z1), abs(CONJUGATE.z2)
     r = cp.Variable(2)
     s = cp.Variable(2)
@@ -267,20 +246,16 @@ def test_prop4_agrees_with_convex_solver():
     ]
     problem = cp.Problem(cp.Maximize(t), constraints)
     problem.solve(solver=cp.CLARABEL)
-    # the program's value is below one here, so the clip at one leaves it as it is
+    # the program's value is below one here
     assert problem.value < 1.0
-    assert prop4_solve(p, pg01, pg23, CONJUGATE) == pytest.approx(problem.value, abs=1e-6)
+    assert prop4_solve(CONJUGATE) == pytest.approx(problem.value, abs=1e-6)
 
 
 def test_error_per_state():
-    assert error_per_state(gen_bb84(math.pi / 2), 1.0, BB84_VALUE) == pytest.approx(
-        (2 - SQ2) / 16, abs=1e-12
-    )
-    assert error_per_state(gen_bb84(math.pi / 2), 1.0, BB84_VALUE) < 0.03662
-    assert error_per_state(gallery("obb"), 1.0, 0.603554) > 0.05663
-    assert error_per_state(gallery("obb"), 0.7, 0.7) == 0.0
-    with pytest.raises(ValueError):
-        error_per_state(gallery("obb"), 0.5, 0.7)
+    assert error_per_state(gen_bb84(math.pi / 2), BB84_VALUE) == pytest.approx((2 - SQ2) / 16, abs=1e-12)
+    assert error_per_state(gen_bb84(math.pi / 2), BB84_VALUE) < 0.03662
+    assert error_per_state(gallery("obb"), 0.603554) > 0.05663
+    assert error_per_state(gallery("obb"), 1.0) == 0.0
 
 
 def test_cq_strategy_total():
@@ -319,7 +294,7 @@ def test_attack_bounds_dominate_their_strategies():
     # and inequality threshold all meet at the same number
     success_bound = 1 - thm4_min_epsilon(bb84_family_instance(math.pi / 2))
     strategy = breidbart_lower(math.pi / 2)
-    program = prop4_solve(0.5, 0.5, 0.5, CONJUGATE)
+    program = prop4_solve(CONJUGATE)
     assert success_bound >= strategy - 1e-9
     assert program >= strategy - 1e-6
 
@@ -349,3 +324,17 @@ def test_a_failed_local_unitary_equivalence_is_inconsistent(monkeypatch):
     monkeypatch.setattr(ensembles, "local_unitary_equivalence_deviation", lambda *args, **kwargs: 1e-3)
     with pytest.raises(InternalInconsistency, match="local-unitary equivalence fails by 1.000e-03"):
         thm6_separation()
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: breidbart_lower(-0.1), "theta=-0.1 outside [0, pi]"),
+        (lambda: breidbart_lower(3.5), "theta=3.5 outside [0, pi]"),
+        (lambda: error_per_state(gallery("obb"), 1.5), "pr_attack_bound=1.5 outside [0, 1]"),
+        (lambda: error_per_state(gallery("obb"), -0.25), "pr_attack_bound=-0.25 outside [0, 1]"),
+    ],
+)
+def test_input_checks_name_what_is_wrong(check, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check()

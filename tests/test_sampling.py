@@ -7,7 +7,7 @@ from obcast.sampling import (
     density_from_normals,
     ket_from_normals,
     psd_from_normals,
-    random_ket,
+    random_orthonormal_pair,
     unitary_from_normals,
 )
 
@@ -37,10 +37,15 @@ def test_every_member_of_a_stack_gets_the_bytes_of_a_one_member_stack(name):
             assert build(z.reshape((1, count) + shape(d)))[0].tobytes() == stack.tobytes()
 
 
-def test_random_ket_is_a_one_member_stack_of_its_generators_normals():
+def test_random_orthonormal_pair_draws_two_qubit_kets_from_its_generators_normals():
     a, b = np.random.default_rng(3), np.random.default_rng(3)
-    for dim in (2, 5, 9):
-        assert random_ket(a, dim).tobytes() == ket_from_normals(b.normal(size=(1, 2, dim)))[0].tobytes()
+    for _ in range(20):
+        first, second = random_orthonormal_pair(a)
+        z = b.normal(size=(2, 2, 2))  # the pair's two (2, 2) draws, in order
+        assert first.tobytes() == ket_from_normals(z[0]).tobytes()
+        drawn = ket_from_normals(z[1])
+        assert abs(np.vdot(first, second)) <= 1e-12 and abs(np.linalg.norm(second) - 1) <= 1e-12
+        assert abs(np.vdot(second, drawn)) ** 2 + abs(np.vdot(first, drawn)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_the_builders_give_members_of_their_distributions():

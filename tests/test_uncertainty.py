@@ -1,19 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from obcast.linalg import dyad, ket, partial_trace, trace_distance
 from obcast.discrimination import helstrom_binary
-from obcast.sampling import ket_from_normals, random_ket, unitary_from_normals
+from obcast.sampling import ket_from_normals, unitary_from_normals
 from obcast.uncertainty import (
     SuperpositionSpec,
-    no_go_bound,
     superpose,
     ur_general,
     ur_guess_bound,
     ur_pair_bound,
 )
+
+from helpers import random_ket
 
 SQ2 = math.sqrt(2)
 CONJUGATE = SuperpositionSpec(theta=math.pi / 2, phi=0.0, omega=-math.pi / 2, phi_prime=0.0)
@@ -218,14 +220,6 @@ def test_every_stacked_general_member_gets_the_bits_of_a_stack_of_one(n, dims):
             assert [v[b : b + 1].tobytes() for v in stacked] == [v.tobytes() for v in alone]
 
 
-@pytest.mark.parametrize(
-    "theta,expected",
-    [(math.pi / 2, 0.0), (math.pi / 3, 0.5), (1e-9, 1.0)],
-)
-def test_no_go_bound(theta, expected):
-    assert no_go_bound(theta) == pytest.approx(expected, abs=1e-9)
-
-
 def test_no_go_bound_is_the_b_side_distance_of_a_rotated_pair_under_a_perfectly_distinguishing_isometry():
     # V|i> lies in A_i (x) B with A_0 orthogonal to A_1, so rho_B(c) = |c_0|^2 sigma_0 + |c_1|^2 sigma_1 and the
     # rotated pair's B-side trace distance is |cos theta| times the unrotated pair's
@@ -248,4 +242,17 @@ def test_no_go_bound_is_the_b_side_distance_of_a_rotated_pair_under_a_perfectly_
 
         before = trace_distance(*b_side(np.eye(2)))
         after = trace_distance(*b_side(rotated))
-        assert after == pytest.approx(no_go_bound(theta) * before, abs=1e-12)
+        assert after == pytest.approx(abs(math.cos(theta)) * before, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: superpose(np.ones((3, 4)), np.ones((3, 4)), [CONJUGATE] * 2, "theta"), "2 specs for a stack of shape (3,)"),
+        (lambda: ur_pair_bound(np.ones(4), np.ones(6), CONJUGATE, (2, 2)), "vectors must share a dimension"),
+        (lambda: ur_pair_bound(np.ones(4), np.ones(4), CONJUGATE, (2, 3)), "dims (2, 3) do not match vector length 4"),
+    ],
+)
+def test_input_checks_name_what_is_wrong(check, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check()
