@@ -115,6 +115,12 @@ def _print_record(record: dict) -> None:
 
 
 def _cmd_reproduce(args) -> int:
+    out = args.out or Path(f"obcast-report.{args.format}")
+    # a path that cannot be written fails before the report is computed, not after
+    if out.is_dir():
+        raise ValueError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {out}: no directory {out.parent}")
     reports = run_reproduce(
         seed=args.seed,
         only=args.only,
@@ -129,7 +135,6 @@ def _cmd_reproduce(args) -> int:
             expected = "-" if r.expected is None else f"{r.expected!r}"
             print(f"{status} {r.id}: computed={r.computed!r} expected={expected} [{r.certificate}]")
     text = reports_to_json(reports) if args.format == "json" else reports_to_csv(reports)
-    out = args.out or Path(f"obcast-report.{args.format}")
     out.write_text(text)
     if not args.quiet:
         failed = [r for r in reports if not r.passed]

@@ -10,23 +10,28 @@ in lockstep (``solve_stream``), each at its own settings, all starting at step
 0 and leaving as each certifies or runs out, so every member's arrays are bit
 for bit its lone solve's.  Every caller, a lone solve of at most d^2 operators
 too, streams each member for at most ``STREAM_BUDGET`` iterations and has the
-barrier below finish one that runs out (``finished_stream``), and may pass a
-rule that drops, at any check, members it no longer needs.  The exact
-certificate of a member runs only once its screened gap, which agrees with it
-to rounding, is within 1e-12 of its ``gap_tol``.  A single target with more
-operators, such as the answer rows of a post-information value, is solved by
-Newton's method on the dual log barrier (``_barrier_solve``) over the d^2
-coordinates of Y in 15 to 130 steps, each with one LU inverse per row, and each
-increase of the barrier parameter starting with a predictor step along the
-central path; below its rounding floor, near 1e-10, the map finishes from its
-POVM.  The barrier runs on a working set of rows (``_working_set_solve``): the
-2 d^2 least covered by the dual of the pretty-good measurement to start (every
-row when there are at most 2 d^2), ranked by the slacks that also give its
-eigenvalue shift, and the least covered of the rows the dual misses after each
-round, until one Y is feasible for every row.  Each round starts from the last
+barrier below finish those that run out, each run of them as one stack
+(``finished_stream``), and may pass a rule that drops, at any check, members
+it no longer needs.  The exact certificate of a member runs only once its
+screened gap, which agrees with it to rounding, is within 1e-12 of its
+``gap_tol``, and a check's exact certificates are one stack.  A single target
+with more operators, such as the answer rows of a post-information value, is
+solved by Newton's method on the dual log barrier (``_barrier_solve``) over
+the d^2 coordinates of Y in 15 to 130 steps, each with one LU inverse per row,
+and each increase of the barrier parameter starting with a predictor step
+along the central path; below its rounding floor, near 1e-10, the map
+finishes from its POVM.  It solves a stack of same-shape targets in lockstep,
+each member at its own settings and with its own bits, and a lone target as a
+stack of one.  The barrier runs on a working set of rows
+(``_working_set_solve``): the 2 d^2 least covered by the dual of the
+pretty-good measurement to start (every row when there are at most 2 d^2),
+ranked by the slacks that also give its eigenvalue shift, and the least
+covered of the rows the dual misses after each round, until one Y is feasible
+for every row.  Each round starts from the last
 certified dual, and ends at the first certification whose dual misses a row off
 the working set.  Those checks decompose only the rows that Weyl's inequality
-on the slacks of the last dual checked does not prove covered (``_RowScreen``).
+on the slacks of the last dual checked does not prove covered (``_RowScreen``);
+a round with no row off its working set makes none.
 """
 
 from __future__ import annotations
@@ -230,8 +235,8 @@ def _pretty_good(a: np.ndarray) -> np.ndarray:
 
 
 def _row_slack(y: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The least eigenvalue of Y - M_r for every row of ``m`` (n, d, d), in one stacked ``eigvalsh``."""
-    return np.linalg.eigvalsh(y[None] - m).min(axis=1)
+    """The least eigenvalue of Y - M_r for every row of ``m`` (..., n, d, d), Y the member's own ``y`` (..., d, d), in one ``eigvalsh``."""
+    return np.linalg.eigvalsh(y[..., None, :, :] - m).min(axis=-1)
 
 
 def _cover(y0: np.ndarray, slack: np.ndarray, primal: float) -> tuple[float, np.ndarray, float]:
@@ -270,17 +275,26 @@ class _RowScreen:
         return rows[self.bound[rows] < -floor]
 
 
-def _unshifted(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """The primal value of the POVM ``p`` on one member (n, d, d), and the Hermitian part of sum_r M_r P_r."""
-    primal = float(np.einsum("rij,rji->", p, m).real)
-    ymp = np.einsum("rij,rjk->ik", m, p)
+def _unshifted(m: np.ndarray, p: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The primal value of the POVM ``p`` on each member of ``m`` (B, n, d, d), and the Hermitian part of sum_r M_r P_r.
+
+    The primal is one ``einsum`` per member: a stacked one sums in another
+    order.  The stacked sum_r M_r P_r has the bits of each member's own.
+    """
+    primal = [float(np.einsum("rij,rji->", pb, mb).real) for mb, pb in zip(m, p)]
+    ymp = np.einsum("brij,brjk->bik", m, p)
     return primal, (ymp + dagger(ymp)) / 2
 
 
-def _certify(m: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Exact certificate of one member (n, d, d): primal, dual Y >= M_r, and gap."""
+def _certify(m: np.ndarray, p: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
+    """Exact certificate of each member of ``m`` (B, n, d, d) at its POVM in ``p``: primal, dual Y >= M_r, and gap.
+
+    One stacked product and one ``_row_slack`` over every row of every
+    member; each member's certificate has the bits of its stack of one.
+    """
     primal, y0 = _unshifted(m, p)
-    return _cover(y0, _row_slack(y0, m), primal)
+    slack = _row_slack(y0, m)
+    return [_cover(y, low, x) for y, low, x in zip(y0, slack, primal)]
 
 
 def _failure(st: SolverSettings, primal, y, gap, p, iterations) -> SolverFailure:
@@ -330,6 +344,9 @@ def solve_stream(
     member certifies, and (index, ``SolverFailure``) for a member whose own
     ``max_iterations`` run out uncertified, with its best checked iterate;
     the others carry on.  ``finished_stream`` budgets and finishes each.
+    A check's exact certificates, and then its failures' certificates, are
+    each one stacked ``_certify``, computed before the first of them is
+    yielded.
 
     ``keep``, when given, is asked at every check which due members to keep,
     as ``keep(indices, primal, upper)`` with their input indices and their
@@ -377,14 +394,16 @@ def solve_stream(
                 improved = gaps < best_gap[due]
                 best_gap[due[improved]] = gaps[improved]
                 best_p[due[improved]] = ps[due[improved]]
-                for k in due[gaps <= screen_by[live[due]]]:
-                    primal, y, gap = _certify(ms[k], ps[k])
+                # every exact certificate of the check, and then every failure, as one stack
+                screened = due[gaps <= screen_by[live[due]]]
+                for k, (primal, y, gap) in zip(screened, _certify(ms[screened], ps[screened]) if screened.size else ()):
                     if gap <= settings[live[k]].gap_tol:
                         stay[k] = False
                         yield int(live[k]), (primal, y, ps[k].copy(), gap, step + 1)
-                for k in np.flatnonzero(final & stay):
+                out = np.flatnonzero(final & stay)
+                for k, certificate in zip(out, _certify(ms[out], best_p[out]) if out.size else ()):
                     st, stay[k] = settings[live[k]], False
-                    yield int(live[k]), _failure(st, *_certify(ms[k], best_p[k]), best_p[k].copy(), st.max_iterations)
+                    yield int(live[k]), _failure(st, *certificate, best_p[k].copy(), st.max_iterations)
                 if not stay.all():
                     live, ms, ps, best_gap, best_p = (a[stay] for a in (live, ms, ps, best_gap, best_p))
                     retain, damp = retain_by[live], damp_by[live]
@@ -405,31 +424,54 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return f
 
 
-def _guarded_step(y: np.ndarray, dy: np.ndarray, alpha: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Y' = Y + alpha (dY + dY^H) / 2, the stack of every S_r = Y' - M_r, and its Cholesky factors, alpha halved until they exist.
+def _guarded_step(
+    y: np.ndarray, dy: np.ndarray, alpha: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Y' = Y + alpha (dY + dY^H) / 2 for each member of ``y`` (B, d, d), the stack of every S_r = Y' - M_r, and its Cholesky factors.
 
     ``np.linalg.cholesky`` raises unless every S_r is positive definite in
-    floating point, so it is the test that Y' is strictly feasible.  The
-    next Newton step inverts the stack S_r itself; only a predictor step
-    reads the factors.  A candidate equal to Y raises ``LinAlgError``: the
-    step is below rounding.
+    floating point, so it is the test that Y' is strictly feasible.  A stack
+    that raises is retried member by member, and a lone member's alpha is
+    halved until its factors exist.  The next Newton step inverts the stack
+    S_r itself; only a predictor step reads the factors.  The last item
+    lists, per member, whether its candidate equals its Y: the step is below
+    rounding, and its S_r and factors are not to be read.
     """
     twice = dy + dagger(dy)
     while True:
-        candidate = y + alpha * twice / 2
-        if (candidate == y).all():
-            raise np.linalg.LinAlgError("Newton step is below rounding")
-        s = candidate - m
+        candidate = y + alpha[:, None, None] * twice / 2
+        stuck = (candidate == y).all(axis=(1, 2)).tolist()
+        s = candidate[:, None] - m
+        if stuck == [True]:
+            return candidate, s, s, stuck
         try:
-            return candidate, s, np.linalg.cholesky(s)
+            return candidate, s, np.linalg.cholesky(s), stuck
         except np.linalg.LinAlgError:
-            alpha /= 2
+            if len(y) > 1:
+                break
+            alpha = alpha / 2
+    members = [_guarded_step(y[b : b + 1], dy[b : b + 1], alpha[b : b + 1], m[b : b + 1]) for b in range(len(y))]
+    *arrays, stuck = zip(*members)
+    return (*(np.concatenate(part) for part in arrays), [x for part in stuck for x in part])
+
+
+def _members(js: list[int], count: int) -> list[int] | slice:
+    """An index of the members ``js`` of a stack of ``count``: a slice, which takes no copy, when they are all of them."""
+    return slice(None) if len(js) == count else js
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_b . b_b for each member of the stacks ``a`` and ``b`` (B, k), each with the bits of its own ``a_b @ b_b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _barrier_solve(
-    m: np.ndarray, st: SolverSettings, start: tuple[np.ndarray, float], uncovered: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, np.ndarray, np.ndarray, float, int]:
-    """Certified optimum of one target ``m`` (n, d, d) by Newton's method on the dual log barrier.
+    m: np.ndarray,
+    settings: Sequence[SolverSettings],
+    start: tuple[np.ndarray, Sequence[float]],
+    uncovered: Sequence[Callable[[np.ndarray], np.ndarray] | None] | None = None,
+) -> list[tuple[float, np.ndarray, np.ndarray, float, int] | SolverFailure]:
+    """Certified optimum of each member of ``m`` (B, n, d, d), at its own ``settings``, by Newton's method on the dual log barrier.
 
     Minimises t Tr Y - sum_r log det S_r, S_r = Y - M_r, over Y in an
     orthonormal Hermitian basis F (Vandenberghe and Boyd, SIAM Rev. 38, 49,
@@ -459,94 +501,184 @@ def _barrier_solve(
     certification whose gap is not below half the previous one's, where the
     model no longer holds, t grows with no predictor.  Once t outgrows the
     rounding of Y, the fixed-point map on every row finishes from the best
-    certified POVM with the rest of ``st.max_iterations``, uncapped by
+    certified POVM with the rest of its ``max_iterations``, uncapped by
     ``STREAM_BUDGET`` (near 1e-13 it can take over 15,000); a failure reports
     the better certificate.
 
-    ``uncovered`` ends the solve early: a certification that misses
-    ``gap_tol`` returns its own certificate when ``uncovered(Y)``, the rows a
-    working set leaves out on which Y falls below
-    ``DualCertificate.validate``'s floor, is not empty.  A working set asks
-    its ``_RowScreen``, which decomposes only the rows that a Weyl bound from
-    the last checked dual does not already prove covered.
+    The members step in lockstep, a lone solve as a stack of one; every
+    stacked kernel gives a member the bits of its own, so each result is that
+    of the member's stack of one.  Each member keeps its own t, predictor
+    flag, last gap, best certificate and step count, and leaves as it
+    certifies, stalls or runs out; the stalled members' fixed-point finishes
+    are one ``solve_stream``.  Returns each member's (primal, dual, POVM, gap,
+    iterations), or the ``SolverFailure`` a lone solve would raise, its
+    ``__cause__`` the stall, in input order.  A ``LinAlgError`` of a stacked
+    inverse or Newton solve, which positive definite S_r and Hessians do not
+    raise, stalls every member.
+
+    ``uncovered`` holds, per member, None or a check that ends it early: a
+    certification that misses ``gap_tol`` returns its own certificate when
+    ``uncovered(Y)``, the rows a working set leaves out on which Y falls
+    below ``DualCertificate.validate``'s floor, is not empty.  A working set
+    asks its ``_RowScreen``, which decomposes only the rows that a Weyl bound
+    from the last checked dual does not already prove covered.
     """
-    n, d = m.shape[0], m.shape[-1]
+    size, n, d = m.shape[0], m.shape[1], m.shape[-1]
     f = _hermitian_basis(d)
     trace_f = f[:, :: d + 1].real.sum(axis=1)
-    rhs = np.empty((d * d, 2))  # the Newton solve's right-hand side, [Tr F, pull]
-    rhs[:, 0] = trace_f
-    y0, gap0 = start[0], max(start[1], st.gap_tol)
-    y, t = _cover(y0, _row_slack(y0, m), 0.0)[1] + 0.1 * gap0 / d * _identity(d), n * d / gap0
-    best, stalled = (None, None, math.inf, None), None  # (primal, dual, gap, POVM) of the best certified round
-    predict, last = True, math.inf  # whether t's increases still take the predictor, and the last certified gap
-    s = y - m
+    checks = [None] * size if uncovered is None else uncovered
+    gap0 = np.maximum(start[1], [st.gap_tol for st in settings])
+    slack = _row_slack(start[0], m)
+    y = np.stack([_cover(y0, low, 0.0)[1] for y0, low in zip(start[0], slack)]) + (0.1 * gap0 / d)[:, None, None] * _identity(d)
+    t = n * d / gap0
+    rhs = np.empty((size, d * d, 2))  # the Newton solves' right-hand sides, [Tr F, pull] per member
+    rhs[..., 0] = trace_f
+    # per member, by input index: whether t's increases still take the predictor, the last certified gap,
+    # (primal, dual, gap, POVM) of the best certified round, the result, and (steps, S^-1, error) of a stall or run-out
+    predict, last, best = [True] * size, [math.inf] * size, [(None, None, math.inf, None)] * size
+    out: list = [None] * size
+    ends: dict[int, tuple] = {}
+    # the members still stepping, by input index, with their targets, duals, S_r, factors and t
+    live, ms, s, s_inv = list(range(size)), m, y[:, None] - m, None
     factor = np.linalg.cholesky(s)
-    try:
-        for steps in range(1, st.max_iterations + 1):
+    ending = min(st.max_iterations for st in settings)  # the first step at which a live member runs out
+    for steps in itertools.count(1):
+        try:
             # S_r^-1 as the Hermitian part of one LU inverse per row; without that part, rounding stalls tight gaps sooner
             s_inv = _herm_stack(np.linalg.inv(s))
             # Hessian sum_r Tr(S_r^-1 F_j S_r^-1 F_k) from one product of the flattened inverses
-            flat = s_inv.reshape(n, d * d)
-            outer = (flat.T @ flat).reshape(d, d, d, d).transpose(1, 2, 3, 0).reshape(d * d, d * d)
+            flat = s_inv.reshape(len(live), n, d * d)
+            outer = (flat.transpose(0, 2, 1) @ flat).reshape(-1, d, d, d, d).transpose(0, 2, 3, 4, 1).reshape(-1, d * d, d * d)
             hess = (f @ outer @ f.T).real
-            pull = (f @ s_inv.sum(axis=0).conj().ravel()).real
+            pull = (f @ s_inv.sum(axis=1).conj().reshape(-1, d * d, 1))[..., 0].real
             # the gradient is t Tr F - pull, so the step is linear in t
-            rhs[:, 1] = pull
-            u, v = np.linalg.solve(hess, rhs).T
-            dx = v - t * u
-            dec = float((pull - t * trace_f) @ dx)
-            if dec < 2:
-                p = _pretty_good(s_inv[None])[0]
-                primal = float(np.einsum("rij,rji->", p, m).real)
-                gap = float(np.trace(y).real) - primal
-                if gap <= st.gap_tol or uncovered(y).size:
-                    return primal, y, p, gap, steps
-                if gap < best[2]:
-                    best = (primal, y, gap, p)
-                if GROWTH * t * np.finfo(float).eps * np.trace(y).real > 1.0:
-                    raise np.linalg.LinAlgError(f"barrier parameter {GROWTH * t:.1e} is beyond rounding")
-                predict, last = predict and gap < last / 2, gap
-                if predict:
-                    l_inv = np.linalg.inv(factor)
-                    dy = (1.0 / GROWTH - 1.0) * t * (u @ f).reshape(d, d)
-                    low = float(np.linalg.eigvalsh(_right_product(l_inv, dy) @ dagger(l_inv)).min())
-                    y, s, factor = _guarded_step(y, dy, min(1.0, 0.9 / -low if low < 0 else math.inf), m)
-                    t *= GROWTH
+            rhs_live = rhs[: len(live)]
+            rhs_live[..., 1] = pull
+            uv = np.linalg.solve(hess, rhs_live)
+        except np.linalg.LinAlgError as exc:
+            if s_inv is None:
+                raise
+            ends.update((i, (steps, s_inv[j], exc)) for j, i in enumerate(live))
+            break
+        u, v, tt = uv[..., 0], uv[..., 1], t[:, None]
+        dx = v - tt * u
+        dec = _dots(pull - tt * trace_f, dx).tolist()
+        leave, predictors, grown = [], [], []
+        certifying = [j for j, x in enumerate(dec) if x < 2]
+        if certifying:
+            c = _members(certifying, len(live))
+            traces = np.trace(y[c], axis1=1, axis2=2).real.tolist()
+            for j, p, trace in zip(certifying, _pretty_good(s_inv[c]), traces):
+                i = live[j]
+                st, check = settings[i], checks[i]
+                primal = float(np.einsum("rij,rji->", p, ms[j]).real)
+                gap = trace - primal
+                if gap <= st.gap_tol or (check is not None and check(y[j]).size):
+                    out[i] = (primal, y[j], p, gap, steps)
+                    leave.append(j)
                     continue
-                t *= GROWTH
-                dx = v - t * u
-                dec = float((pull - t * trace_f) @ dx)
-            if not math.isfinite(dec):
-                raise np.linalg.LinAlgError("Newton decrement is not finite")
-            y, s, factor = _guarded_step(y, (dx @ f).reshape(d, d), 1.0 / (1.0 + math.sqrt(dec)) if dec > 1 else 1.0, m)
-    except np.linalg.LinAlgError as exc:
-        stalled = exc
-    p = _pretty_good(s_inv[None])[0] if best[3] is None else best[3]
-    final = (*_certify(m, p), p)
-    if stalled is not None and steps < st.max_iterations:
-        # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
-        [(_, polish)] = solve_stream(m[None], replace(st, max_iterations=st.max_iterations - steps), p[None])
-        if not isinstance(polish, SolverFailure):
-            return (*polish[:4], steps + polish[4])
-        final, steps = (polish.primal, polish.dual, polish.gap, polish.povm), st.max_iterations
-    raise _failure(st, *min(best, final, key=lambda c: c[2]), steps) from stalled
+                if gap < best[i][2]:
+                    best[i] = (primal, y[j], gap, p)
+                if GROWTH * t[j] * np.finfo(float).eps * trace > 1.0:
+                    ends[i] = (steps, s_inv[j], np.linalg.LinAlgError(f"barrier parameter {GROWTH * t[j]:.1e} is beyond rounding"))
+                    leave.append(j)
+                    continue
+                predict[i], last[i] = predict[i] and gap < last[i] / 2, gap
+                (predictors if predict[i] else grown).append(j)
+        if grown:
+            g = _members(grown, len(live))
+            t[g] *= GROWTH
+            dx[g] = v[g] - t[g, None] * u[g]
+            for j, x in zip(grown, _dots(pull[g] - t[g, None] * trace_f, dx[g]).tolist()):
+                dec[j] = x
+        # the Newton direction of every member, unless all of them predict
+        dy = (dx[:, None, :] @ f).reshape(-1, d, d) if len(predictors) < len(live) else np.empty((len(live), d, d), dtype=complex)
+        alpha = [1.0 / (1.0 + math.sqrt(x)) if x > 1 else 1.0 for x in dec]
+        if predictors:
+            q = _members(predictors, len(live))
+            l_inv = np.linalg.inv(factor[q])
+            dy[q] = (((1.0 / GROWTH - 1.0) * t[q])[:, None, None] * (u[q][:, None, :] @ f)).reshape(-1, d, d)
+            low = np.linalg.eigvalsh(_right_product(l_inv, dy[q]) @ dagger(l_inv)).min(axis=(1, 2))
+            for j, x in zip(predictors, low.tolist()):
+                alpha[j] = min(1.0, 0.9 / -x if x < 0 else math.inf)
+            t[q] *= GROWTH
+        if not all(map(math.isfinite, dec)):
+            for j, x in enumerate(dec):
+                if not math.isfinite(x) and j not in predictors and j not in leave:
+                    ends[live[j]] = (steps, s_inv[j], np.linalg.LinAlgError("Newton decrement is not finite"))
+                    leave.append(j)
+        if leave:
+            move = [j for j in range(len(live)) if j not in leave]
+            live = [live[j] for j in move]
+            if not live:
+                break
+            ms, t, s_inv, y, dy, alpha = ms[move], t[move], s_inv[move], y[move], dy[move], [alpha[j] for j in move]
+        y, s, factor, stuck = _guarded_step(y, dy, np.array(alpha), ms)
+        if steps == ending or True in stuck:
+            stay = []
+            for j, i in enumerate(live):
+                if stuck[j]:
+                    ends[i] = (steps, s_inv[j], np.linalg.LinAlgError("Newton step is below rounding"))
+                elif settings[i].max_iterations == steps:
+                    ends[i] = (steps, s_inv[j], None)
+                else:
+                    stay.append(j)
+            live = [live[j] for j in stay]
+            if not live:
+                break
+            ms, t, s_inv, y, s, factor = (a[stay] for a in (ms, t, s_inv, y, s, factor))
+            ending = min(settings[i].max_iterations for i in live)
+    if ends:
+        _end_members(m, settings, ends, best, out)
+    return out
 
 
-def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.ndarray, np.ndarray, float, int]:
-    """``_barrier_solve`` on a working set of the rows of ``m`` (n, d, d), grown until its dual covers every row.
+def _end_members(m: np.ndarray, settings: Sequence[SolverSettings], ends: dict[int, tuple], best: list, out: list) -> None:
+    """Fill ``out`` for the barrier members in ``ends``, stalled or run out at (steps, S^-1, error), as their lone solves end.
+
+    A stalled member with iterations left is finished by the fixed-point map
+    from its best certified POVM, else the square-root measurement of its
+    last S_r^-1, all of them in one ``solve_stream``; any other member, or
+    one the map does not certify, fails with the better certificate.
+    """
+    index = list(ends)
+    povms = [best[i][3] for i in index]
+    cold = [k for k, p in enumerate(povms) if p is None]
+    for k, p in zip(cold, _pretty_good(np.stack([ends[index[k]][1] for k in cold])) if cold else ()):
+        povms[k] = p
+    finals = [(*certificate, p) for certificate, p in zip(_certify(m[index], np.stack(povms)), povms)]
+    # S_r no longer resolves 1/t: the fixed-point map on every row takes the rest of the budget
+    polish = [k for k, i in enumerate(index) if ends[i][2] is not None and ends[i][0] < settings[i].max_iterations]
+    rest = [replace(settings[index[k]], max_iterations=settings[index[k]].max_iterations - ends[index[k]][0]) for k in polish]
+    polished = {polish[j]: result for j, result in solve_stream(m[[index[k] for k in polish]], rest, np.stack([povms[k] for k in polish]))} if polish else {}
+    for k, i in enumerate(index):
+        steps, _, stalled = ends[i]
+        st, final = settings[i], finals[k]
+        if k in polished:
+            result = polished[k]
+            if not isinstance(result, SolverFailure):
+                out[i] = (*result[:4], steps + result[4])
+                continue
+            final, steps = (result.primal, result.dual, result.gap, result.povm), st.max_iterations
+        out[i] = _failure(st, *min(best[i], final, key=lambda c: c[2]), steps)
+        out[i].__cause__ = stalled
+
+
+def _working_set_solve(m: np.ndarray, settings: Sequence[SolverSettings]) -> list[tuple[float, np.ndarray, np.ndarray, float, int] | SolverFailure]:
+    """``_barrier_solve`` on a working set of the rows of each member of ``m`` (B, n, d, d), grown until its dual covers every row.
 
     An extremal optimal POVM has at most d^2 nonzero effects (Davies,
-    IEEE TIT 24, 596, 1978).  So the solve starts from the 2 d^2 rows least
+    IEEE TIT 24, 596, 1978).  So each member starts from the 2 d^2 rows least
     covered by the pretty-good measurement's dual Y0, the Hermitian part of
     sum_r M_r P_r, that is with the least slack lambda_min(Y0 - M_r): the one
     all-row ``eigvalsh`` that also raises Y0 to its eigenvalue-shift
     certificate (``_cover``), whose ranking is that of the shifted dual's
     slacks in exact arithmetic.  Each round solves the working set, in input
-    order, with what is left of ``st.max_iterations``, warm-started from the
-    last certified (Y, gap): that eigenvalue-shift certificate for the first
-    round, the previous round's for the others.  A round ends at its first
-    certification whose Y misses one of the other rows, or once it meets
-    ``gap_tol``.  Then, of the other rows whose Y - M_r falls below the
+    order, with what is left of the member's ``max_iterations``, warm-started
+    from the last certified (Y, gap): that eigenvalue-shift certificate for
+    the first round, the previous round's for the others.  A round ends at
+    its first certification whose Y misses one of the other rows, or once it
+    meets ``gap_tol``.  Then, of the other rows whose Y - M_r falls below the
     rounding floor of ``DualCertificate.validate``, it adds the 2 d^2 least
     covered.  Both checks of the other rows, at each certification and after
     each round, go through one ``_RowScreen`` started at Y0 from the first
@@ -556,51 +688,71 @@ def _working_set_solve(m: np.ndarray, st: SolverSettings) -> tuple[float, np.nda
     the slacks, that decomposing every row would.  A round that meets
     ``gap_tol`` and finds none returns its certificate, with zero effects off
     the working set and the steps of every round.  A target of at most 2 d^2
-    rows is one round on all of them, with no row off the working set.  A
-    failure reports, after ``st.max_iterations``, the better of the last
-    round's certified dual, raised to cover every row (``_cover``), and the
-    eigenvalue-shift certificate of its POVM.
+    rows is one round on all of them, with no row off the working set and so
+    no check.  A failure reports, after ``max_iterations``, the better of the
+    last round's certified dual, raised to cover every row (``_cover``), and
+    the eigenvalue-shift certificate of its POVM.
+
+    The members' rounds run in lockstep, one stacked ``_barrier_solve`` per
+    round and working-set size, so every first round is one call.  Returns
+    each member's (primal, dual, POVM, gap, iterations), or its
+    ``SolverFailure``, in input order, each that of its stack of one.
     """
-    n, d = m.shape[0], m.shape[-1]
+    count, n, d = m.shape[0], m.shape[1], m.shape[-1]
     size = 2 * d * d
-    primal, y0 = _unshifted(m, _pretty_good(m[None])[0])
+    primal, y0 = _unshifted(m, _pretty_good(m))
     slack = _row_slack(y0, m)
-    _, y, gap = _cover(y0, slack, primal)
-    screen, missed = _RowScreen(m, y0, slack), np.arange(n)
-    inside, p, steps, stalled = np.zeros(n, dtype=bool), np.zeros_like(m), 0, None
-    while True:
-        inside[missed[np.argsort(screen.bound[missed], kind="stable")[:size]]] = True
-        rows, off = np.flatnonzero(inside), np.flatnonzero(~inside)
-        rest = replace(st, max_iterations=st.max_iterations - steps)
-        try:
-            primal, y, p[rows], gap, used = _barrier_solve(m[rows], rest, (y, gap), functools.partial(screen.uncovered, rows=off))
-        except SolverFailure as exc:
-            primal, y, p[rows], stalled = exc.primal, exc.dual, exc.povm, exc.__cause__
-            break
-        steps += used
-        missed = screen.uncovered(y, off)
-        if not missed.size and gap <= st.gap_tol:
-            return primal, y, p, gap, steps
-        if steps == st.max_iterations:
-            break
-    candidates = (*_cover(y, _row_slack(y, m), primal), p), (*_certify(m, p), p)
-    raise _failure(st, *min(candidates, key=lambda c: c[2]), st.max_iterations) from stalled
+    # per member: its last certified (primal, Y, gap), row screen, rows still missed, POVM, steps and stall
+    certified = [_cover(y, low, x) for y, low, x in zip(y0, slack, primal)]
+    screens = [_RowScreen(m[b], y0[b], slack[b]) for b in range(count)]
+    missed, p, steps, stalled = [np.arange(n)] * count, np.zeros_like(m), [0] * count, [None] * count
+    inside, out, live = np.zeros((count, n), dtype=bool), [None] * count, list(range(count))
+    while live:
+        rounds: dict[int, list[int]] = {}
+        for b in live:
+            inside[b, missed[b][np.argsort(screens[b].bound[missed[b]], kind="stable")[:size]]] = True
+            rounds.setdefault(int(np.count_nonzero(inside[b])), []).append(b)
+        live = []
+        for group in rounds.values():
+            rows = [np.flatnonzero(inside[b]) for b in group]
+            off = [np.flatnonzero(~inside[b]) for b in group]
+            rest = [replace(settings[b], max_iterations=settings[b].max_iterations - steps[b]) for b in group]
+            start = np.stack([certified[b][1] for b in group]), [certified[b][2] for b in group]
+            checks = [functools.partial(screens[b].uncovered, rows=o) if o.size else None for b, o in zip(group, off)]
+            solved = _barrier_solve(np.stack([m[b][r] for b, r in zip(group, rows)]), rest, start, checks)
+            for b, r, o, result in zip(group, rows, off, solved):
+                if isinstance(result, SolverFailure):
+                    certified[b], p[b][r], stalled[b] = (result.primal, result.dual), result.povm, result.__cause__
+                    steps[b] = settings[b].max_iterations
+                    continue
+                primal_b, y, p[b][r], gap, used = result
+                certified[b], steps[b] = (primal_b, y, gap), steps[b] + used
+                missed[b] = screens[b].uncovered(y, o) if o.size else o
+                if not missed[b].size and gap <= settings[b].gap_tol:
+                    out[b] = (primal_b, y, p[b], gap, steps[b])
+                elif steps[b] < settings[b].max_iterations:
+                    live.append(b)
+        live.sort()
+    for b in range(count):
+        if out[b] is None:
+            primal_b, y = certified[b][:2]
+            candidates = (*_cover(y, _row_slack(y, m[b]), primal_b), p[b]), (*_certify(m[b][None], p[b][None])[0], p[b])
+            out[b] = _failure(settings[b], *min(candidates, key=lambda c: c[2]), settings[b].max_iterations)
+            out[b].__cause__ = stalled[b]
+    return out
 
 
-def finish_member(m: np.ndarray, st: SolverSettings, out: tuple | SolverFailure) -> tuple[float, np.ndarray, np.ndarray, float, int]:
-    """(primal, dual, POVM, gap, iterations) of the stream member ``m`` (n, d, d) whose ``solve_stream`` output is ``out``.
+def finish_member(out: SolverFailure, barrier: tuple | SolverFailure) -> tuple[float, np.ndarray, np.ndarray, float, int]:
+    """(primal, dual, POVM, gap, iterations) of a stream member that ran out, ``out``, from its barrier finish ``barrier``.
 
-    A member that ran out, a ``SolverFailure``, is finished by the barrier
-    (``_working_set_solve``) at its full settings ``st``, whatever budget it
-    streamed with, its iterations the stream's plus the barrier's; only if
-    that fails too does the better failure of the two raise.
+    The barrier (``_working_set_solve``) finishes the member at its full
+    settings, whatever budget it streamed with, so its iterations are the
+    stream's plus the barrier's; only if the barrier fails too does the
+    better failure of the two raise.
     """
-    if not isinstance(out, SolverFailure):
-        return out
-    try:
-        primal, y, p, gap, steps = _working_set_solve(m, st)
-    except SolverFailure as barrier:
+    if isinstance(barrier, SolverFailure):
         raise min(out, barrier, key=lambda exc: exc.gap) from None
+    primal, y, p, gap, steps = barrier
     return primal, y, p, gap, out.iterations + steps
 
 
@@ -614,12 +766,25 @@ def finished_stream(
     The one budget rule of every stream caller: a member streams for at most
     ``STREAM_BUDGET`` iterations, or its ``max_iterations`` if fewer, and
     leaves through ``finish_member`` at its full settings, as it would alone.
+    Each run of consecutive ``solve_stream`` failures is finished as one
+    stack (``_working_set_solve``) once the run ends, at the stream's next
+    yield or its end, and its members are yielded in the stream's order.
     ``keep`` goes to ``solve_stream``: a member it drops is never yielded and
-    never reaches ``finish_member``.
+    never reaches the barrier.
     """
     budgeted = [replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)) for st in settings]
-    for i, out in solve_stream(m, budgeted, keep=keep):
-        yield i, finish_member(m[i], settings[i], out)
+    run: list[tuple[int, SolverFailure]] = []
+    for i, out in itertools.chain(solve_stream(m, budgeted, keep=keep), [(None, None)]):
+        if isinstance(out, SolverFailure):
+            run.append((i, out))
+            continue
+        if run:
+            index = [j for j, _ in run]
+            for (j, failure), barrier in zip(run, _working_set_solve(m[index], [settings[j] for j in index])):
+                yield j, finish_member(failure, barrier)
+            run = []
+        if i is not None:
+            yield i, out
 
 
 def min_error_discrimination(target: EffectTarget, settings: SolverSettings | None = None) -> DiscriminationResult:
@@ -628,13 +793,16 @@ def min_error_discrimination(target: EffectTarget, settings: SolverSettings | No
     With at most d^2 targets a stream of one (``finished_stream``), which the
     barrier finishes if it is uncertified after ``STREAM_BUDGET`` iterations,
     as a slowly converging map can be; with more, a barrier solve on a
-    working set of rows (``_working_set_solve``).
+    working set of rows (``_working_set_solve``), a stack of one.
     """
     st, m = settings or DEFAULT_SETTINGS, target.operators
     if len(m) <= target.dim**2:
         [(_, (primal, y, p, gap, iterations))] = finished_stream(m[None], [st])
     else:
-        primal, y, p, gap, iterations = _working_set_solve(m, st)
+        [out] = _working_set_solve(m[None], [st])
+        if isinstance(out, SolverFailure):
+            raise out
+        primal, y, p, gap, iterations = out
     return DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), target.labels, iterations)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +54,22 @@ def _bounds(m: np.ndarray) -> np.ndarray:
     return np.stack([primal, primal + gap])
 
 
+def _windows(row_targets: Sequence[EffectTarget], keys: Sequence[np.ndarray], width: int) -> Iterator[np.ndarray]:
+    """The assignment problems of every target in order, those of target e its operators at the rows of ``keys[e]``, in stacks of ``width``."""
+    pending, size = [], 0
+    for target, k in zip(row_targets, keys):
+        start = 0
+        while start < len(k):
+            part = k[start : start + width - size]
+            pending.append(target.operators[part])
+            size, start = size + len(part), start + len(part)
+            if size == width:
+                yield np.concatenate(pending)
+                pending, size = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
 class AssignmentSearch:
     """Exhaustive deterministic-assignment search for the post-information value behind each row target.
 
@@ -74,9 +90,12 @@ class AssignmentSearch:
     holds both against rounding.  A problem is kept while U_k + ``gap_tol`` >=
     L_e of its target.  The rule runs once before the stream, from one
     undamped map step off the pretty-good measurement, P = PGM(M PGM(M) M),
-    on every multiset: one target at a time, in windows of at most
-    ``STACK_OPERATORS`` operators, two floats per multiset, and only the kept
-    problems are built.  It runs again at every check of the stream, through
+    on every multiset: the multisets of every target in order, in shared
+    windows of at most ``STACK_OPERATORS`` operators, two floats per
+    multiset, and only the kept problems are built.  Each bound is that of its
+    problem alone, whatever window it shares, and each target's rule reads
+    only its own problems, so one rule over all of them keeps what one rule
+    per target would.  It runs again at every check of the stream, through
     ``keep``, the ``solve_stream`` hook, from the screen the check already
     computes, so a problem dropped there is never certified or folded.  A
     dropped problem's certified result would be primal + gap <= OPT_k +
@@ -96,17 +115,16 @@ class AssignmentSearch:
         if len(dims := sorted({t.dim for t in row_targets})) > 1:
             raise ValueError(f"an assignment search takes row targets of one dimension, got dimensions {dims}")
         self._dim, self._lower = dims[0], np.full(len(row_targets), -math.inf)
-        problems, kept, owner = [], [], []
-        for e, row_target in enumerate(row_targets):
-            ops, n = row_target.operators, self._dim**2
-            # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
-            keys = np.array(list(itertools.combinations_with_replacement(range(len(ops)), n)))
-            width = max(1, STACK_OPERATORS // n)
-            windows = [_bounds(ops[keys[i : i + width]]) for i in range(0, len(keys), width)]
-            kept.append(self._rule(np.full(len(keys), e), *np.concatenate(windows, axis=1)))
-            problems.append(ops[keys[kept[-1]]])
-            owner += [e] * len(problems[-1])
-        self.kept, self.problems, self._owner = np.concatenate(kept), np.concatenate(problems), np.array(owner)
+        n = self._dim**2
+        # an assignment's value depends only on the multiset of rows it uses: each sorted multiset once
+        keys = [np.array(list(itertools.combinations_with_replacement(range(len(t.operators)), n))) for t in row_targets]
+        owner = np.repeat(np.arange(len(row_targets)), [len(k) for k in keys])
+        # every target's multisets in order, bounded in shared windows, then the rule on all of them at once
+        windows = [_bounds(window) for window in _windows(row_targets, keys, max(1, STACK_OPERATORS // n))]
+        self.kept = self._rule(owner, *np.concatenate(windows, axis=1))
+        kept = np.split(self.kept, np.cumsum([len(k) for k in keys])[:-1])
+        self.problems = np.concatenate([t.operators[k[mask]] for t, k, mask in zip(row_targets, keys, kept)])
+        self._owner = owner[self.kept]
         self.values = [-math.inf] * len(row_targets)
 
     def _rule(self, owner: np.ndarray, primal: np.ndarray, upper: np.ndarray) -> np.ndarray:

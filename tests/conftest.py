@@ -11,10 +11,11 @@ def counted_bruteforce_run():
     """The seed-42 ``prop-postinfo-bruteforce`` case run alone, once per session, with its solver work counted.
 
     Returns ``(report, counts, povms)``; ``counts`` holds the lockstep steps
-    (``_pretty_good`` calls), the member-steps and the exact ``_certify``
-    calls, and ``povms`` the ``Povm`` objects built.
+    (``_pretty_good`` calls), the member-steps, the stacked ``_certify``
+    calls and the exact certificates they make, and ``povms`` the ``Povm``
+    objects built.
     """
-    counts = {"steps": 0, "member_steps": 0, "certified": 0}
+    counts = {"steps": 0, "member_steps": 0, "certify_calls": 0, "certified": 0}
     povms = [0]
     pretty_good, certify = discrimination._pretty_good, discrimination._certify
     povm_check = ensembles.Povm.__post_init__
@@ -25,7 +26,8 @@ def counted_bruteforce_run():
         return pretty_good(a)
 
     def counted_certify(m, p):
-        counts["certified"] += 1
+        counts["certify_calls"] += 1
+        counts["certified"] += len(m)
         return certify(m, p)
 
     def counted_povm(povm):
@@ -42,12 +44,12 @@ def counted_bruteforce_run():
 
 @pytest.fixture
 def barrier_rounds(monkeypatch):
-    """The row count of every ``_barrier_solve`` call, in call order: one per working-set round."""
+    """(members, rows) of every ``_barrier_solve`` call, in call order: one per working-set round and size."""
     rows = []
     solve = discrimination._barrier_solve
 
     def counted(m, *args, **kwargs):
-        rows.append(len(m))
+        rows.append(m.shape[:2])
         return solve(m, *args, **kwargs)
 
     monkeypatch.setattr(discrimination, "_barrier_solve", counted)

@@ -237,7 +237,7 @@ def test_a_file_of_more_than_two_d_squared_rows_is_certified_on_a_grown_working_
         assert (code, out, err) == (0, FILE_RECORDS[SIX_BASES, tol] + "\n", "")
         records.append(json.loads(out))
         assert records[-1]["certificate"] == "dual-certified" and records[-1]["gap"] <= float(tol)
-        assert barrier_rounds == [8, 12]  # the first working set misses rows, so a second round runs
+        assert barrier_rounds == [(1, 8), (1, 12)]  # the first working set misses rows, so a second round runs
     loose, tight = records
     assert tight["computed"] <= loose["computed"] + loose["gap"] + 1e-12
     assert loose["computed"] <= tight["computed"] + tight["gap"] + 1e-12
@@ -274,7 +274,7 @@ def test_a_small_file_whose_fixed_point_map_runs_out_is_certified_by_the_barrier
     record = json.loads(out)
     assert record["certificate"] == "dual-certified" and record["gap"] == 2.1018260909499986e-08 <= 1e-7
     assert record["computed"] == 0.9956300372336087
-    assert barrier_rounds == [4]
+    assert barrier_rounds == [(1, 4)]
 
 
 SIXTY_FOUR = Path(__file__).parent / "data" / "qubit-64-settings.json"  # 2^64 answer rows on a qubit
@@ -850,6 +850,19 @@ def test_an_only_filter_that_selects_no_case_is_an_input_error(tmp_path, monkeyp
         code, out, err = run(capsys, "reproduce", "--only", "no-such-case", *argv)
         assert (code, out) == (1, "")
         assert err == "error: --only 'no-such-case' selects no case\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_path_that_cannot_be_written_fails_before_the_report_is_computed(tmp_path, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("run_reproduce ran for an --out path that cannot be written")
+
+    monkeypatch.setattr(cli, "run_reproduce", refused)
+    missing = tmp_path / "no" / "such" / "r.json"
+    code, out, err = run(capsys, "reproduce", "--only", "prop-postinfo-bruteforce", "--trials", "2000", "--out", str(missing))
+    assert (code, out, err) == (1, "", f"error: --out {missing}: no directory {missing.parent}\n")
+    code, out, err = run(capsys, "reproduce", "--quiet", "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: --out {tmp_path} is a directory\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -561,8 +561,8 @@ def test_a_small_target_whose_stream_runs_out_is_finished_by_the_barrier(barrier
     [stream] = streamed([target], st)
     assert isinstance(stream, SolverFailure) and stream.iterations == cap
     result = min_error_discrimination(target, st)
-    assert barrier_rounds == [4]
-    primal, y, p, gap, steps = discrimination._working_set_solve(target.operators, st)
+    assert barrier_rounds == [(1, 4)]
+    [(primal, y, p, gap, steps)] = discrimination._working_set_solve(target.operators[None], [st])
     assert_same_member(member(result), (primal, y, p, gap, stream.iterations + steps))
     assert (result.value, gap, steps) == (0.9956300372336087, 2.1018260909499986e-08, 12)
     result.certificate.validate(target, result.povm)
@@ -571,7 +571,7 @@ def test_a_small_target_whose_stream_runs_out_is_finished_by_the_barrier(barrier
 def test_a_small_target_uncertified_after_the_stream_budget_is_finished_by_the_barrier(barrier_rounds):
     target = slow_fixed_point_target()
     result = min_error_discrimination(target)
-    assert barrier_rounds == [4]
+    assert barrier_rounds == [(1, 4)]
     # the map alone ends at a gap of 4.7e-7 after 100,000 iterations; the barrier takes 12 Newton steps
     assert result.iterations == discrimination.STREAM_BUDGET + 12
     assert (result.value, result.certificate.gap) == (0.9956300372336087, 2.1018260909499986e-08)
@@ -584,9 +584,8 @@ def test_a_small_target_that_neither_route_certifies_raises_the_better_failure(c
     st = SolverSettings(max_iterations=cap)
     [stream] = streamed([target], st)
     alone = {"stream": stream}
-    with pytest.raises(SolverFailure) as barrier:
-        discrimination._working_set_solve(target.operators, st)
-    alone["barrier"] = barrier.value
+    [alone["barrier"]] = discrimination._working_set_solve(target.operators[None], [st])
+    assert isinstance(alone["barrier"], SolverFailure)
     assert min(alone, key=lambda route: alone[route].gap) == better
     with pytest.raises(SolverFailure) as failure:
         min_error_discrimination(target, st)
@@ -600,10 +599,12 @@ def test_the_bruteforce_case_is_one_stream_with_one_exact_certificate_per_member
     search = AssignmentSearch(bruteforce_row_targets(monkeypatch, seed=42))
     assert (search.kept.size, len(search.problems)) == (1750, 602)
     # 50 row-merged and 602 assignment solves, each with the iterations it takes alone: the stream's 1,000 steps of
-    # STREAM_BUDGET, then the barrier's pretty-good measurements for the 18 it hands over (9,262 steps with no budget);
-    # 171 of the 602 leave at a stream check whose screen proves them below their target's value, uncertified
-    # (82,290 member-steps and 652 certificates when the rule ran only before the stream)
-    assert counts == {"steps": 1131, "member_steps": 74875, "certified": 481}
+    # STREAM_BUDGET, then the pretty-good measurements of the one stacked barrier solve of the 18 it hands over
+    # (1,131 steps when each was finished alone, 9,262 with no budget); 171 of the 602 leave at a stream check whose
+    # screen proves them below their target's value, uncertified (82,290 member-steps and 652 certificates when the
+    # rule ran only before the stream).  The 481 exact certificates are one stacked call per check that makes any,
+    # and one for the 18 failures (481 calls when each was made alone)
+    assert counts == {"steps": 1024, "member_steps": 74875, "certify_calls": 90, "certified": 481}
 
 
 def test_a_lone_and_a_streamed_solve_follow_one_budget_rule(barrier_rounds):
@@ -617,7 +618,7 @@ def test_a_lone_and_a_streamed_solve_follow_one_budget_rule(barrier_rounds):
         assert_same_member(finished[i], member(min_error_discrimination(target, settings[i])))
     # the slow target runs out of the stream's budget alongside the others and the barrier finishes it, as alone
     assert finished[2][4] == discrimination.STREAM_BUDGET + 12
-    assert barrier_rounds == [4, 4]
+    assert barrier_rounds == [(1, 4), (1, 4)]
 
 
 def dropping(indices, at=1):
@@ -660,9 +661,9 @@ def test_a_member_the_rule_drops_at_its_last_check_never_reaches_the_barrier(bar
     finished_members = []
     finish = discrimination.finish_member
 
-    def recorded(m, st, out):
-        finished_members.append(m.tobytes())
-        return finish(m, st, out)
+    def recorded(out, barrier):
+        finished_members.append(out)
+        return finish(out, barrier)
 
     monkeypatch.setattr(discrimination, "finish_member", recorded)
     # the slow target is due every 10 iterations and at its last budgeted one, which it would leave for the barrier
@@ -671,8 +672,7 @@ def test_a_member_the_rule_drops_at_its_last_check_never_reaches_the_barrier(bar
     finished = dict(discrimination.finished_stream(stacked(targets), [DEFAULT_SETTINGS] * 3, keep))
     assert sorted(finished) == [0, 2]
     assert sum(np.count_nonzero(i == 1) for i, _, _ in offers) == checks
-    assert sorted(finished_members) == sorted(targets[i].operators.tobytes() for i in (0, 2))
-    assert barrier_rounds == []
+    assert finished_members == [] and barrier_rounds == []
     for i in (0, 2):
         assert_same_member(finished[i], member(min_error_discrimination(targets[i])))
 
@@ -704,7 +704,7 @@ def test_screened_gaps_agree_with_the_exact_certificate_within_a_rounding_floor(
     def compared(m, p):
         primal, gaps = screened(m, p)
         for k in range(len(m)):
-            exact, y, gap = discrimination._certify(m[k], p[k])
+            [(exact, y, gap)] = discrimination._certify(m[k : k + 1], p[k : k + 1])
             floor = rounding_floor(0.0, m.shape[-1] * np.trace(y).real)  # the search's margin is 4 of these
             worst[0] = max(worst[0], abs(primal[k] - exact) / floor)
             worst[1] = max(worst[1], abs(max(gaps[k], 0.0) - gap) / floor)
@@ -725,27 +725,42 @@ def test_the_bruteforce_case_builds_a_povm_only_for_the_results_it_validates(cou
     assert counted_bruteforce_run[2] == 50
 
 
-def recorded_barrier(monkeypatch):
-    """(settings, gap) of every ``_working_set_solve`` that certifies, in call order."""
+def recorded_barrier(monkeypatch, calls=None):
+    """(settings, gap) of every member that a ``_working_set_solve`` certifies, in call order; ``calls`` gets each call's member count."""
     finished = []
     solve = discrimination._working_set_solve
 
-    def recorded(m, st):
-        out = solve(m, st)
-        finished.append((st, out[3]))
+    def recorded(m, settings):
+        out = solve(m, settings)
+        finished.extend((st, result[3]) for st, result in zip(settings, out) if not isinstance(result, SolverFailure))
+        if calls is not None:
+            calls.append(len(m))
         return out
 
     monkeypatch.setattr(discrimination, "_working_set_solve", recorded)
     return finished
 
 
-def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch):
-    finished = recorded_barrier(monkeypatch)
+def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch, barrier_rounds):
+    calls, yields = [], []
+    finished = recorded_barrier(monkeypatch, calls)
+    stream = reproduce.finished_stream
+
+    def recorded_stream(*args):
+        for i, out in stream(*args):
+            yields.append(i)
+            yield i, out
+
+    monkeypatch.setattr(reproduce, "finished_stream", recorded_stream)
     [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     # 6 of the 50 row-merged targets and 12 of the 602 kept problems are uncertified after STREAM_BUDGET iterations;
-    # all run out at the same step, so they leave in stream order, and each is finished at its own full settings
+    # all run out at the same check, so they are one run of failures, finished as one stack of 4-row members in one
+    # barrier call, each at its own full settings, and yielded last, in stream order, as one at a time yielded them
+    assert calls == [18] and barrier_rounds == [(18, 4)]
     assert [settings for settings, _ in finished] == [DEFAULT_SETTINGS] * 6 + [_ORACLE_SETTINGS] * 12
     assert all(gap <= settings.gap_tol for settings, gap in finished)
+    assert len(yields) == 481
+    assert yields[-18:] == [0, 5, 13, 28, 35, 43, 53, 57, 59, 60, 115, 117, 119, 120, 379, 383, 385, 386]
     assert report.passed and report.computed == 8.822147157250271e-08
 
 
@@ -1243,13 +1258,120 @@ def random_postinfo(seed, dim, n_settings):
 
 def pretty_good_start(m):
     """A working set's first warm start: the eigenvalue-shift certificate (Y, gap) of the pretty-good measurement of ``m``."""
-    _, y, gap = discrimination._certify(m, discrimination._pretty_good(m[None])[0])
+    [(_, y, gap)] = discrimination._certify(m[None], discrimination._pretty_good(m[None]))
     return y, gap
 
 
 def every_row_barrier(m, st):
-    """``_barrier_solve`` on every row of ``m`` from the pretty-good start, with no row off the working set."""
-    return _barrier_solve(m, st, pretty_good_start(m), lambda y: m[:0])
+    """``_barrier_solve`` on every row of ``m`` from the pretty-good start, a stack of one with no row off the working set."""
+    y, gap = pretty_good_start(m)
+    [out] = _barrier_solve(m[None], [st], (y[None], [gap]))
+    if isinstance(out, SolverFailure):
+        raise out
+    return out
+
+
+def stacked_barrier(m, settings):
+    """``_barrier_solve`` on the stack ``m`` (B, n, d, d) from each member's pretty-good start, with no row off a working set."""
+    starts = [pretty_good_start(member_m) for member_m in m]
+    return discrimination._barrier_solve(m, settings, (np.stack([y for y, _ in starts]), [gap for _, gap in starts]))
+
+
+def assert_same_outcome(mine, alone):
+    """A barrier member's result or failure is that of its stack of one, bit for bit, its failure with the same cause."""
+    if isinstance(alone, SolverFailure):
+        assert_same_failure(mine, alone, alone.iterations)
+        assert type(mine.__cause__) is type(alone.__cause__) and str(mine.__cause__) == str(alone.__cause__)
+    else:
+        assert_same_member(mine, alone)
+        assert mine[4] == alone[4]
+
+
+@pytest.mark.parametrize("dim, n_settings", [(2, 3), (3, 2)])
+def test_each_member_of_a_stacked_barrier_solve_has_the_bits_of_its_stack_of_one(barrier_rounds, dim, n_settings):
+    m = np.stack([merged_row_targets(random_postinfo(seed, dim, n_settings)).operators for seed in range(12)])
+    # mixed tolerances and caps: every fourth member runs out at 9 steps, and on a qutrit the sixth stalls at 1e-13,
+    # so the fixed-point map finishes it (470 iterations in all)
+    settings = [SolverSettings(gap_tol=(1e-7, 1e-10, 1e-13)[b % 3], max_iterations=9 if b % 4 == 3 else 100_000) for b in range(12)]
+    mine = stacked_barrier(m, settings)
+    assert barrier_rounds == [(len(m), m.shape[1])]
+    alone = [stacked_barrier(m[b : b + 1], settings[b : b + 1])[0] for b in range(len(m))]
+    for result, own in zip(mine, alone):
+        assert_same_outcome(result, own)
+    assert [b for b, own in enumerate(alone) if isinstance(own, SolverFailure)] == [3, 7, 11]
+    assert max(own[4] for own in alone if not isinstance(own, SolverFailure)) == (28 if dim == 2 else 470)
+
+
+def test_a_member_that_runs_out_fails_behind_members_that_certify():
+    m = np.stack([merged_row_targets(random_postinfo(seed, 2, 3)).operators for seed in range(3)])
+    settings = [DEFAULT_SETTINGS, SolverSettings(max_iterations=3), TIGHT]
+    mine = stacked_barrier(m, settings)
+    assert isinstance(mine[1], SolverFailure) and mine[1].iterations == 3 and mine[1].__cause__ is None
+    for b in (0, 2):
+        assert not isinstance(mine[b], SolverFailure) and mine[b][3] <= settings[b].gap_tol
+    for b, result in enumerate(mine):
+        assert_same_outcome(result, stacked_barrier(m[b : b + 1], settings[b : b + 1])[0])
+    assert_reported_certificate(mine[1], m[1])
+
+
+def test_a_member_that_stalls_is_finished_by_the_fixed_point_map_beside_members_that_certify(monkeypatch):
+    # the slow target's barrier stalls below rounding at 1e-14 (it certifies in 23 Newton steps at 1e-13)
+    slow = np.array(slow_fixed_point_target().operators)
+    others = [merged_row_targets(induced_postinfo(gallery(f"gen-bb84({theta})"), "a")).operators for theta in ("pi/3", "pi/5")]
+    m, settings = np.stack([others[0], slow, others[1]]), [DEFAULT_SETTINGS, SolverSettings(gap_tol=1e-14), TIGHT]
+    finished = []
+    stream = discrimination.solve_stream
+
+    def recorded(members, *args):
+        finished.append(len(members))
+        return stream(members, *args)
+
+    monkeypatch.setattr(discrimination, "solve_stream", recorded)
+    mine = stacked_barrier(m, settings)
+    assert finished == [1]  # the one stalled member, in one fixed-point finish
+    primal, y, p, gap, steps = mine[1]
+    assert gap <= 1e-14 and steps == 34
+    DualCertificate(y, primal, gap).validate(slow_fixed_point_target(), Povm(effects=p), gap_tol=1e-14)
+    for b, result in enumerate(mine):
+        assert_same_outcome(result, stacked_barrier(m[b : b + 1], settings[b : b + 1])[0])
+
+
+def test_a_stacked_candidate_that_does_not_factor_is_retried_member_by_member(monkeypatch):
+    m = np.stack([merged_row_targets(random_postinfo(seed, 2, 3)).operators for seed in range(3)])
+    plain = stacked_barrier(m, [DEFAULT_SETTINGS] * 3)
+    # the stack's first candidate raises, then the first member's alone: only that member halves its first step
+    rejected = rejected_candidates(monkeypatch, 2)
+    mine = stacked_barrier(m, [DEFAULT_SETTINGS] * 3)
+    assert rejected == [2]
+    assert mine[0][1].tobytes() != plain[0][1].tobytes() and mine[0][3] <= DEFAULT_SETTINGS.gap_tol
+    for b in (1, 2):
+        assert_same_outcome(mine[b], plain[b])
+
+
+def test_stacked_working_sets_grow_each_member_as_alone(barrier_rounds):
+    # 32 qubit rows each: every first round is one call of 8-row working sets, and later rounds group by size
+    m = np.stack([merged_row_targets(random_postinfo(seed, 2, 5)).operators for seed in range(4)])
+    settings = [DEFAULT_SETTINGS, TIGHT, SolverSettings(max_iterations=12), DEFAULT_SETTINGS]
+    mine = discrimination._working_set_solve(m, settings)
+    rounds = list(barrier_rounds)
+    assert rounds[0] == (len(m), 8) and len(rounds) > 1
+    barrier_rounds.clear()
+    for b, result in enumerate(mine):
+        [alone] = discrimination._working_set_solve(m[b : b + 1], settings[b : b + 1])
+        assert_same_outcome(result, alone)
+    # the lone solves make as many member-rounds as the stack
+    assert sum(count for count, _ in rounds) == len(barrier_rounds)
+
+
+def test_certificates_of_a_stack_have_the_bits_of_each_members_own():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n, d, count = int(rng.integers(2, 12)), int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        m = density_from_normals(rng.normal(size=(count, n, 2, d, d))) * rng.uniform(0.01, 1.0, size=(count, n, 1, 1))
+        p = discrimination._pretty_good(m)
+        for (primal, y, gap), b in zip(discrimination._certify(m, p), range(count)):
+            [(own_primal, own_y, own_gap)] = discrimination._certify(m[b : b + 1], p[b : b + 1])
+            assert (primal, gap) == (own_primal, own_gap) and y.tobytes() == own_y.tobytes()
 
 
 def full_solve(target):
@@ -1372,7 +1494,7 @@ def test_a_target_of_at_most_two_d_squared_rows_is_one_round_on_every_row(barrie
         assert target.dim**2 < len(m) <= 2 * target.dim**2
         barrier_rounds.clear()
         mine = p_postinfo(ens, st)
-        assert barrier_rounds == [len(m)]
+        assert barrier_rounds == [(1, len(m))]
         mine.certificate.validate(target, mine.povm, gap_tol=gap_tol)
         steps += mine.iterations
         if gap_tol == DEFAULT_SETTINGS.gap_tol:
@@ -1395,7 +1517,7 @@ def test_a_working_set_certifies_every_row_within_the_full_barrier_gaps(barrier_
         barrier_rounds.clear()
         mine = p_postinfo(ens)
         rounds.append(len(barrier_rounds))
-        assert barrier_rounds[0] == 2 * target.dim**2 and barrier_rounds == sorted(set(barrier_rounds))
+        assert barrier_rounds[0] == (1, 2 * target.dim**2) and barrier_rounds == sorted(set(barrier_rounds))
         mine.certificate.validate(target, mine.povm)
         assert len(mine.povm) == len(target.operators)
         assert mine.value <= primal + gap + 1e-12
@@ -1411,7 +1533,7 @@ def test_a_cap_that_runs_out_in_a_second_round_reports_its_certificate_on_every_
         p_postinfo(ens, SolverSettings(max_iterations=cap))
     exc = failure.value
     # at 6 the first round ends with every step, so no second round runs
-    assert barrier_rounds == ([8] if cap == 6 else [8, 10])
+    assert barrier_rounds == ([(1, 8)] if cap == 6 else [(1, 8), (1, 10)])
     assert exc.iterations == cap
     assert_reported_certificate(exc, m)
     assert exc.gap > DEFAULT_SETTINGS.gap_tol
@@ -1419,13 +1541,14 @@ def test_a_cap_that_runs_out_in_a_second_round_reports_its_certificate_on_every_
 
 @pytest.fixture
 def barrier_returns(monkeypatch):
-    """What every ``_barrier_solve`` call returns, in call order: one per working-set round that does not fail."""
+    """What every member of every ``_barrier_solve`` call returns, in call order: one per working-set round that does not fail."""
     returns = []
     solve = discrimination._barrier_solve
 
     def recorded(*args, **kwargs):
-        returns.append(solve(*args, **kwargs))
-        return returns[-1]
+        out = solve(*args, **kwargs)
+        returns.extend(result for result in out if not isinstance(result, SolverFailure))
+        return out
 
     monkeypatch.setattr(discrimination, "_barrier_solve", recorded)
     return returns
@@ -1446,7 +1569,7 @@ def test_a_cap_that_expires_at_an_early_exit_reports_that_checkpoint_on_every_ro
     # that checkpoint's POVM, zero off the working set, and the better of its two certificates on every row
     povm = np.array(exc.povm)
     assert povm[np.abs(povm).max(axis=(1, 2)) > 0].tobytes() == p.tobytes()
-    assert exc.gap == min(discrimination._cover(y, discrimination._row_slack(y, m), primal)[2], discrimination._certify(m, povm)[2])
+    assert exc.gap == min(discrimination._cover(y, discrimination._row_slack(y, m), primal)[2], discrimination._certify(m[None], povm[None])[0][2])
 
 
 def test_a_first_round_that_ends_early_still_certifies_every_row(barrier_returns):
@@ -1510,7 +1633,7 @@ def reference_barrier_solve(m, st):
     except np.linalg.LinAlgError as exc:
         stalled = exc
     p = discrimination._pretty_good(s_inv[None])[0] if best[3] is None else best[3]
-    final = (*discrimination._certify(m, p), p)
+    final = (*discrimination._certify(m[None], p[None])[0], p)
     if stalled is not None and steps < st.max_iterations:
         rest = dataclasses.replace(st, max_iterations=st.max_iterations - steps)
         [(_, polish)] = solve_stream(m[None], rest, p[None])
@@ -1706,7 +1829,7 @@ def slack_rows(monkeypatch):
     row_slack = discrimination._row_slack
 
     def counted(y, m):
-        rows[0] += len(m)
+        rows[0] += math.prod(m.shape[:-2])
         return row_slack(y, m)
 
     monkeypatch.setattr(discrimination, "_row_slack", counted)
