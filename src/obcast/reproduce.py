@@ -8,13 +8,21 @@ their own id, so reports are identical regardless of which cases run and
 in what order.  Cases that read parts of one result share it through
 ``ReproduceOptions.shared``, computed once per run.  Cases run one after
 another: they are small numpy calls that hold the interpreter lock, so
-worker threads would only add overhead.
+worker threads would only add overhead, and ``--jobs`` is accepted and
+ignored.  The brute-force case alone splits its trials across the CPUs
+this process may run on, one contiguous chunk per CPU, each after the
+first in a child made with ``os.fork`` (``_in_chunks``; one chunk where the
+platform has no ``os.sched_getaffinity``).  Its trials' values do not
+depend on each other, so the report has the same bytes on any number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -470,6 +478,103 @@ def _prop_lemma_a1(key, z):
     return (np.linalg.eigvalsh(sum(ops)).max(axis=-1) - bound,)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform does not say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _forked(fn, chunk) -> tuple:
+    """``(pid, pipe)`` of a forked child that writes ``(ok, fn(chunk) or the exception it raised)`` to ``pipe`` as one pickle.
+
+    The child leaves through ``os._exit``, so it runs none of the parent's
+    exit handlers and flushes none of its buffers; an exit status other than
+    0 means the pickle was not written.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                message = (True, fn(chunk))
+            except Exception as exc:  # the parent raises it in its own stack
+                message = (False, exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(message, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _in_chunks(fn, items: list) -> list:
+    """``fn(chunk)`` of contiguous chunks of ``items``, one per available CPU (``_cpus``), concatenated in order.
+
+    ``fn`` returns a list per chunk.  This process computes the first chunk
+    before it waits; each other chunk runs in a child forked from it
+    (``_forked``), so ``fn`` and what it reads need no pickling, only its
+    result does.  Where there is one CPU or one item, there is one chunk and
+    no child.  A chunk's exception is raised here with its type and message;
+    a child that exits without a result raises ``ChildProcessError`` naming
+    its exit status.  On any error every child still running is killed and
+    every child is reaped before the error propagates.
+    """
+    chunks = min(_cpus(), len(items))
+    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
+    children = []  # (pid, pipe) of the children not yet reaped, in chunk order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_forked(fn, items[lo:hi]))
+        values = fn(items[: bounds[1]])
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            children.pop(0)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise ChildProcessError(f"the process of a chunk exited with status {status} and sent no result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            values += result
+        return values
+    finally:
+        if children:  # left running by an error: stopped, then reaped
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _bruteforce_values(ensembles: list, settings: SolverSettings) -> list[tuple[float, float]]:
+    """(row-merged value, exhaustive-search value) of each ensemble, as one stream; each pair's bits are its ensemble's alone."""
+    targets = [merged_row_targets(ens, psd_tol=settings.psd_tol) for ens in ensembles]
+    search = AssignmentSearch(targets)
+    # one stream: the row-merged targets at the settings in force, then the search's problems at its own
+    members = np.concatenate([np.stack([t.operators for t in targets]), search.problems])
+    member_settings = [settings] * len(targets) + [search.settings] * len(search.problems)
+    merged: list = [None] * len(targets)
+
+    def keep(i, primal, upper):  # the search's rule at every check; the row-merged targets are never offered to it
+        kept, ours = np.ones(len(i), dtype=bool), i >= len(targets)
+        kept[ours] = search.keep(i[ours] - len(targets), primal[ours], upper[ours])
+        return kept
+
+    for i, (primal, y, p, gap, iterations) in finished_stream(members, member_settings, keep):
+        if i < len(targets):  # result objects only for the merged solves, the ones validated here
+            result = DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), targets[i].labels, iterations)
+            merged[i] = validated(targets[i], result, settings.gap_tol).value
+        else:
+            search.fold(i - len(targets), primal, gap)
+    return [(float(a), float(b)) for a, b in zip(merged, search.values)]
+
+
 @_case("prop-postinfo-bruteforce", "row-merged solve matches exhaustive assignment search", None, 1e-6, "dual-certified")
 def _prop_bruteforce(case, opts):
     from .ensembles import PostInfoEnsemble
@@ -489,25 +594,8 @@ def _prop_bruteforce(case, opts):
                 orthogonal=True,
             )
         )
-    targets = [merged_row_targets(ens, psd_tol=opts.settings.psd_tol) for ens in ensembles]
-    search = AssignmentSearch(targets)
-    # one stream: the row-merged targets at the settings in force, then the search's problems at its own
-    members = np.concatenate([np.stack([t.operators for t in targets]), search.problems])
-    settings = [opts.settings] * len(targets) + [search.settings] * len(search.problems)
-    merged: list = [None] * len(targets)
-
-    def keep(i, primal, upper):  # the search's rule at every check; the row-merged targets are never offered to it
-        kept, ours = np.ones(len(i), dtype=bool), i >= len(targets)
-        kept[ours] = search.keep(i[ours] - len(targets), primal[ours], upper[ours])
-        return kept
-
-    for i, (primal, y, p, gap, iterations) in finished_stream(members, settings, keep):
-        if i < len(targets):  # result objects only for the merged solves, the ones validated here
-            result = DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), targets[i].labels, iterations)
-            merged[i] = validated(targets[i], result, opts.settings.gap_tol)
-        else:
-            search.fold(i - len(targets), primal, gap)
-    return max(abs(result.value - value) for result, value in zip(merged, search.values))
+    pairs = _in_chunks(lambda chunk: _bruteforce_values(chunk, opts.settings), ensembles)
+    return max(abs(merged - searched) for merged, searched in pairs)
 
 
 # --- runner ----------------------------------------------------------------------

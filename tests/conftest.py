@@ -2,7 +2,7 @@
 
 import pytest
 
-from obcast import discrimination, ensembles
+from obcast import discrimination, ensembles, reproduce
 from obcast.reproduce import run_reproduce
 
 
@@ -13,7 +13,8 @@ def counted_bruteforce_run():
     Returns ``(report, counts, povms)``; ``counts`` holds the lockstep steps
     (``_pretty_good`` calls), the member-steps, the stacked ``_certify``
     calls and the exact certificates they make, and ``povms`` the ``Povm``
-    objects built.
+    objects built.  The trials run in one chunk, in this process, so the
+    patches see all of the case's work.
     """
     counts = {"steps": 0, "member_steps": 0, "certify_calls": 0, "certified": 0}
     povms = [0]
@@ -38,8 +39,15 @@ def counted_bruteforce_run():
         mp.setattr(discrimination, "_pretty_good", counted_step)
         mp.setattr(discrimination, "_certify", counted_certify)
         mp.setattr(ensembles.Povm, "__post_init__", counted_povm)
+        mp.setattr(reproduce, "_cpus", lambda: 1)
         [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     return report, counts, povms[0]
+
+
+@pytest.fixture
+def one_chunk(monkeypatch):
+    """The brute-force case's trials in one chunk, in this process, where patches that count its work see all of it."""
+    monkeypatch.setattr(reproduce, "_cpus", lambda: 1)
 
 
 @pytest.fixture

@@ -4,14 +4,17 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import signal
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obcast import discrimination, oracles, reproduce
+from obcast import discrimination, oracles, reporting, reproduce
 from obcast.discrimination import (
     DEFAULT_SETTINGS,
     DiscriminationResult,
@@ -369,7 +372,7 @@ class Built(Exception):
     """Stops the brute-force case once its row targets are built."""
 
 
-def test_row_targets_keep_their_bytes(monkeypatch):
+def test_row_targets_keep_their_bytes(monkeypatch, one_chunk):
     seed42 = []
 
     def record(ens, **kwargs):
@@ -677,7 +680,7 @@ def test_a_member_the_rule_drops_at_its_last_check_never_reaches_the_barrier(bar
         assert_same_member(finished[i], member(min_error_discrimination(targets[i])))
 
 
-def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatch):
+def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatch, one_chunk):
     offered, dropped = [], []
     rule = AssignmentSearch.keep
 
@@ -696,7 +699,7 @@ def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatc
     assert len(dropped) == len(set(dropped)) == 171
 
 
-def test_screened_gaps_agree_with_the_exact_certificate_within_a_rounding_floor(monkeypatch):
+def test_screened_gaps_agree_with_the_exact_certificate_within_a_rounding_floor(monkeypatch, one_chunk):
     # the prefilter margin of 1e-12 and the search's margin of _MARGIN_FLOORS floors rest on this agreement
     worst, checks = [0.0, 0.0], [0]
     screened = discrimination._screened_gaps
@@ -741,7 +744,7 @@ def recorded_barrier(monkeypatch, calls=None):
     return finished
 
 
-def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch, barrier_rounds):
+def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch, barrier_rounds, one_chunk):
     calls, yields = [], []
     finished = recorded_barrier(monkeypatch, calls)
     stream = reproduce.finished_stream
@@ -764,7 +767,7 @@ def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch
     assert report.passed and report.computed == 8.822147157250271e-08
 
 
-def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificate(monkeypatch):
+def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificate(monkeypatch, one_chunk):
     finished = recorded_barrier(monkeypatch)
     folded = []
     fold = AssignmentSearch.fold
@@ -824,8 +827,9 @@ def searched_values(ensembles):
 
 
 def bruteforce_row_targets(monkeypatch, seed, trials=None):
-    """The row targets of the brute-force case at ``seed``, built as the case builds them."""
+    """The row targets of the brute-force case at ``seed``, built as the case builds them, in one chunk."""
     targets = []
+    monkeypatch.setattr(reproduce, "_cpus", lambda: 1)
 
     def stop(row_targets):
         targets.extend(row_targets)
@@ -1022,6 +1026,114 @@ def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch
     monkeypatch.setattr(reproduce, "finished_stream", loose_first_dual)
     with pytest.raises(InternalInconsistency, match="not feasible"):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
+
+
+@pytest.mark.parametrize("seed, trials", [(42, None), (1, 10), (7, 10)])
+def test_the_bruteforce_case_has_the_bits_of_one_chunk_in_any_number_of_chunks(monkeypatch, seed, trials):
+    pairs, forks, reports = {}, [], {}
+    split, forked = reproduce._in_chunks, reproduce._forked
+
+    def recorded_split(fn, items):
+        pairs[chunks] = split(fn, items)
+        return pairs[chunks]
+
+    def recorded_fork(fn, chunk):
+        forks.append(len(chunk))
+        return forked(fn, chunk)
+
+    monkeypatch.setattr(reproduce, "_in_chunks", recorded_split)
+    monkeypatch.setattr(reproduce, "_forked", recorded_fork)
+    for chunks in (1, 2, 3):
+        monkeypatch.setattr(reproduce, "_cpus", lambda: chunks)
+        reports[chunks] = reporting.reports_to_json(run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=trials))
+    n = trials or 50
+    # this process computes the first chunk, and one forked child each of the others
+    assert forks == [n - n // 2, 2 * n // 3 - n // 3, n - 2 * n // 3]
+    for chunks in (2, 3):
+        assert np.array(pairs[chunks]).tobytes() == np.array(pairs[1]).tobytes()
+        assert reports[chunks] == reports[1]
+    assert len(pairs[1]) == n
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that runs longer than 60 s in place of letting it hang on a child."""
+
+    def expired(signum, frame):
+        raise TimeoutError("waited more than 60 s on the brute-force case")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def loosened(monkeypatch, member, in_child):
+    """The ``InternalInconsistency`` of the 3-trial brute-force case once the dual of stream ``member`` is loosened in a child or here."""
+    parent, stream = os.getpid(), reproduce.finished_stream
+
+    def loose(m, settings, keep):
+        for i, (primal, y, p, gap, iterations) in stream(m, settings, keep):
+            if i == member and (os.getpid() != parent) == in_child:
+                y = y - 1e-3 * np.eye(m.shape[-1])
+            yield i, (primal, y, p, gap, iterations)
+
+    monkeypatch.setattr(reproduce, "finished_stream", loose)
+    with pytest.raises(InternalInconsistency, match="not feasible") as failure:
+        run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
+    return failure.value
+
+
+def test_a_certificate_that_fails_validation_in_a_child_raises_as_in_one_chunk(monkeypatch, deadline):
+    # trial 1 is stream member 1 in one chunk, and member 0 of the child's chunk (trials 1 and 2) in two
+    monkeypatch.setattr(reproduce, "_cpus", lambda: 1)
+    alone = loosened(monkeypatch, 1, in_child=False)
+    monkeypatch.setattr(reproduce, "_cpus", lambda: 2)
+    forked = loosened(monkeypatch, 0, in_child=True)
+    assert type(forked) is type(alone) and str(forked) == str(alone)
+    assert_no_child_left()
+
+
+class ParentChunkFailed(Exception):
+    """Raised by this process's chunk of the brute-force case."""
+
+
+def test_an_error_in_the_first_chunk_kills_and_reaps_the_children(monkeypatch, deadline):
+    parent = os.getpid()
+
+    def chunk_values(chunk, settings):
+        if os.getpid() == parent:
+            raise ParentChunkFailed
+        time.sleep(120)  # two children still at work when this process fails
+
+    monkeypatch.setattr(reproduce, "_cpus", lambda: 3)
+    monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
+    with pytest.raises(ParentChunkFailed):
+        run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
+    assert_no_child_left()
+
+
+def test_a_child_that_exits_without_a_result_raises_its_exit_status(monkeypatch, deadline):
+    parent, values = os.getpid(), reproduce._bruteforce_values
+
+    def chunk_values(chunk, settings):
+        if os.getpid() != parent:
+            os._exit(3)
+        return values(chunk, settings)
+
+    monkeypatch.setattr(reproduce, "_cpus", lambda: 2)
+    monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
+    with pytest.raises(ChildProcessError, match="exited with status 3 and sent no result"):
+        run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
+    assert_no_child_left()
 
 
 def test_postinfo_cases_pass_at_a_looser_gap_with_windows_that_follow_it():
