@@ -29,7 +29,7 @@ from .ensembles import (
     induced_postinfo,
     qubit_qudit_form_check,
 )
-from .errors import InternalInconsistency, SolverFailure
+from .errors import ChunkFailure, InternalInconsistency, SolverFailure
 from .moe import (
     MoeGame,
     lemma_a1_bound,

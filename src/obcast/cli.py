@@ -34,7 +34,7 @@ from .ensembles import (
     qubit_qudit_form_check,
     to_json_dict,
 )
-from .errors import InternalInconsistency, SolverFailure
+from .errors import ChunkFailure, InternalInconsistency, SolverFailure
 from .reporting import reports_to_csv, reports_to_json
 from .reproduce import SUITES, run_reproduce
 
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InternalInconsistency, SolverFailure) as exc:
+    except (ChunkFailure, InternalInconsistency, SolverFailure) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - last-resort diagnostics

@@ -18,3 +18,7 @@ class SolverFailure(RuntimeError):
 
 class InternalInconsistency(RuntimeError):
     """Two independent routes to the same quantity disagree beyond tolerance."""
+
+
+class ChunkFailure(RuntimeError):
+    """A process for one chunk of a split computation could not be started, or exited without sending its result."""

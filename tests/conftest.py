@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import signal
+
 import pytest
 
 from obcast import discrimination, ensembles, reproduce
@@ -39,15 +41,31 @@ def counted_bruteforce_run():
         mp.setattr(discrimination, "_pretty_good", counted_step)
         mp.setattr(discrimination, "_certify", counted_certify)
         mp.setattr(ensembles.Povm, "__post_init__", counted_povm)
-        mp.setattr(reproduce, "_cpus", lambda: 1)
+        mp.setattr(reproduce, "_chunk_count", lambda: 1)
         [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     return report, counts, povms[0]
 
 
 @pytest.fixture
+def deadline():
+    """Fails a test that runs longer than 60 s in place of letting it hang on a child."""
+
+    def expired(signum, frame):
+        raise TimeoutError("waited more than 60 s on the brute-force case")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
 def one_chunk(monkeypatch):
     """The brute-force case's trials in one chunk, in this process, where patches that count its work see all of it."""
-    monkeypatch.setattr(reproduce, "_cpus", lambda: 1)
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 1)
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
+import errno
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
-from obcast import broadcast, cli, discrimination, moe, qpv
+from obcast import broadcast, cli, discrimination, moe, qpv, reproduce
 from obcast.cli import main
 from obcast.ensembles import (
     GopEnsemble,
@@ -799,6 +801,38 @@ def test_an_infeasible_disk_point_is_an_internal_error(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "internal error: symmetric point infeasible (slack -1.000e-01)" in err
+
+
+def test_a_chunk_process_that_sends_no_result_is_an_internal_error(tmp_path, monkeypatch, capsys, deadline):
+    parent, values = os.getpid(), reproduce._bruteforce_values
+
+    def chunk_values(chunk, settings):
+        if os.getpid() != parent:
+            os._exit(3)
+        return values(chunk, settings)
+
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
+    monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "reproduce", "--only", "prop-postinfo-bruteforce", "--trials", "3", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "internal error: the process of a chunk exited with status 3 and sent no result\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_chunk_process_that_cannot_be_forked_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    code, stdout, err = run(capsys, "reproduce", "--only", "prop-postinfo-bruteforce", "--trials", "3", "--out", str(tmp_path / "r.json"))
+    assert (code, stdout) == (2, "")
+    assert err == "internal error: could not start the process of a chunk: [Errno 11] Resource temporarily unavailable\n"
+    assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
 
 
 @pytest.mark.parametrize("name", ["minimal-qutrit", "bb84", "thm1-pairs", "obb", "cq"])

@@ -5,8 +5,8 @@ import itertools
 import json
 import math
 import os
-import signal
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -38,7 +38,7 @@ from obcast.ensembles import (
     gen_bb84,
     induced_postinfo,
 )
-from obcast.errors import InternalInconsistency, SolverFailure
+from obcast.errors import ChunkFailure, InternalInconsistency, SolverFailure
 from obcast.linalg import dagger, dyad, ket, rounding_floor
 from obcast.oracles import _ORACLE_SETTINGS, AssignmentSearch
 from obcast.qpv import cq_strategy_value
@@ -829,7 +829,7 @@ def searched_values(ensembles):
 def bruteforce_row_targets(monkeypatch, seed, trials=None):
     """The row targets of the brute-force case at ``seed``, built as the case builds them, in one chunk."""
     targets = []
-    monkeypatch.setattr(reproduce, "_cpus", lambda: 1)
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 1)
 
     def stop(row_targets):
         targets.extend(row_targets)
@@ -1044,7 +1044,7 @@ def test_the_bruteforce_case_has_the_bits_of_one_chunk_in_any_number_of_chunks(m
     monkeypatch.setattr(reproduce, "_in_chunks", recorded_split)
     monkeypatch.setattr(reproduce, "_forked", recorded_fork)
     for chunks in (1, 2, 3):
-        monkeypatch.setattr(reproduce, "_cpus", lambda: chunks)
+        monkeypatch.setattr(reproduce, "_chunk_count", lambda: chunks)
         reports[chunks] = reporting.reports_to_json(run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=trials))
     n = trials or 50
     # this process computes the first chunk, and one forked child each of the others
@@ -1058,22 +1058,6 @@ def test_the_bruteforce_case_has_the_bits_of_one_chunk_in_any_number_of_chunks(m
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def deadline():
-    """Fails a test that runs longer than 60 s in place of letting it hang on a child."""
-
-    def expired(signum, frame):
-        raise TimeoutError("waited more than 60 s on the brute-force case")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def loosened(monkeypatch, member, in_child):
@@ -1094,9 +1078,9 @@ def loosened(monkeypatch, member, in_child):
 
 def test_a_certificate_that_fails_validation_in_a_child_raises_as_in_one_chunk(monkeypatch, deadline):
     # trial 1 is stream member 1 in one chunk, and member 0 of the child's chunk (trials 1 and 2) in two
-    monkeypatch.setattr(reproduce, "_cpus", lambda: 1)
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 1)
     alone = loosened(monkeypatch, 1, in_child=False)
-    monkeypatch.setattr(reproduce, "_cpus", lambda: 2)
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
     forked = loosened(monkeypatch, 0, in_child=True)
     assert type(forked) is type(alone) and str(forked) == str(alone)
     assert_no_child_left()
@@ -1114,7 +1098,7 @@ def test_an_error_in_the_first_chunk_kills_and_reaps_the_children(monkeypatch, d
             raise ParentChunkFailed
         time.sleep(120)  # two children still at work when this process fails
 
-    monkeypatch.setattr(reproduce, "_cpus", lambda: 3)
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 3)
     monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
     with pytest.raises(ParentChunkFailed):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
@@ -1129,11 +1113,33 @@ def test_a_child_that_exits_without_a_result_raises_its_exit_status(monkeypatch,
             os._exit(3)
         return values(chunk, settings)
 
-    monkeypatch.setattr(reproduce, "_cpus", lambda: 2)
+    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
     monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
-    with pytest.raises(ChildProcessError, match="exited with status 3 and sent no result"):
+    with pytest.raises(ChunkFailure, match="exited with status 3 and sent no result"):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
     assert_no_child_left()
+
+
+def test_the_trials_split_into_at_most_max_chunks_and_into_one_without_an_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert reproduce._chunk_count() == reproduce.MAX_CHUNKS == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert reproduce._chunk_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert reproduce._chunk_count() == 1
+
+
+def test_the_trials_run_in_one_chunk_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert reproduce._chunk_count() == 1
+    finally:
+        release.set()
+        thread.join()
+    assert reproduce._chunk_count() == 2
 
 
 def test_postinfo_cases_pass_at_a_looser_gap_with_windows_that_follow_it():
