@@ -10,11 +10,11 @@ in lockstep (``solve_stream``), each at its own settings, all starting at step
 0 and leaving as each certifies or runs out, so every member's arrays are bit
 for bit its lone solve's.  Every caller, a lone solve of at most d^2 operators
 too, streams each member for at most ``STREAM_BUDGET`` iterations and has the
-barrier below finish those that run out, each run of them as one stack
-(``finished_stream``), and may pass a rule that drops, at any check, members
-it no longer needs.  The exact certificate of a member runs only once its
-screened gap, which agrees with it to rounding, is within 1e-12 of its
-``gap_tol``, and a check's exact certificates are one stack.  A single target
+barrier below finish those that run out, all as one stack once the stream
+ends (``finished_stream``), and may pass a rule that drops, at any check,
+members it no longer needs.  The exact certificate of a member runs only
+once its screened gap, which agrees with it to rounding, is within 1e-12 of
+its ``gap_tol``, and a check's exact certificates are one stack.  A single target
 with more operators, such as the answer rows of a post-information value, is
 solved by Newton's method on the dual log barrier (``_barrier_solve``) over
 the d^2 coordinates of Y in 15 to 130 steps, each with one LU inverse per row,
@@ -325,11 +325,11 @@ def _screened_gaps(m: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def solve_stream(
     m: np.ndarray,
-    settings: SolverSettings | Sequence[SolverSettings],
+    settings: Sequence[SolverSettings],
     p: np.ndarray | None = None,
     keep: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, tuple[float, np.ndarray, np.ndarray, float, int] | SolverFailure]]:
-    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), at one ``settings`` or one per member.
+    """Fixed-point iteration on a stream of same-shape targets ``m`` (B, n, d, d), at one ``settings`` per member.
 
     Every member starts at step 0 from ``p`` (default: the pretty-good
     measurement) and iterates in lockstep with the others, each with its own
@@ -356,9 +356,7 @@ def solve_stream(
     such a rule: it drops the problems that can no longer reach their target's
     value.
     """
-    if isinstance(settings, SolverSettings):
-        settings = [settings] * len(m)
-    elif len(settings) != len(m):
+    if len(settings) != len(m):
         raise ValueError(f"{len(settings)} settings for {len(m)} targets")
     if not len(m):
         return
@@ -742,20 +740,6 @@ def _working_set_solve(m: np.ndarray, settings: Sequence[SolverSettings]) -> lis
     return out
 
 
-def finish_member(out: SolverFailure, barrier: tuple | SolverFailure) -> tuple[float, np.ndarray, np.ndarray, float, int]:
-    """(primal, dual, POVM, gap, iterations) of a stream member that ran out, ``out``, from its barrier finish ``barrier``.
-
-    The barrier (``_working_set_solve``) finishes the member at its full
-    settings, whatever budget it streamed with, so its iterations are the
-    stream's plus the barrier's; only if the barrier fails too does the
-    better failure of the two raise.
-    """
-    if isinstance(barrier, SolverFailure):
-        raise min(out, barrier, key=lambda exc: exc.gap) from None
-    primal, y, p, gap, steps = barrier
-    return primal, y, p, gap, out.iterations + steps
-
-
 def finished_stream(
     m: np.ndarray,
     settings: Sequence[SolverSettings],
@@ -764,27 +748,30 @@ def finished_stream(
     """(index, (primal, dual, POVM, gap, iterations)) of each member of ``m`` (B, n, d, d), at its own ``settings``.
 
     The one budget rule of every stream caller: a member streams for at most
-    ``STREAM_BUDGET`` iterations, or its ``max_iterations`` if fewer, and
-    leaves through ``finish_member`` at its full settings, as it would alone.
-    Each run of consecutive ``solve_stream`` failures is finished as one
-    stack (``_working_set_solve``) once the run ends, at the stream's next
-    yield or its end, and its members are yielded in the stream's order.
-    ``keep`` goes to ``solve_stream``: a member it drops is never yielded and
-    never reaches the barrier.
+    ``STREAM_BUDGET`` iterations, or its ``max_iterations`` if fewer, and is
+    yielded as it certifies.  Once the stream ends, every member that ran
+    out is finished as one stack by the barrier (``_working_set_solve``) at
+    its full settings, as it would be alone, so its iterations are the
+    stream's plus the barrier's; they are yielded in the order they ran
+    out, and only if the barrier fails too does the better failure of the
+    two raise.  ``keep`` goes to ``solve_stream``: a member it drops is
+    never yielded and never reaches the barrier.
     """
     budgeted = [replace(st, max_iterations=min(st.max_iterations, STREAM_BUDGET)) for st in settings]
-    run: list[tuple[int, SolverFailure]] = []
-    for i, out in itertools.chain(solve_stream(m, budgeted, keep=keep), [(None, None)]):
+    ran_out: list[tuple[int, SolverFailure]] = []
+    for i, out in solve_stream(m, budgeted, keep=keep):
         if isinstance(out, SolverFailure):
-            run.append((i, out))
-            continue
-        if run:
-            index = [j for j, _ in run]
-            for (j, failure), barrier in zip(run, _working_set_solve(m[index], [settings[j] for j in index])):
-                yield j, finish_member(failure, barrier)
-            run = []
-        if i is not None:
+            ran_out.append((i, out))
+        else:
             yield i, out
+    if not ran_out:
+        return
+    index = [i for i, _ in ran_out]
+    for (i, out), barrier in zip(ran_out, _working_set_solve(m[index], [settings[i] for i in index])):
+        if isinstance(barrier, SolverFailure):
+            raise min(out, barrier, key=lambda exc: exc.gap) from None
+        primal, y, p, gap, steps = barrier
+        yield i, (primal, y, p, gap, out.iterations + steps)
 
 
 def min_error_discrimination(target: EffectTarget, settings: SolverSettings | None = None) -> DiscriminationResult:

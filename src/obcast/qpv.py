@@ -155,30 +155,6 @@ def _disk_cap(t: float) -> float:
     return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - (2.0 * t - 1.0) ** 2))
 
 
-def _prop4_grid(z1: float, z2: float) -> tuple[np.ndarray, np.ndarray]:
-    """``prop4_solve``'s seed grid and its objective, value [i, j] at (r0, s0) = (grid[i], grid[j]).
-
-    The scalar objective's operations in its order (``+ - * sqrt``, ``** 2``,
-    and ``max``/``min`` as ``maximum``/``minimum``), each correctly rounded
-    elementwise, so every value has the scalar's bits (``tests/test_qpv.py``
-    compares them all).  Swapping r0 and s0 swaps the parties, so s's term is
-    the transpose of r's; r's is built in place (IEEE + and * commute
-    exactly), so only two 201 x 201 arrays are held.
-    """
-    grid = np.linspace(0.5, 1.0, 201)
-    shift = 2 * grid - 1
-    reach = z1 * np.sqrt(np.maximum(0.0, 1.0 - shift**2))
-    f_r = reach[None, :] + z2 * shift[:, None]
-    f_r += 1.0
-    f_r *= 0.5
-    np.minimum(1.0, f_r, out=f_r)  # r1
-    f_r += 0.5
-    f_r *= 0.5
-    f_r += (0.5 * (0.5 + grid))[:, None]
-    f_r -= 0.5
-    return grid, np.minimum(f_r, f_r.T)
-
-
 def prop4_solve(spec: SuperpositionSpec) -> float:
     """Bound of the guessing-probability program over uncertainty-relation constraints, at the symmetric point.
 
@@ -187,9 +163,9 @@ def prop4_solve(spec: SuperpositionSpec) -> float:
     where each party's second slot is capped by the cross-party relation.
     The second slots sit at their caps at any optimum, leaving a
     two-variable maximization handled by grid seeding plus pattern ascent.
-    The 201 x 201 seed grid is one array expression (``_prop4_grid``) with
-    the scalar objective's bits; the ascent starts at its first maximum in
-    r0-major order and is scalar.  The derivation fixes the constant at
+    The objective is concave and symmetric in (r0, s0), so a maximum lies
+    on the diagonal r0 = s0: the ascent starts at the first best of 201
+    diagonal grid points.  The derivation fixes the constant at
     -1/2.  Every slot is at most one, so the value is at most one: it bounds
     a probability as it is.
     """
@@ -203,10 +179,9 @@ def prop4_solve(spec: SuperpositionSpec) -> float:
         f_s = 0.5 * (0.5 + s0) + 0.5 * (0.5 + s1) - 0.5
         return min(f_r, f_s)
 
-    grid, values = _prop4_grid(z1, z2)
-    i, j = np.unravel_index(np.argmax(values), values.shape)  # the first maximum, r0-major
-    value, r0, s0 = float(values[i, j]), float(grid[i]), float(grid[j])
-    step = float(grid[1] - grid[0])
+    grid = np.linspace(0.5, 1.0, 201).tolist()
+    r0 = s0 = max(grid, key=lambda r: objective(r, r))
+    value, step = objective(r0, s0), grid[1] - grid[0]
     moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
     while step > 1e-9:
         for dr, ds in moves:

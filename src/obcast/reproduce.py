@@ -9,13 +9,12 @@ in what order.  Cases that read parts of one result share it through
 ``ReproduceOptions.shared``, computed once per run.  Cases run one after
 another: they are small numpy calls that hold the interpreter lock, so
 worker threads would only add overhead, and ``--jobs`` is accepted and
-ignored.  The brute-force case alone splits its trials across the CPUs
-this process may run on, one contiguous chunk per CPU up to
-``MAX_CHUNKS``, each after the first in a child made with ``os.fork``
-(``_in_chunks``; one chunk where the platform has no
-``os.sched_getaffinity`` or another thread of the process runs).  Its
-trials' values do not depend on each other, so the report has the same
-bytes in any number of chunks.
+ignored.  The brute-force case alone computes the second half of its
+trials in at most one child made with ``os.fork`` while this process
+computes the first (``_in_halves``; no child where this process may run
+on one CPU, the platform has no ``os.sched_getaffinity`` or another
+thread of the process runs).  Its trials' values do not depend on each
+other, so the report has the same bytes with or without the child.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .discrimination import (
     p_postinfo,
     validated,
 )
-from .ensembles import Povm, gallery, gen_bb84, induced_postinfo
+from .ensembles import PostInfoEnsemble, Povm, gallery, gen_bb84, induced_postinfo
 from .errors import ChunkFailure
 from .linalg import dyad, fidelity, kron, partial_trace, trace_distance, trace_norm
 from .moe import lemma_a1_bound
@@ -52,6 +51,7 @@ from .sampling import (
     density_from_normals,
     ket_from_normals,
     psd_from_normals,
+    random_orthonormal_pair,
     unitary_from_normals,
 )
 from .uncertainty import (
@@ -481,36 +481,36 @@ def _prop_lemma_a1(key, z):
     return (np.linalg.eigvalsh(sum(ops)).max(axis=-1) - bound,)
 
 
-# Every chunk streams to the stream's step budget whatever its size, so
-# chunks past the second buy little: at seed 42 the slowest of k chunks,
-# each computed alone, takes 0.57, 0.32, 0.27 and 0.20 s at k = 1, 2, 4
-# and 8, for 0.57, 0.64, 0.87 and 1.07 s of CPU in all.  The cap also
-# bounds what forking costs where a CPU quota leaves fewer CPUs than the
-# affinity mask shows.
-MAX_CHUNKS = 2
+def _in_halves(fn, items: list) -> list:
+    """``fn(items[:half]) + fn(items[half:])``, the second half in a child forked from this process.
 
+    This process computes the first half while the child computes the
+    other and writes ``(ok, its list or the exception it raised)`` to a
+    pipe as one pickle, so ``fn`` and what it reads need no pickling, only
+    the result does.  The child leaves through ``os._exit``, so it runs none
+    of the parent's exit handlers and flushes none of its buffers; an exit
+    status other than 0 means the pickle was not written.  ``fn(items)``,
+    with no child, for one item, where the platform does not say which CPUs
+    this process may run on (no ``os.sched_getaffinity``) or it may run on
+    one, and while another thread of this process runs, since a child
+    forked under a running thread may deadlock on a lock that thread held.
 
-def _chunk_count() -> int:
-    """How many chunks ``_in_chunks`` splits into: the CPUs this process may run on, at most ``MAX_CHUNKS``.
+    At most one child, because each part streams to the stream's step
+    budget whatever its size: at seed 42 the slowest of k parts, each
+    computed alone, takes 0.57, 0.32, 0.27 and 0.20 s at k = 1, 2, 4 and 8,
+    for 0.57, 0.64, 0.87 and 1.07 s of CPU in all.  One child also bounds
+    what forking costs where a CPU quota leaves fewer CPUs than the
+    affinity mask shows.
 
-    One where the platform does not say (no ``os.sched_getaffinity``), and
-    one while another thread of this process runs, since a child forked
-    under a running thread may deadlock on a lock that thread held.
+    The child's exception is raised here with its type and message; a pipe
+    or fork that fails, or a child that exits without a result, raises
+    ``ChunkFailure``.  On any error the child is killed if it still runs,
+    and reaped, before the error propagates.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or threading.active_count() > 1:
-        return 1
-    return min(MAX_CHUNKS, len(affinity(0)))
-
-
-def _forked(fn, chunk) -> tuple:
-    """``(pid, pipe)`` of a forked child that writes ``(ok, fn(chunk) or the exception it raised)`` to ``pipe`` as one pickle.
-
-    The child leaves through ``os._exit``, so it runs none of the parent's
-    exit handlers and flushes none of its buffers; an exit status other than
-    0 means the pickle was not written.  A pipe or fork that fails raises
-    ``ChunkFailure``.
-    """
+    if len(items) < 2 or affinity is None or len(affinity(0)) < 2 or threading.active_count() > 1:
+        return fn(items)
+    half = len(items) // 2
     try:
         read, write = os.pipe()
         try:
@@ -526,7 +526,7 @@ def _forked(fn, chunk) -> tuple:
         try:
             os.close(read)
             try:
-                message = (True, fn(chunk))
+                message = (True, fn(items[half:]))
             except Exception as exc:  # the parent raises it in its own stack
                 message = (False, exc)
             with open(write, "wb") as pipe:
@@ -535,49 +535,25 @@ def _forked(fn, chunk) -> tuple:
         finally:
             os._exit(status)
     os.close(write)
-    return pid, open(read, "rb")
-
-
-def _in_chunks(fn, items: list) -> list:
-    """``fn(chunk)`` of contiguous chunks of ``items``, ``_chunk_count()`` of them, concatenated in order.
-
-    ``fn`` returns a list per chunk.  This process computes the first chunk
-    before it waits; each other chunk runs in a child forked from it
-    (``_forked``), so ``fn`` and what it reads need no pickling, only its
-    result does.  Where there is one CPU or one item, there is one chunk and
-    no child.  A chunk's exception is raised here with its type and message;
-    a child that exits without a result raises ``ChunkFailure`` naming its
-    exit status.  On any error every child still running is killed and
-    every child is reaped before the error propagates.
-    """
-    chunks = min(_chunk_count(), len(items))
-    bounds = [len(items) * k // chunks for k in range(chunks + 1)]
-    children = []  # (pid, pipe) of the children not yet reaped, in chunk order
+    reaped = False
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_forked(fn, items[lo:hi]))
-        values = fn(items[: bounds[1]])
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            children.pop(0)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status != 0:
-                raise ChunkFailure(f"the process of a chunk exited with status {status} and sent no result")
-            ok, result = pickle.loads(data)
-            if not ok:
-                raise result
-            values += result
-        return values
+        with open(read, "rb") as pipe:
+            values = fn(items[:half])
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if status != 0:
+            raise ChunkFailure(f"the process of a chunk exited with status {status} and sent no result")
+        ok, result = pickle.loads(data)
+        if not ok:
+            raise result
+        return values + result
     finally:
-        if children:  # left running by an error: stopped, then reaped
+        if not reaped:  # left running by an error: stopped, then reaped
             import signal
 
-            for pid, pipe in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _bruteforce_values(ensembles: list, settings: SolverSettings) -> list[tuple[float, float]]:
@@ -605,9 +581,6 @@ def _bruteforce_values(ensembles: list, settings: SolverSettings) -> list[tuple[
 
 @_case("prop-postinfo-bruteforce", "row-merged solve matches exhaustive assignment search", None, 1e-6, "dual-certified")
 def _prop_bruteforce(case, opts):
-    from .ensembles import PostInfoEnsemble
-    from .sampling import random_orthonormal_pair
-
     rng = case_rng(opts.seed, case.id)
     ensembles = []
     for _ in range(opts.n_trials(50)):
@@ -622,7 +595,7 @@ def _prop_bruteforce(case, opts):
                 orthogonal=True,
             )
         )
-    pairs = _in_chunks(lambda chunk: _bruteforce_values(chunk, opts.settings), ensembles)
+    pairs = _in_halves(lambda half: _bruteforce_values(half, opts.settings), ensembles)
     return max(abs(merged - searched) for merged, searched in pairs)
 
 

@@ -4,8 +4,10 @@ import signal
 
 import pytest
 
-from obcast import discrimination, ensembles, reproduce
+from obcast import discrimination, ensembles
 from obcast.reproduce import run_reproduce
+
+from helpers import on_cpus
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +17,7 @@ def counted_bruteforce_run():
     Returns ``(report, counts, povms)``; ``counts`` holds the lockstep steps
     (``_pretty_good`` calls), the member-steps, the stacked ``_certify``
     calls and the exact certificates they make, and ``povms`` the ``Povm``
-    objects built.  The trials run in one chunk, in this process, so the
+    objects built.  The trials run in this process, with no child, so the
     patches see all of the case's work.
     """
     counts = {"steps": 0, "member_steps": 0, "certify_calls": 0, "certified": 0}
@@ -41,7 +43,7 @@ def counted_bruteforce_run():
         mp.setattr(discrimination, "_pretty_good", counted_step)
         mp.setattr(discrimination, "_certify", counted_certify)
         mp.setattr(ensembles.Povm, "__post_init__", counted_povm)
-        mp.setattr(reproduce, "_chunk_count", lambda: 1)
+        on_cpus(mp, 1)
         [report] = run_reproduce(seed=42, only="prop-postinfo-bruteforce")
     return report, counts, povms[0]
 
@@ -63,9 +65,9 @@ def deadline():
 
 
 @pytest.fixture
-def one_chunk(monkeypatch):
-    """The brute-force case's trials in one chunk, in this process, where patches that count its work see all of it."""
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 1)
+def one_process(monkeypatch):
+    """The brute-force case's trials all in this process, where patches that count its work see all of it."""
+    on_cpus(monkeypatch, 1)
 
 
 @pytest.fixture

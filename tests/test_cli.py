@@ -20,6 +20,8 @@ from obcast.ensembles import (
 from obcast.errors import InternalInconsistency, SolverFailure
 from obcast.reproduce import run_reproduce
 
+from helpers import on_cpus
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -811,7 +813,7 @@ def test_a_chunk_process_that_sends_no_result_is_an_internal_error(tmp_path, mon
             os._exit(3)
         return values(chunk, settings)
 
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
     out = tmp_path / "r.json"
     code, stdout, err = run(capsys, "reproduce", "--only", "prop-postinfo-bruteforce", "--trials", "3", "--out", str(out))
@@ -827,12 +829,14 @@ def test_a_chunk_process_that_cannot_be_forked_is_an_internal_error(tmp_path, mo
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     fds = len(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", refused)
     code, stdout, err = run(capsys, "reproduce", "--only", "prop-postinfo-bruteforce", "--trials", "3", "--out", str(tmp_path / "r.json"))
     assert (code, stdout) == (2, "")
     assert err == "internal error: could not start the process of a chunk: [Errno 11] Resource temporarily unavailable\n"
     assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name", ["minimal-qutrit", "bb84", "thm1-pairs", "obb", "cq"])

@@ -45,6 +45,8 @@ from obcast.qpv import cq_strategy_value
 from obcast.reproduce import run_reproduce
 from obcast.sampling import density_from_normals, random_orthonormal_pair, unitary_from_normals
 
+from helpers import on_cpus
+
 SQ2 = math.sqrt(2)
 BB84_VALUE = (2 + SQ2) / 4
 TIGHT = SolverSettings(gap_tol=1e-9)
@@ -64,7 +66,7 @@ def stacked(targets):
 
 def streamed(targets, settings=DEFAULT_SETTINGS):
     """What ``solve_stream`` yields for each of ``targets``, in input order: (primal, dual, POVM, gap, iterations) or a ``SolverFailure``."""
-    results = dict(solve_stream(stacked(targets), settings))
+    results = dict(solve_stream(stacked(targets), [settings] * len(targets)))
     return [results[i] for i in range(len(targets))]
 
 
@@ -372,7 +374,7 @@ class Built(Exception):
     """Stops the brute-force case once its row targets are built."""
 
 
-def test_row_targets_keep_their_bytes(monkeypatch, one_chunk):
+def test_row_targets_keep_their_bytes(monkeypatch, one_process):
     seed42 = []
 
     def record(ens, **kwargs):
@@ -466,7 +468,6 @@ def test_a_stream_failure_carries_its_best_iterate_as_one_array():
 
 def test_an_empty_stream_yields_nothing():
     m = stacked(mixed_stack())[:0]
-    assert list(solve_stream(m, DEFAULT_SETTINGS)) == []
     assert list(solve_stream(m, [])) == []
 
 
@@ -475,7 +476,7 @@ def test_a_failing_member_behind_members_that_certify_yields_the_failure_it_yiel
     st = SolverSettings(max_iterations=3)
     [alone] = streamed([targets[1]], st)
     # the (2, 2, 2, 2) members certify at their first check; the last runs out at its third iteration
-    out = list(solve_stream(stacked([targets[2], targets[2], targets[2], targets[1]]), st))
+    out = list(solve_stream(stacked([targets[2], targets[2], targets[2], targets[1]]), [st] * 4))
     assert [i for i, _ in out] == [0, 1, 2, 3]
     assert [iterations for _, (*_, iterations) in out[:3]] == [1, 1, 1]
     assert_same_failure(out[3][1], alone, 3)
@@ -506,7 +507,7 @@ def test_a_stream_started_from_given_iterates_leaves_them_as_it_found_them():
     m = stacked(targets)
     given = discrimination._pretty_good(m)
     start = given.copy()
-    results = dict(solve_stream(m, DEFAULT_SETTINGS, given))
+    results = dict(solve_stream(m, [DEFAULT_SETTINGS] * len(m), given))
     assert given.tobytes() == start.tobytes()
     # from the pretty-good measurement, the stream is the default one bit for bit
     for i, alone in enumerate(streamed(targets)):
@@ -624,6 +625,43 @@ def test_a_lone_and_a_streamed_solve_follow_one_budget_rule(barrier_rounds):
     assert barrier_rounds == [(1, 4), (1, 4)]
 
 
+def one_finish_stream(cap):
+    """``mixed_stack``'s targets, which certify at iterations 1 to 91, with two slow members at ``max_iterations`` ``cap`` and 40 among them."""
+    slow, targets = slow_fixed_point_target(), mixed_stack()
+    targets = targets[:3] + [slow] + targets[3:5] + [slow] + targets[5:]
+    settings = [DEFAULT_SETTINGS] * 3 + [SolverSettings(max_iterations=cap)] + [DEFAULT_SETTINGS] * 2
+    return targets, settings + [SolverSettings(max_iterations=40)] + [DEFAULT_SETTINGS] * 3
+
+
+def test_members_that_run_out_are_finished_once_after_every_certified_member(monkeypatch):
+    targets, settings = one_finish_stream(20)
+    calls = []
+    recorded_barrier(monkeypatch, calls)
+    yields = list(discrimination.finished_stream(stacked(targets), settings))
+    # the slow members run out at iterations 20 and 40, between certifications at 1, 31 and 41; one barrier call
+    # finishes both once the stream ends, and they are yielded last, in the order they ran out
+    assert calls == [2]
+    assert [i for i, _ in yields[-2:]] == [3, 6]
+    assert sorted(i for i, _ in yields[:-2]) == [0, 1, 2, 4, 5, 7, 8, 9]
+    for i, out in yields:
+        assert_same_member(out, member(min_error_discrimination(targets[i], settings[i])))
+    assert yields[-2][1][4] == 20 + 12
+
+
+def test_a_run_out_member_that_neither_route_certifies_raises_after_every_certified_member(monkeypatch):
+    targets, settings = one_finish_stream(3)
+    calls, yielded = [], []
+    recorded_barrier(monkeypatch, calls)
+    with pytest.raises(SolverFailure) as failure:
+        for i, _ in discrimination.finished_stream(stacked(targets), settings):
+            yielded.append(i)
+    assert calls == [2]
+    assert sorted(yielded) == [0, 1, 2, 4, 5, 7, 8, 9]
+    with pytest.raises(SolverFailure) as alone:
+        min_error_discrimination(targets[3], settings[3])
+    assert_same_failure(failure.value, alone.value, 3)
+
+
 def dropping(indices, at=1):
     """A stream rule that drops each of the members ``indices`` at its ``at``-th offer, and the offers it got."""
     offers, seen = [], collections.Counter()
@@ -639,7 +677,7 @@ def dropping(indices, at=1):
 def test_a_stream_rule_drops_members_unyielded_and_leaves_the_others_their_lone_bits():
     targets = mixed_stack()
     keep, offers = dropping({1, 4})
-    out = list(solve_stream(stacked(targets), _ORACLE_SETTINGS, keep=keep))
+    out = list(solve_stream(stacked(targets), [_ORACLE_SETTINGS] * len(targets), keep=keep))
     assert sorted(i for i, _ in out) == [0, 2, 3, 5, 6, 7]
     for i, mine in out:
         assert_same_member(mine, streamed([targets[i]], _ORACLE_SETTINGS)[0])
@@ -661,26 +699,20 @@ def test_a_stream_rule_that_drops_nothing_changes_no_yield():
 def test_a_member_the_rule_drops_at_its_last_check_never_reaches_the_barrier(barrier_rounds, monkeypatch):
     slow = slow_fixed_point_target()
     targets = [merged_row_targets(gallery("bb84")), slow, mixed_stack()[0]]
-    finished_members = []
-    finish = discrimination.finish_member
-
-    def recorded(out, barrier):
-        finished_members.append(out)
-        return finish(out, barrier)
-
-    monkeypatch.setattr(discrimination, "finish_member", recorded)
+    calls = []
+    recorded_barrier(monkeypatch, calls)
     # the slow target is due every 10 iterations and at its last budgeted one, which it would leave for the barrier
     checks = len(set(range(0, discrimination.STREAM_BUDGET, 10)) | {discrimination.STREAM_BUDGET - 1})
     keep, offers = dropping({1}, at=checks)
     finished = dict(discrimination.finished_stream(stacked(targets), [DEFAULT_SETTINGS] * 3, keep))
     assert sorted(finished) == [0, 2]
     assert sum(np.count_nonzero(i == 1) for i, _, _ in offers) == checks
-    assert finished_members == [] and barrier_rounds == []
+    assert calls == [] and barrier_rounds == []
     for i in (0, 2):
         assert_same_member(finished[i], member(min_error_discrimination(targets[i])))
 
 
-def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatch, one_chunk):
+def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatch, one_process):
     offered, dropped = [], []
     rule = AssignmentSearch.keep
 
@@ -699,7 +731,7 @@ def test_the_bruteforce_case_offers_its_rule_only_assignment_problems(monkeypatc
     assert len(dropped) == len(set(dropped)) == 171
 
 
-def test_screened_gaps_agree_with_the_exact_certificate_within_a_rounding_floor(monkeypatch, one_chunk):
+def test_screened_gaps_agree_with_the_exact_certificate_within_a_rounding_floor(monkeypatch, one_process):
     # the prefilter margin of 1e-12 and the search's margin of _MARGIN_FLOORS floors rest on this agreement
     worst, checks = [0.0, 0.0], [0]
     screened = discrimination._screened_gaps
@@ -744,7 +776,7 @@ def recorded_barrier(monkeypatch, calls=None):
     return finished
 
 
-def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch, barrier_rounds, one_chunk):
+def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch, barrier_rounds, one_process):
     calls, yields = [], []
     finished = recorded_barrier(monkeypatch, calls)
     stream = reproduce.finished_stream
@@ -767,7 +799,7 @@ def test_bruteforce_members_that_run_out_are_finished_by_the_barrier(monkeypatch
     assert report.passed and report.computed == 8.822147157250271e-08
 
 
-def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificate(monkeypatch, one_chunk):
+def test_an_assignment_problem_that_runs_out_is_folded_with_a_barrier_certificate(monkeypatch, one_process):
     finished = recorded_barrier(monkeypatch)
     folded = []
     fold = AssignmentSearch.fold
@@ -796,14 +828,14 @@ def test_bruteforce_case_at_other_seeds_is_pinned(seed, computed):
 
 def test_solve_stream_yields_each_index_once():
     m = stacked(mixed_stack() * 2)
-    indices = [i for i, _ in solve_stream(m, _ORACLE_SETTINGS)]
+    indices = [i for i, _ in solve_stream(m, [_ORACLE_SETTINGS] * len(m))]
     assert sorted(indices) == list(range(len(m)))
-    assert list(solve_stream(m[:0], _ORACLE_SETTINGS)) == list(solve_stream(m[:0], [])) == []
+    assert list(solve_stream(m[:0], [])) == []
 
 
 def searched_values_of(search):
     """The values of ``search`` once its problems have streamed through the solver, its rule asked at every check."""
-    for k, (primal, _, _, gap, _) in solve_stream(search.problems, search.settings, keep=search.keep):
+    for k, (primal, _, _, gap, _) in solve_stream(search.problems, [search.settings] * len(search.problems), keep=search.keep):
         search.fold(k, primal, gap)
     return search.values
 
@@ -827,9 +859,9 @@ def searched_values(ensembles):
 
 
 def bruteforce_row_targets(monkeypatch, seed, trials=None):
-    """The row targets of the brute-force case at ``seed``, built as the case builds them, in one chunk."""
+    """The row targets of the brute-force case at ``seed``, built as the case builds them, all in this process."""
     targets = []
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 1)
+    on_cpus(monkeypatch, 1)
 
     def stop(row_targets):
         targets.extend(row_targets)
@@ -926,7 +958,7 @@ def sound_kept_counts(monkeypatch, gap_tol):
         search = AssignmentSearch(targets)
         dropped = dropped_in_stream(search)
         everything = every_multiset(targets)
-        results = dict(solve_stream(np.array([problem for _, problem in everything]), search.settings))
+        results = dict(solve_stream(np.array([problem for _, problem in everything]), [search.settings] * len(everything)))
         full = [-math.inf] * len(targets)
         for k, (e, _) in enumerate(everything):
             primal, _, _, gap, _ = results[k]
@@ -1028,31 +1060,44 @@ def test_bruteforce_case_rejects_a_certificate_that_fails_validation(monkeypatch
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
 
 
+def counted_forks(monkeypatch):
+    """The ``os.fork`` calls of this process from here on, one entry each."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 @pytest.mark.parametrize("seed, trials", [(42, None), (1, 10), (7, 10)])
-def test_the_bruteforce_case_has_the_bits_of_one_chunk_in_any_number_of_chunks(monkeypatch, seed, trials):
-    pairs, forks, reports = {}, [], {}
-    split, forked = reproduce._in_chunks, reproduce._forked
+def test_the_bruteforce_case_has_the_bits_of_one_process_with_a_child(monkeypatch, seed, trials):
+    pairs, halves, reports = {}, [], {}
+    split, values = reproduce._in_halves, reproduce._bruteforce_values
 
     def recorded_split(fn, items):
-        pairs[chunks] = split(fn, items)
-        return pairs[chunks]
+        pairs[cpus] = split(fn, items)
+        return pairs[cpus]
 
-    def recorded_fork(fn, chunk):
-        forks.append(len(chunk))
-        return forked(fn, chunk)
+    def recorded_values(ensembles, settings):
+        halves.append((cpus, os.getpid(), len(ensembles)))
+        return values(ensembles, settings)
 
-    monkeypatch.setattr(reproduce, "_in_chunks", recorded_split)
-    monkeypatch.setattr(reproduce, "_forked", recorded_fork)
-    for chunks in (1, 2, 3):
-        monkeypatch.setattr(reproduce, "_chunk_count", lambda: chunks)
-        reports[chunks] = reporting.reports_to_json(run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=trials))
+    monkeypatch.setattr(reproduce, "_in_halves", recorded_split)
+    monkeypatch.setattr(reproduce, "_bruteforce_values", recorded_values)
+    forks = counted_forks(monkeypatch)
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        reports[cpus] = reporting.reports_to_json(run_reproduce(seed=seed, only="prop-postinfo-bruteforce", trials=trials))
     n = trials or 50
-    # this process computes the first chunk, and one forked child each of the others
-    assert forks == [n - n // 2, 2 * n // 3 - n // 3, n - 2 * n // 3]
-    for chunks in (2, 3):
-        assert np.array(pairs[chunks]).tobytes() == np.array(pairs[1]).tobytes()
-        assert reports[chunks] == reports[1]
+    # this process computes every trial on one CPU, and the first half on two, forking one child for the second
+    assert halves == [(1, os.getpid(), n), (2, os.getpid(), n // 2)] and forks == [1]
+    assert np.array(pairs[2]).tobytes() == np.array(pairs[1]).tobytes()
+    assert reports[2] == reports[1]
     assert len(pairs[1]) == n
+    assert_no_child_left()
 
 
 def assert_no_child_left():
@@ -1076,31 +1121,31 @@ def loosened(monkeypatch, member, in_child):
     return failure.value
 
 
-def test_a_certificate_that_fails_validation_in_a_child_raises_as_in_one_chunk(monkeypatch, deadline):
-    # trial 1 is stream member 1 in one chunk, and member 0 of the child's chunk (trials 1 and 2) in two
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 1)
+def test_a_certificate_that_fails_validation_in_a_child_raises_as_in_one_process(monkeypatch, deadline):
+    # trial 1 is stream member 1 in one process, and member 0 of the child's half (trials 1 and 2) with a child
+    on_cpus(monkeypatch, 1)
     alone = loosened(monkeypatch, 1, in_child=False)
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
+    on_cpus(monkeypatch, 2)
     forked = loosened(monkeypatch, 0, in_child=True)
     assert type(forked) is type(alone) and str(forked) == str(alone)
     assert_no_child_left()
 
 
-class ParentChunkFailed(Exception):
-    """Raised by this process's chunk of the brute-force case."""
+class ParentHalfFailed(Exception):
+    """Raised by this process's half of the brute-force case."""
 
 
-def test_an_error_in_the_first_chunk_kills_and_reaps_the_children(monkeypatch, deadline):
+def test_an_error_in_the_first_half_kills_and_reaps_the_child(monkeypatch, deadline):
     parent = os.getpid()
 
-    def chunk_values(chunk, settings):
+    def half_values(half, settings):
         if os.getpid() == parent:
-            raise ParentChunkFailed
-        time.sleep(120)  # two children still at work when this process fails
+            raise ParentHalfFailed
+        time.sleep(120)  # the child still at work when this process fails
 
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 3)
-    monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
-    with pytest.raises(ParentChunkFailed):
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(reproduce, "_bruteforce_values", half_values)
+    with pytest.raises(ParentHalfFailed):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
     assert_no_child_left()
 
@@ -1108,38 +1153,59 @@ def test_an_error_in_the_first_chunk_kills_and_reaps_the_children(monkeypatch, d
 def test_a_child_that_exits_without_a_result_raises_its_exit_status(monkeypatch, deadline):
     parent, values = os.getpid(), reproduce._bruteforce_values
 
-    def chunk_values(chunk, settings):
+    def half_values(half, settings):
         if os.getpid() != parent:
             os._exit(3)
-        return values(chunk, settings)
+        return values(half, settings)
 
-    monkeypatch.setattr(reproduce, "_chunk_count", lambda: 2)
-    monkeypatch.setattr(reproduce, "_bruteforce_values", chunk_values)
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(reproduce, "_bruteforce_values", half_values)
     with pytest.raises(ChunkFailure, match="exited with status 3 and sent no result"):
         run_reproduce(seed=42, only="prop-postinfo-bruteforce", trials=3)
     assert_no_child_left()
 
 
-def test_the_trials_split_into_at_most_max_chunks_and_into_one_without_an_affinity_mask(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert reproduce._chunk_count() == reproduce.MAX_CHUNKS == 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert reproduce._chunk_count() == 1
+def halved(items):
+    """``reproduce._in_halves`` of a function that doubles each item, and the sizes of the calls this process made."""
+    calls = []
+
+    def doubled(half):
+        calls.append(len(half))
+        return [2 * x for x in half]
+
+    return reproduce._in_halves(doubled, items), calls
+
+
+def test_the_trials_fork_one_child_on_two_or_more_cpus_and_none_on_one_or_without_an_affinity_mask(monkeypatch):
+    forks = counted_forks(monkeypatch)
+    for cpus in (2, 8):
+        on_cpus(monkeypatch, cpus)
+        assert halved(list(range(5))) == ([0, 2, 4, 6, 8], [2])
+        assert halved([1]) == ([2], [1])  # one item: nothing to split
+    assert forks == [1, 1]
+    on_cpus(monkeypatch, 1)
+    assert halved(list(range(5))) == ([0, 2, 4, 6, 8], [5])
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert reproduce._chunk_count() == 1
+    assert halved(list(range(5))) == ([0, 2, 4, 6, 8], [5])
+    assert forks == [1, 1]
+    assert_no_child_left()
 
 
-def test_the_trials_run_in_one_chunk_while_another_thread_runs(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+def test_the_trials_run_in_one_process_while_another_thread_runs(monkeypatch):
+    forks = counted_forks(monkeypatch)
+    on_cpus(monkeypatch, 8)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert reproduce._chunk_count() == 1
+        assert halved(list(range(5))) == ([0, 2, 4, 6, 8], [5])
     finally:
         release.set()
         thread.join()
-    assert reproduce._chunk_count() == 2
+    assert forks == []
+    assert halved(list(range(5))) == ([0, 2, 4, 6, 8], [2])
+    assert forks == [1]
+    assert_no_child_left()
 
 
 def test_postinfo_cases_pass_at_a_looser_gap_with_windows_that_follow_it():
@@ -1494,7 +1560,7 @@ def test_certificates_of_a_stack_have_the_bits_of_each_members_own():
 
 def full_solve(target):
     """The solve that iterates on every row, a stream of one, as a result object."""
-    [(_, (primal, y, p, gap, iterations))] = solve_stream(stacked([target]), DEFAULT_SETTINGS)
+    [(_, (primal, y, p, gap, iterations))] = solve_stream(stacked([target]), [DEFAULT_SETTINGS])
     return DiscriminationResult(primal, Povm(effects=p), DualCertificate(y, primal, gap), target.labels, iterations)
 
 
@@ -1754,7 +1820,7 @@ def reference_barrier_solve(m, st):
     final = (*discrimination._certify(m[None], p[None])[0], p)
     if stalled is not None and steps < st.max_iterations:
         rest = dataclasses.replace(st, max_iterations=st.max_iterations - steps)
-        [(_, polish)] = solve_stream(m[None], rest, p[None])
+        [(_, polish)] = solve_stream(m[None], [rest], p[None])
         if not isinstance(polish, SolverFailure):
             primal, y, p, gap, fixed = polish
             return primal, y, p, gap, steps + fixed
