@@ -140,6 +140,39 @@ def test_prop4_keeps_the_bits_of_its_grid_seeded_ascent():
     assert hashlib.sha256(values.tobytes()).hexdigest() == PROP4_SHA256
 
 
+def reference_prop4_objective(z1, z2):
+    """``prop4_solve``'s objective at one (r0, s0), in Python floats."""
+
+    def objective(r0, s0):
+        r1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * s0 - 1) ** 2)) + z2 * (2 * r0 - 1) + 1.0)
+        s1 = 0.5 * (z1 * math.sqrt(max(0.0, 1.0 - (2 * r0 - 1) ** 2)) + z2 * (2 * s0 - 1) + 1.0)
+        f_r = 0.5 * (0.5 + r0) + 0.5 * (0.5 + min(1.0, r1)) - 0.5
+        f_s = 0.5 * (0.5 + s0) + 0.5 * (0.5 + min(1.0, s1)) - 0.5
+        return min(f_r, f_s)
+
+    return objective
+
+
+def prop4_instances():
+    """The ``bb84-prop4`` spec, then random ones: at p = pg = 1/2 a spec is the whole instance."""
+    yield CONJUGATE
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        yield SuperpositionSpec(*(float(x) for x in rng.uniform(-math.pi, math.pi, 4)))
+
+
+@pytest.mark.parametrize("instance", list(prop4_instances()))
+def test_prop4_full_seed_grid_has_its_first_maximum_on_the_diagonal(instance):
+    # the ascent once started at the first maximum of the whole 201 x 201 grid in r0-major order; on the
+    # diagonal, that point is also the first best diagonal point, where the ascent now starts
+    objective = reference_prop4_objective(abs(instance.z1), abs(instance.z2))
+    grid = np.linspace(0.5, 1.0, 201).tolist()
+    values = np.array([[objective(a, b) for b in grid] for a in grid])
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    assert i == j
+    assert values[i, j] == max(objective(r, r) for r in grid)
+
+
 def test_disk_program_seven_state_bound():
     bound = disk_program_solve(OBB_DISK_SHIFT)
     assert bound == pytest.approx(0.25 + SQ2 / 4, abs=1e-12)
